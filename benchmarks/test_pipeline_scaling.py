@@ -12,11 +12,9 @@ exist (a warm hit is an order of magnitude faster than a rebuild).
 from __future__ import annotations
 
 import os
+import pickle
 from time import perf_counter
 
-import numpy as np
-
-from repro.bgp.records import RecordSet, records_day_classes
 from repro.lifetimes.bgp import build_operational_dataset
 from repro.runtime import (
     ArtifactCache,
@@ -24,7 +22,6 @@ from repro.runtime import (
     PipelineStats,
     ledger_disabled,
 )
-from repro.runtime.executor import ProcessPoolBackend
 from repro.simulation import bench, build_datasets
 from repro.simulation.config import tiny
 from repro.simulation.world import WorldSimulator
@@ -77,9 +74,10 @@ def test_pipeline_scaling(record_result):
         f"({warm_seconds:.3f}s vs {cold_seconds:.3f}s)"
     )
 
-    # the descriptor fan-out must keep restore:views from regressing
-    # under the pool (the pickled-view blowup the table engine removes);
-    # small absolute floor so sub-100ms stages don't trip on noise
+    # restoration runs in-process, so restore:views must not regress
+    # under the pool (the pickled-view blowup a restoration fan-out
+    # would bring back); small absolute floor so sub-100ms stages
+    # don't trip on noise
     serial_views = serial_stats.seconds_of("restore:views")
     parallel_views = parallel_stats.seconds_of("restore:views")
     assert parallel_views <= max(2 * serial_views, serial_views + 0.25), (
@@ -125,92 +123,57 @@ def test_pipeline_scaling(record_result):
     record_result("pipeline_scaling", "\n".join(lines))
 
 
-#: Restoration stages the delegation-table engine accelerates; the
-#: table path pays ``restore:table`` on top, so the sum is the honest
-#: cost either way (inter-rir and merge are shared code, excluded).
-_RESTORE_STAGES = ("restore:table", "restore:views", "restore:per-registry")
+#: Restoration stages a process pool could fan out (inter-rir and
+#: merge are the serial join barrier either way, excluded).
+_RESTORE_STAGES = ("restore:views", "restore:per-registry")
 
 
 def _restore_stage_seconds(stats: PipelineStats) -> float:
     return sum(stats.seconds_of(name) for name in _RESTORE_STAGES)
 
 
-def test_restoration_scaling(record_result, tmp_path):
-    """Delegation-table vs object restoration: speed and byte-identity.
+def test_restoration_scaling(record_result):
+    """Restoration serial vs ``--jobs 2``: in-process, byte-identical.
 
-    Four bench-scale builds — object and table engines, serial and
-    ``--jobs 2`` — compared on output (must match exactly, ordering
-    included) and on their restore-stage wall time.  Each build gets a
-    private metrics registry: these are comparison rows, and the slow
-    object-engine runs must not leak into the session's gated stage
-    histograms.  The assertions pin the two ISSUE 7 claims: under a
-    process pool the descriptor fan-out beats pickled views by a wide
-    margin, and serially the table engine (container encode included)
-    stays in the object engine's ballpark.
+    Two bench-scale builds compared on output (must match exactly,
+    ordering included, down to the pickled bytes) and on their
+    restore-stage wall time.  Restoration always runs in-process: a
+    pool would pickle each registry's whole view out and back, which
+    measured ~10x slower than the serial path, so under ``--jobs 2``
+    the restore stages must ship nothing and spawn no worker tasks.
+    Each build gets a private metrics registry so these comparison
+    rows stay out of the session's gated stage histograms.
     """
     def build(**kwargs):
         stats = PipelineStats(metrics=MetricsRegistry())
         bundle = build_datasets(bench(seed=2021), stats=stats, **kwargs)
         return bundle, stats
 
-    container = tmp_path / "bench.dtab"
-    object_bundle, object_stats = build(restoration_engine="object")
-    cold_bundle, cold_stats = build(
-        restoration_engine="table", restoration_table=container
-    )
-    steady_bundle, steady_stats = build(
-        restoration_engine="table", restoration_table=container
-    )
-    warm_bundle, warm_stats = build(
-        restoration_engine="table", restoration_table=container, jobs=2
-    )
-    pobj_bundle, pobj_stats = build(restoration_engine="object", jobs=2)
+    serial_bundle, serial_stats = build()
+    pool_bundle, pool_stats = build(jobs=2)
 
-    # engines and backends agree exactly, ordering included
-    for bundle in (cold_bundle, steady_bundle, warm_bundle, pobj_bundle):
-        assert bundle.restored.stints == object_bundle.restored.stints
-        assert list(bundle.restored.stints) == list(object_bundle.restored.stints)
-        assert bundle.admin_lives == object_bundle.admin_lives
-        assert (
-            bundle.restoration_report.summary()
-            == object_bundle.restoration_report.summary()
-        )
-
-    # the cold run encodes + persists; the warm run memory-maps the
-    # container and fans out (path, registry) descriptors
-    spans = {s.name: s for s in cold_stats.tracer.spans}
-    assert spans["restore:table"].attrs["source"] == "encoded"
-    spans = {s.name: s for s in warm_stats.tracer.spans}
-    assert spans["restore:table"].attrs["source"] == "mmap"
-    assert spans["restore:table"].attrs["fanout"] == "path"
-
-    object_t = _restore_stage_seconds(object_stats)
-    cold_t = _restore_stage_seconds(cold_stats)
-    steady_t = _restore_stage_seconds(steady_stats)
-    warm_t = _restore_stage_seconds(warm_stats)
-    pobj_t = _restore_stage_seconds(pobj_stats)
-    pool_speedup = pobj_t / warm_t if warm_t > 0 else float("inf")
-    assert pool_speedup >= 2.5, (
-        f"table descriptor fan-out only {pool_speedup:.1f}x faster than "
-        f"pickled object views under --jobs 2 ({warm_t:.3f}s vs {pobj_t:.3f}s)"
+    assert pickle.dumps(pool_bundle.restored.stints) == pickle.dumps(
+        serial_bundle.restored.stints
     )
-    # steady state (container already on disk, zero-copy re-open) must
-    # stay in the object engine's ballpark serially; the cold encode is
-    # a one-time cost the cache amortizes, reported but not gated here
-    assert steady_t <= 2.0 * object_t + 0.1, (
-        f"table engine too slow serially: {steady_t:.3f}s warm mmap "
-        f"vs {object_t:.3f}s object"
+    assert pool_bundle.admin_lives == serial_bundle.admin_lives
+    assert (
+        pool_bundle.restoration_report.summary()
+        == serial_bundle.restoration_report.summary()
     )
+    spans = pool_stats.tracer.spans
+    for name in _RESTORE_STAGES:
+        (stage,) = [s for s in spans if s.name == name]
+        assert "bytes_shipped" not in stage.attrs, name
+        assert not [s for s in spans if s.parent_id == stage.span_id], name
 
+    serial_t = _restore_stage_seconds(serial_stats)
+    pool_t = _restore_stage_seconds(pool_stats)
     lines = [
-        f"bench-scale restore stages (table+views+per-registry), "
-        f"host CPUs: {os.cpu_count()}",
-        f"{'object serial':<28} {object_t:>9.3f}s",
-        f"{'table serial (cold encode)':<28} {cold_t:>9.3f}s",
-        f"{'table serial (warm mmap)':<28} {steady_t:>9.3f}s",
-        f"{'table jobs 2 (warm mmap)':<28} {warm_t:>9.3f}s",
-        f"{'object jobs 2':<28} {pobj_t:>9.3f}s",
-        f"{'pool speedup (table/object)':<28} {pool_speedup:>9.2f}x",
+        f"bench-scale restore stages (views+per-registry), "
+        f"host CPUs: {os.cpu_count()}; in-process under both backends, "
+        f"nothing shipped",
+        f"{'serial':<28} {serial_t:>9.3f}s",
+        f"{'jobs 2':<28} {pool_t:>9.3f}s",
     ]
     record_result("restoration_scaling", "\n".join(lines))
 
@@ -225,29 +188,21 @@ def _activity_stage_seconds(stats: PipelineStats) -> float:
 
 
 def test_bgp_activity_scaling(record_result, tmp_path):
-    """Records vs. columnar vs. object BGP activity: speed, determinism.
+    """Columnar vs. object BGP activity: speed, determinism, warm hit.
 
-    One tiny-scale world.  The object-stream baseline runs over a short
-    reference slice (it is the thing being beaten; timing it over the
-    full window would spend the session's perf budget re-measuring
-    known-slow code), the vectorized engines over the slice and the
-    full ~6-month window.  The assertions pin the ISSUE 6 acceptance
-    criteria: per day of window, the records engine's stream+sanitize+
-    visibility stages beat the object baseline >= 3x even on a cold
-    encode and >= 5x once the container is memory-mapped (columnar
-    keeps its >= 3x bound); serial and mmap-fan-out parallel runs are
-    byte-identical, as are mmap and pickled worker payloads; and a warm
-    activity-table cache hit skips the stream stages entirely.
+    One tiny-scale world, one short reference slice: the object-stream
+    oracle and the columnar production engine each build the slice's
+    activity tables, which must be identical, and the columnar
+    engine's stream+sanitize+visibility stages must beat the oracle
+    >= 3x.  The columnar run stores an ``activity-table`` entry; a
+    warm re-run (asking for the object engine, since the key ignores
+    the engine) must hit it and skip the stream stages entirely.
     """
     world = WorldSimulator(tiny(seed=2021)).run()
     end = world.config.end_day
-    start = end - 179
-    window = dict(start=start, end=end)
-    full_days = end - start + 1
     ref_days = 14
     ref_window = dict(start=end - ref_days + 1, end=end)
 
-    # -- reference slice: the object baseline and the columnar engine -
     object_stats = PipelineStats()
     t0 = perf_counter()
     object_lives, object_tables = build_operational_dataset(
@@ -255,129 +210,56 @@ def test_bgp_activity_scaling(record_result, tmp_path):
     )
     object_seconds = perf_counter() - t0
 
-    col_ref_stats = PipelineStats()
-    col_ref_lives, col_ref_tables = build_operational_dataset(
-        world, engine="columnar", stats=col_ref_stats, **ref_window,
-    )
-    assert col_ref_tables == object_tables
-    assert col_ref_lives == object_lives
-    assert list(col_ref_lives) == list(object_lives)
-
-    # -- full window: records cold (encode + persist the container),
-    # then the steady state — zero-copy re-open with mmap fan-out.
-    # (records == object equivalence is pinned per element by the
-    # tier-1 suite; here the serial cold run is the parallel warm
-    # run's oracle.)
-    container = tmp_path / "bench.bgprec"
-    records_stats = PipelineStats()
-    t0 = perf_counter()
-    records_lives, records_tables = build_operational_dataset(
-        world, engine="records", records_path=container,
-        stats=records_stats, **window,
-    )
-    records_seconds = perf_counter() - t0
-
     cache = ArtifactCache(tmp_path / "cache", faults=None)
-    warm_rec_stats = PipelineStats()
+    columnar_stats = PipelineStats()
     t0 = perf_counter()
-    warm_rec_lives, warm_rec_tables = build_operational_dataset(
-        world, engine="records", records_path=container, cache=cache,
-        records_fanout="mmap", executor=2,
-        stats=warm_rec_stats, **window,
+    columnar_lives, columnar_tables = build_operational_dataset(
+        world, engine="columnar", cache=cache, stats=columnar_stats,
+        **ref_window,
     )
-    warm_rec_seconds = perf_counter() - t0
+    columnar_seconds = perf_counter() - t0
+    assert columnar_tables == object_tables
+    assert columnar_lives == object_lives
+    assert list(columnar_lives) == list(object_lives)
 
-    # determinism: serial cold build == parallel mmap re-open, exactly
-    assert warm_rec_tables == records_tables
-    assert warm_rec_lives == records_lives
-    assert list(warm_rec_lives) == list(records_lives)
-    spans = {s.name: s for s in records_stats.tracer.spans}
-    assert spans["bgp:stream"].attrs["source"] == "encoded"
-    spans = {s.name: s for s in warm_rec_stats.tracer.spans}
-    assert spans["bgp:stream"].attrs["source"] == "mmap"
-    assert spans["bgp:visibility"].attrs["fanout"] == "mmap"
-
-    # warm activity-table hit (stored by the run above): it must skip
-    # stream/sanitize/visibility entirely, whichever engine built it
     warm_stats = PipelineStats()
     t0 = perf_counter()
     warm_lives, _ = build_operational_dataset(
-        world, cache=cache, stats=warm_stats, **window,
+        world, engine="object", cache=cache, stats=warm_stats, **ref_window,
     )
     warm_seconds = perf_counter() - t0
     assert cache.hits == 1
     assert [s.name for s in warm_stats.stages] == [
         "cache:lookup", "bgp:segment",
     ]
-    assert warm_lives == records_lives
+    assert warm_lives == object_lives
 
-    # -- mmap vs pickled fan-out payloads, same pool, same chunks -----
-    # (timed directly so the comparison rows stay out of the session's
-    # gated stage histograms)
-    rs = RecordSet.from_file(container)
-    with ProcessPoolBackend(2, faults=None) as pool:
-        t0 = perf_counter()
-        over_mmap = records_day_classes(rs, executor=pool, fanout="mmap")
-        mmap_fanout_seconds = perf_counter() - t0
-        t0 = perf_counter()
-        over_pickle = records_day_classes(rs, executor=pool, fanout="pickle")
-        pickle_fanout_seconds = perf_counter() - t0
-    assert over_mmap.chunks == over_pickle.chunks
-    assert np.array_equal(over_mmap.asns, over_pickle.asns)
-    assert np.array_equal(over_mmap.days, over_pickle.days)
-    assert np.array_equal(over_mmap.classes, over_pickle.classes)
-    assert over_mmap.stats.dropped == over_pickle.stats.dropped
-
-    # -- speedups, per-day normalized against the reference slice -----
-    object_rate = _activity_stage_seconds(object_stats) / ref_days
-    cold_rate = _activity_stage_seconds(records_stats) / full_days
-    warm_rate = _activity_stage_seconds(warm_rec_stats) / full_days
-    columnar_rate = _activity_stage_seconds(col_ref_stats) / ref_days
-    cold_speedup = object_rate / cold_rate
-    warm_speedup = object_rate / warm_rate
-    columnar_speedup = object_rate / columnar_rate
-    assert cold_speedup >= 3, (
-        f"records cold encode only {cold_speedup:.1f}x faster per day "
-        f"than the object stream"
-    )
-    assert warm_speedup >= 5, (
-        f"records warm mmap only {warm_speedup:.1f}x faster per day "
-        f"than the object stream"
+    columnar_speedup = (
+        _activity_stage_seconds(object_stats)
+        / _activity_stage_seconds(columnar_stats)
     )
     assert columnar_speedup >= 3, (
         f"columnar stream+visibility only {columnar_speedup:.1f}x faster "
-        f"per day than the object stream"
+        f"than the object stream"
     )
 
-    cache_speedup = records_seconds / warm_seconds
+    cache_speedup = columnar_seconds / warm_seconds
     lines = [
-        f"window: {full_days} days (object baseline over the last "
-        f"{ref_days}), {len(records_tables)} active ASNs, "
+        f"window: {ref_days} days, {len(columnar_tables)} active ASNs, "
         f"host CPUs: {os.cpu_count()}",
         "",
-        records_stats.compare(
-            object_stats, label=f"records cold {full_days}d",
+        columnar_stats.compare(
+            object_stats, label=f"columnar {ref_days}d",
             baseline_label=f"object {ref_days}d",
         ),
         "",
-        warm_rec_stats.compare(
-            records_stats, label="records warm mmap",
-            baseline_label="records cold",
-        ),
-        "",
-        f"{f'object stream ({ref_days}d slice)':<28} {object_seconds:>9.3f}s",
-        f"{'records cold (180d)':<28} {records_seconds:>9.3f}s",
-        f"{'records warm mmap, jobs 2':<28} {warm_rec_seconds:>9.3f}s",
+        f"{'object stream':<28} {object_seconds:>9.3f}s",
+        f"{'columnar (cold, stores)':<28} {columnar_seconds:>9.3f}s",
         f"{'warm activity-table hit':<28} {warm_seconds:>9.3f}s",
-        f"{'mmap fan-out (jobs 2)':<28} {mmap_fanout_seconds:>9.3f}s",
-        f"{'pickled fan-out (jobs 2)':<28} {pickle_fanout_seconds:>9.3f}s",
-        f"{'per-day cold (rec/obj)':<28} {cold_speedup:>9.2f}x",
-        f"{'per-day warm (rec/obj)':<28} {warm_speedup:>9.2f}x",
-        f"{'per-day speedup (col/obj)':<28} {columnar_speedup:>9.2f}x",
+        f"{'stage speedup (col/obj)':<28} {columnar_speedup:>9.2f}x",
         f"{'cold/warm cache speedup':<28} {cache_speedup:>9.2f}x",
     ]
     record_result("bgp_activity", "\n".join(lines))
-
 
 
 def test_cache_verification_overhead(record_result, tmp_path):

@@ -117,44 +117,6 @@ class PathTable:
     def __len__(self) -> int:
         return len(self.paths)
 
-    def column_arrays(self) -> Dict[str, "object"]:
-        """The table's columns as packed little-endian numpy arrays.
-
-        Variable-length columns come out in CSR form over path ids:
-        ``path_indptr``/``path_flat`` hold the raw path tuples (id ``i``
-        spans ``flat[indptr[i]:indptr[i+1]]``), ``vis_indptr``/
-        ``vis_flat`` the distinct ASNs each path makes visible (first-
-        appearance order, matching :func:`distinct_path_asns`), and
-        ``has_loop`` the per-id sanitizer verdict.  This is the side-
-        table half of the ``bgp-records/v1`` packed format (see
-        :mod:`repro.bgp.records`).
-        """
-        import numpy as np
-
-        n = len(self.paths)
-        path_indptr = np.zeros(n + 1, dtype=np.dtype("<i8"))
-        np.cumsum([len(p) for p in self.paths], out=path_indptr[1:])
-        vis_indptr = np.zeros(n + 1, dtype=np.dtype("<i8"))
-        np.cumsum([len(d) for d in self.distinct], out=vis_indptr[1:])
-        path_flat = np.fromiter(
-            (asn for p in self.paths for asn in p),
-            dtype=np.dtype("<u4"),
-            count=int(path_indptr[-1]),
-        )
-        vis_flat = np.fromiter(
-            (asn for d in self.distinct for asn in d),
-            dtype=np.dtype("<u4"),
-            count=int(vis_indptr[-1]),
-        )
-        has_loop = np.asarray(self.has_loop, dtype=np.uint8)
-        return {
-            "path_indptr": path_indptr,
-            "path_flat": path_flat,
-            "vis_indptr": vis_indptr,
-            "vis_flat": vis_flat,
-            "has_loop": has_loop,
-        }
-
 
 class PathOracle:
     """Caches best valley-free paths from vantage ASes to announcers.

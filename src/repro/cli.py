@@ -65,20 +65,13 @@ worker-pool failures, ``--on-worker-failure {raise,serial}`` picks
 between failing fast and degrading to serial execution with identical
 output, and ``--profile`` prints per-stage wall times plus any runtime
 degradation events.
-``--bgp-engine columnar|records|object`` rebuilds operational lifetimes
-from the message-level BGP stream over the last ``--bgp-window`` days
-(all engines produce byte-identical datasets; cached activity tables
-make repeat runs skip the stream).  The ``records`` engine packs the
-window into the ``bgp-records/v1`` columnar container — cached as a raw
-artifact and re-opened via mmap on later runs; ``--bgp-records PATH``
-pins the container to an explicit file.
-``--restoration-engine table|object`` picks the §3.1 delegation
-restoration path: ``table`` (the default) packs the archive into the
-``delegation-table/v1`` container once and restores off whole-array
-candidate detection, fanning workers out over mmap descriptors instead
-of pickled views; ``object`` is the dict-of-stints reference.  Both
-produce byte-identical datasets; ``--restoration-table PATH`` pins the
-container to an explicit file re-opened zero-copy on later runs.
+``--bgp-engine columnar|object`` rebuilds operational lifetimes from
+the message-level BGP stream over the last ``--bgp-window`` days
+(``columnar`` is the incremental production engine, ``object`` the
+per-element oracle; both produce byte-identical datasets, and cached
+activity tables make repeat runs skip the stream).  The §3.1
+delegation restoration always runs in-process on the object step
+functions, whatever ``--jobs`` says.
 
 Observability flags on ``simulate`` (see DESIGN.md §7): ``--trace``
 writes the run's nested span trace as JSON lines, ``--metrics-out``
@@ -202,43 +195,19 @@ def build_parser() -> argparse.ArgumentParser:
                           "diff' can address it by digest prefix (default "
                           "when --manifest is written: OUT/runs.jsonl)")
     simulate.add_argument("--bgp-engine",
-                          choices=("interval", "columnar", "records", "object"),
+                          choices=("interval", "columnar", "object"),
                           default="interval",
                           help="how operational activity is derived: "
                           "'interval' reads the simulation's activity "
                           "intervals directly (default, full window); "
-                          "'columnar', 'records' and 'object' rebuild it "
-                          "from the message-level BGP stream over the last "
+                          "'columnar' and 'object' rebuild it from the "
+                          "message-level BGP stream over the last "
                           "--bgp-window days (columnar = incremental "
-                          "engine, records = packed-array vectorized "
-                          "engine with mmap re-open, object = per-element "
-                          "baseline; all yield byte-identical lifetimes)")
+                          "engine, object = per-element baseline; both "
+                          "yield byte-identical lifetimes)")
     simulate.add_argument("--bgp-window", type=int, default=365,
                           help="days of message-level BGP to rebuild when "
-                          "--bgp-engine is columnar/records/object "
-                          "(default 365)")
-    simulate.add_argument("--bgp-records", type=Path, default=None,
-                          metavar="PATH",
-                          help="container file for the packed bgp-records/v1 "
-                          "element encoding (records engine only): created "
-                          "on first run, memory-mapped zero-copy on every "
-                          "later run instead of re-materializing the stream")
-    simulate.add_argument("--restoration-engine",
-                          choices=("table", "object"),
-                          default="table",
-                          help="how the §3.1 delegation restoration runs: "
-                          "'table' (default) packs the archive into the "
-                          "delegation-table/v1 container and restores off "
-                          "whole-array candidate detection with mmap "
-                          "fan-out descriptors; 'object' walks the "
-                          "dict-of-stints reference path (both yield "
-                          "byte-identical datasets)")
-    simulate.add_argument("--restoration-table", type=Path, default=None,
-                          metavar="PATH",
-                          help="container file for the packed "
-                          "delegation-table/v1 rows (table engine only): "
-                          "created on first run, memory-mapped zero-copy "
-                          "on every later run")
+                          "--bgp-engine is columnar/object (default 365)")
 
     scenarios = sub.add_parser(
         "scenarios", help="list the named scenarios of the library"
@@ -498,8 +467,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             config, inject_pitfalls=not args.no_pitfalls,
             timeout=args.timeout, executor=executor, cache=args.cache_dir,
             cache_verify=args.cache_verify, stats=stats,
-            restoration_engine=args.restoration_engine,
-            restoration_table=args.restoration_table,
             scenario_key=scenario_key,
         )
         if args.bgp_engine == "interval":
@@ -514,7 +481,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 bundle.world, start=start, end=end, timeout=args.timeout,
                 engine=args.bgp_engine, executor=executor,
                 cache=args.cache_dir, cache_verify=args.cache_verify,
-                stats=stats, records_path=args.bgp_records,
+                stats=stats,
             )
             joint = JointAnalysis(
                 admin_lives=bundle.admin_lives,
@@ -588,14 +555,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 ),
                 "bgp_engine": args.bgp_engine,
                 "bgp_window": args.bgp_window,
-                "bgp_records": (
-                    str(args.bgp_records) if args.bgp_records else None
-                ),
-                "restoration_engine": args.restoration_engine,
-                "restoration_table": (
-                    str(args.restoration_table)
-                    if args.restoration_table else None
-                ),
                 "timeout": args.timeout,
                 "jobs": args.jobs,
                 "inject_pitfalls": not args.no_pitfalls,

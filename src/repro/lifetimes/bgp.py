@@ -26,22 +26,10 @@ from ..bgp.activity import (
     build_world_activity_tables,
 )
 from ..bgp.messages import BgpElement
-from ..bgp.records import (
-    RECORDS_DAY_CHUNK,
-    RecordSet,
-    encode_world_records,
-    records_day_classes,
-    sanitize_reasons,
-    sanitize_stats,
-)
 from ..bgp.sanitize import SanitizeStats, sanitize
 from ..bgp.stream import SyntheticBgpStream
 from ..bgp.visibility import peer_visibility
-from ..runtime.cache import (
-    ACTIVITY_TABLE_VERSION,
-    BGP_RECORDS_VERSION,
-    ArtifactCache,
-)
+from ..runtime.cache import ACTIVITY_TABLE_VERSION, ArtifactCache
 from ..runtime.executor import (
     DEFAULT_CHUNK_SIZE,
     ExecutorSpec,
@@ -262,149 +250,6 @@ def _object_stream_tables(
     return tables
 
 
-def _obtain_records(
-    world,
-    start: Day,
-    end: Day,
-    cache: Optional[ArtifactCache],
-    records_path: Optional[Path],
-) -> Tuple[RecordSet, str]:
-    """Get the window's packed record set: mmap, cache, or encode.
-
-    Priority: an existing ``records_path`` container is memory-mapped
-    as-is; otherwise a verified raw cache entry is memory-mapped;
-    otherwise the window is encoded once and persisted to whichever of
-    the two destinations exist (the cached artifact file doubles as the
-    mmap fan-out backing file).  Returns ``(record_set, source)`` with
-    ``source`` one of ``"mmap"``/``"cache"``/``"encoded"``.
-    """
-    if records_path is not None:
-        records_path = Path(records_path)
-        if records_path.exists():
-            return RecordSet.from_file(records_path), "mmap"
-    key: Optional[str] = None
-    if cache is not None:
-        # min_corroboration is deliberately outside this key: records
-        # are the pre-visibility element encoding, so one artifact
-        # serves every threshold
-        key = cache.key_for(
-            artifact="bgp-records",
-            records_version=BGP_RECORDS_VERSION,
-            config=world.config,
-            start=start,
-            end=end,
-        )
-        cached = cache.load_raw_path(key)
-        if cached is not None:
-            rs = RecordSet.from_file(cached)
-            if records_path is not None:
-                rs.to_file(records_path)
-            return rs, "cache"
-    rs = encode_world_records(world, start, end)
-    if records_path is not None:
-        rs.to_file(records_path)
-        rs.source = records_path
-    if cache is not None and key is not None:
-        stored = cache.store_raw(key, rs.to_bytes())
-        if stored is not None and rs.source is None:
-            rs.source = stored
-    return rs, "encoded"
-
-
-def _records_tables(
-    world,
-    start: Day,
-    end: Day,
-    min_corroboration: int,
-    stats: PipelineStats,
-    executor,
-    cache: Optional[ArtifactCache],
-    records_path: Optional[Path],
-    records_fanout: str,
-    day_chunk: int,
-) -> Dict[ASN, OperationalActivity]:
-    """The vectorized engine: packed columns, masks, mmap fan-out.
-
-    Same three stage spans and ledger boundaries as the object baseline
-    — ``bgp:stream`` is the encode (or zero-copy re-open), ``bgp:
-    sanitize`` one vectorized mask pass, ``bgp:visibility`` the chunked
-    per-day classification — so dashboards, the perf gate and
-    ``check_ledger`` see the same shape whichever engine ran.
-    """
-    t0 = perf_counter()
-    rs, source = _obtain_records(world, start, end, cache, records_path)
-    if cache is not None:
-        stats.drain_events_from(cache)
-    span = stats.record("bgp:stream", perf_counter() - t0, items=len(rs),
-                        component="bgp", engine="records", source=source)
-    _attach(span, record_boundary(
-        "bgp:stream",
-        records_in=len(rs),
-        kept=len(rs),
-        metrics=stats.metrics,
-    ))
-
-    t0 = perf_counter()
-    reasons = sanitize_reasons(rs)
-    san_stats = sanitize_stats(reasons)
-    span = stats.record("bgp:sanitize", perf_counter() - t0,
-                        items=san_stats.total_seen,
-                        component="bgp", engine="records")
-    _attach(span, record_boundary(
-        "bgp:sanitize",
-        records_in=san_stats.total_seen,
-        kept=san_stats.kept,
-        dropped=san_stats.dropped,
-        metrics=stats.metrics,
-    ))
-
-    t0 = perf_counter()
-    run = records_day_classes(
-        rs,
-        min_corroboration=min_corroboration,
-        executor=executor,
-        day_chunk=day_chunk,
-        fanout=records_fanout,
-    )
-    observed_days: Dict[ASN, List[Day]] = {}
-    single_days: Dict[ASN, List[Day]] = {}
-    # triples arrive day-ascending (chunk order), so per-ASN day lists
-    # come out pre-sorted for interval construction
-    for asn, day, cls in zip(
-        run.asns.tolist(), run.days.tolist(), run.classes.tolist()
-    ):
-        bucket = observed_days if cls == 2 else single_days
-        bucket.setdefault(asn, []).append(day)
-    tables = {
-        asn: OperationalActivity(
-            asn=asn,
-            observed=IntervalSet.from_sorted_days(observed_days.get(asn, [])),
-            single_peer=IntervalSet.from_sorted_days(single_days.get(asn, [])),
-        )
-        for asn in set(observed_days) | set(single_days)
-    }
-    span = stats.record("bgp:visibility", perf_counter() - t0,
-                        items=len(tables),
-                        component="bgp", engine="records",
-                        chunks=run.chunks, fanout=run.fanout)
-    # ASN-day conservation: every classified (ASN, day) bucket must
-    # reappear in exactly one interval of the built tables
-    _attach(span, record_boundary(
-        "bgp:visibility",
-        records_in=len(run.asns),
-        routed={
-            "observed": sum(t.observed.total_days for t in tables.values()),
-            "single_peer": sum(
-                t.single_peer.total_days for t in tables.values()
-            ),
-        },
-        metrics=stats.metrics,
-    ))
-    stats.metrics.inc("bgp.elements", len(rs))
-    stats.metrics.inc("bgp.records_chunks", run.chunks)
-    return tables
-
-
 def build_operational_dataset(
     world,
     *,
@@ -420,8 +265,6 @@ def build_operational_dataset(
     stats: Optional[PipelineStats] = None,
     day_chunk: Optional[int] = None,
     full_rebuild_fraction: float = DEFAULT_REBUILD_FRACTION,
-    records_path: Union[str, Path, None] = None,
-    records_fanout: str = "auto",
 ) -> Tuple[Dict[ASN, List[BgpLifetime]], Dict[ASN, OperationalActivity]]:
     """Message-level §3.2→§4.2: activity tables plus operational lives.
 
@@ -433,19 +276,12 @@ def build_operational_dataset(
         The incremental engine (:mod:`repro.bgp.activity`): interned
         paths, peer-bitset counters, day diffing, executor fan-out over
         fixed day chunks.
-    ``"records"``
-        The vectorized engine (:mod:`repro.bgp.records`): the window's
-        elements packed once into the ``bgp-records/v1`` columnar
-        format (cached as a raw artifact and memory-mapped on later
-        runs — ``records_path`` pins the container to an explicit
-        file), sanitize/visibility as batch array ops, ``process:N``
-        fan-out over ``(path, offset, length)`` mmap slices
-        (``records_fanout``: ``"auto"``/``"mmap"``/``"pickle"``).
     ``"object"``
-        The per-element baseline: one :class:`~repro.bgp.messages.
-        BgpElement` per (collector, peer, announcement) per day.
+        The per-element baseline and test oracle: one
+        :class:`~repro.bgp.messages.BgpElement` per (collector, peer,
+        announcement) per day.
 
-    All engines produce byte-identical tables (and therefore
+    Both engines produce byte-identical tables (and therefore
     byte-identical lifetimes); when ``cache`` is given, the tables are
     stored as an ``activity-table`` artifact keyed on the world config,
     the window and ``min_corroboration`` — *not* the engine — so a warm
@@ -454,13 +290,13 @@ def build_operational_dataset(
     segmentation stage and are deliberately outside the key.
     ``cache_verify`` selects the integrity mode when ``cache`` is a
     path (``"sha256"`` manifests, or ``"off"``).  ``day_chunk=None``
-    picks each engine's tuned fan-out chunk (columnar: 512 days,
-    records: 7); either way the chunking is a fixed constant, so
-    output never depends on the executor.
+    picks the columnar engine's tuned fan-out chunk (512 days); the
+    chunking is a fixed constant, so output never depends on the
+    executor.
 
     Returns ``(op_lives, tables)``.
     """
-    if engine not in ("columnar", "object", "records"):
+    if engine not in ("columnar", "object"):
         raise ValueError(f"unknown BGP activity engine {engine!r}")
     start = world.config.start_day if start is None else start
     end = world.config.end_day if end is None else end
@@ -541,19 +377,6 @@ def build_operational_dataset(
                 stats.metrics.inc("bgp.elements", report.elements)
                 stats.metrics.inc("bgp.contributions", report.contributions)
                 stats.metrics.inc("bgp.rebuilds", report.rebuilds)
-            elif engine == "records":
-                tables = _records_tables(
-                    world,
-                    start,
-                    end,
-                    min_corroboration,
-                    stats,
-                    executor,
-                    cache,
-                    Path(records_path) if records_path is not None else None,
-                    records_fanout,
-                    RECORDS_DAY_CHUNK if day_chunk is None else day_chunk,
-                )
             else:
                 tables = _object_stream_tables(
                     world, start, end, min_corroboration, stats

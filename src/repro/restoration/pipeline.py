@@ -8,29 +8,26 @@ with the :class:`RestorationReport` quantifying every repair.
 The work is organized registry-major: building a registry's view and
 running the five per-registry steps (same-day measurement, record
 recovery, gap bridging, duplicate resolution, date repair) touches only
-that registry's data, so each registry is one independent task a
-:class:`~repro.runtime.executor.PipelineExecutor` can fan out.  Only
-step (vi), :func:`clean_inter_rir_overlaps`, compares timelines
-*across* registries — it is the join barrier and always runs in the
-driver after every per-registry task has been merged back, in sorted
-registry order.  The same code path serves the serial backend, so
-parallel output is bit-identical by construction.
+that registry's data.  Only step (vi), :func:`clean_inter_rir_overlaps`,
+compares timelines *across* registries — it is the join barrier and
+runs after every registry is done, in sorted registry order.
+
+Restoration always runs in-process, whatever executor the rest of the
+pipeline uses: a per-registry view is the whole registry timeline, so
+a process pool would pickle it out and back for a few milliseconds of
+step work each (see DESIGN.md §5.7).
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional
 
 from ..asn.blocks import IanaLedger
 from ..asn.numbers import ASN
 from ..rir.archive import DelegationArchive, Stint
-from ..runtime.cache import ArtifactCache
-from ..runtime.executor import ExecutorSpec, resolve_executor
 from ..runtime.ledger import ledger_enabled, record_boundary
+from ..runtime.observability import MetricsRegistry
 from ..runtime.profiling import PipelineStats
 from ..timeline.dates import Day
 from .duplicates import resolve_duplicate_records
@@ -79,24 +76,21 @@ def _view_rows(view: RegistryView) -> int:
     return sum(len(stints) for stints in view.stints.values())
 
 
-def _restore_registry_task(
-    payload: Tuple[str, RegistryView, Optional[Mapping[ASN, Day]]],
-) -> Tuple[str, RegistryView, RestorationReport]:
+def _restore_registry(
+    registry: str,
+    view: RegistryView,
+    erx_reference: Optional[Mapping[ASN, Day]],
+    metrics: MetricsRegistry,
+) -> RestorationReport:
     """Run the five per-registry §3.1 steps over one registry's view.
 
-    Module-level (picklable) and pure in its payload: the view is
-    mutated in place, but under a process pool that copy is private to
-    the worker and travels back in the return value.
-
-    Every step gets a ledger boundary (``restoration/<step>/<registry>``):
-    rows are counted independently before and after, and the drop
-    buckets come from the step's own semantic counters — so the closure
-    check (`in == kept + Σ dropped`) genuinely cross-validates the
-    step's bookkeeping against the rows it touched.  Under a process
-    pool the counters land in the worker-global registry and merge back
-    additively with the task result.
+    The view is mutated in place.  Every step gets a ledger boundary
+    (``restoration/<step>/<registry>``): rows are counted independently
+    before and after, and the drop buckets come from the step's own
+    semantic counters — so the closure check (`in == kept + Σ dropped`)
+    genuinely cross-validates the step's bookkeeping against the rows
+    it touched.
     """
-    registry, view, erx_reference = payload
     report = RestorationReport()
     views = {registry: view}
     # (step name, runner, (drop-reason, report-counter template) pairs);
@@ -131,14 +125,9 @@ def _restore_registry_task(
             records_in=rows_before,
             kept=rows_after,
             dropped=dropped,
+            metrics=metrics,
         )
-    return registry, view, report
-
-
-def _build_view_task(payload: Tuple[DelegationArchive, str]) -> RegistryView:
-    """Materialize one registry's view (timelines + feed stitching)."""
-    archive, registry = payload
-    return build_registry_view(archive, registry)
+    return report
 
 
 def restore_archive(
@@ -146,12 +135,7 @@ def restore_archive(
     *,
     erx_reference: Optional[Mapping[ASN, Day]] = None,
     ledger: Optional[IanaLedger] = None,
-    executor: ExecutorSpec = None,
     stats: Optional[PipelineStats] = None,
-    engine: str = "object",
-    cache: Optional[ArtifactCache] = None,
-    table_path: Optional[Union[str, Path]] = None,
-    cache_key_parts: Optional[Mapping[str, Any]] = None,
 ) -> tuple:
     """Run the full §3.1 restoration over an archive.
 
@@ -165,139 +149,45 @@ def restore_archive(
         repair placeholder dates.
     ledger:
         The IANA block ledger, used to spot mistaken allocations.
-    executor:
-        Execution backend (or spec) for the per-registry fan-out; the
-        default runs everything inline.  Output is bit-identical across
-        backends.
     stats:
         Optional :class:`PipelineStats` receiving per-stage timings.
-    engine:
-        ``"object"`` walks dict-of-``Stint`` timelines (the reference
-        implementation); ``"table"`` packs the archive into a
-        ``delegation-table/v1`` container once (``restore:table``) and
-        runs view assembly plus per-registry candidate detection as
-        whole-array ops, fanning workers out over ``(path, registry)``
-        descriptors instead of pickled views.  Output is contractually
-        byte-identical between the two.
-    cache:
-        Optional :class:`ArtifactCache` holding the packed container
-        as a raw (mmap-able) entry.  Only consulted by the table
-        engine, and only when ``cache_key_parts`` names the
-        archive-determining inputs (the archive itself is too
-        expensive to fingerprint here).
-    table_path:
-        Optional container file path: reused when present, written
-        after a cold encode (the file doubles as the fan-out backing
-        store).
-    cache_key_parts:
-        Mapping mixed into the container cache key alongside
-        ``DELEGATION_TABLE_VERSION``.
 
     Returns
     -------
     (RestoredDelegations, RestorationReport)
     """
-    if engine not in ("object", "table"):
-        raise ValueError(f"unknown restoration engine {engine!r}")
-    executor = resolve_executor(executor)
     if stats is None:
         stats = PipelineStats()
-    # Always instrument: worker-side ledger counters only survive the
-    # pool round-trip when the executor snapshots worker metrics.
-    executor.instrument(stats.tracer, stats.metrics)
     registries = sorted(archive.registries())
 
-    table = None
-    handle = None
-    spilled: Optional[Path] = None
-    if engine == "table":
-        from .table import obtain_table, restore_registry_table_task
+    with stats.stage(
+        "restore:views", items=len(registries), component="restoration"
+    ):
+        views: Dict[str, RegistryView] = {
+            registry: build_registry_view(archive, registry)
+            for registry in registries
+        }
 
-        with stats.stage(
-            "restore:table", component="restoration", engine="table"
-        ) as span:
-            table, source, handle = obtain_table(
-                archive,
-                cache=cache,
-                table_path=table_path,
-                cache_key_parts=cache_key_parts,
-            )
-            if handle[0] == "bytes" and executor.jobs > 1:
-                # a pool fan-out must ship a descriptor, not the blob
-                # once per registry: spill to a temp file the workers
-                # mmap, removed after the fan-out returns (their
-                # mappings survive the unlink)
-                fd, tmp = tempfile.mkstemp(
-                    prefix="delegation-table-", suffix=".dtab"
-                )
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(handle[1])
-                spilled = Path(tmp)
-                handle = ("path", str(spilled))
-            span.set_attr("source", source)
-            span.set_attr("fanout", handle[0])
-        with stats.stage(
-            "restore:views",
-            items=len(registries),
-            component="restoration",
-            engine="table",
-        ):
-            views: Dict[str, RegistryView] = {
-                registry: table.build_view(registry, include_regular=False)
-                for registry in registries
-            }
-    else:
-        with stats.stage(
-            "restore:views", items=len(registries), component="restoration"
-        ):
-            built = executor.map(
-                _build_view_task, [(archive, registry) for registry in registries]
-            )
-        views = dict(zip(registries, built))
-
-    # Steps (i)-(v) are per-registry; step order inside each task
-    # mirrors §3.1: same-day resolution is implicit in the
-    # authoritative view and measured first; record recovery must run
-    # before gap bridging so that drops repaired from the regular feed
-    # are not mistaken for file outages; duplicates are resolved before
-    # dates so date repair sees one row per day.
+    # Steps (i)-(v) are per-registry; step order mirrors §3.1:
+    # same-day resolution is implicit in the authoritative view and
+    # measured first; record recovery must run before gap bridging so
+    # that drops repaired from the regular feed are not mistaken for
+    # file outages; duplicates are resolved before dates so date repair
+    # sees one row per day.
     report = RestorationReport()
-    rows_before_steps = {r: _view_rows(views[r]) for r in registries}
+    rows_before_steps = sum(_view_rows(view) for view in views.values())
     with stats.stage(
         "restore:per-registry",
         items=len(registries),
         component="restoration",
-        engine=engine,
     ) as span:
-        if engine == "table":
-            results = executor.map(
-                restore_registry_table_task,
-                [(handle, registry, erx_reference) for registry in registries],
-            )
-        else:
-            results = executor.map(
-                _restore_registry_task,
-                [
-                    (registry, views[registry], erx_reference)
-                    for registry in registries
-                ],
-            )
-    if spilled is not None:
-        spilled.unlink(missing_ok=True)
-    for registry, result_view, worker_report in results:
-        if engine == "table":
-            # the worker returns only the candidate ASNs' mutated
-            # lists; patch them into the decoded view (assignment to
-            # existing keys preserves insertion order)
-            view = views[registry]
-            for asn, stints in result_view.items():
-                view.stints[asn] = stints
-        else:
-            views[registry] = result_view
-        report.merge(worker_report)
+        for registry in registries:
+            report.merge(_restore_registry(
+                registry, views[registry], erx_reference, stats.metrics
+            ))
     if ledger_enabled():
         span.set_attr("ledger", {
-            "in": sum(rows_before_steps.values()),
+            "in": rows_before_steps,
             "kept": sum(_view_rows(view) for view in views.values()),
         })
 

@@ -51,8 +51,6 @@ from .observability import MetricsRegistry, resolve_metrics
 __all__ = [
     "PIPELINE_VERSION",
     "ACTIVITY_TABLE_VERSION",
-    "BGP_RECORDS_VERSION",
-    "DELEGATION_TABLE_VERSION",
     "MANIFEST_FORMAT",
     "USE_ENV_FAULTS",
     "CacheError",
@@ -78,23 +76,6 @@ PIPELINE_VERSION = "2026.08-1"
 #: for the other — the scaling benchmark's determinism check relies on
 #: exactly this property.
 ACTIVITY_TABLE_VERSION = "activity-table/v1"
-
-#: Version tag of the packed BGP records artifact (the zero-copy
-#: columnar element encoding of :mod:`repro.bgp.records`).  Part of
-#: every records cache key — it doubles as the container's format tag,
-#: so a format change both invalidates the key and is rejected by the
-#: container parser.  Stored as a *raw* cache entry (``.raw``), not a
-#: pickle: the artifact file on disk IS the mmap-able container.
-BGP_RECORDS_VERSION = "bgp-records/v1"
-
-#: Version tag of the packed delegation-restoration table (the
-#: zero-copy columnar encoding of :mod:`repro.restoration.table`).
-#: Part of every delegation-table cache key and, like the records tag,
-#: doubles as the container's format tag: a format change invalidates
-#: the key and is rejected by the parser.  Stored raw (``.raw``), not
-#: pickled — the cache entry on disk IS the mmap-able container the
-#: ``process:N`` restoration fan-out re-opens.
-DELEGATION_TABLE_VERSION = "delegation-table/v1"
 
 #: Format tag of the per-entry sidecar manifest.
 MANIFEST_FORMAT = "artifact-manifest/v1"
@@ -243,14 +224,6 @@ class ArtifactCache:
 
     def manifest_path_for(self, key: str) -> Path:
         return self.root / f"{key}.manifest.json"
-
-    def raw_path_for(self, key: str) -> Path:
-        """Payload path of a *raw* entry (bytes stored as-is, no pickle
-        envelope) — e.g. the mmap-able packed BGP records container."""
-        return self.root / f"{key}.raw"
-
-    def raw_manifest_path_for(self, key: str) -> Path:
-        return self.root / f"{key}.raw.manifest.json"
 
     @property
     def quarantine_dir(self) -> Path:
@@ -440,26 +413,6 @@ class ArtifactCache:
             strict=strict,
         )
 
-    def store_raw(
-        self, key: str, blob: bytes, *, strict: Optional[bool] = None
-    ) -> Optional[Path]:
-        """Atomically persist raw bytes (no pickle envelope).
-
-        The payload lands at :meth:`raw_path_for` byte-for-byte, so the
-        entry can be re-opened zero-copy (``mmap``) by later runs —
-        this is how the packed BGP records container is cached.  Same
-        manifest/verify/quarantine guarantees as :meth:`store`.
-        """
-        strict = self.strict_store if strict is None else strict
-        return self._publish(
-            key,
-            bytes(blob),
-            path=self.raw_path_for(key),
-            manifest_path=self.raw_manifest_path_for(key),
-            kind="raw",
-            strict=strict,
-        )
-
     def _publish(
         self,
         key: str,
@@ -551,10 +504,10 @@ class ArtifactCache:
     ) -> Optional[Path]:
         """Atomically persist raw bytes under a caller-chosen name.
 
-        Identical guarantees to :meth:`store_raw` (unique temps,
-        manifest-first rename order, fault hooks at every write and
-        replace, guaranteed temp cleanup) — only the addressing
-        differs.
+        Same guarantees as :meth:`store` (unique temps, manifest-first
+        rename order, fault hooks at every write and replace,
+        guaranteed temp cleanup); the payload is written byte-for-byte,
+        with no pickle envelope, under a stable name.
         """
         strict = self.strict_store if strict is None else strict
         return self._publish(
@@ -590,32 +543,6 @@ class ArtifactCache:
         self.hits += 1
         self._inc("cache.hits")
         return blob
-
-    def load_raw_path(self, key: str) -> Optional[Path]:
-        """Path of a verified raw entry, or ``None`` on a miss.
-
-        Reads the payload once for sha256 verification (when enabled),
-        then hands back the *path* rather than the bytes so the caller
-        can mmap the entry zero-copy.  Corrupt entries are quarantined
-        exactly like pickled ones.
-        """
-        path = self.raw_path_for(key)
-        blob = self._read_payload(path)
-        if blob is None:
-            self.misses += 1
-            self._inc("cache.misses")
-            return None
-        if self.verify == "sha256":
-            blob = self._verified_payload(
-                key, path, blob, manifest_path=self.raw_manifest_path_for(key)
-            )
-            if blob is None:
-                self.misses += 1
-                self._inc("cache.misses")
-                return None
-        self.hits += 1
-        self._inc("cache.hits")
-        return path
 
     def get_or_build(self, key: str, builder) -> Any:
         """Load the artifact for ``key``, building and storing on a miss.

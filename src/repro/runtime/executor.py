@@ -56,7 +56,6 @@ __all__ = [
     "WorkerPoolError",
     "resolve_executor",
     "chunked",
-    "per_process",
     "DEFAULT_CHUNK_SIZE",
     "DEFAULT_RETRIES",
 ]
@@ -273,7 +272,7 @@ class ProcessPoolBackend(PipelineExecutor):
             return list(pool.map(fn, items))
         # pickle payloads here (not in pool.map) so the fan-out's exact
         # shipping cost is known at submit time; a stage whose payloads
-        # dwarf its compute is the one to convert to descriptor fan-out
+        # dwarf its compute is one to run in-process instead
         blobs = [
             pickle.dumps((fn, item), protocol=pickle.HIGHEST_PROTOCOL)
             for item in items
@@ -387,36 +386,6 @@ def resolve_executor(
             return pool(int(spec.split(":", 1)[1]))
         raise ValueError(f"unknown executor spec {spec!r}")
     raise TypeError("executor spec must be None, int, str or PipelineExecutor")
-
-
-#: Per-process memo behind :func:`per_process`.  Never travels across a
-#: fork boundary usefully: a forked worker that inherits entries simply
-#: reuses them, a spawned worker starts empty and rebuilds on demand.
-_PER_PROCESS: dict = {}
-_PER_PROCESS_PID: Optional[int] = None
-
-
-def per_process(key, builder: Callable[[], T]) -> T:
-    """Build-once-per-process memo for worker-side shared resources.
-
-    Mmap fan-out tasks use this to open the packed records container
-    once per worker process instead of once per chunk: the payload
-    carries only ``(path, lo, hi)`` and the first task in each worker
-    pays the open, every later chunk reuses the mapping.  The memo is
-    invalidated when the pid changes (a forked child re-opens rather
-    than trusting inherited file handles).
-    """
-    global _PER_PROCESS_PID
-    pid = os.getpid()
-    if pid != _PER_PROCESS_PID:
-        _PER_PROCESS.clear()
-        _PER_PROCESS_PID = pid
-    try:
-        return _PER_PROCESS[key]
-    except KeyError:
-        value = builder()
-        _PER_PROCESS[key] = value
-        return value
 
 
 def chunked(items: Iterable[T], size: int = DEFAULT_CHUNK_SIZE) -> List[List[T]]:

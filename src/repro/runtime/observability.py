@@ -747,7 +747,6 @@ def build_run_manifest(
     # Call-time import: the cache module imports this one for metrics.
     from .cache import (
         ACTIVITY_TABLE_VERSION,
-        BGP_RECORDS_VERSION,
         MANIFEST_FORMAT,
         PIPELINE_VERSION,
         cache_key,
@@ -774,7 +773,6 @@ def build_run_manifest(
         "cache_versions": {
             "pipeline": PIPELINE_VERSION,
             "activity_table": ACTIVITY_TABLE_VERSION,
-            "bgp_records": BGP_RECORDS_VERSION,
             "entry_manifest": MANIFEST_FORMAT,
         },
         "settings": fingerprint(dict(settings)) if settings is not None else {},

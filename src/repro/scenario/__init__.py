@@ -6,7 +6,7 @@ calendar, operational event calendar — that compiles down to the
 existing :class:`~repro.simulation.config.WorldConfig` and runs under
 the unchanged pipeline, cache, ledger, and perf-gate machinery.
 
-See ``DESIGN.md`` §11 for the layer model and compile contract, and
+See ``DESIGN.md`` §9 for the layer model and compile contract, and
 ``examples/scenarios/`` for the named scenario files.
 """
 

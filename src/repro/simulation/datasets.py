@@ -9,9 +9,9 @@ artifact plus the ground truth, so analyses can be validated and not
 just run.
 
 The run itself goes through the :mod:`repro.runtime` subsystem: an
-executor fans the parallel stages out (per-registry restoration,
-per-ASN-chunk lifetime inference), a :class:`PipelineStats` records
-what each stage cost, and an :class:`ArtifactCache` lets an identical
+executor fans the parallel stages out (per-ASN-chunk lifetime
+inference; restoration always runs in-process), a
+:class:`PipelineStats` records what each stage cost, and an :class:`ArtifactCache` lets an identical
 configuration skip the rebuild entirely — the pipeline equivalent of
 serving historical queries from precomputed state.
 """
@@ -189,8 +189,6 @@ def build_datasets(
     cache: Union[ArtifactCache, str, Path, None] = None,
     cache_verify: str = "sha256",
     stats: Optional[PipelineStats] = None,
-    restoration_engine: str = "table",
-    restoration_table: Union[str, Path, None] = None,
     scenario_key: Any = None,
 ) -> DatasetBundle:
     """Run the full pipeline for one world configuration.
@@ -221,16 +219,6 @@ def build_datasets(
         collecting per-stage wall times, item counts, and the
         runtime's degradation events (quarantines, worker retries,
         serial fallback).
-    restoration_engine:
-        ``"table"`` (default) restores off the packed
-        ``delegation-table/v1`` container (whole-array view assembly,
-        ``(path, registry)`` fan-out descriptors); ``"object"`` is the
-        reference dict-of-``Stint`` implementation.  Byte-identical by
-        contract, and deliberately outside the bundle cache key so
-        either engine serves the other's hit.
-    restoration_table:
-        Optional container file path handed to the table engine
-        (reused when present, written on a cold encode).
     scenario_key:
         Fingerprint of the scenario this config was compiled from
         (see :mod:`repro.scenario`), folded into the bundle cache key;
@@ -277,9 +265,6 @@ def build_datasets(
             config, executor, stats,
             inject_pitfalls=inject_pitfalls, pitfall_config=pitfall_config,
             timeout=timeout, min_peers=min_peers,
-            restoration_engine=restoration_engine,
-            restoration_table=restoration_table,
-            cache=cache if isinstance(cache, ArtifactCache) else None,
         )
     finally:
         stats.drain_events_from(executor)
@@ -306,9 +291,6 @@ def _build(
     pitfall_config: Optional[PitfallConfig],
     timeout: int,
     min_peers: int,
-    restoration_engine: str = "object",
-    restoration_table: Union[str, Path, None] = None,
-    cache: Optional[ArtifactCache] = None,
 ) -> DatasetBundle:
     """The uncached pipeline body (world → archive → restore → lifetimes)."""
     with stats.stage("simulate", component="simulation") as timing:
@@ -337,22 +319,7 @@ def _build(
         archive,
         erx_reference=world.erx_reference,
         ledger=world.ledger,
-        executor=executor,
         stats=stats,
-        engine=restoration_engine,
-        cache=cache,
-        table_path=restoration_table,
-        # the archive-determining inputs; timeout/min_peers shape only
-        # the BGP half, so one container serves every threshold
-        cache_key_parts={
-            "config": config,
-            "inject_pitfalls": inject_pitfalls,
-            "pitfall_config": (
-                (pitfall_config if pitfall_config is not None else PitfallConfig())
-                if inject_pitfalls
-                else None
-            ),
-        },
     )
 
     with stats.stage("admin-lifetimes", component="lifetimes") as timing:

@@ -9,10 +9,12 @@ plus the per-collector dump files byte for byte.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.bgp.dumps import dump_file_name, materialize_collector_dumps
-from repro.runtime import ArtifactCache, PipelineStats
+from repro.runtime import ArtifactCache, MetricsRegistry, PipelineStats
 from repro.simulation import build_datasets
 from repro.simulation.config import tiny
 from repro.simulation.world import WorldSimulator
@@ -72,6 +74,29 @@ class TestExecutorSpecs:
         assert stats.backend == "process"
         assert stats.seconds_of("restore:per-registry") > 0
 
+    def test_restoration_stays_in_process_under_a_pool(self, serial_bundle):
+        # restoration ships nothing to workers: a pool run's restore
+        # stages carry no shipped bytes and spawn no task spans, and
+        # the bundle still equals the serial build
+        stats = PipelineStats(metrics=MetricsRegistry())
+        bundle = build_datasets(tiny(seed=7), executor="process:2", stats=stats)
+        spans = stats.tracer.spans
+        for name in ("restore:views", "restore:per-registry"):
+            (stage,) = [s for s in spans if s.name == name]
+            assert "bytes_shipped" not in stage.attrs
+            assert not [s for s in spans if s.parent_id == stage.span_id]
+        # the pool did run: the lifetime stages still fan out
+        assert stats.metrics.snapshot()["counters"]["executor.bytes_shipped"] > 0
+        assert pickle.dumps(bundle.restored.stints) == pickle.dumps(
+            serial_bundle.restored.stints
+        )
+        assert (
+            bundle.restoration_report.summary()
+            == serial_bundle.restoration_report.summary()
+        )
+        assert bundle.admin_lives == serial_bundle.admin_lives
+        assert bundle.op_lives == serial_bundle.op_lives
+
 
 class TestCachedBundle:
     def test_warm_hit_equals_cold_build(self, tmp_path, serial_bundle):
@@ -95,12 +120,9 @@ class TestCachedBundle:
         cache = ArtifactCache(tmp_path, faults=None)  # pins exact hit counts
         build_datasets(tiny(seed=7), cache=cache)
         build_datasets(tiny(seed=7), cache=cache, timeout=60)
-        # bundle misses twice (timeout is part of its key) and the
-        # delegation-table container misses once then hits: the BGP
-        # timeout cannot change the archive, so it is left out of the
-        # table key on purpose.
-        assert cache.misses == 3
-        assert cache.hits == 1
+        # timeout is part of the bundle key, so both builds miss
+        assert cache.misses == 2
+        assert cache.hits == 0
 
 
 class TestDumpEquivalence:
