@@ -21,7 +21,7 @@ from repro.simulation import DatasetBundle, bench, build_datasets
 RESULTS_DIR = Path(__file__).parent / "results"
 
 #: Machine-readable session metrics (stage wall histograms, cache and
-#: executor counters).  The perf-regression gate parses this file —
+#: ledger counters).  The perf-regression gate parses this file —
 #: never the human-oriented ``.txt`` tables.
 METRICS_SNAPSHOT = RESULTS_DIR / "metrics_snapshot.json"
 

@@ -1,27 +1,21 @@
-"""Pipeline runtime scaling: stage profile, backend speedup, cache speedup.
+"""Pipeline runtime scaling: stage profile, cache speedup, BGP engines.
 
 Unlike the other benchmarks (which regenerate paper tables/figures),
-this one measures the *pipeline itself*: per-stage wall times under the
-serial and process-pool backends, the serial/parallel speedup, and the
+this one measures the *pipeline itself*: per-stage wall times of a cold
+build (every run is one process; see DESIGN.md §5.7) and the
 cold-build vs. warm-cache-hit speedup.  The numbers go to
 ``benchmarks/results/pipeline_scaling.txt``; the assertions pin the
-determinism contract (backends agree exactly) and the cache's reason to
-exist (a warm hit is an order of magnitude faster than a rebuild).
+cache's reason to exist (a warm hit is an order of magnitude faster
+than a rebuild).
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 from time import perf_counter
 
 from repro.lifetimes.bgp import build_operational_dataset
-from repro.runtime import (
-    ArtifactCache,
-    MetricsRegistry,
-    PipelineStats,
-    ledger_disabled,
-)
+from repro.runtime import ArtifactCache, PipelineStats, ledger_disabled
 from repro.simulation import bench, build_datasets
 from repro.simulation.config import tiny
 from repro.simulation.world import WorldSimulator
@@ -36,28 +30,13 @@ def _timed_build(**kwargs):
 
 
 def test_pipeline_scaling(record_result):
-    serial_stats = PipelineStats()
-    serial_bundle, cold_seconds = _timed_build(stats=serial_stats)
+    cold_stats = PipelineStats()
+    _, cold_seconds = _timed_build(stats=cold_stats)
 
-    parallel_stats = PipelineStats()
-    parallel_bundle, parallel_seconds = _timed_build(jobs=2, stats=parallel_stats)
-
-    # determinism contract: the process-pool bundle matches serially
-    # built output exactly, ordering included
-    assert parallel_bundle.restored.stints == serial_bundle.restored.stints
-    assert parallel_bundle.admin_lives == serial_bundle.admin_lives
-    assert parallel_bundle.op_lives == serial_bundle.op_lives
-    assert list(parallel_bundle.admin_lives) == list(serial_bundle.admin_lives)
-    assert (
-        parallel_bundle.restoration_report.summary()
-        == serial_bundle.restoration_report.summary()
-    )
-
-    # every pipeline stage shows up in both profiles
+    # every pipeline stage shows up in the profile
     for name in ("simulate", "restore:per-registry", "admin-lifetimes",
                  "bgp-lifetimes"):
-        assert serial_stats.seconds_of(name) > 0
-        assert parallel_stats.seconds_of(name) > 0
+        assert cold_stats.seconds_of(name) > 0
 
     # warm-cache hit: ensure the entry exists, then time a pure hit.
     # A hit returns a partitioned bundle (components decode on first
@@ -74,108 +53,16 @@ def test_pipeline_scaling(record_result):
         f"({warm_seconds:.3f}s vs {cold_seconds:.3f}s)"
     )
 
-    # restoration runs in-process, so restore:views must not regress
-    # under the pool (the pickled-view blowup a restoration fan-out
-    # would bring back); small absolute floor so sub-100ms stages
-    # don't trip on noise
-    serial_views = serial_stats.seconds_of("restore:views")
-    parallel_views = parallel_stats.seconds_of("restore:views")
-    assert parallel_views <= max(2 * serial_views, serial_views + 0.25), (
-        f"restore:views regressed under the process pool: "
-        f"{parallel_views:.3f}s with --jobs 2 vs {serial_views:.3f}s serial"
-    )
-
-    # Per-stage serial-vs-process deltas instead of one speedup
-    # headline: on a 1-CPU host the single number is dominated by pool
-    # overhead and reads as a global regression even when individual
-    # fan-outs help.  A stage the pool actually hurt is named and
-    # flagged; everything else speaks for itself.
-    serial_by_stage = serial_stats.as_dict()
-    parallel_by_stage = parallel_stats.as_dict()
-    stage_lines = [
-        f"{'stage':<28} {'serial':>9} {'jobs 2':>9} {'delta':>9}",
-    ]
-    for name in dict.fromkeys([*serial_by_stage, *parallel_by_stage]):
-        a = serial_by_stage.get(name)
-        b = parallel_by_stage.get(name)
-        if a is None or b is None:
-            continue
-        flag = "  fanout-regressed" if b > a * 1.25 + 0.05 else ""
-        stage_lines.append(
-            f"{name:<28} {a:>8.3f}s {b:>8.3f}s {b - a:>+8.3f}s{flag}"
-        )
-
     lines = [
-        f"host CPUs: {os.cpu_count()} (parallel wins need real cores; "
-        "on 1 CPU the pool only adds pickling overhead)",
+        f"host CPUs: {os.cpu_count()} (every run is one process)",
         "",
-        serial_stats.render(),
+        cold_stats.render(),
         "",
-        parallel_stats.render(),
-        "",
-        "\n".join(stage_lines),
-        "",
-        f"{'cold build (serial)':<28} {cold_seconds:>9.3f}s",
-        f"{'build with --jobs 2':<28} {parallel_seconds:>9.3f}s",
+        f"{'cold build':<28} {cold_seconds:>9.3f}s",
         f"{'warm cache hit':<28} {warm_seconds:>9.3f}s",
         f"{'cold/warm cache speedup':<28} {cache_speedup:>9.2f}x",
     ]
     record_result("pipeline_scaling", "\n".join(lines))
-
-
-#: Restoration stages a process pool could fan out (inter-rir and
-#: merge are the serial join barrier either way, excluded).
-_RESTORE_STAGES = ("restore:views", "restore:per-registry")
-
-
-def _restore_stage_seconds(stats: PipelineStats) -> float:
-    return sum(stats.seconds_of(name) for name in _RESTORE_STAGES)
-
-
-def test_restoration_scaling(record_result):
-    """Restoration serial vs ``--jobs 2``: in-process, byte-identical.
-
-    Two bench-scale builds compared on output (must match exactly,
-    ordering included, down to the pickled bytes) and on their
-    restore-stage wall time.  Restoration always runs in-process: a
-    pool would pickle each registry's whole view out and back, which
-    measured ~10x slower than the serial path, so under ``--jobs 2``
-    the restore stages must ship nothing and spawn no worker tasks.
-    Each build gets a private metrics registry so these comparison
-    rows stay out of the session's gated stage histograms.
-    """
-    def build(**kwargs):
-        stats = PipelineStats(metrics=MetricsRegistry())
-        bundle = build_datasets(bench(seed=2021), stats=stats, **kwargs)
-        return bundle, stats
-
-    serial_bundle, serial_stats = build()
-    pool_bundle, pool_stats = build(jobs=2)
-
-    assert pickle.dumps(pool_bundle.restored.stints) == pickle.dumps(
-        serial_bundle.restored.stints
-    )
-    assert pool_bundle.admin_lives == serial_bundle.admin_lives
-    assert (
-        pool_bundle.restoration_report.summary()
-        == serial_bundle.restoration_report.summary()
-    )
-    spans = pool_stats.tracer.spans
-    for name in _RESTORE_STAGES:
-        (stage,) = [s for s in spans if s.name == name]
-        assert "bytes_shipped" not in stage.attrs, name
-        assert not [s for s in spans if s.parent_id == stage.span_id], name
-
-    serial_t = _restore_stage_seconds(serial_stats)
-    pool_t = _restore_stage_seconds(pool_stats)
-    lines = [
-        f"bench-scale restore stages (views+per-registry), "
-        f"host CPUs: {os.cpu_count()}; in-process under both backends, "
-        f"nothing shipped",
-        f"{'serial':<28} {serial_t:>9.3f}s",
-        f"{'jobs 2':<28} {pool_t:>9.3f}s",
-    ]
-    record_result("restoration_scaling", "\n".join(lines))
 
 
 #: Stages the columnar activity engine replaces (segmentation and cache

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Fault→trace closure check: every injected fault must reach the trace.
 
-Runs an instrumented pipeline build under deterministic ambient fault
-injection (``REPRO_FAULT_SEED``), with the run's tracer subscribed to
+Runs an instrumented serial pipeline build under deterministic ambient
+fault injection (``REPRO_FAULT_SEED``), with the run's tracer subscribed to
 the ambient injector, and then verifies that *every* fault the injector
 actually fired appears as a ``fault: site=... kind=...`` annotation in
 the emitted JSON-lines trace.  CI runs this after the fault-injection
@@ -16,7 +16,7 @@ artifacts.
 
 Usage::
 
-    REPRO_FAULT_SEED=2021 REPRO_FAULT_RATE=0.25 \\
+    REPRO_FAULT_SEED=2021 REPRO_FAULT_RATE=0.5 \\
         PYTHONPATH=src python scripts/check_fault_trace.py --out /tmp/fault-run
 """
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -32,7 +31,6 @@ from pathlib import Path
 from repro.runtime import (
     ArtifactCache,
     PipelineStats,
-    ProcessPoolBackend,
     build_ledger,
     build_run_manifest,
     reset_metrics,
@@ -52,10 +50,6 @@ def main(argv=None) -> int:
         help="directory for the trace/metrics/manifest artifacts",
     )
     parser.add_argument("--seed", type=int, default=2021, help="world seed")
-    parser.add_argument(
-        "--jobs", type=int, default=2,
-        help="process-pool width (worker faults need a pool)",
-    )
     args = parser.parse_args(argv)
 
     injector = from_env()
@@ -77,13 +71,8 @@ def main(argv=None) -> int:
             # (write/replace faults), the second loads (read faults)
             cache = ArtifactCache(cache_dir)
             config = tiny(seed=args.seed)
-            with ProcessPoolBackend(args.jobs) as executor:
-                bundle = build_datasets(
-                    config, cache=cache, executor=executor, stats=stats
-                )
-                again = build_datasets(
-                    config, cache=cache, executor=executor, stats=stats
-                )
+            bundle = build_datasets(config, cache=cache, stats=stats)
+            again = build_datasets(config, cache=cache, stats=stats)
     finally:
         detach()
 
@@ -95,13 +84,11 @@ def main(argv=None) -> int:
 
     trace_path = stats.tracer.write_jsonl(out / "trace.jsonl")
     write_json_atomic(out / "metrics.json", metrics.snapshot())
-    # the dataflow ledger must stay conserving under injection: retried
-    # tasks may not double-count, failed tasks may not leak partial
-    # counts (scripts/check_ledger.py gates this artifact in CI)
+    # the dataflow ledger must stay conserving under injection: a
+    # rebuilt artifact may not double-count (scripts/check_ledger.py
+    # gates this artifact in CI)
     write_ledger(out / "ledger.json", build_ledger(metrics))
-    manifest = build_run_manifest(
-        config=config, settings={"jobs": args.jobs}, stats=stats
-    )
+    manifest = build_run_manifest(config=config, stats=stats)
     write_run_manifest(out / "run_manifest.json", manifest)
 
     lines = [json.loads(line) for line in trace_path.read_text(encoding="utf-8").splitlines()]

@@ -37,12 +37,9 @@ window, the engine's per-ASN classes equal what
 so only the RIB pass shapes visibility).  The equivalence is pinned by
 property tests and by the scaling benchmark's determinism asserts.
 
-Per-day/per-chunk work fans out over the :mod:`repro.runtime`
-executors under the usual determinism contract: the day range is split
-into fixed-size chunks (boundaries never depend on the worker count),
-each worker replays its chunk from the announcement multiset live at
-the chunk's first day, and per-ASN activity runs are merged back in
-chunk order, coalescing runs that span a boundary.
+A window is replayed in one pass: one engine applies the announcement
+multiset live on the first day, then every later day's diff, so the
+contribution index and the counters are built once per window.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..asn.numbers import ASN
-from ..runtime.executor import ExecutorSpec, resolve_executor
 from ..runtime.ledger import ledger_enabled
 from ..timeline.dates import Day
 from ..timeline.intervals import Interval, IntervalSet
@@ -66,7 +62,6 @@ from .topology import AsTopology
 from .visibility import DEFAULT_MIN_PEERS
 
 __all__ = [
-    "DEFAULT_DAY_CHUNK",
     "DEFAULT_REBUILD_FRACTION",
     "Contribution",
     "ContributionIndex",
@@ -81,18 +76,12 @@ __all__ = [
     "build_world_activity_tables",
 ]
 
-#: Days per executor chunk.  Fixed (never derived from the worker
-#: count) so chunk boundaries — and therefore the merged output — are
-#: identical under every backend.
-DEFAULT_DAY_CHUNK = 512
-
 #: When one day's diff replaces more than this fraction of the live
 #: announcement multiset, rebuild the counters from scratch instead of
 #: applying the diff (see the module docstring).
 DEFAULT_REBUILD_FRACTION = 0.5
 
-#: Multiset as (announcement, count) pairs — the picklable form used in
-#: schedules and executor payloads.
+#: Multiset as (announcement, count) pairs — the form schedules use.
 _Items = List[Tuple[Announcement, int]]
 
 #: Engine run class → ledger bucket name (class 2 = observed by ≥
@@ -552,7 +541,7 @@ def schedule_from_world(world, start: Day, end: Day) -> AnnouncementSchedule:
     return schedule
 
 
-# -- chunked execution ------------------------------------------------------
+# -- window replay ----------------------------------------------------------
 
 
 @dataclass
@@ -561,198 +550,87 @@ class ActivityReport:
 
     days: int
     changed_days: int
-    chunks: int
     elements: int
     kept: int
     dropped: Dict[str, int]
     rebuilds: int
-    #: Unique announcement contributions interned across all chunks
-    #: (each is one sanitized fan-out computed exactly once).
+    #: Unique announcement contributions interned over the window (each
+    #: is one sanitized fan-out computed exactly once).
     contributions: int = 0
     stream_seconds: float = 0.0
     sanitize_seconds: float = 0.0
     visibility_seconds: float = 0.0
-    #: ASN-day totals per visibility class *before* the cross-chunk run
-    #: merge (ledger input side).  Empty when the ledger is disabled.
+    #: ASN-day totals per visibility class of the engine's activity runs
+    #: (ledger input side).  Empty when the ledger is disabled.
     class_days_in: Dict[str, int] = field(default_factory=dict)
-    #: The same totals *after* run coalescing; the merge must conserve
-    #: them exactly (coalescing joins contiguous runs, never day counts).
+    #: The same totals over the built interval tables; the conversion
+    #: must conserve them exactly.
     class_days: Dict[str, int] = field(default_factory=dict)
 
 
-def _activity_chunk_task(payload):
-    """Replay one contiguous day chunk of a schedule.
-
-    Module-level (picklable) and pure in its payload, like every
-    pipeline fan-out task.  Returns the chunk's per-ASN runs plus its
-    sanitize accounting.
-    """
-    (
-        topology,
-        collectors,
-        base,
-        changes,
-        chunk_start,
-        chunk_end,
-        min_corr,
-        rebuild_fraction,
-    ) = payload
-    engine = ActivityEngine(
-        topology,
-        collectors,
-        min_corroboration=min_corr,
-        full_rebuild_fraction=rebuild_fraction,
-    )
-    engine.apply(chunk_start, Counter(dict(base)))
-    for day, added, removed in changes:
-        engine.apply(day, Counter(dict(added)), Counter(dict(removed)))
-    runs = engine.finish(chunk_end)
-    return (
-        runs,
-        engine.kept,
-        dict(engine.dropped),
-        engine.rebuilds,
-        len(engine.index),
-        engine.index.compute_seconds,
-    )
-
-
-def _run_schedule(
+def _build_tables(
     topology: AsTopology,
     collectors: Sequence[Collector],
     schedule: AnnouncementSchedule,
+    stream_seconds: float,
     *,
     min_corroboration: int,
-    executor: ExecutorSpec,
-    day_chunk: int,
     full_rebuild_fraction: float,
-) -> Tuple[Dict[ASN, List[Tuple[int, Day, Day]]], ActivityReport]:
-    """Fan a schedule out over fixed day chunks and merge the runs."""
-    if day_chunk < 1:
-        raise ValueError("day_chunk must be >= 1")
-    start, end = schedule.start, schedule.end
-    chunk_starts = list(range(start, end + 1, day_chunk))
-
-    def apply_items(live: Counter, added: _Items, removed: _Items) -> None:
-        for ann, count in added:
-            live[ann] += count
-        for ann, count in removed:
-            left = live[ann] - count
-            if left:
-                live[ann] = left
-            else:
-                del live[ann]
-
-    # One linear replay of the (event-compressed) change list yields
-    # every chunk's base multiset and its in-chunk changes.
-    collectors = list(collectors)
-    task_payloads = []
-    live: Counter = Counter(dict(schedule.base))
-    changes = schedule.changes
-    idx, n_changes = 0, len(changes)
-    for chunk_start in chunk_starts:
-        chunk_end = min(chunk_start + day_chunk - 1, end)
-        # a change landing exactly on the chunk's first day folds into
-        # its base (the worker's first apply() is that day)
-        while idx < n_changes and changes[idx][0] <= chunk_start:
-            apply_items(live, changes[idx][1], changes[idx][2])
-            idx += 1
-        base = list(live.items())
-        chunk_changes: List[Tuple[Day, _Items, _Items]] = []
-        while idx < n_changes and changes[idx][0] <= chunk_end:
-            chunk_changes.append(changes[idx])
-            apply_items(live, changes[idx][1], changes[idx][2])
-            idx += 1
-        task_payloads.append(
-            (
-                topology,
-                collectors,
-                base,
-                chunk_changes,
-                chunk_start,
-                chunk_end,
-                min_corroboration,
-                full_rebuild_fraction,
-            )
-        )
-
-    spec = executor
-    executor = resolve_executor(spec)
-    try:
-        results = executor.map(_activity_chunk_task, task_payloads)
-    finally:
-        if executor is not spec:
-            executor.close()
-
-    merged: Dict[ASN, List[Tuple[int, Day, Day]]] = {}
-    kept = 0
-    dropped: Counter = Counter()
-    rebuilds = 0
-    contributions = 0
-    sanitize_seconds = 0.0
-    account_days = ledger_enabled()
-    class_days_in: Counter = Counter()
-    for (
-        runs,
-        chunk_kept,
-        chunk_dropped,
-        chunk_rebuilds,
-        chunk_contributions,
-        compute_seconds,
-    ) in results:
-        kept += chunk_kept
-        rebuilds += chunk_rebuilds
-        contributions += chunk_contributions
-        sanitize_seconds += compute_seconds
-        dropped.update(chunk_dropped)
-        for asn, runs_for_asn in runs.items():
-            dst = merged.setdefault(asn, [])
-            for run in runs_for_asn:
-                if account_days:
-                    class_days_in[_CLASS_NAMES[run[0]]] += run[2] - run[1] + 1
-                if dst and dst[-1][0] == run[0] and dst[-1][2] + 1 == run[1]:
-                    dst[-1] = (run[0], dst[-1][1], run[2])
-                else:
-                    dst.append(run)
-
-    class_days: Counter = Counter()
-    if account_days:
-        for asn_runs in merged.values():
-            for cls, run_start_day, run_end_day in asn_runs:
-                class_days[_CLASS_NAMES[cls]] += run_end_day - run_start_day + 1
-
-    report = ActivityReport(
-        days=end - start + 1,
-        changed_days=schedule.changed_days,
-        chunks=len(chunk_starts),
-        elements=kept + sum(dropped.values()),
-        kept=kept,
-        dropped=dropped,
-        rebuilds=rebuilds,
-        contributions=contributions,
-        sanitize_seconds=sanitize_seconds,
-        class_days_in=class_days_in,
-        class_days=class_days,
-    )
-    return merged, report
-
-
-def _tables_from_runs(runs: Dict[ASN, List[Tuple[int, Day, Day]]]):
-    """Per-ASN runs → ``OperationalActivity`` tables."""
+):
+    """Replay a whole schedule through one engine into activity tables."""
     # Deferred import: repro.lifetimes.bgp imports this module at load
     # time; the reverse edge must stay call-time only.
     from ..lifetimes.bgp import OperationalActivity
 
+    run_start = perf_counter()
+    engine = ActivityEngine(
+        topology,
+        collectors,
+        min_corroboration=min_corroboration,
+        full_rebuild_fraction=full_rebuild_fraction,
+    )
+    engine.apply(schedule.start, Counter(dict(schedule.base)))
+    for day, added, removed in schedule.changes:
+        engine.apply(day, Counter(dict(added)), Counter(dict(removed)))
+    runs = engine.finish(schedule.end)
+
+    account_days = ledger_enabled()
+    class_days_in: Counter = Counter()
+    class_days: Counter = Counter()
     tables = {}
-    for asn, asn_runs in runs.items():
+    for asn in sorted(runs):
+        asn_runs = runs[asn]
         observed = [Interval(s, e) for cls, s, e in asn_runs if cls == 2]
         single = [Interval(s, e) for cls, s, e in asn_runs if cls == 1]
-        tables[asn] = OperationalActivity(
+        table = OperationalActivity(
             asn=asn,
             observed=IntervalSet(observed),
             single_peer=IntervalSet(single),
         )
-    return tables
+        tables[asn] = table
+        if account_days:
+            for cls, run_start_day, run_end_day in asn_runs:
+                class_days_in[_CLASS_NAMES[cls]] += run_end_day - run_start_day + 1
+            class_days["observed"] += table.observed.total_days
+            class_days["single_peer"] += table.single_peer.total_days
+    run_seconds = perf_counter() - run_start
+
+    sanitize_seconds = engine.index.compute_seconds
+    report = ActivityReport(
+        days=schedule.end - schedule.start + 1,
+        changed_days=schedule.changed_days,
+        elements=engine.elements,
+        kept=engine.kept,
+        dropped=engine.dropped,
+        rebuilds=engine.rebuilds,
+        contributions=len(engine.index),
+        stream_seconds=stream_seconds,
+        sanitize_seconds=sanitize_seconds,
+        visibility_seconds=max(0.0, run_seconds - sanitize_seconds),
+        class_days_in=class_days_in,
+        class_days=+class_days,
+    )
+    return tables, report
 
 
 def build_activity_tables(
@@ -763,36 +641,25 @@ def build_activity_tables(
     end: Day,
     *,
     min_corroboration: int = DEFAULT_MIN_PEERS,
-    executor: ExecutorSpec = None,
-    day_chunk: int = DEFAULT_DAY_CHUNK,
     full_rebuild_fraction: float = DEFAULT_REBUILD_FRACTION,
 ):
     """Columnar §3.2 activity tables from a per-day announcement source.
 
     Returns ``(tables, report)`` where ``tables`` maps every ASN ever
-    visible in a sanitized path to its
+    visible in a sanitized path (in ASN order) to its
     :class:`~repro.lifetimes.bgp.OperationalActivity`, byte-identical
     to what the object stream pipeline derives.
     """
     stream_start = perf_counter()
     schedule = schedule_from_day_source(day_source, start, end)
-    stream_seconds = perf_counter() - stream_start
-
-    run_start = perf_counter()
-    runs, report = _run_schedule(
+    return _build_tables(
         topology,
         collectors,
         schedule,
+        perf_counter() - stream_start,
         min_corroboration=min_corroboration,
-        executor=executor,
-        day_chunk=day_chunk,
         full_rebuild_fraction=full_rebuild_fraction,
     )
-    tables = _tables_from_runs(runs)
-    run_seconds = perf_counter() - run_start
-    report.stream_seconds = stream_seconds
-    report.visibility_seconds = max(0.0, run_seconds - report.sanitize_seconds)
-    return tables, report
 
 
 def build_world_activity_tables(
@@ -801,8 +668,6 @@ def build_world_activity_tables(
     start: Optional[Day] = None,
     end: Optional[Day] = None,
     min_corroboration: int = DEFAULT_MIN_PEERS,
-    executor: ExecutorSpec = None,
-    day_chunk: int = DEFAULT_DAY_CHUNK,
     full_rebuild_fraction: float = DEFAULT_REBUILD_FRACTION,
 ):
     """Columnar activity tables for a simulated world's window.
@@ -815,20 +680,11 @@ def build_world_activity_tables(
     end = world.config.end_day if end is None else end
     stream_start = perf_counter()
     schedule = schedule_from_world(world, start, end)
-    stream_seconds = perf_counter() - stream_start
-
-    run_start = perf_counter()
-    runs, report = _run_schedule(
+    return _build_tables(
         world.topology,
         world.collectors,
         schedule,
+        perf_counter() - stream_start,
         min_corroboration=min_corroboration,
-        executor=executor,
-        day_chunk=day_chunk,
         full_rebuild_fraction=full_rebuild_fraction,
     )
-    tables = _tables_from_runs(runs)
-    run_seconds = perf_counter() - run_start
-    report.stream_seconds = stream_seconds
-    report.visibility_seconds = max(0.0, run_seconds - report.sanitize_seconds)
-    return tables, report

@@ -8,24 +8,20 @@ MRT-style file per day, e.g. ``<out>/route-views/rib.20200101.mrt``.
 
 Each collector's dump stream is completely independent of every other
 collector's (they share the topology and the day's announcements, but
-write disjoint files), which makes this the third natural fan-out axis
-of the pipeline — one :class:`~repro.runtime.executor.PipelineExecutor`
-task per collector.  The announcement schedule is precomputed once in
-the driver so workers receive plain data, and each worker runs its own
-:class:`~repro.bgp.stream.SyntheticBgpStream` restricted to a single
-collector — path propagation is deterministic, so per-collector output
-is bit-identical to what a serial all-collector run would have written
-for that collector.
+write disjoint files), so collectors are written one after another,
+each through its own :class:`~repro.bgp.stream.SyntheticBgpStream`
+restricted to that collector — path propagation is deterministic, so
+per-collector output is bit-identical to what an all-collector stream
+would have produced for that collector.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from ..timeline.dates import Day
-from ..runtime.executor import ExecutorSpec, resolve_executor
 from .collector import Collector
 from .mrt import dump_day
 from .stream import Announcement, SyntheticBgpStream
@@ -41,34 +37,31 @@ def dump_file_name(day: Day) -> str:
     return f"rib.{_dt.date.fromordinal(day).strftime('%Y%m%d')}.mrt"
 
 
-def _collector_dump_task(
-    payload: Tuple[
-        AsTopology,
-        Collector,
-        Dict[Day, List[Announcement]],
-        Day,
-        Day,
-        str,
-    ],
-) -> Tuple[str, int, int]:
+def _write_collector_dumps(
+    topology: AsTopology,
+    collector: Collector,
+    announcements: Mapping[Day, Sequence[Announcement]],
+    start: Day,
+    end: Day,
+    out_root: Path,
+) -> Tuple[int, int]:
     """Write one collector's dump files for a day range.
 
-    Returns (collector name, files written, elements written).
+    Returns (files written, elements written).
     """
-    topology, collector, announcements, start, end, out_root = payload
-    directory = Path(out_root) / collector.name
+    directory = out_root / collector.name
     directory.mkdir(parents=True, exist_ok=True)
     stream = SyntheticBgpStream(
         topology, [collector], lambda day: announcements.get(day, [])
     )
     files = elements = 0
-    previous: Optional[List[Announcement]] = None
+    previous: Optional[Sequence[Announcement]] = None
     for day in range(start, end + 1):
         day_elements = list(stream.elements_for_day(day, previous))
         previous = announcements.get(day, [])
         elements += dump_day(day_elements, directory / dump_file_name(day))
         files += 1
-    return collector.name, files, elements
+    return files, elements
 
 
 def materialize_collector_dumps(
@@ -79,7 +72,6 @@ def materialize_collector_dumps(
     *,
     start: Day,
     end: Day,
-    executor: ExecutorSpec = None,
 ) -> Dict[str, Tuple[int, int]]:
     """Materialize per-collector MRT dumps for a day range.
 
@@ -90,13 +82,11 @@ def materialize_collector_dumps(
         :class:`~repro.simulation.world.World`).
     announcements_by_day:
         Day → active announcements; typically precomputed from
-        ``world.announcements_for_day`` so workers get plain data.
+        ``world.announcements_for_day``.
     out_root:
         Directory receiving one sub-directory per collector.
     start, end:
         Inclusive day range.
-    executor:
-        Execution backend (or spec); one task per collector.
 
     Returns
     -------
@@ -105,19 +95,9 @@ def materialize_collector_dumps(
     """
     if end < start:
         raise ValueError("end day precedes start day")
-    spec = executor
-    executor = resolve_executor(spec)
-    schedule: Dict[Day, List[Announcement]] = {
-        day: list(announcements_by_day.get(day, []))
-        for day in range(start, end + 1)
-    }
-    payloads = [
-        (topology, collector, schedule, start, end, str(out_root))
+    return {
+        collector.name: _write_collector_dumps(
+            topology, collector, announcements_by_day, start, end, Path(out_root)
+        )
         for collector in collectors
-    ]
-    try:
-        results = executor.map(_collector_dump_task, payloads)
-    finally:
-        if executor is not spec:
-            executor.close()
-    return {name: (files, elements) for name, files, elements in results}
+    }

@@ -25,7 +25,7 @@ Subcommands mirror the paper's workflow (Fig. 1):
     Run the §6.1.2 dormant-squat detector over exported datasets.
 ``export-dumps``
     Materialize per-collector MRT dump files (one directory per
-    collector, one file per day), fanned out one worker per collector.
+    collector, one file per day).
 ``inspect``
     Consume exported run artifacts: ``inspect trace`` renders the span
     tree (critical path starred, optional flamegraph export),
@@ -34,8 +34,7 @@ Subcommands mirror the paper's workflow (Fig. 1):
     per-route latency/error tables and top-ASN heat from a serve
     access log, and ``inspect diff`` compares two runs — by directory
     or manifest-digest prefix via the ``runs.jsonl`` index —
-    attributing wall-time deltas to cache misses, stage slowdowns, or
-    fan-out imbalance.
+    attributing wall-time deltas to cache misses or stage slowdowns.
 ``serve-build``
     Build a read-optimized ``serve-store/v1`` snapshot (sharded
     lifetimes + taxonomy, see ``repro.serve``) from a simulated world.
@@ -55,29 +54,24 @@ Subcommands mirror the paper's workflow (Fig. 1):
     ``--metrics-check`` cross-checks the server's ``/metrics`` account
     of the run against the client's.
 
-Runtime flags on ``simulate``: ``--jobs N`` fans the parallel pipeline
-stages out over N worker processes (bit-identical output),
-``--cache-dir PATH`` reuses/stores content-addressed pipeline
-artifacts, ``--cache-verify {off,sha256}`` controls checksum
-verification of loaded cache entries (corrupt entries are quarantined
-and rebuilt), ``--retries N`` bounds retry attempts after transient
-worker-pool failures, ``--on-worker-failure {raise,serial}`` picks
-between failing fast and degrading to serial execution with identical
-output, and ``--profile`` prints per-stage wall times plus any runtime
+Every run is one process: each pipeline stage runs once, in-process,
+over all of its items.  Runtime flags on ``simulate``: ``--cache-dir
+PATH`` reuses/stores content-addressed pipeline artifacts,
+``--cache-verify {off,sha256}`` controls checksum verification of
+loaded cache entries (corrupt entries are quarantined and rebuilt),
+and ``--profile`` prints per-stage wall times plus any runtime
 degradation events.
 ``--bgp-engine columnar|object`` rebuilds operational lifetimes from
 the message-level BGP stream over the last ``--bgp-window`` days
 (``columnar`` is the incremental production engine, ``object`` the
 per-element oracle; both produce byte-identical datasets, and cached
-activity tables make repeat runs skip the stream).  The §3.1
-delegation restoration always runs in-process on the object step
-functions, whatever ``--jobs`` says.
+activity tables make repeat runs skip the stream).
 
 Observability flags on ``simulate`` (see DESIGN.md §7): ``--trace``
 writes the run's nested span trace as JSON lines, ``--metrics-out``
 writes a counters/gauges/histograms snapshot, ``--manifest`` writes
 the run provenance manifest (config hash, cache-key versions,
-engine/backend choices, fault-injection settings, git describe, span
+engine choices, fault-injection settings, git describe, span
 digest), and ``--ledger`` (implied by ``--trace``) writes the dataflow
 conservation ledger.  Each takes an optional path and defaults to a
 file next to the exported datasets; all are written atomically.
@@ -142,9 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="skip §3.1 defect injection")
     simulate.add_argument("--timeout", type=int, default=30,
                           help="BGP inactivity timeout in days (default 30)")
-    simulate.add_argument("--jobs", type=int, default=None,
-                          help="worker processes for parallel stages "
-                          "(default: serial; output is identical)")
     simulate.add_argument("--cache-dir", type=Path, default=None,
                           help="content-addressed artifact cache directory "
                           "(warm hits skip the whole rebuild)")
@@ -154,22 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
                           "'sha256' (default) verifies each payload against "
                           "its sidecar manifest and quarantines+rebuilds "
                           "corrupt entries; 'off' trusts unpickling alone")
-    simulate.add_argument("--retries", type=int, default=2,
-                          help="retry budget for transient worker-pool "
-                          "failures (default 2; each retry replaces the "
-                          "broken pool and re-runs the same items)")
-    simulate.add_argument("--on-worker-failure", choices=("raise", "serial"),
-                          default="serial",
-                          help="after the retry budget is exhausted: 'serial' "
-                          "(default) degrades to inline execution with "
-                          "identical output, 'raise' fails fast with a "
-                          "WorkerPoolError")
     simulate.add_argument("--profile", action="store_true",
                           help="print per-stage wall times and item counts")
     simulate.add_argument("--trace", nargs="?", const="@out", default=None,
                           metavar="PATH",
                           help="write the run's span trace as JSON lines "
-                          "(nested stage/task spans, cache and fault "
+                          "(nested stage spans, cache and fault "
                           "annotations; default PATH: OUT/trace.jsonl)")
     simulate.add_argument("--metrics-out", nargs="?", const="@out",
                           default=None, metavar="PATH",
@@ -179,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--manifest", nargs="?", const="@out", default=None,
                           metavar="PATH",
                           help="write the run provenance manifest (config "
-                          "hash, cache-key versions, engine/backend choices, "
+                          "hash, cache-key versions, engine choices, "
                           "fault-injection settings, git describe, span "
                           "digest; default PATH: OUT/run_manifest.json)")
     simulate.add_argument("--ledger", nargs="?", const="@out", default=None,
@@ -250,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     dumps.add_argument("--days", type=int, default=30,
                        help="length of the window when --start/--end are "
                        "not both given (default 30)")
-    dumps.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (one task per collector)")
 
     inspect = sub.add_parser(
         "inspect",
@@ -325,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="ASNs per shard (default 512)")
     sbuild.add_argument("--no-pitfalls", action="store_true",
                         help="skip §3.1 defect injection")
-    sbuild.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the pipeline stages")
     sbuild.add_argument("--cache-dir", type=Path, default=None,
                         help="artifact cache reused for the world build "
                         "and activity tables")
@@ -415,7 +392,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         build_run_manifest,
         get_metrics,
         record_run,
-        resolve_executor,
         write_json_atomic,
         write_ledger,
         write_run_manifest,
@@ -458,14 +434,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     injector = from_env()
     if injector is not None:
         detach_faults = stats.tracer.subscribe_faults(injector)
-    executor = resolve_executor(
-        args.jobs, retries=args.retries, on_failure=args.on_worker_failure,
-    )
-    executor.instrument(stats.tracer, stats.metrics)
     try:
         bundle = build_datasets(
             config, inject_pitfalls=not args.no_pitfalls,
-            timeout=args.timeout, executor=executor, cache=args.cache_dir,
+            timeout=args.timeout, cache=args.cache_dir,
             cache_verify=args.cache_verify, stats=stats,
             scenario_key=scenario_key,
         )
@@ -479,7 +451,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             start = max(config.start_day, end - args.bgp_window + 1)
             op_lives, _tables = build_operational_dataset(
                 bundle.world, start=start, end=end, timeout=args.timeout,
-                engine=args.bgp_engine, executor=executor,
+                engine=args.bgp_engine,
                 cache=args.cache_dir, cache_verify=args.cache_verify,
                 stats=stats,
             )
@@ -492,8 +464,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 truth=bundle.world.events,
             )
     finally:
-        stats.drain_events_from(executor)
-        executor.close()
         if detach_faults is not None:
             detach_faults()
     args.out.mkdir(parents=True, exist_ok=True)
@@ -556,12 +526,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 "bgp_engine": args.bgp_engine,
                 "bgp_window": args.bgp_window,
                 "timeout": args.timeout,
-                "jobs": args.jobs,
                 "inject_pitfalls": not args.no_pitfalls,
                 "cache_dir": str(args.cache_dir) if args.cache_dir else None,
                 "cache_verify": args.cache_verify,
-                "retries": args.retries,
-                "on_worker_failure": args.on_worker_failure,
             },
             stats=stats,
             # describe the checkout the *code* ran from, not the cwd
@@ -677,7 +644,7 @@ def _cmd_export_dumps(args: argparse.Namespace) -> int:
     }
     written = materialize_collector_dumps(
         world.topology, world.collectors, announcements, args.out,
-        start=start, end=end, executor=args.jobs,
+        start=start, end=end,
     )
     for name, (files, elements) in written.items():
         print(f"{name}: {files} files, {elements} elements")
@@ -747,7 +714,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_build(args: argparse.Namespace) -> int:
-    from .runtime import PipelineStats, get_metrics, resolve_executor
+    from .runtime import PipelineStats, get_metrics
     from .runtime.faults import from_env
     from .serve.store import DEFAULT_SHARD_SIZE, ServeStoreError, build_store
 
@@ -768,12 +735,10 @@ def _cmd_serve_build(args: argparse.Namespace) -> int:
     injector = from_env()
     if injector is not None:
         detach_faults = stats.tracer.subscribe_faults(injector)
-    executor = resolve_executor(args.jobs)
-    executor.instrument(stats.tracer, stats.metrics)
     try:
         bundle = build_datasets(
             config, inject_pitfalls=not args.no_pitfalls,
-            timeout=args.timeout, executor=executor, cache=args.cache_dir,
+            timeout=args.timeout, cache=args.cache_dir,
             stats=stats,
         )
         runs_index = args.runs_index
@@ -786,15 +751,13 @@ def _cmd_serve_build(args: argparse.Namespace) -> int:
             min_corroboration=args.min_corroboration,
             shard_size=(args.shard_size if args.shard_size
                         else DEFAULT_SHARD_SIZE),
-            executor=executor, cache=args.cache_dir, stats=stats,
+            cache=args.cache_dir, stats=stats,
             runs_index=runs_index,
         )
     except ServeStoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        stats.drain_events_from(executor)
-        executor.close()
         if detach_faults is not None:
             detach_faults()
     counts = doc["counts"]

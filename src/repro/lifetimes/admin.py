@@ -18,18 +18,12 @@ paper's rules:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..asn.numbers import ASN
 from ..rir.archive import Stint
 from ..rir.model import Status
 from ..restoration.pipeline import RestoredDelegations
-from ..runtime.executor import (
-    DEFAULT_CHUNK_SIZE,
-    ExecutorSpec,
-    chunked,
-    resolve_executor,
-)
 from ..timeline.dates import Day
 from .records import AdminLifetime
 
@@ -156,20 +150,29 @@ def admin_lifetimes_for_stints(
     return lifetimes
 
 
-def _admin_chunk_task(
-    payload: Tuple[
-        List[Tuple[ASN, List[Stint]]], Day, Mapping[str, Day]
-    ],
-) -> List[Tuple[ASN, List[AdminLifetime]]]:
-    """Lifetimes for one contiguous chunk of (asn, stints) pairs.
+def build_admin_lifetimes(
+    restored: RestoredDelegations,
+) -> Dict[ASN, List[AdminLifetime]]:
+    """Administrative lifetimes for every ASN in the restored data.
 
-    Module-level so process-pool backends can pickle it; pure in its
-    payload so chunk results merge into the serial result exactly.
+    The paper derives 126,953 lifetimes over 106,873 ASNs from its full
+    archive; the same construction here is linear in the number of
+    stints.  The returned mapping is ASN-sorted.
+
+    Lifetimes whose first observation falls on a registry's very first
+    delegation file are *left-censored*: the ASN was allocated before
+    files existed (registration dates reach back to 1992, Appendix A),
+    so the lifetime is back-dated to its registration date.  Without
+    this, every pre-2004 network active at the window edge would be
+    misclassified as a §6.2 "operational life starting before the
+    allocation".
     """
-    items, end_day, first_file_day = payload
-    out: List[Tuple[ASN, List[AdminLifetime]]] = []
-    for asn, stints in items:
-        lifetimes = admin_lifetimes_for_stints(asn, stints, end_day)
+    first_file_day = {
+        registry: view.first_day for registry, view in restored.views.items()
+    }
+    out: Dict[ASN, List[AdminLifetime]] = {}
+    for asn, stints in sorted(restored.stints.items()):
+        lifetimes = admin_lifetimes_for_stints(asn, stints, restored.end_day)
         if not lifetimes:
             continue
         first = lifetimes[0]
@@ -180,44 +183,5 @@ def _admin_chunk_task(
             and first.reg_date < first.start
         ):
             lifetimes[0] = replace(first, start=first.reg_date, left_censored=True)
-        out.append((asn, lifetimes))
-    return out
-
-
-def build_admin_lifetimes(
-    restored: RestoredDelegations,
-    *,
-    executor: ExecutorSpec = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> Dict[ASN, List[AdminLifetime]]:
-    """Administrative lifetimes for every ASN in the restored data.
-
-    The paper derives 126,953 lifetimes over 106,873 ASNs from its full
-    archive; the same construction here is linear in the number of
-    stints.  Every ASN is independent, so the work fans out over
-    ASN-sorted chunks; chunk boundaries depend only on the sorted ASN
-    list and ``chunk_size``, and results merge in chunk order, so every
-    backend produces the identical (ASN-sorted) mapping.
-
-    Lifetimes whose first observation falls on a registry's very first
-    delegation file are *left-censored*: the ASN was allocated before
-    files existed (registration dates reach back to 1992, Appendix A),
-    so the lifetime is back-dated to its registration date.  Without
-    this, every pre-2004 network active at the window edge would be
-    misclassified as a §6.2 "operational life starting before the
-    allocation".
-    """
-    executor = resolve_executor(executor)
-    first_file_day = {
-        registry: view.first_day for registry, view in restored.views.items()
-    }
-    items = sorted(restored.stints.items())
-    chunks = chunked(items, chunk_size)
-    results = executor.map(
-        _admin_chunk_task,
-        [(chunk, restored.end_day, first_file_day) for chunk in chunks],
-    )
-    out: Dict[ASN, List[AdminLifetime]] = {}
-    for result in results:
-        out.update(result)
+        out[asn] = lifetimes
     return out

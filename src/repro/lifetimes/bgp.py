@@ -20,22 +20,12 @@ from time import perf_counter
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..asn.numbers import ASN
-from ..bgp.activity import (
-    DEFAULT_DAY_CHUNK,
-    DEFAULT_REBUILD_FRACTION,
-    build_world_activity_tables,
-)
+from ..bgp.activity import DEFAULT_REBUILD_FRACTION, build_world_activity_tables
 from ..bgp.messages import BgpElement
 from ..bgp.sanitize import SanitizeStats, sanitize
 from ..bgp.stream import SyntheticBgpStream
 from ..bgp.visibility import peer_visibility
 from ..runtime.cache import ACTIVITY_TABLE_VERSION, ArtifactCache
-from ..runtime.executor import (
-    DEFAULT_CHUNK_SIZE,
-    ExecutorSpec,
-    chunked,
-    resolve_executor,
-)
 from ..runtime.ledger import record_boundary
 from ..runtime.profiling import PipelineStats
 from ..timeline.dates import Day
@@ -98,66 +88,38 @@ def lifetimes_from_activity(
     ]
 
 
-def _bgp_chunk_task(
-    payload: Tuple[List[Tuple[ASN, OperationalActivity]], int, int, Day],
-) -> List[Tuple[ASN, List[BgpLifetime]]]:
-    """Segment one contiguous chunk of per-ASN activities.
-
-    Module-level (picklable) and pure in its payload, like every
-    pipeline fan-out task.
-    """
-    items, timeout, min_peers, end_day = payload
-    out: List[Tuple[ASN, List[BgpLifetime]]] = []
-    silent = 0
-    for asn, activity in items:
-        days = activity.active_days(min_peers=min_peers)
-        if not days:
-            silent += 1
-            continue
-        out.append(
-            (asn, lifetimes_from_activity(asn, days, timeout=timeout, end_day=end_day))
-        )
-    # one aggregate ledger emission per chunk (never per record): every
-    # activity table either yields lifetimes or is silent at this
-    # min_peers threshold
-    record_boundary(
-        "bgp:segment",
-        records_in=len(items),
-        kept=len(out),
-        dropped={"no_active_days": silent},
-    )
-    return out
-
-
 def build_bgp_lifetimes(
     activities: Mapping[ASN, OperationalActivity],
     *,
     timeout: int = DEFAULT_TIMEOUT,
     min_peers: int = 2,
     end_day: Day,
-    executor: ExecutorSpec = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> Dict[ASN, List[BgpLifetime]]:
-    """Operational lifetimes for every active ASN.
+    """Operational lifetimes for every active ASN, ASN-sorted.
 
     A lifetime is ``open_ended`` when it could still be running: its
     last activity falls within ``timeout`` days of the window end, so
     the segmentation cannot yet declare it over.
-
-    Per-ASN segmentation is independent, so the work fans out over
-    ASN-sorted chunks under any backend; the merged mapping is
-    ASN-sorted and identical across backends (see DESIGN.md).
     """
-    executor = resolve_executor(executor)
-    items = sorted(activities.items())
-    chunks = chunked(items, chunk_size)
-    results = executor.map(
-        _bgp_chunk_task,
-        [(chunk, timeout, min_peers, end_day) for chunk in chunks],
-    )
     out: Dict[ASN, List[BgpLifetime]] = {}
-    for result in results:
-        out.update(result)
+    silent = 0
+    for asn, activity in sorted(activities.items()):
+        days = activity.active_days(min_peers=min_peers)
+        if not days:
+            silent += 1
+            continue
+        out[asn] = lifetimes_from_activity(
+            asn, days, timeout=timeout, end_day=end_day
+        )
+    # one aggregate ledger emission (never per record): every activity
+    # table either yields lifetimes or is silent at this min_peers
+    # threshold
+    record_boundary(
+        "bgp:segment",
+        records_in=len(activities),
+        kept=len(out),
+        dropped={"no_active_days": silent},
+    )
     return out
 
 
@@ -259,11 +221,9 @@ def build_operational_dataset(
     min_peers: int = 2,
     min_corroboration: int = 2,
     engine: str = "columnar",
-    executor: ExecutorSpec = None,
     cache: Union[ArtifactCache, str, Path, None] = None,
     cache_verify: str = "sha256",
     stats: Optional[PipelineStats] = None,
-    day_chunk: Optional[int] = None,
     full_rebuild_fraction: float = DEFAULT_REBUILD_FRACTION,
 ) -> Tuple[Dict[ASN, List[BgpLifetime]], Dict[ASN, OperationalActivity]]:
     """Message-level §3.2→§4.2: activity tables plus operational lives.
@@ -274,8 +234,8 @@ def build_operational_dataset(
 
     ``"columnar"``
         The incremental engine (:mod:`repro.bgp.activity`): interned
-        paths, peer-bitset counters, day diffing, executor fan-out over
-        fixed day chunks.
+        paths, peer-bitset counters, one day-diffing pass over the
+        window.
     ``"object"``
         The per-element baseline and test oracle: one
         :class:`~repro.bgp.messages.BgpElement` per (collector, peer,
@@ -289,10 +249,7 @@ def build_operational_dataset(
     engine ran first.  ``timeout``/``min_peers`` only shape the cheap
     segmentation stage and are deliberately outside the key.
     ``cache_verify`` selects the integrity mode when ``cache`` is a
-    path (``"sha256"`` manifests, or ``"off"``).  ``day_chunk=None``
-    picks the columnar engine's tuned fan-out chunk (512 days); the
-    chunking is a fixed constant, so output never depends on the
-    executor.
+    path (``"sha256"`` manifests, or ``"off"``).
 
     Returns ``(op_lives, tables)``.
     """
@@ -304,105 +261,86 @@ def build_operational_dataset(
         stats = PipelineStats()
     if cache is not None and not isinstance(cache, ArtifactCache):
         cache = ArtifactCache(cache, verify=cache_verify)
-    # resolve once so both the table build and the segmentation share
-    # one pool, and retry/degradation events have a single source
-    spec = executor
-    executor = resolve_executor(spec)
-    owns_executor = executor is not spec
-    executor.instrument(stats.tracer, stats.metrics)
 
-    try:
-        tables: Optional[Dict[ASN, OperationalActivity]] = None
-        key: Optional[str] = None
-        if cache is not None:
-            key = cache.key_for(
-                artifact="activity-table",
-                table_version=ACTIVITY_TABLE_VERSION,
-                config=world.config,
+    tables: Optional[Dict[ASN, OperationalActivity]] = None
+    key: Optional[str] = None
+    if cache is not None:
+        key = cache.key_for(
+            artifact="activity-table",
+            table_version=ACTIVITY_TABLE_VERSION,
+            config=world.config,
+            start=start,
+            end=end,
+            min_corroboration=min_corroboration,
+        )
+        with stats.stage("cache:lookup", component="cache") as timing:
+            tables = cache.load(key)
+            if tables is not None:
+                timing.items = len(tables)
+                timing.set_attr("cache", "hit")
+            else:
+                timing.set_attr("cache", "miss")
+        stats.drain_events_from(cache)
+
+    if tables is None:
+        if engine == "columnar":
+            tables, report = build_world_activity_tables(
+                world,
                 start=start,
                 end=end,
                 min_corroboration=min_corroboration,
+                full_rebuild_fraction=full_rebuild_fraction,
             )
-            with stats.stage("cache:lookup", component="cache") as timing:
-                tables = cache.load(key)
-                if tables is not None:
-                    timing.items = len(tables)
-                    timing.set_attr("cache", "hit")
-                else:
-                    timing.set_attr("cache", "miss")
+            span = stats.record("bgp:stream", report.stream_seconds,
+                                items=report.changed_days,
+                                component="bgp", engine="columnar")
+            _attach(span, record_boundary(
+                "bgp:stream",
+                records_in=report.elements,
+                kept=report.elements,
+                metrics=stats.metrics,
+            ))
+            span = stats.record("bgp:sanitize", report.sanitize_seconds,
+                                items=report.elements,
+                                component="bgp", engine="columnar")
+            _attach(span, record_boundary(
+                "bgp:sanitize",
+                records_in=report.elements,
+                kept=report.kept,
+                dropped=report.dropped,
+                metrics=stats.metrics,
+            ))
+            span = stats.record("bgp:visibility", report.visibility_seconds,
+                                items=len(tables),
+                                component="bgp", engine="columnar")
+            # ASN-day conservation from the engine's activity runs into
+            # the interval tables: the conversion must neither lose nor
+            # invent days
+            _attach(span, record_boundary(
+                "bgp:visibility",
+                records_in=sum(report.class_days_in.values()),
+                routed=report.class_days,
+                metrics=stats.metrics,
+            ))
+            stats.metrics.inc("bgp.elements", report.elements)
+            stats.metrics.inc("bgp.contributions", report.contributions)
+            stats.metrics.inc("bgp.rebuilds", report.rebuilds)
+        else:
+            tables = _object_stream_tables(
+                world, start, end, min_corroboration, stats
+            )
+        if cache is not None and key is not None:
+            with stats.stage(
+                "cache:store", items=len(tables), component="cache"
+            ):
+                cache.store(key, tables)
             stats.drain_events_from(cache)
 
-        if tables is None:
-            if engine == "columnar":
-                tables, report = build_world_activity_tables(
-                    world,
-                    start=start,
-                    end=end,
-                    min_corroboration=min_corroboration,
-                    executor=executor,
-                    day_chunk=(DEFAULT_DAY_CHUNK if day_chunk is None
-                               else day_chunk),
-                    full_rebuild_fraction=full_rebuild_fraction,
-                )
-                span = stats.record("bgp:stream", report.stream_seconds,
-                                    items=report.changed_days,
-                                    component="bgp", engine="columnar")
-                _attach(span, record_boundary(
-                    "bgp:stream",
-                    records_in=report.elements,
-                    kept=report.elements,
-                    metrics=stats.metrics,
-                ))
-                span = stats.record("bgp:sanitize", report.sanitize_seconds,
-                                    items=report.elements,
-                                    component="bgp", engine="columnar")
-                _attach(span, record_boundary(
-                    "bgp:sanitize",
-                    records_in=report.elements,
-                    kept=report.kept,
-                    dropped=report.dropped,
-                    metrics=stats.metrics,
-                ))
-                span = stats.record("bgp:visibility", report.visibility_seconds,
-                                    items=report.chunks,
-                                    component="bgp", engine="columnar")
-                # ASN-day conservation across the chunk-run merge: the
-                # coalescing join must neither lose nor invent days
-                _attach(span, record_boundary(
-                    "bgp:visibility",
-                    records_in=sum(report.class_days_in.values()),
-                    routed=report.class_days,
-                    metrics=stats.metrics,
-                ))
-                stats.metrics.inc("bgp.elements", report.elements)
-                stats.metrics.inc("bgp.contributions", report.contributions)
-                stats.metrics.inc("bgp.rebuilds", report.rebuilds)
-            else:
-                tables = _object_stream_tables(
-                    world, start, end, min_corroboration, stats
-                )
-            if cache is not None and key is not None:
-                with stats.stage(
-                    "cache:store", items=len(tables), component="cache"
-                ):
-                    cache.store(key, tables)
-                stats.drain_events_from(cache)
-
-        with stats.stage(
-            "bgp:segment", component="bgp", engine=engine
-        ) as timing:
-            op_lives = build_bgp_lifetimes(
-                tables,
-                timeout=timeout,
-                min_peers=min_peers,
-                end_day=end,
-                executor=executor,
-            )
-            timing.items = len(op_lives)
-    finally:
-        stats.drain_events_from(executor)
-        if owns_executor:
-            executor.close()
+    with stats.stage("bgp:segment", component="bgp", engine=engine) as timing:
+        op_lives = build_bgp_lifetimes(
+            tables, timeout=timeout, min_peers=min_peers, end_day=end
+        )
+        timing.items = len(op_lives)
     return op_lives, tables
 
 

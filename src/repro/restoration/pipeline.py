@@ -12,10 +12,9 @@ that registry's data.  Only step (vi), :func:`clean_inter_rir_overlaps`,
 compares timelines *across* registries — it is the join barrier and
 runs after every registry is done, in sorted registry order.
 
-Restoration always runs in-process, whatever executor the rest of the
-pipeline uses: a per-registry view is the whole registry timeline, so
-a process pool would pickle it out and back for a few milliseconds of
-step work each (see DESIGN.md §5.7).
+Restoration runs in-process, like every other stage (see DESIGN.md
+§5.7): a per-registry view is the whole registry timeline, and its
+step work takes milliseconds.
 """
 
 from __future__ import annotations

@@ -50,11 +50,11 @@ class RestorationReport:
     def merge(self, other: "RestorationReport") -> None:
         """Fold another report's counters and notes into this one.
 
-        Used by the parallel restoration driver: each per-registry
-        worker fills a private report, and the driver merges them in
-        sorted-registry order — reproducing exactly the counter layout
-        a serial, step-major run would have produced (every step
-        iterates registries in sorted order too).
+        Used by the restoration driver: each registry's steps fill a
+        private report, and the driver merges them in sorted-registry
+        order — reproducing exactly the counter layout a step-major
+        run would have produced (every step iterates registries in
+        sorted order too).
         """
         for report in other.steps:
             mine = self.step(report.step)

@@ -116,9 +116,9 @@ class DelegationArchive:
     def __getstate__(self) -> dict:
         """Pickle without the memoized timelines.
 
-        The cache is pure derived state: process-pool workers recompute
-        exactly the timelines they need, and stripping it keeps both
-        worker payloads and on-disk artifact-cache entries small.
+        The cache is pure derived state: a loaded archive recomputes
+        exactly the timelines it needs, and stripping it keeps on-disk
+        artifact-cache entries small.
         """
         state = self.__dict__.copy()
         state["_timeline_cache"] = {}

@@ -1,24 +1,20 @@
-"""Pipeline runtime: execution backends, artifact caching, profiling.
+"""Pipeline runtime: artifact caching, profiling, observability.
 
 The paper's real corpus (~930G RIB records, 107k ASNs over 6,350 days)
 is processed once and then queried forever; this package gives the
 reproduction pipeline the same operational shape.
 
-* :mod:`repro.runtime.executor` — pluggable serial / process-pool
-  backends with a determinism contract: parallel output is bit-identical
-  to serial output.  Worker-pool failures are retried with backoff and
-  can degrade to serial execution with identical results.
 * :mod:`repro.runtime.cache` — content-addressed on-disk artifacts so
   an already-built world is loaded, not re-simulated; entries carry
   checksum manifests verified on load, and corrupt entries are
   quarantined, never trusted and never deleted blind.
-* :mod:`repro.runtime.profiling` — per-stage wall time and fan-out
-  width plus the runtime's degradation event log, surfaced through
+* :mod:`repro.runtime.profiling` — per-stage wall time and item
+  counts plus the runtime's degradation event log, surfaced through
   ``simulate --profile`` and the scaling benchmark.
 * :mod:`repro.runtime.faults` — deterministic, seeded failure
-  injection (torn writes, disk full, worker death, ...) so every
-  failure mode the hardening claims to survive is provoked in tests
-  and CI.
+  injection (torn writes, disk full, read-only directories, ...) so
+  every failure mode the hardening claims to survive is provoked in
+  tests and CI.
 * :mod:`repro.runtime.ledger` — dataflow conservation accounting:
   every lossy boundary counts records in/kept/dropped-by-reason, a
   closure checker fails any stage where the books don't balance.
@@ -40,16 +36,6 @@ from .cache import (
     dumps_with_gc_paused,
     fingerprint,
     loads_with_gc_paused,
-)
-from .executor import (
-    DEFAULT_CHUNK_SIZE,
-    DEFAULT_RETRIES,
-    PipelineExecutor,
-    ProcessPoolBackend,
-    SerialExecutor,
-    WorkerPoolError,
-    chunked,
-    resolve_executor,
 )
 from .faults import (
     USE_ENV_FAULTS,
@@ -129,14 +115,6 @@ __all__ = [
     "dumps_with_gc_paused",
     "fingerprint",
     "loads_with_gc_paused",
-    "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_RETRIES",
-    "PipelineExecutor",
-    "ProcessPoolBackend",
-    "SerialExecutor",
-    "WorkerPoolError",
-    "chunked",
-    "resolve_executor",
     "USE_ENV_FAULTS",
     "FaultEvent",
     "FaultInjector",

@@ -3,13 +3,12 @@
 The paper's §3.1 premise is that a 17-year pipeline must survive
 defective *inputs* — missing, corrupt, and inconsistent delegation
 files.  The runtime layer has inputs of its own: cache entries on
-disk, worker processes, and the filesystem itself.  This module is the
-§3.1 pitfall injector for those inputs: a seeded
-:class:`FaultInjector` that the :class:`~repro.runtime.cache.
-ArtifactCache` and :class:`~repro.runtime.executor.ProcessPoolBackend`
-consult at their failure-prone points, so every failure mode the
-hardening claims to survive can be provoked on demand, deterministically
-(same seed + same call order → same faults), in tests and in CI.
+disk and the filesystem itself.  This module is the §3.1 pitfall
+injector for those inputs: a seeded :class:`FaultInjector` that the
+:class:`~repro.runtime.cache.ArtifactCache` consults at its
+failure-prone points, so every failure mode the hardening claims to
+survive can be provoked on demand, deterministically (same seed + same
+call order → same faults), in tests and in CI.
 
 Faults are described by :class:`FaultSpec` rows — *where* they strike
 (a ``site``), *what* goes wrong (a ``kind``), how often (``rate``) and
@@ -21,7 +20,6 @@ site                      failure-prone point
 ``cache:read``            reading an entry's payload or manifest
 ``cache:write``           writing a temp payload/manifest file
 ``cache:replace``         the atomic ``os.replace`` publishing an entry
-``worker``                dispatching a fan-out to the process pool
 ========================  =====================================================
 
 ========================  =====================================================
@@ -32,13 +30,11 @@ kind                      behaviour when fired
 ``disk-full``             writes a partial prefix, then ``OSError(ENOSPC)``
 ``torn-write``            silently persists only a seeded prefix of the bytes
 ``truncate``              silently persists zero bytes
-``worker-death``          raises :class:`BrokenProcessPool` (a dead worker)
 ========================  =====================================================
 
 Injected faults surface as the *real* exception types the runtime has
-to survive (``OSError`` subtypes, ``BrokenProcessPool``) — never as a
-special injection error — so the code under test cannot tell drills
-from disasters.
+to survive (``OSError`` subtypes) — never as a special injection
+error — so the code under test cannot tell drills from disasters.
 
 A process-wide injector can also be enabled from the environment
 (:func:`from_env`): ``REPRO_FAULT_SEED`` switches it on, with
@@ -54,7 +50,6 @@ from __future__ import annotations
 import errno
 import os
 import random
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -80,7 +75,7 @@ __all__ = [
 #: caller explicitly passes an injector or ``None``.
 USE_ENV_FAULTS = object()
 
-SITES = ("cache:read", "cache:write", "cache:replace", "worker")
+SITES = ("cache:read", "cache:write", "cache:replace")
 
 KINDS = (
     "oserror",
@@ -88,7 +83,6 @@ KINDS = (
     "disk-full",
     "torn-write",
     "truncate",
-    "worker-death",
 )
 
 #: Which kinds make sense at which sites.
@@ -96,7 +90,6 @@ _SITE_KINDS = {
     "cache:read": ("oserror",),
     "cache:write": ("oserror", "read-only", "disk-full", "torn-write", "truncate"),
     "cache:replace": ("oserror", "read-only", "disk-full"),
-    "worker": ("worker-death",),
 }
 
 ENV_SEED = "REPRO_FAULT_SEED"
@@ -110,8 +103,8 @@ class FaultSpec:
 
     ``rate`` is the per-opportunity firing probability; ``max_fires``
     bounds total firings (``None`` = unbounded), which is how tests
-    model *transient* failures — e.g. one worker death followed by a
-    successful retry.
+    model *transient* failures — e.g. one failed read followed by a
+    successful rebuild.
     """
 
     site: str
@@ -144,8 +137,7 @@ class FaultEvent:
 class FaultInjector:
     """Seeded dispenser of runtime faults.
 
-    The cache and the process-pool backend call the ``on_*`` hooks at
-    their failure-prone points; a hook either does nothing or makes the
+    The cache calls the ``on_*`` hooks at its failure-prone points; a hook either does nothing or makes the
     armed failure happen.  All randomness comes from one
     ``random.Random(seed)``, so a given seed and call order reproduce
     the exact same fault sequence.
@@ -263,17 +255,6 @@ class FaultInjector:
             raise OSError(errno.ENOSPC, f"injected disk full: {dst}")
         raise OSError(errno.EIO, f"injected replace failure: {dst}")
 
-    def on_worker_dispatch(self) -> None:
-        """May raise ``BrokenProcessPool`` for a pool fan-out."""
-        spec = self._arm("worker")
-        if spec is None:
-            return
-        self._log(spec, "pool dispatch")
-        raise BrokenProcessPool(
-            "injected worker death: a process in the process pool was "
-            "terminated abruptly"
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         armed = sum(len(v) for v in self._by_site.values())
         return (
@@ -286,11 +267,8 @@ def _env_specs(rate: float, sites: Sequence[str]) -> List[FaultSpec]:
     """The ambient fault mix for suite-wide injection runs.
 
     Every fault here is one the runtime recovers from *transparently*
-    (rebuild, retry, or degrade) — the point of the CI job is that the
-    whole test suite is oblivious to them.  Worker deaths fire at a
-    quarter of the base rate so that the bounded-retry budget (three
-    attempts by default) keeps the chance of an exhausted pool
-    negligible at the default 5% rate.
+    (rebuild or degrade) — the point of the CI job is that the whole
+    test suite is oblivious to them.
     """
     specs: List[FaultSpec] = []
     if "cache:read" in sites:
@@ -300,14 +278,12 @@ def _env_specs(rate: float, sites: Sequence[str]) -> List[FaultSpec]:
         specs.append(FaultSpec("cache:write", "disk-full", rate / 2, None))
     if "cache:replace" in sites:
         specs.append(FaultSpec("cache:replace", "oserror", rate / 2, None))
-    if "worker" in sites:
-        specs.append(FaultSpec("worker", "worker-death", rate / 4, None))
     return specs
 
 
 #: Cached (env fingerprint, injector) pair so every default-constructed
-#: cache/executor in one process shares a single ambient injector (and
-#: its RNG stream), keeping suite-wide injection runs deterministic.
+#: cache in one process shares a single ambient injector (and its RNG
+#: stream), keeping suite-wide injection runs deterministic.
 _env_cache: Optional[Tuple[Tuple[Optional[str], Optional[str], Optional[str]], Optional[FaultInjector]]] = None
 
 

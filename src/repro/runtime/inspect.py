@@ -14,9 +14,8 @@ surfaced as the ``repro inspect`` CLI family:
     Compare two runs' manifest+metrics+trace triples.  Identity first —
     manifest digests, config hashes, span digests, settings — then
     per-stage wall-time deltas, each attributed to a cause: a cache
-    attribute that flipped (``cache-miss``/``cache-hit``), a fan-out
-    whose task-duration imbalance worsened (``fan-out-imbalance``), or
-    a plain ``stage-slowdown``/``stage-speedup``.
+    attribute that flipped (``cache-miss``/``cache-hit``) or a plain
+    ``stage-slowdown``/``stage-speedup``.
 
 ``inspect ledger``
     The conservation table (rendering lives in
@@ -79,14 +78,6 @@ class TraceView:
 
     def stage_spans(self) -> List[Dict[str, Any]]:
         return [s for s in self.spans if s.get("kind") == "stage"]
-
-    def tasks_of(self, span: Mapping[str, Any]) -> List[Dict[str, Any]]:
-        """Task-kind children of one span."""
-        return [
-            child
-            for child in self.children.get(span.get("span_id"), [])
-            if child.get("kind") == "task"
-        ]
 
 
 def load_trace(path: Union[str, Path]) -> TraceView:
@@ -164,8 +155,6 @@ def render_trace(
         extras = []
         if "items" in attrs:
             extras.append(f"items={attrs['items']}")
-        if "bytes_shipped" in attrs:
-            extras.append(f"shipped={attrs['bytes_shipped']}B")
         if "cache" in attrs:
             extras.append(f"cache={attrs['cache']}")
         if span.get("annotations"):
@@ -185,11 +174,12 @@ def render_trace(
 
 
 def folded_stacks(view: TraceView) -> List[str]:
-    """Folded-stack lines (``root;stage;task <self-time-µs>``).
+    """Folded-stack lines (``root;stage;child <self-time-µs>``).
 
     Self time is the span's duration minus its children's, floored at
-    zero (task spans timed in workers can overlap their parent's
-    accounting); the µs unit keeps sub-millisecond spans nonzero.
+    zero (externally timed children, such as the worker ``task`` spans
+    of older traces, can overlap their parent's accounting); the µs
+    unit keeps sub-millisecond spans nonzero.
     Feed the joined lines to any flamegraph renderer.
     """
     lines: List[str] = []
@@ -312,26 +302,6 @@ def stage_cache_modes(run: RunArtifacts) -> Dict[str, str]:
     return modes
 
 
-def _fanout_imbalance(run: RunArtifacts, stage: str) -> Optional[float]:
-    """max/mean task-duration ratio under a stage (≥2 tasks), else None."""
-    if run.trace is None:
-        return None
-    worst: Optional[float] = None
-    for span in run.trace.stage_spans():
-        if span.get("name") != stage:
-            continue
-        tasks = run.trace.tasks_of(span)
-        if len(tasks) < 2:
-            continue
-        seconds = [float(t.get("seconds", 0.0)) for t in tasks]
-        mean = sum(seconds) / len(seconds)
-        if mean <= 0:
-            continue
-        ratio = max(seconds) / mean
-        worst = ratio if worst is None else max(worst, ratio)
-    return worst
-
-
 # -- run diffing ------------------------------------------------------------
 
 #: Relative wall-time change below which a stage is "unchanged".
@@ -339,10 +309,6 @@ DIFF_THRESHOLD = 0.20
 
 #: Absolute floor (seconds) below which relative noise is ignored.
 DIFF_ABS_FLOOR = 0.01
-
-#: A fan-out counts as newly imbalanced when its max/mean task-duration
-#: ratio worsened by at least this factor.
-IMBALANCE_FACTOR = 1.25
 
 
 def diff_runs(
@@ -361,10 +327,8 @@ def diff_runs(
        a rebuild A skipped.  The reverse flip is ``cache-hit``.
     2. Stage present in only one run: ``added`` / ``removed`` (a
        config or code change; identity section will disagree too).
-    3. Relative delta beyond ``threshold`` (and ``abs_floor``): if the
-       stage's task-duration imbalance (max/mean) worsened by
-       ``IMBALANCE_FACTOR``, ``fan-out-imbalance`` — the pool waited
-       on a straggler; otherwise ``stage-slowdown``/``stage-speedup``.
+    3. Relative delta beyond ``threshold`` (and ``abs_floor``):
+       ``stage-slowdown``/``stage-speedup``.
     4. Else ``unchanged``.
     """
     manifest_a = a.manifest or {}
@@ -419,18 +383,7 @@ def diff_runs(
             if abs(sb - sa) <= abs_floor or abs(rel) <= threshold:
                 row["cause"] = "unchanged"
             else:
-                imb_a = _fanout_imbalance(a, name)
-                imb_b = _fanout_imbalance(b, name)
-                if (
-                    sb > sa
-                    and imb_a is not None
-                    and imb_b is not None
-                    and imb_b >= imb_a * IMBALANCE_FACTOR
-                ):
-                    row["cause"] = "fan-out-imbalance"
-                    row["imbalance"] = f"{imb_a:.2f}→{imb_b:.2f}"
-                else:
-                    row["cause"] = "stage-slowdown" if sb > sa else "stage-speedup"
+                row["cause"] = "stage-slowdown" if sb > sa else "stage-speedup"
             row["relative"] = rel
         stages.append(row)
 
@@ -474,8 +427,6 @@ def render_diff(diff: Mapping[str, Any]) -> str:
         extras = []
         if row.get("cache"):
             extras.append(f"cache {row['cache']}")
-        if row.get("imbalance"):
-            extras.append(f"imbalance {row['imbalance']}")
         lines.append(
             f"{row.get('stage', ''):<30} "
             f"{'' if sa is None else f'{sa:.3f}s':>9} "

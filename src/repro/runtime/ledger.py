@@ -18,11 +18,9 @@ Ledger rows are **not** stored in their own structure: every boundary
 writes namespaced counters (``ledger.<stage>.in`` /
 ``ledger.<stage>.out.<bucket>``) into a
 :class:`~repro.runtime.observability.MetricsRegistry` — by default the
-process-global one.  That buys cross-process aggregation for free:
-worker-side counts travel back with the task results and merge
-additively via ``MetricsRegistry.merge_snapshot``, exactly like every
-other metric, so serial and process-pool runs produce byte-identical
-ledgers (the determinism contract extends to the accounting).
+process-global one.  The ledger therefore rides every metrics snapshot
+for free, and two identical runs produce byte-identical ledgers (the
+determinism contract extends to the accounting).
 
 The closure checker (:func:`check_ledger`, also behind
 ``scripts/check_ledger.py`` and ``repro inspect ledger --check``) fails
@@ -35,8 +33,8 @@ cross-check, not a tautology.
 Counters are cheap (one registry increment per bucket when emitted in
 aggregate), but hot loops should accumulate locally and emit once; the
 module-level switch (:func:`set_ledger_enabled`, or ``REPRO_LEDGER=off``
-in the environment for worker processes) turns emission into a no-op so
-the overhead benchmark can price the accounting.
+in the environment) turns emission into a no-op so the overhead
+benchmark can price the accounting.
 """
 
 from __future__ import annotations
@@ -80,9 +78,8 @@ _COUNTER_PREFIX = "ledger."
 _IN_SUFFIX = ".in"
 _OUT_MARK = ".out."
 
-#: Environment kill-switch, read at import time so forked pool workers
-#: inherit it (the in-process :func:`set_ledger_enabled` toggle is
-#: process-local and does not reach already-spawned workers).
+#: Environment kill-switch, read at import time (the in-process
+#: :func:`set_ledger_enabled` toggle overrides it).
 _ENV_SWITCH = "REPRO_LEDGER"
 
 _ENABLED = os.environ.get(_ENV_SWITCH, "").strip().lower() not in (

@@ -6,19 +6,15 @@ artifact, and how long every step took*.  Historic-attribution services
 (Back-to-the-Future Whois and kin) must justify every derived record;
 this module gives the reproduction pipeline the same receipts:
 
-* :class:`Tracer` — nested spans with stage/component/engine/backend
+* :class:`Tracer` — nested spans with stage/component/engine
   attributes, monotonic timings, and free-form annotations (cache
-  hit/miss, quarantines, retries, degradations, injected faults).
-  Thread-safe (per-thread span stacks over one shared trace) and
-  process-pool-safe: worker-side spans are exported as plain dicts,
-  travel back with the task results, and :meth:`Tracer.adopt` re-parents
-  them into the parent trace.
+  hit/miss, quarantines, degradations, injected faults).  Thread-safe:
+  per-thread span stacks over one shared trace.
 * :class:`MetricsRegistry` — counters, gauges, and histograms
-  (``cache.hits``, ``cache.verify_failures``, ``executor.retries``,
-  ``bgp.contributions``, per-stage wall histograms, ...) behind one
-  lock; worker snapshots merge additively via :meth:`merge_snapshot`.
+  (``cache.hits``, ``cache.verify_failures``, ``bgp.contributions``,
+  per-stage wall histograms, ...) behind one lock.
 * Run manifests — :func:`build_run_manifest` assembles the config hash,
-  cache-key versions, engine/backend choices, fault-injection settings,
+  cache-key versions, engine choices, fault-injection settings,
   ``git describe``, and a per-stage span digest into a deterministic
   JSON document: identical config and inputs reproduce the manifest
   byte-for-byte (timestamps are opt-in precisely so the default stays
@@ -114,7 +110,7 @@ def write_jsonl_atomic(path: Union[str, Path], lines: Sequence[Any]) -> Path:
 class Span:
     """One timed operation in a trace.
 
-    Mutable by design: stage code sets ``items`` (fan-out width) after
+    Mutable by design: stage code sets ``items`` (work width) after
     the block exits, and annotations arrive while the span is open.
     Attribute access is cheap; cross-thread mutation is guarded by the
     owning tracer's lock where it matters (annotation, finishing).
@@ -157,7 +153,7 @@ class Span:
 
     @property
     def items(self) -> Optional[int]:
-        """Fan-out width (kept as an attribute for StageTiming parity)."""
+        """Work width (kept as an attribute for StageTiming parity)."""
         return self.attrs.get("items")
 
     @items.setter
@@ -197,26 +193,22 @@ class Span:
 class Tracer:
     """A thread-safe collector of nested spans forming one trace.
 
-    Every tracer owns a root span (named ``run`` by default); spans
-    opened with :meth:`span` nest under the opener thread's innermost
-    open span, falling back to the root, so concurrent threads build
-    disjoint subtrees of one tree.  Worker processes build their own
-    tracers and ship exported span dicts back; :meth:`adopt` renumbers
-    them into this trace under the caller's current span.
+    Every tracer owns a root span named ``run``; spans opened with
+    :meth:`span` nest under the opener thread's innermost open span,
+    falling back to the root, so concurrent threads build disjoint
+    subtrees of one tree.
     """
 
-    def __init__(
-        self, *, root_name: str = "run", root_kind: str = "root", **root_attrs: Any
-    ) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._ids = itertools.count(2)
         self._local = threading.local()
         self.trace_id = os.urandom(8).hex()
-        #: Degradation/event log: the runtime's quarantines, retries,
-        #: fallbacks.  :class:`~repro.runtime.profiling.PipelineStats`
+        #: Degradation/event log: the runtime's quarantines and failed
+        #: stores.  :class:`~repro.runtime.profiling.PipelineStats`
         #: exposes this very list as its ``events`` attribute.
         self.events: List[str] = []
-        self.root = Span(1, None, root_name, kind=root_kind, attrs=root_attrs)
+        self.root = Span(1, None, "run", kind="root")
         #: Spans in finish order (the root is appended at export time).
         self.spans: List[Span] = []
 
@@ -341,54 +333,6 @@ class Tracer:
 
         return _detach
 
-    # -- worker-span merging -------------------------------------------
-
-    def export_spans(self) -> List[Dict[str, Any]]:
-        """Every span (root first) as plain dicts, for cross-process travel."""
-        root = self.root.to_dict()
-        root["seconds"] = round(time.perf_counter() - self.root._start_mono, 6)
-        with self._lock:
-            return [root] + [span.to_dict() for span in self.spans]
-
-    def adopt(
-        self,
-        exported: Sequence[Mapping[str, Any]],
-        *,
-        parent: Optional[Span] = None,
-    ) -> List[Span]:
-        """Graft worker-exported spans into this trace.
-
-        Span ids are renumbered into this trace's sequence; internal
-        parent/child links are preserved, and spans whose parent is not
-        part of the export (the worker's roots) are re-parented under
-        ``parent`` (default: the caller's current span).
-        """
-        parent = parent if parent is not None else self.current()
-        id_map: Dict[Any, int] = {}
-        adopted: List[Span] = []
-        with self._lock:
-            for record in exported:
-                id_map[record.get("span_id")] = next(self._ids)
-        for record in exported:
-            old_parent = record.get("parent_id")
-            new_parent = id_map.get(old_parent, parent.span_id)
-            span = Span(
-                id_map[record.get("span_id")],
-                new_parent,
-                str(record.get("name", "task")),
-                kind=str(record.get("kind", "task")),
-                attrs=dict(record.get("attrs", {})),
-            )
-            span.start_wall = float(record.get("start", span.start_wall))
-            span.seconds = float(record.get("seconds", 0.0))
-            span.annotations = [str(a) for a in record.get("annotations", [])]
-            span.pid = int(record.get("pid", span.pid))
-            span.finished = True
-            adopted.append(span)
-        with self._lock:
-            self.spans.extend(adopted)
-        return adopted
-
     # -- export --------------------------------------------------------
 
     def stage_spans(self) -> List[Span]:
@@ -415,7 +359,7 @@ class Tracer:
     def stage_digest(self) -> Dict[str, Any]:
         """A deterministic digest of the stage path this run took.
 
-        Covers stage names, order, fan-out widths, and non-timing
+        Covers stage names, order, item counts, and non-timing
         attributes — never durations, pids, or span ids — so identical
         configs and inputs produce identical digests.
         """
@@ -470,8 +414,8 @@ class Gauge:
 BUCKETS_PER_DECADE = 4
 
 #: Shared upper bucket bounds (inclusive, ``le`` semantics), fixed for
-#: every histogram so worker snapshots merge by plain per-bucket
-#: addition.  The span 1e-4 .. 1e7 covers both unit conventions in use:
+#: every histogram so Prometheus ``le`` series line up across scrapes.
+#: The span 1e-4 .. 1e7 covers both unit conventions in use:
 #: stage walls in seconds (0.1ms .. months) and latencies in µs
 #: (sub-µs .. 10s).  Values above the last bound land in the overflow
 #: bucket; values at or below the first bound land in bucket 0.
@@ -547,10 +491,7 @@ class Histogram:
     """A streaming summary of observations: count / sum / min / max plus
     fixed log-scaled bucket counts (:data:`HISTOGRAM_BUCKET_BOUNDS`).
 
-    The bucket layout is process-invariant, so two histograms merge by
-    adding bucket counts — the property the worker-snapshot round trip
-    (:meth:`MetricsRegistry.merge_snapshot`) relies on — and server-side
-    quantiles (p50/p90/p99) derive from the counts via
+    The bucket layout is fixed, so server-side quantiles (p50/p90/p99) derive from the counts via
     :func:`quantile_from_buckets` with bounded relative error.
     """
 
@@ -601,12 +542,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Thread-safe registry of named counters, gauges, and histograms.
-
-    Process-pool fan-outs snapshot the worker-side registry and merge it
-    back additively with :meth:`merge_snapshot`, so metric totals
-    survive the same round trip worker spans do.
-    """
+    """Thread-safe registry of named counters, gauges, and histograms."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -654,26 +590,6 @@ class MetricsRegistry:
                 },
             }
 
-    def merge_snapshot(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold a worker snapshot in: counters and histograms add,
-        gauges take the incoming value (last writer wins)."""
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).inc(int(value))
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, summary in snapshot.get("histograms", {}).items():
-            hist = self.histogram(name)
-            count = int(summary.get("count", 0))
-            if count == 0:
-                continue
-            with self._lock:
-                hist.count += count
-                hist.total += float(summary.get("sum", 0.0))
-                hist.minimum = min(hist.minimum, float(summary.get("min", 0.0)))
-                hist.maximum = max(hist.maximum, float(summary.get("max", 0.0)))
-                for key, n in (summary.get("buckets") or {}).items():
-                    hist.buckets[int(key)] += int(n)
-
     def clear(self) -> None:
         """Drop every metric (in place, so shared references survive)."""
         with self._lock:
@@ -682,7 +598,7 @@ class MetricsRegistry:
             self._histograms.clear()
 
 
-#: The process-global registry: the cache, executor, and fault injector
+#: The process-global registry: the cache and the fault injector
 #: report here by default, so zero-configuration runs still aggregate.
 _GLOBAL_METRICS = MetricsRegistry()
 
@@ -735,8 +651,8 @@ def build_run_manifest(
 
     The manifest answers "which inputs, code version, and stage path
     produced these datasets": the config's canonical fingerprint and
-    cache-key hash, every cache-key version tag, the engine/backend
-    settings the caller passes, the ambient fault-injection settings,
+    cache-key hash, every cache-key version tag, the engine settings
+    the caller passes, the ambient fault-injection settings,
     ``git describe``, and the tracer's per-stage span digest.
 
     Deterministic by construction: identical config + settings + stage
@@ -778,7 +694,10 @@ def build_run_manifest(
         "settings": fingerprint(dict(settings)) if settings is not None else {},
         "fault_injection": fault_injection,
         "git": git_describe(git_root) or "unknown",
-        "backend": getattr(stats, "backend", None),
+        # retired field (runs no longer choose an execution backend),
+        # pinned to null so the digest of an unchanged serve-store
+        # snapshot stays what earlier builds published
+        "backend": None,
         "span_digest": (
             stats.tracer.stage_digest()
             if stats is not None and getattr(stats, "tracer", None) is not None

@@ -4,8 +4,8 @@ Historical-attribution services serve this workload with precomputation
 and caching; knowing *which* stage dominates is what makes that
 precomputation targeted.  A :class:`PipelineStats` is threaded through
 ``build_datasets`` (and from there into the restoration and lifetime
-builders); every stage records wall time and how many items it fanned
-out over.  The CLI surfaces it via ``simulate --profile`` and the
+builders); every stage records wall time and how many items it
+processed.  The CLI surfaces it via ``simulate --profile`` and the
 scaling benchmark persists it to ``benchmarks/results/``.
 
 Since the observability layer landed, :class:`PipelineStats` no longer
@@ -28,26 +28,13 @@ from .observability import MetricsRegistry, Span, Tracer, resolve_metrics
 __all__ = ["StageTiming", "PipelineStats"]
 
 
-def _human_bytes(n: int) -> str:
-    """``4242`` → ``'4.1KiB'`` — compact payload sizes for the table."""
-    value = float(n)
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if value < 1024 or unit == "GiB":
-            return f"{value:.1f}{unit}" if unit != "B" else f"{int(value)}B"
-        value /= 1024
-    return f"{int(value)}B"  # pragma: no cover - unreachable
-
-
 @dataclass
 class StageTiming:
-    """One stage's wall time and (optional) fan-out width/payload."""
+    """One stage's wall time and (optional) item count."""
 
     name: str
     seconds: float
     items: Optional[int] = None
-    #: Total pickled payload bytes the stage's pool fan-outs shipped to
-    #: workers (``None`` when the stage never crossed a process pool).
-    bytes_shipped: Optional[int] = None
 
     def rate(self) -> Optional[float]:
         """Items per second, when both are known."""
@@ -60,8 +47,7 @@ class PipelineStats:
     """Ordered per-stage timings of one pipeline run.
 
     Besides timings, a run accumulates :attr:`events` — the runtime's
-    degradation log (cache quarantines, failed stores, worker-pool
-    retries, serial fallback).  A clean run has an empty list; anything
+    degradation log (cache quarantines, failed stores).  A clean run has an empty list; anything
     in it means the pipeline survived a fault and how.
 
     Parameters
@@ -77,12 +63,10 @@ class PipelineStats:
 
     def __init__(
         self,
-        backend: str = "serial",
         *,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.backend = backend
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = resolve_metrics(metrics)
 
@@ -90,12 +74,7 @@ class PipelineStats:
     def stages(self) -> List[StageTiming]:
         """Finished stage spans, projected to the profile view."""
         return [
-            StageTiming(
-                name=span.name,
-                seconds=span.seconds,
-                items=span.items,
-                bytes_shipped=span.attrs.get("bytes_shipped"),
-            )
+            StageTiming(name=span.name, seconds=span.seconds, items=span.items)
             for span in self.tracer.stage_spans()
         ]
 
@@ -105,11 +84,11 @@ class PipelineStats:
         return self.tracer.events
 
     def note(self, message: str) -> None:
-        """Record one runtime event (retry, quarantine, degradation)."""
+        """Record one runtime event (quarantine, failed store)."""
         self.tracer.note(message)
 
     def drain_events_from(self, *sources: object) -> None:
-        """Move the ``events`` logs of caches/executors into this run.
+        """Move the ``events`` logs of caches into this run.
 
         The source log is snapshotted before extending and cleared
         afterwards, so a source reused across runs never re-reports old
@@ -177,19 +156,15 @@ class PipelineStats:
         stages = self.stages
         total = sum(stage.seconds for stage in stages)
         lines = [
-            f"Pipeline profile ({self.backend} backend, {total:.3f}s total)",
-            f"{'stage':<28} {'seconds':>9} {'share':>7} {'items':>8} {'shipped':>9}",
+            f"Pipeline profile ({total:.3f}s total)",
+            f"{'stage':<28} {'seconds':>9} {'share':>7} {'items':>8}",
         ]
         for stage in stages:
             share = stage.seconds / total if total > 0 else 0.0
             items = "" if stage.items is None else str(stage.items)
-            shipped = (
-                "" if stage.bytes_shipped is None
-                else _human_bytes(stage.bytes_shipped)
-            )
             lines.append(
                 f"{stage.name:<28} {stage.seconds:>9.3f} {share:>6.1%} "
-                f"{items:>8} {shipped:>9}"
+                f"{items:>8}"
             )
         if self.events:
             lines.append(f"runtime events ({len(self.events)}):")
@@ -238,7 +213,4 @@ class PipelineStats:
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<PipelineStats backend={self.backend} "
-            f"stages={len(self.stages)} events={len(self.events)}>"
-        )
+        return f"<PipelineStats stages={len(self.stages)} events={len(self.events)}>"

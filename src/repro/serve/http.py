@@ -30,7 +30,11 @@ the optional structured access log.  Request heads we refuse to parse
 (oversized line, malformed head, header flood) are counted under
 ``serve.http.dropped`` and — where the byte stream still permits a
 response — answered with a ``400`` + ``Connection: close`` instead of
-a silent hangup.
+a silent hangup.  The API takes no request bodies: a request that
+declares one (``Content-Length`` > 0, or any ``Transfer-Encoding``) is
+answered with a closing ``413`` or ``501`` and counted under
+``serve.http.dropped|reason=request-body``, so body bytes are never
+read as the next request on a keep-alive connection.
 """
 
 from __future__ import annotations
@@ -68,17 +72,18 @@ class _BadRequest(Exception):
 
 
 class _DroppedRequest(Exception):
-    """A request head we refuse to parse.
+    """A request we refuse to serve.
 
     ``reason`` feeds ``serve.http.dropped``; ``respond`` says whether
-    the byte stream is still in a state where a 400 can be written
+    the byte stream is still in a state where ``status`` can be written
     (always followed by ``Connection: close`` — framing is suspect).
     """
 
-    def __init__(self, reason: str, respond: bool) -> None:
+    def __init__(self, reason: str, respond: bool, status: int = 400) -> None:
         super().__init__(reason)
         self.reason = reason
         self.respond = respond
+        self.status = status
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -227,7 +232,8 @@ class LifetimesServer:
                     if drop.respond:
                         body = _json_body({"error": drop.reason})
                         writer.write(
-                            self._head(400, len(body), False, _JSON) + body
+                            self._head(drop.status, len(body), False, _JSON)
+                            + body
                         )
                         await writer.drain()
                     break
@@ -272,8 +278,9 @@ class LifetimesServer:
     ) -> Optional[Tuple[str, str, bool]]:
         """One request head → (method, target, keep_alive), EOF → None.
 
-        Unparseable heads raise :class:`_DroppedRequest` so the caller
-        can count them and, when ``respond`` is set, still answer 400.
+        Unparseable heads, and heads that declare a request body, raise
+        :class:`_DroppedRequest` so the caller can count them and, when
+        ``respond`` is set, still answer before closing.
         """
         try:
             line = await reader.readline()
@@ -293,6 +300,8 @@ class LifetimesServer:
             raise _DroppedRequest("malformed-head", True)
         method, target, version = parts
         keep_alive = version.upper() != "HTTP/1.0"
+        content_length = 0
+        chunked = False
         for _ in range(MAX_HEADER_LINES):
             try:
                 header = await reader.readline()
@@ -303,10 +312,26 @@ class LifetimesServer:
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _sep, value = header.decode("latin-1").partition(":")
-            if name.strip().lower() == "connection":
+            name = name.strip().lower()
+            if name == "connection":
                 keep_alive = value.strip().lower() != "close"
+            elif name == "content-length":
+                try:
+                    content_length = int(value.strip())
+                except ValueError:
+                    raise _DroppedRequest("malformed-head", True) from None
+                if content_length < 0:
+                    raise _DroppedRequest("malformed-head", True)
+            elif name == "transfer-encoding":
+                chunked = True
         else:
             raise _DroppedRequest("header-flood", True)
+        # the body is never read, so a request that carries one must
+        # end the connection: its bytes would parse as the next request
+        if chunked:
+            raise _DroppedRequest("request-body", True, 501)
+        if content_length > 0:
+            raise _DroppedRequest("request-body", True, 413)
         return method, target, keep_alive
 
     @staticmethod
@@ -318,7 +343,9 @@ class LifetimesServer:
             400: "Bad Request",
             404: "Not Found",
             405: "Method Not Allowed",
+            413: "Content Too Large",
             500: "Internal Server Error",
+            501: "Not Implemented",
         }.get(status, "Error")
         connection = "keep-alive" if keep_alive else "close"
         return (

@@ -485,7 +485,6 @@ def build_store(
     min_peers: int = 2,
     min_corroboration: int = 2,
     shard_size: int = DEFAULT_SHARD_SIZE,
-    executor: Any = None,
     cache: Any = None,
     stats: Optional[PipelineStats] = None,
     faults: Any = USE_ENV_FAULTS,
@@ -517,7 +516,6 @@ def build_store(
         min_peers=min_peers,
         min_corroboration=min_corroboration,
         engine="columnar",
-        executor=executor,
         cache=cache,
         stats=stats,
     )

@@ -9,8 +9,8 @@ buckets (:mod:`repro.runtime.observability`):
 * **Labeled metric names** — the flat :class:`MetricsRegistry`
   namespace grows a canonical label encoding
   (``serve.http.requests|route=/asn/{n}/lives|status=200``) so
-  per-route/per-status series ride the existing additive snapshot
-  merge.  Labels always use *route templates*, never raw paths, so
+  per-route/per-status series ride the existing flat snapshot.
+  Labels always use *route templates*, never raw paths, so
   series cardinality is bounded by the route table, not the universe
   of ASNs clients probe.
 * **Prometheus text exposition** — :func:`render_exposition` turns a
@@ -90,7 +90,7 @@ def labeled(name: str, **labels: Any) -> str:
 
     The separator never appears in route templates or status codes, so
     the encoding is unambiguous; sorted keys make the name canonical,
-    so the same series from two workers merges into one entry.
+    so the same series always lands in one entry.
     """
     return name + "".join(
         f"{_LABEL_SEP}{key}={labels[key]}" for key in sorted(labels)

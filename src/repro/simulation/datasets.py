@@ -8,12 +8,12 @@ lifetime datasets.  The returned bundle carries every intermediate
 artifact plus the ground truth, so analyses can be validated and not
 just run.
 
-The run itself goes through the :mod:`repro.runtime` subsystem: an
-executor fans the parallel stages out (per-ASN-chunk lifetime
-inference; restoration always runs in-process), a
-:class:`PipelineStats` records what each stage cost, and an :class:`ArtifactCache` lets an identical
-configuration skip the rebuild entirely — the pipeline equivalent of
-serving historical queries from precomputed state.
+The run itself goes through the :mod:`repro.runtime` subsystem: every
+stage runs once, in-process, over all of its items; a
+:class:`PipelineStats` records what each stage cost, and an
+:class:`ArtifactCache` lets an identical configuration skip the
+rebuild entirely — the pipeline equivalent of serving historical
+queries from precomputed state.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from ..runtime.cache import (
     dumps_with_gc_paused,
     loads_with_gc_paused,
 )
-from ..runtime.executor import ExecutorSpec, resolve_executor
 from ..runtime.profiling import PipelineStats
 from .config import WorldConfig, tiny
 from .world import World, WorldSimulator
@@ -184,8 +183,6 @@ def build_datasets(
     pitfall_config: Optional[PitfallConfig] = None,
     timeout: int = 30,
     min_peers: int = 2,
-    jobs: Optional[int] = None,
-    executor: ExecutorSpec = None,
     cache: Union[ArtifactCache, str, Path, None] = None,
     cache_verify: str = "sha256",
     stats: Optional[PipelineStats] = None,
@@ -195,14 +192,6 @@ def build_datasets(
 
     Parameters
     ----------
-    jobs:
-        Shorthand executor spec: ``None``/``0``/``1`` runs serially,
-        ``N >= 2`` fans parallel stages out over ``N`` worker
-        processes.  Ignored when ``executor`` is given.
-    executor:
-        An explicit :class:`~repro.runtime.executor.PipelineExecutor`
-        (or spec string) to run the parallel stages on.  Output is
-        bit-identical across backends.
     cache:
         An :class:`~repro.runtime.cache.ArtifactCache` (or a cache
         directory path).  A warm hit skips simulation, injection,
@@ -217,8 +206,7 @@ def build_datasets(
     stats:
         Optional :class:`~repro.runtime.profiling.PipelineStats`
         collecting per-stage wall times, item counts, and the
-        runtime's degradation events (quarantines, worker retries,
-        serial fallback).
+        runtime's degradation events (quarantines, failed stores).
     scenario_key:
         Fingerprint of the scenario this config was compiled from
         (see :mod:`repro.scenario`), folded into the bundle cache key;
@@ -255,23 +243,11 @@ def build_datasets(
             return artifact
         timing.set_attr("cache", "miss")
 
-    spec = executor if executor is not None else jobs
-    executor = resolve_executor(spec)
-    owns_executor = executor is not spec
-    executor.instrument(stats.tracer, stats.metrics)
-    stats.backend = executor.name
-    try:
-        bundle = _build(
-            config, executor, stats,
-            inject_pitfalls=inject_pitfalls, pitfall_config=pitfall_config,
-            timeout=timeout, min_peers=min_peers,
-        )
-    finally:
-        stats.drain_events_from(executor)
-        if getattr(executor, "degraded", False):
-            stats.backend = f"{executor.name}/degraded-serial"
-        if owns_executor:
-            executor.close()
+    bundle = _build(
+        config, stats,
+        inject_pitfalls=inject_pitfalls, pitfall_config=pitfall_config,
+        timeout=timeout, min_peers=min_peers,
+    )
 
     if cache is not None and key is not None:
         with stats.stage("cache:store", component="cache"):
@@ -284,7 +260,6 @@ def build_datasets(
 
 def _build(
     config: WorldConfig,
-    executor,
     stats: PipelineStats,
     *,
     inject_pitfalls: bool,
@@ -323,12 +298,12 @@ def _build(
     )
 
     with stats.stage("admin-lifetimes", component="lifetimes") as timing:
-        admin_lives = build_admin_lifetimes(restored, executor=executor)
+        admin_lives = build_admin_lifetimes(restored)
         timing.items = len(admin_lives)
     with stats.stage("bgp-lifetimes", component="lifetimes") as timing:
         op_lives = build_bgp_lifetimes(
             world.activities, timeout=timeout, min_peers=min_peers,
-            end_day=config.end_day, executor=executor,
+            end_day=config.end_day,
         )
         timing.items = len(op_lives)
 

@@ -20,7 +20,10 @@ from repro.bgp import (
     read_elements,
     write_elements,
 )
+from repro.bgp.dumps import dump_file_name, materialize_collector_dumps
 from repro.net import Prefix
+from repro.simulation.config import tiny
+from repro.simulation.world import WorldSimulator
 from repro.timeline import from_iso
 
 D = from_iso("2015-06-01")
@@ -176,3 +179,35 @@ class TestMoas:
         )
         assert len(new) == 1
         assert new[0].origins == {30, 41}
+
+
+class TestCollectorDumps:
+    def test_collector_dumps_bit_identical(self, tmp_path):
+        world = WorldSimulator(tiny(seed=7)).run()
+        end = world.end_day
+        start = end - 4
+        announcements = {
+            day: world.announcements_for_day(day) for day in range(start, end + 1)
+        }
+        written = {}
+        for label in ("first", "second"):
+            written[label] = materialize_collector_dumps(
+                world.topology, world.collectors, announcements,
+                tmp_path / label, start=start, end=end,
+            )
+        assert written["first"] == written["second"]
+        assert set(written["first"]) == {c.name for c in world.collectors}
+        for collector in world.collectors:
+            for day in range(start, end + 1):
+                name = dump_file_name(day)
+                first = tmp_path / "first" / collector.name / name
+                second = tmp_path / "second" / collector.name / name
+                assert first.read_bytes() == second.read_bytes()
+
+    def test_rejects_inverted_window(self, tmp_path):
+        world = WorldSimulator(tiny(seed=7)).run()
+        with pytest.raises(ValueError):
+            materialize_collector_dumps(
+                world.topology, world.collectors, {}, tmp_path,
+                start=world.end_day, end=world.end_day - 1,
+            )

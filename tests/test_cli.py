@@ -26,17 +26,15 @@ class TestParser:
     def test_simulate_fault_tolerance_defaults(self):
         args = build_parser().parse_args(["simulate"])
         assert args.cache_verify == "sha256"
-        assert args.retries == 2
-        assert args.on_worker_failure == "serial"
 
     def test_simulate_fault_tolerance_flags(self):
-        args = build_parser().parse_args([
-            "simulate", "--cache-verify", "off",
-            "--retries", "5", "--on-worker-failure", "raise",
-        ])
+        args = build_parser().parse_args(["simulate", "--cache-verify", "off"])
         assert args.cache_verify == "off"
-        assert args.retries == 5
-        assert args.on_worker_failure == "raise"
+        # every run is one process: the pool's knobs are gone
+        assert not hasattr(args, "jobs")
+        for retired in (["--retries", "5"], ["--on-worker-failure", "raise"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["simulate", *retired])
 
     def test_rejects_unknown_cache_verify_mode(self):
         with pytest.raises(SystemExit):

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 import pytest
 
 from repro.rir.pitfalls import PitfallConfig
-from repro.runtime import PIPELINE_VERSION, ArtifactCache, cache_key, fingerprint
+from repro.runtime import (
+    PIPELINE_VERSION,
+    ArtifactCache,
+    PipelineStats,
+    cache_key,
+    fingerprint,
+)
+from repro.simulation import build_datasets
 from repro.simulation.config import tiny
 
 
@@ -199,3 +206,35 @@ class TestArtifactCache:
         assert cache.store_failures == 0
         assert cache.load(key) == payload
         assert not [p for p in tmp_path.iterdir() if ".tmp" in p.name]
+
+
+@pytest.fixture(scope="module")
+def serial_bundle():
+    return build_datasets(tiny(seed=7))
+
+
+class TestCachedBundle:
+    def test_warm_hit_equals_cold_build(self, tmp_path, serial_bundle):
+        cache = ArtifactCache(tmp_path, faults=None)  # pins exact hit counts
+        cold = build_datasets(tiny(seed=7), cache=cache)
+        stats = PipelineStats()
+        warm = build_datasets(tiny(seed=7), cache=cache, stats=stats)
+        assert cache.hits == 1
+        # a hit returns before any pipeline stage runs
+        assert [s.name for s in stats.stages] == ["cache:lookup"]
+        for bundle in (cold, warm):
+            assert bundle.restored.stints == serial_bundle.restored.stints
+            assert bundle.admin_lives == serial_bundle.admin_lives
+            assert bundle.op_lives == serial_bundle.op_lives
+            assert (
+                bundle.joint.taxonomy.table3_rows()
+                == serial_bundle.joint.taxonomy.table3_rows()
+            )
+
+    def test_parameter_change_misses(self, tmp_path):
+        cache = ArtifactCache(tmp_path, faults=None)  # pins exact hit counts
+        build_datasets(tiny(seed=7), cache=cache)
+        build_datasets(tiny(seed=7), cache=cache, timeout=60)
+        # timeout is part of the bundle key, so both builds miss
+        assert cache.misses == 2
+        assert cache.hits == 0

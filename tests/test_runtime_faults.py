@@ -1,17 +1,16 @@
 """Fault-matrix tests: every injector × every hardened runtime path.
 
-The contract under test is ISSUE 3's acceptance criterion: every
-injected failure — torn write, truncated entry, manifest mismatch,
-read/write/replace ``OSError``, disk full, read-only directory, worker
-death — must end in either a correct rebuilt artifact or a clean,
-typed error.  Never a silent wrong answer, and never an infinite
+The contract under test: every injected failure — torn write,
+truncated entry, manifest mismatch, read/write/replace ``OSError``,
+disk full, read-only directory — must end in either a correct rebuilt
+artifact or a clean, typed error.  Never a silent wrong answer, and never an infinite
 rebuild loop.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -21,9 +20,6 @@ from repro.runtime import (
     FaultInjector,
     FaultSpec,
     PipelineStats,
-    ProcessPoolBackend,
-    SerialExecutor,
-    WorkerPoolError,
 )
 from repro.runtime.faults import from_env
 from repro.simulation import build_datasets
@@ -47,9 +43,9 @@ class TestFaultSpec:
 
     def test_rejects_kind_at_wrong_site(self):
         with pytest.raises(ValueError):
-            FaultSpec("worker", "torn-write")
+            FaultSpec("cache:read", "torn-write")
         with pytest.raises(ValueError):
-            FaultSpec("cache:read", "worker-death")
+            FaultSpec("cache:replace", "truncate")
 
     def test_rejects_bad_rate_and_fires(self):
         with pytest.raises(ValueError):
@@ -86,11 +82,11 @@ class TestInjectorDeterminism:
         assert inj.fired() == 1
 
     def test_event_log_records_site_and_kind(self):
-        inj = _once("worker", "worker-death")
-        with pytest.raises(Exception):
-            inj.on_worker_dispatch()
-        assert inj.events[0].site == "worker"
-        assert inj.events[0].kind == "worker-death"
+        inj = _once("cache:replace", "read-only")
+        with pytest.raises(OSError):
+            inj.on_replace(Path("a.tmp"), Path("a"))
+        assert inj.events[0].site == "cache:replace"
+        assert inj.events[0].kind == "read-only"
 
 
 class TestCacheFaultMatrix:
@@ -225,77 +221,6 @@ class TestCacheFaultMatrix:
         assert moved[0].read_bytes() == b"definitely corrupt"
 
 
-_MAIN_PID = os.getpid()
-
-
-def _die_in_worker(payload):
-    """Kill the hosting process — unless it is the main test process.
-
-    Dispatched to a pool worker this reproduces a genuine abrupt worker
-    death (``BrokenProcessPool``); run inline after degradation it
-    simply computes, which is exactly the degraded path's promise.
-    """
-    main_pid, x = payload
-    if os.getpid() != main_pid:
-        os._exit(3)
-    return x * 2
-
-
-def _double(x):
-    return x * 2
-
-
-class TestExecutorFaultMatrix:
-    def test_transient_worker_death_survived_by_retry(self):
-        inj = _once("worker", "worker-death")
-        with ProcessPoolBackend(2, retries=2, backoff=0.0, faults=inj) as ex:
-            assert ex.map(_double, [1, 2, 3]) == [2, 4, 6]
-            assert ex.retry_count == 1
-            assert not ex.degraded
-            assert ex.events  # the retry is surfaced
-
-    def test_persistent_failure_degrades_to_serial(self):
-        inj = _always("worker", "worker-death")
-        with ProcessPoolBackend(
-            2, retries=1, backoff=0.0, on_failure="serial", faults=inj
-        ) as ex:
-            assert ex.map(_double, [1, 2]) == [2, 4]
-            assert ex.degraded
-            assert any("degraded" in e for e in ex.events)
-            # degradation is permanent and stays correct
-            assert ex.map(_double, [3, 4]) == [6, 8]
-
-    def test_persistent_failure_raises_typed_error(self):
-        inj = _always("worker", "worker-death")
-        with ProcessPoolBackend(2, retries=1, backoff=0.0, faults=inj) as ex:
-            with pytest.raises(WorkerPoolError) as err:
-                ex.map(_double, [1, 2])
-            assert err.value.attempts == 2
-
-    def test_real_worker_death_mid_stage(self):
-        # not an injected exception: the worker process genuinely dies
-        # (os._exit) and concurrent.futures reports BrokenProcessPool
-        payloads = [(_MAIN_PID, x) for x in (1, 2, 3)]
-        with ProcessPoolBackend(
-            2, retries=1, backoff=0.0, on_failure="serial", faults=None
-        ) as ex:
-            assert ex.map(_die_in_worker, payloads) == [2, 4, 6]
-            assert ex.degraded
-
-    def test_task_errors_are_not_retried(self):
-        calls = {"n": 0}
-
-        def count_calls(_):
-            calls["n"] += 1
-            raise KeyError("task bug")
-
-        with ProcessPoolBackend(2, retries=3, backoff=0.0, faults=None) as ex:
-            ex.degraded = True  # run inline so the counter is shared
-            with pytest.raises(KeyError):
-                ex.map(count_calls, [1])
-        assert calls["n"] == 1
-
-
 class TestPipelineUnderFaults:
     """End-to-end: faults anywhere, identical datasets everywhere."""
 
@@ -322,21 +247,6 @@ class TestPipelineUnderFaults:
             assert bundle.admin_lives == clean.admin_lives
             assert bundle.op_lives == clean.op_lives
         assert cache.hits == 0  # every lookup degraded to a miss
-
-    def test_degraded_executor_surfaces_in_stats(self):
-        stats = PipelineStats()
-        executor = ProcessPoolBackend(
-            2,
-            retries=0,
-            backoff=0.0,
-            on_failure="serial",
-            faults=_always("worker", "worker-death"),
-        )
-        with executor:
-            bundle = build_datasets(tiny(seed=11), executor=executor, stats=stats)
-        assert stats.backend == "process/degraded-serial"
-        assert any("degraded" in event for event in stats.events)
-        assert bundle.admin_lives == build_datasets(tiny(seed=11)).admin_lives
 
     def test_stats_render_includes_events(self):
         stats = PipelineStats()
@@ -366,8 +276,3 @@ class TestEnvInjection:
         assert cache.faults is from_env()
         explicit = ArtifactCache(tmp_path, faults=None)
         assert explicit.faults is None
-
-    def test_serial_executor_untouched_by_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_SEED", "42")
-        ex = SerialExecutor()
-        assert ex.map(_double, [1]) == [2]

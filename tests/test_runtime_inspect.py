@@ -2,8 +2,9 @@
 
 The diff tests build synthetic manifest+metrics+trace triples with a
 *known* injected regression — one deliberately slowed stage, one forced
-cache miss, one newly imbalanced fan-out — and assert ``diff_runs``
-attributes each delta to the right cause.  The registry tests cover
+cache miss — and assert ``diff_runs`` attributes each delta to the
+right cause.  Runs written before the process pool was removed (worker
+``task`` spans, a manifest naming its ``backend``) must still load.  The registry tests cover
 digest-prefix resolution, ambiguity, and torn-line tolerance.
 """
 
@@ -25,6 +26,7 @@ from repro.runtime import (
     render_trace,
     resolve_run,
 )
+from repro.cli import main
 from repro.runtime.runs import run_path
 
 TRACE_HEADER = {"format": "pipeline-trace/v1", "trace_id": "cafe"}
@@ -63,8 +65,7 @@ class TestTraceView:
         assert [s["name"] for s in view.roots] == ["run"]
         assert [s["name"] for s in view.children[1]] == ["simulate", "restore"]
         assert [s["name"] for s in view.stage_spans()] == ["simulate", "restore"]
-        restore = view.by_id[3]
-        assert [t["name"] for t in view.tasks_of(restore)] == ["task-a", "task-b"]
+        assert [t["name"] for t in view.children[3]] == ["task-a", "task-b"]
 
     def test_load_accepts_run_directory(self, tmp_path):
         _write_trace(tmp_path / "trace.jsonl", _tree_spans())
@@ -116,8 +117,10 @@ def _write_run(path, *, digest, stages, cache=None, tasks=None,
     """A synthetic manifest+metrics+trace triple.
 
     ``stages`` maps stage name -> wall seconds; ``cache`` maps stage
-    name -> hit/miss span attribute; ``tasks`` maps stage name -> task
-    child durations (for fan-out imbalance).
+    name -> hit/miss span attribute; ``tasks`` maps stage name -> the
+    durations of worker ``task`` children, the shape traces had while
+    runs could fan out over a process pool (whose manifests also named
+    their ``backend``).
     """
     path.mkdir(parents=True, exist_ok=True)
     (path / "run_manifest.json").write_text(json.dumps({
@@ -148,7 +151,8 @@ def _write_run(path, *, digest, stages, cache=None, tasks=None,
         next_id += 1
         for task_seconds in (tasks or {}).get(name, []):
             spans.append(_span(next_id, stage_id, f"{name}[t]", kind="task",
-                               start=float(index), seconds=task_seconds))
+                               start=float(index), seconds=task_seconds,
+                               attrs={"worker": True}))
             next_id += 1
     _write_trace(path / "trace.jsonl", spans)
     return path
@@ -156,22 +160,19 @@ def _write_run(path, *, digest, stages, cache=None, tasks=None,
 
 class TestDiffRuns:
     def test_attributes_the_injected_regressions(self, tmp_path):
-        # run A: warm restore hit, fast stream, balanced fan-out
+        # run A: warm restore hit, fast stream
         a = load_run(_write_run(
             tmp_path / "a", digest="aaa111",
             stages={"simulate": 0.30, "bgp:stream": 0.10,
-                    "restore:archive": 0.02, "fanout": 0.40},
+                    "restore:archive": 0.02},
             cache={"restore:archive": "hit"},
-            tasks={"fanout": [0.1, 0.1, 0.1, 0.1]},
         ))
-        # run B: same config, one slowed stage, one forced cache miss,
-        # one straggler-dominated fan-out
+        # run B: same config, one slowed stage, one forced cache miss
         b = load_run(_write_run(
             tmp_path / "b", digest="bbb222", span_sha="spans2",
             stages={"simulate": 0.31, "bgp:stream": 0.50,
-                    "restore:archive": 0.80, "fanout": 1.00},
+                    "restore:archive": 0.80},
             cache={"restore:archive": "miss"},
-            tasks={"fanout": [0.05, 0.05, 0.05, 0.85]},
         ))
         diff = diff_runs(a, b)
         causes = {row["stage"]: row["cause"] for row in diff["stages"]}
@@ -179,17 +180,15 @@ class TestDiffRuns:
             "simulate": "unchanged",
             "bgp:stream": "stage-slowdown",
             "restore:archive": "cache-miss",
-            "fanout": "fan-out-imbalance",
         }
         identity = diff["identity"]
         assert not identity["same_digest"]
         assert identity["same_config"]
         assert not identity["same_span_digest"]
-        assert diff["total_delta"] == pytest.approx(1.79)
+        assert diff["total_delta"] == pytest.approx(1.19)
 
         text = render_diff(diff)
         assert "cache hit→miss" in text
-        assert "fan-out-imbalance" in text
         assert "span digest differs" in text
 
     def test_reverse_direction_reads_as_recovery(self, tmp_path):
@@ -214,10 +213,39 @@ class TestDiffRuns:
 
     def test_settings_changes_reported(self, tmp_path):
         a = load_run(_write_run(tmp_path / "a", digest="a",
-                                stages={"s": 0.1}, settings={"jobs": 1}))
+                                stages={"s": 0.1}, settings={"timeout": 30}))
         b = load_run(_write_run(tmp_path / "b", digest="b",
-                                stages={"s": 0.1}, settings={"jobs": 4}))
-        assert diff_runs(a, b)["identity"]["settings_changed"] == ["jobs"]
+                                stages={"s": 0.1}, settings={"timeout": 60}))
+        assert diff_runs(a, b)["identity"]["settings_changed"] == ["timeout"]
+
+    def test_reads_pool_era_runs(self, tmp_path, capsys):
+        # a run from when stages fanned out over a process pool: task
+        # children under a stage and a manifest naming its backend
+        a = _write_run(
+            tmp_path / "a", digest="aaa111",
+            stages={"admin-lifetimes": 0.40, "simulate": 0.30},
+            tasks={"admin-lifetimes": [0.05, 0.05, 0.05, 0.85]},
+        )
+        manifest = json.loads((a / "run_manifest.json").read_text())
+        manifest["backend"] = "process"
+        (a / "run_manifest.json").write_text(json.dumps(manifest))
+        b = _write_run(
+            tmp_path / "b", digest="bbb222",
+            stages={"admin-lifetimes": 0.10, "simulate": 0.30},
+        )
+
+        assert main(["inspect", "trace", str(a)]) == 0
+        out = capsys.readouterr().out
+        assert "admin-lifetimes[t]" in out
+        assert main(["inspect", "diff", str(a), str(b)]) == 0
+        out = capsys.readouterr().out
+        assert "stage-speedup" in out
+
+        diff = diff_runs(load_run(a), load_run(b))
+        causes = {row["stage"]: row["cause"] for row in diff["stages"]}
+        assert causes == {
+            "admin-lifetimes": "stage-speedup", "simulate": "unchanged",
+        }
 
     def test_sub_floor_noise_is_unchanged(self, tmp_path):
         # 3ms -> 9ms is a 200% swing but under the absolute floor

@@ -1,11 +1,9 @@
 """Observability-layer tests: spans, metrics, manifests, event draining.
 
-The contract under test is ISSUE 4's acceptance criterion: the span
-tree of an instrumented run covers every profiled stage — including
-worker-side spans merged back from the process pool — the run manifest
-reproduces byte-identically for identical config and inputs, and
-metric totals survive both the process-pool round trip and ambient
-fault injection.
+The contract under test: the span tree of an instrumented run covers
+every profiled stage, the run manifest reproduces byte-identically for
+identical config and inputs, and metric totals survive ambient fault
+injection.
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ from repro.runtime import (
     FaultSpec,
     MetricsRegistry,
     PipelineStats,
-    ProcessPoolBackend,
-    SerialExecutor,
     Tracer,
     build_run_manifest,
     get_metrics,
@@ -34,15 +30,6 @@ from repro.runtime import (
 from repro.runtime.faults import from_env
 from repro.simulation import build_datasets
 from repro.simulation.config import tiny
-
-
-def _double(x):
-    return x * 2
-
-
-def _double_with_metrics(x):
-    get_metrics().inc("test.worker.calls")
-    return x * 2
 
 
 class TestSpanNesting:
@@ -83,7 +70,7 @@ class TestSpanNesting:
             assert span.parent_id == tracer.root.span_id
 
     def test_trace_lines_have_header_and_root(self, tmp_path):
-        tracer = Tracer(backend="serial")
+        tracer = Tracer()
         with tracer.span("simulate", kind="stage", items=10):
             pass
         path = tracer.write_jsonl(tmp_path / "trace.jsonl")
@@ -100,63 +87,6 @@ class TestSpanNesting:
             tracer.note("cache: quarantined entry")
         assert tracer.events == ["cache: quarantined entry"]
         assert span.annotations == ["cache: quarantined entry"]
-
-
-class TestWorkerSpanMerging:
-    def test_pool_spans_adopted_as_tasks(self):
-        stats = PipelineStats(metrics=MetricsRegistry())
-        with ProcessPoolBackend(2, retries=1, backoff=0.0) as ex:
-            ex.instrument(stats.tracer, stats.metrics)
-            with stats.stage("fanout", items=6):
-                assert ex.map(_double, [1, 2, 3, 4, 5, 6]) == [2, 4, 6, 8, 10, 12]
-        task_spans = [s for s in stats.tracer.spans if s.kind == "task"]
-        assert len(task_spans) == 6
-        assert all(s.name == "task:_double" for s in task_spans)
-        assert all(s.finished for s in task_spans)
-        # worker spans nest under the stage span that was open at fan-out
-        stage = next(s for s in stats.tracer.spans if s.kind == "stage")
-        assert all(s.parent_id == stage.span_id for s in task_spans)
-
-    def test_pool_spans_carry_worker_pids(self):
-        stats = PipelineStats(metrics=MetricsRegistry())
-        with ProcessPoolBackend(2, retries=1, backoff=0.0) as ex:
-            ex.instrument(stats.tracer, stats.metrics)
-            ex.map(_double, list(range(8)))
-        pids = {s.pid for s in stats.tracer.spans if s.kind == "task"}
-        assert pids  # and at least some came from another process
-        import os
-
-        assert any(pid != os.getpid() for pid in pids)
-
-    def test_worker_metrics_merge_additively(self):
-        metrics = MetricsRegistry()
-        stats = PipelineStats(metrics=metrics)
-        with ProcessPoolBackend(2, retries=1, backoff=0.0) as ex:
-            ex.instrument(stats.tracer, metrics)
-            ex.map(_double_with_metrics, list(range(5)))
-        assert metrics.snapshot()["counters"]["test.worker.calls"] == 5
-
-    def test_serial_executor_spans_match_pool_shape(self):
-        stats = PipelineStats(metrics=MetricsRegistry())
-        ex = SerialExecutor()
-        ex.instrument(stats.tracer, stats.metrics)
-        assert ex.map(_double, [1, 2]) == [2, 4]
-        task_spans = [s for s in stats.tracer.spans if s.kind == "task"]
-        assert [s.name for s in task_spans] == ["task:_double"] * 2
-
-    def test_uninstrumented_pool_emits_no_spans(self):
-        stats = PipelineStats(metrics=MetricsRegistry())
-        with ProcessPoolBackend(2, retries=1, backoff=0.0) as ex:
-            assert ex.map(_double, [1, 2]) == [2, 4]
-        assert stats.tracer.spans == []
-
-    def test_determinism_contract_survives_instrumentation(self):
-        plain = build_datasets(tiny(seed=5))
-        stats = PipelineStats(metrics=MetricsRegistry())
-        with ProcessPoolBackend(2, retries=1, backoff=0.0) as ex:
-            traced = build_datasets(tiny(seed=5), executor=ex, stats=stats)
-        assert traced.admin_lives == plain.admin_lives
-        assert traced.op_lives == plain.op_lives
 
 
 class TestMetricsRegistry:
@@ -179,18 +109,6 @@ class TestMetricsRegistry:
             },
         }
 
-    def test_merge_snapshot_adds(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.inc("n", 1)
-        b.inc("n", 2)
-        b.observe("wall", 5.0)
-        a.observe("wall", 1.0)
-        a.merge_snapshot(b.snapshot())
-        snap = a.snapshot()
-        assert snap["counters"]["n"] == 3
-        assert snap["histograms"]["wall"]["count"] == 2
-        assert snap["histograms"]["wall"]["max"] == 5.0
-
     def test_clear_is_in_place(self):
         metrics = MetricsRegistry()
         metrics.inc("n")
@@ -209,42 +127,14 @@ class TestMetricsRegistry:
 
 
 class TestBucketedHistograms:
-    """The log-scaled bucket upgrade: additivity and the error bound."""
+    """The log-scaled buckets: the quantile error bound."""
 
-    # 1/64-granular values are binary fractions, so float sums are
-    # exact and order-independent — "identical" below means ==, not
-    # approximately equal.
+    # 1/64-granular values are binary fractions, so float sums are exact
     _values = st.lists(
         st.integers(min_value=1, max_value=2 ** 20).map(lambda k: k / 64),
         min_size=1,
         max_size=40,
     )
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(_values, min_size=1, max_size=5))
-    def test_merging_worker_snapshots_matches_one_registry(self, worker_values):
-        merged = MetricsRegistry()
-        for values in worker_values:
-            worker = MetricsRegistry()
-            for value in values:
-                worker.observe("wall", value)
-            merged.merge_snapshot(worker.snapshot())
-        single = MetricsRegistry()
-        for value in (v for values in worker_values for v in values):
-            single.observe("wall", value)
-        summary = merged.snapshot()["histograms"]["wall"]
-        expected = single.snapshot()["histograms"]["wall"]
-        assert summary == expected  # buckets, count, sum, min, max, mean
-        from repro.runtime.observability import quantile_from_buckets
-
-        for q in (0.0, 0.5, 0.9, 0.99, 1.0):
-            assert quantile_from_buckets(
-                summary["buckets"], q, count=summary["count"],
-                minimum=summary["min"], maximum=summary["max"],
-            ) == quantile_from_buckets(
-                expected["buckets"], q, count=expected["count"],
-                minimum=expected["min"], maximum=expected["max"],
-            )
 
     @settings(max_examples=60, deadline=None)
     @given(_values, st.floats(min_value=0.0, max_value=1.0))
@@ -355,7 +245,7 @@ class TestRunManifest:
         assert manifest["format"] == RUN_MANIFEST_FORMAT
         assert manifest["config_hash"]
         assert manifest["cache_versions"]["pipeline"]
-        assert manifest["backend"] == "serial"
+        assert manifest["backend"] is None  # retired field, pinned null
         assert manifest["span_digest"]["sha256"]
         stage_names = [row["name"] for row in manifest["span_digest"]["stages"]]
         assert "simulate" in stage_names
@@ -374,12 +264,12 @@ class TestRunManifest:
     def test_fault_injection_settings_captured(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_SEED", "2021")
         monkeypatch.setenv("REPRO_FAULT_RATE", "0.1")
-        monkeypatch.setenv("REPRO_FAULT_SITES", "cache:read,worker")
+        monkeypatch.setenv("REPRO_FAULT_SITES", "cache:read,cache:write")
         manifest = build_run_manifest(config=None, stats=None)
         assert manifest["fault_injection"] == {
             "seed": 2021,
             "rate": 0.1,
-            "sites": ["cache:read", "worker"],
+            "sites": ["cache:read", "cache:write"],
         }
         monkeypatch.delenv("REPRO_FAULT_SEED")
         assert build_run_manifest()["fault_injection"] is None
@@ -399,7 +289,7 @@ class TestDrainEvents:
         assert source.events == []
 
     def test_source_reused_across_runs_never_rereports(self):
-        """Regression: a cache/executor reused across runs must not
+        """Regression: a cache reused across runs must not
         re-report run 1's events into run 2."""
         source = _LogSource(["event-from-run-1"])
         first = PipelineStats(metrics=MetricsRegistry())

@@ -448,6 +448,53 @@ class TestRequestHardening:
         assert b"400 Bad Request" in raw
         assert self._dropped(server) == {"header-flood": 1}
 
+    def test_request_body_is_never_read_as_a_second_request(self, index):
+        # the body is a complete request of its own: a server that
+        # ignores Content-Length answers the POST, then the smuggled GET
+        smuggled = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+        payload = (
+            b"POST /healthz HTTP/1.1\r\n"
+            b"Content-Length: " + str(len(smuggled)).encode() + b"\r\n"
+            b"\r\n" + smuggled
+        )
+
+        async def interact(server, host, port):
+            return await _raw_exchange(host, port, payload)
+
+        raw, server = _serve_raw(index, interact)
+        assert raw.count(b"HTTP/1.1 ") == 1
+        assert raw.startswith(b"HTTP/1.1 413 Content Too Large\r\n")
+        assert b"Connection: close" in raw
+        assert self._dropped(server) == {"request-body": 1}
+        counters = server.metrics.snapshot()["counters"]
+        assert counters.get("serve.http.requests", 0) == 0
+
+    def test_chunked_request_body_answers_501(self, index):
+        payload = (
+            b"POST /healthz HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"1a\r\nGET /healthz HTTP/1.1\r\n\r\n\r\n0\r\n\r\n"
+        )
+
+        async def interact(server, host, port):
+            return await _raw_exchange(host, port, payload)
+
+        raw, server = _serve_raw(index, interact)
+        assert raw.count(b"HTTP/1.1 ") == 1
+        assert raw.startswith(b"HTTP/1.1 501 Not Implemented\r\n")
+        assert self._dropped(server) == {"request-body": 1}
+
+    def test_empty_declared_body_is_served(self, index):
+        async def interact(server, host, port):
+            return await _raw_exchange(
+                host, port,
+                b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n"
+                b"Connection: close\r\n\r\n",
+            )
+
+        raw, server = _serve_raw(index, interact)
+        assert raw.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert self._dropped(server) == {}
+
     def test_dropped_requests_never_count_as_served(self, index):
         async def interact(server, host, port):
             await _raw_exchange(host, port, b"junk\r\n\r\n")
