@@ -74,6 +74,14 @@ def _activity_stage_seconds(stats: PipelineStats) -> float:
     return sum(stats.seconds_of(name) for name in _ACTIVITY_STAGES)
 
 
+def _routing_line(label: str, stats: PipelineStats) -> str:
+    """The routing sweeps a run's BGP stages report, and their seconds."""
+    spans = [s for s in stats.tracer.stage_spans() if "routing_sweeps" in s.attrs]
+    sweeps = sum(s.attrs["routing_sweeps"] for s in spans)
+    seconds = sum(s.attrs["routing_s"] for s in spans)
+    return f"{label:<28} {seconds:>9.3f}s ({sweeps} sweeps)"
+
+
 def test_bgp_activity_scaling(record_result, tmp_path):
     """Columnar vs. object BGP activity: speed, determinism, warm hit.
 
@@ -140,6 +148,8 @@ def test_bgp_activity_scaling(record_result, tmp_path):
             baseline_label=f"object {ref_days}d",
         ),
         "",
+        _routing_line("routing in obj bgp:stream", object_stats),
+        _routing_line("routing in col bgp:sanitize", columnar_stats),
         f"{'object stream':<28} {object_seconds:>9.3f}s",
         f"{'columnar (cold, stores)':<28} {columnar_seconds:>9.3f}s",
         f"{'warm activity-table hit':<28} {warm_seconds:>9.3f}s",

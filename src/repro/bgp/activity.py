@@ -128,7 +128,7 @@ class ContributionIndex:
         table: Optional[PathTable] = None,
     ) -> None:
         self._collectors = list(collectors)
-        self._oracle = PathOracle(topology, all_peer_asns(collectors), table=table)
+        self.oracle = PathOracle(topology, all_peer_asns(collectors), table=table)
         self.peers: List[ASN] = sorted(all_peer_asns(collectors))
         self._peer_index: Dict[ASN, int] = {p: i for i, p in enumerate(self.peers)}
         self._cache: Dict[Announcement, Contribution] = {}
@@ -146,7 +146,7 @@ class ContributionIndex:
 
     @property
     def table(self) -> PathTable:
-        return self._oracle.table
+        return self.oracle.table
 
     def contribution(self, ann: Announcement) -> Contribution:
         cached = self._cache.get(ann)
@@ -158,8 +158,8 @@ class ContributionIndex:
         return cached
 
     def _compute(self, ann: Announcement) -> Contribution:
-        table = self._oracle.table
-        raw_ids = self._oracle.path_ids_for(ann.announcer)
+        table = self.oracle.table
+        raw_ids = self.oracle.path_ids_for(ann.announcer)
         routable = ann.prefix.is_globally_routable_length()
         plain = (
             ann.forged_origin is None
@@ -560,6 +560,10 @@ class ActivityReport:
     stream_seconds: float = 0.0
     sanitize_seconds: float = 0.0
     visibility_seconds: float = 0.0
+    #: Valley-free routing sweeps run (one per distinct announcer) and
+    #: their wall time, a part of ``sanitize_seconds``.
+    routing_sweeps: int = 0
+    routing_seconds: float = 0.0
     #: ASN-day totals per visibility class of the engine's activity runs
     #: (ledger input side).  Empty when the ledger is disabled.
     class_days_in: Dict[str, int] = field(default_factory=dict)
@@ -627,6 +631,8 @@ def _build_tables(
         stream_seconds=stream_seconds,
         sanitize_seconds=sanitize_seconds,
         visibility_seconds=max(0.0, run_seconds - sanitize_seconds),
+        routing_sweeps=engine.index.oracle.sweeps,
+        routing_seconds=engine.index.oracle.sweep_seconds,
         class_days_in=class_days_in,
         class_days=+class_days,
     )

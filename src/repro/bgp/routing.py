@@ -7,20 +7,23 @@ and prefers customer over peer over provider routes, breaking ties by
 path length and then lowest next hop (deterministic).
 
 :func:`best_paths` computes, for one announcing AS, the best AS path
-from *every* AS in the topology to the announcer — one O(V+E) sweep per
-announcement, which is what makes materializing collector RIBs cheap
-enough to run daily snapshots.
+from each of a set of vantage ASes (the collector peers) to the
+announcer.  An AS's provider route depends only on its providers'
+routes, so the sweep is confined to the vantages' provider closure: it
+climbs the announcer's full provider chain, then crosses peer links and
+descends customer links only inside that closure.  Its cost grows with
+the closure, not with the topology.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Collection, Dict, Optional, Sequence, Set, Tuple
 
 from ..asn.numbers import ASN
 from .topology import AsTopology
 
-__all__ = ["ROUTE_CUSTOMER", "ROUTE_PEER", "ROUTE_PROVIDER", "best_paths", "as_path_to"]
+__all__ = ["ROUTE_CUSTOMER", "ROUTE_PEER", "ROUTE_PROVIDER", "best_paths"]
 
 #: Route preference classes, in decreasing preference.
 ROUTE_CUSTOMER = 0
@@ -43,15 +46,33 @@ def _better(
     return path_a < path_b
 
 
-def best_paths(topo: AsTopology, announcer: ASN) -> Dict[ASN, Path]:
-    """Best valley-free AS path from every AS to ``announcer``.
+def best_paths(
+    topo: AsTopology, announcer: ASN, vantages: Collection[ASN]
+) -> Dict[ASN, Path]:
+    """Best valley-free AS path from each vantage AS to ``announcer``.
 
-    The returned path for AS ``x`` starts at ``x`` and ends at
-    ``announcer``; the announcer itself maps to the one-element path.
-    ASes with no valley-free route to the announcer are absent.
+    The returned path for vantage ``x`` starts at ``x`` and ends at
+    ``announcer``; the announcer itself, when a vantage, maps to the
+    one-element path.  Vantages with no valley-free route to the
+    announcer, or not in the topology, are absent.  Pass
+    ``topo.asns()`` for every AS's path.
+
+    Only ASes in the vantages' provider closure get peer or provider
+    routes: a provider route is derived from the providers' routes
+    alone, and the closure holds every provider of its members, so
+    each vantage's route is exactly the one a sweep over the whole
+    topology would find.  Paths come back in that sweep's order.
     """
     if announcer not in topo:
         return {}
+    # the vantages plus every transitive provider of theirs
+    closure: Set[ASN] = set(vantages)
+    stack = list(closure)
+    while stack:
+        for provider in topo.providers(stack.pop()):
+            if provider not in closure:
+                closure.add(provider)
+                stack.append(provider)
     route_class: Dict[ASN, int] = {announcer: ROUTE_CUSTOMER}
     route_path: Dict[ASN, Path] = {announcer: (announcer,)}
 
@@ -72,13 +93,14 @@ def best_paths(topo: AsTopology, announcer: ASN) -> Dict[ASN, Path]:
                 route_path[provider] = candidate
                 queue.append(provider)
 
-    # Phase 2 — one lateral peer hop over ASes holding customer routes.
+    # Phase 2 — one lateral peer hop over ASes holding customer routes,
+    # landing only inside the closure.
     with_customer_route = [
         asn for asn, cls in route_class.items() if cls == ROUTE_CUSTOMER
     ]
     for asn in sorted(with_customer_route, key=lambda a: (len(route_path[a]), a)):
         path = route_path[asn]
-        for peer in sorted(topo.peers(asn)):
+        for peer in sorted(topo.peers(asn) & closure):
             candidate = (peer,) + path
             if _better(
                 ROUTE_PEER, candidate, route_class.get(peer), route_path.get(peer)
@@ -87,11 +109,12 @@ def best_paths(topo: AsTopology, announcer: ASN) -> Dict[ASN, Path]:
                 route_path[peer] = candidate
 
     # Phase 3 — descend customer links; provider routes propagate down.
+    # A customer inside the closure has all its providers inside it.
     queue = deque(sorted(route_class, key=lambda a: (len(route_path[a]), a)))
     while queue:
         current = queue.popleft()
         path = route_path[current]
-        for customer in sorted(topo.customers(current)):
+        for customer in sorted(topo.customers(current) & closure):
             candidate = (customer,) + path
             if _better(
                 ROUTE_PROVIDER,
@@ -103,31 +126,7 @@ def best_paths(topo: AsTopology, announcer: ASN) -> Dict[ASN, Path]:
                 route_path[customer] = candidate
                 queue.append(customer)
 
-    return route_path
-
-
-def as_path_to(
-    paths: Dict[ASN, Path],
-    vantage: ASN,
-    *,
-    forged_origin: Optional[ASN] = None,
-    prepend: int = 0,
-) -> Optional[Path]:
-    """The AS path a vantage AS would report for this announcement.
-
-    ``forged_origin`` appends a squatted origin ASN behind the real
-    announcer (the §6.1.2 attack: the hijacker "disguises itself as
-    their transit" by forging the origin).  ``prepend`` repeats the
-    origin, modelling AS-path prepending.
-    """
-    path = paths.get(vantage)
-    if path is None:
-        return None
-    if forged_origin is not None:
-        path = path + (forged_origin,)
-    if prepend:
-        path = path + (path[-1],) * prepend
-    return path
+    return {v: p for v, p in route_path.items() if v in vantages}
 
 
 def validate_valley_free(topo: AsTopology, path: Sequence[ASN]) -> bool:

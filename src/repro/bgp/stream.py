@@ -9,13 +9,15 @@ announce/withdraw updates on inter-day changes — the same element
 stream shape §3.2 consumes.
 
 Path computation is the hot spot, so :class:`PathOracle` runs the
-valley-free sweep once per announcer (the topology is static) and keeps
-only the vantage ASes' paths.
+valley-free sweep once per announcer (the topology is static), and the
+sweep computes routes only where a collector peer's route can depend on
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..asn.numbers import ASN
@@ -123,7 +125,9 @@ class PathOracle:
 
     Besides the tuple-level cache the oracle keeps a :class:`PathTable`
     interning every vantage path once, so columnar consumers work with
-    dense path ids instead of per-element tuples.
+    dense path ids instead of per-element tuples.  ``sweeps`` and
+    ``sweep_seconds`` count the routing sweeps run so far and their
+    wall time, so callers can attribute routing inside their stages.
     """
 
     def __init__(
@@ -137,13 +141,17 @@ class PathOracle:
         self._cache: Dict[ASN, Dict[ASN, Path]] = {}
         self.table = table if table is not None else PathTable()
         self._ids_cache: Dict[ASN, Dict[ASN, int]] = {}
+        self.sweeps = 0
+        self.sweep_seconds = 0.0
 
     def paths_for(self, announcer: ASN) -> Dict[ASN, Path]:
         """Vantage → path map for one announcer (cached)."""
         cached = self._cache.get(announcer)
         if cached is None:
-            full = best_paths(self._topology, announcer)
-            cached = {v: p for v, p in full.items() if v in self._vantages}
+            start = perf_counter()
+            cached = best_paths(self._topology, announcer, self._vantages)
+            self.sweep_seconds += perf_counter() - start
+            self.sweeps += 1
             self._cache[announcer] = cached
         return cached
 
@@ -178,7 +186,7 @@ class SyntheticBgpStream:
     ) -> None:
         self._collectors = list(collectors)
         self._day_source = day_source
-        self._oracle = PathOracle(topology, all_peer_asns(collectors))
+        self.oracle = PathOracle(topology, all_peer_asns(collectors))
 
     def elements_for_day(
         self, day: Day, previous: Optional[Sequence[Announcement]] = None
@@ -216,7 +224,7 @@ class SyntheticBgpStream:
     def _emit(
         self, ann: Announcement, day: Day, sequence: int, elem_type: str
     ) -> Iterator[BgpElement]:
-        paths = self._oracle.paths_for(ann.announcer)
+        paths = self.oracle.paths_for(ann.announcer)
         for collector in self._collectors:
             for peer in collector.peer_asns:
                 if ann.only_peer is not None and peer != ann.only_peer:
@@ -244,7 +252,7 @@ class SyntheticBgpStream:
     def _emit_withdraw(
         self, ann: Announcement, day: Day, sequence: int
     ) -> Iterator[BgpElement]:
-        paths = self._oracle.paths_for(ann.announcer)
+        paths = self.oracle.paths_for(ann.announcer)
         for collector in self._collectors:
             for peer in collector.peer_asns:
                 if ann.only_peer is not None and peer != ann.only_peer:

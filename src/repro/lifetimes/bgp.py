@@ -51,6 +51,13 @@ def _attach(span, ledger_summary) -> None:
         span.set_attr("ledger", ledger_summary)
 
 
+def _attach_routing(span, sweeps: int, seconds: float, stats) -> None:
+    """Attribute the routing sweeps run inside a stage to its span."""
+    span.set_attr("routing_sweeps", sweeps)
+    span.set_attr("routing_s", round(seconds, 6))
+    stats.metrics.inc("bgp.routing.sweeps", sweeps)
+
+
 @dataclass
 class OperationalActivity:
     """Per-ASN daily visibility, split by peer-visibility class."""
@@ -173,6 +180,8 @@ def _object_stream_tables(
     visibility_seconds += perf_counter() - t0
     span = stats.record("bgp:stream", stream_seconds, items=end - start + 1,
                         component="bgp", engine="object")
+    _attach_routing(span, stream.oracle.sweeps, stream.oracle.sweep_seconds,
+                    stats)
     _attach(span, record_boundary(
         "bgp:stream",
         records_in=san_stats.total_seen,
@@ -303,6 +312,8 @@ def build_operational_dataset(
             span = stats.record("bgp:sanitize", report.sanitize_seconds,
                                 items=report.elements,
                                 component="bgp", engine="columnar")
+            _attach_routing(span, report.routing_sweeps,
+                            report.routing_seconds, stats)
             _attach(span, record_boundary(
                 "bgp:sanitize",
                 records_in=report.elements,

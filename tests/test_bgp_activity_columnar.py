@@ -42,7 +42,7 @@ from repro.lifetimes.bgp import (
     build_operational_dataset,
 )
 from repro.net import Prefix
-from repro.runtime import ArtifactCache, PipelineStats
+from repro.runtime import ArtifactCache, MetricsRegistry, PipelineStats
 from repro.simulation.config import tiny
 from repro.simulation.world import WorldSimulator
 
@@ -293,6 +293,32 @@ class TestWorldPipeline:
             assert col_tables == obj_tables
             assert col_lives == obj_lives
             assert list(col_lives) == list(obj_lives)
+
+    def test_routing_is_attributed_to_its_stage(self, world, window):
+        """Each engine reports its routing sweeps on the stage that runs
+        them: ``bgp:sanitize`` for columnar, ``bgp:stream`` for object."""
+        start, end = window
+        sweeps = {}
+        for engine, stage in (("columnar", "bgp:sanitize"),
+                              ("object", "bgp:stream")):
+            stats = PipelineStats(metrics=MetricsRegistry())
+            build_operational_dataset(world, start=start, end=end,
+                                      engine=engine, stats=stats)
+            span = next(s for s in stats.tracer.stage_spans()
+                        if s.name == stage)
+            assert 0.0 < span.attrs["routing_s"] <= span.seconds + 1e-6
+            sweeps[engine] = span.attrs["routing_sweeps"]
+            assert stats.metrics.counter("bgp.routing.sweeps").value == sweeps[engine]
+            others = [s for s in stats.tracer.stage_spans()
+                      if s.name != stage and "routing_sweeps" in s.attrs]
+            assert not others
+        # one sweep per distinct announcer of the window, either engine
+        announcers = {
+            ann.announcer
+            for day in range(start, end + 1)
+            for ann in world.announcements_for_day(day)
+        }
+        assert sweeps == {"columnar": len(announcers), "object": len(announcers)}
 
     def test_cache_warm_start_skips_stream_stages(self, world, window,
                                                   tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the AS topology and valley-free routing."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,70 @@ from repro.bgp import (
     generate_topology,
     validate_valley_free,
 )
+from repro.bgp.routing import ROUTE_CUSTOMER, ROUTE_PEER, ROUTE_PROVIDER, _better
+from repro.bgp.topology import generate_ixp_topology, generate_regional_topology
+
+
+def _reference_best_paths(topo, announcer):
+    """The unrestricted sweep: every AS's best path to ``announcer``.
+
+    Kept verbatim as the oracle the vantage-restricted
+    :func:`best_paths` must agree with, order included.
+    """
+    if announcer not in topo:
+        return {}
+    route_class = {announcer: ROUTE_CUSTOMER}
+    route_path = {announcer: (announcer,)}
+
+    # Phase 1 — customer routes climb provider links (BFS = shortest).
+    queue = deque([announcer])
+    while queue:
+        current = queue.popleft()
+        path = route_path[current]
+        for provider in sorted(topo.providers(current)):
+            candidate = (provider,) + path
+            if _better(
+                ROUTE_CUSTOMER,
+                candidate,
+                route_class.get(provider),
+                route_path.get(provider),
+            ):
+                route_class[provider] = ROUTE_CUSTOMER
+                route_path[provider] = candidate
+                queue.append(provider)
+
+    # Phase 2 — one lateral peer hop over ASes holding customer routes.
+    with_customer_route = [
+        asn for asn, cls in route_class.items() if cls == ROUTE_CUSTOMER
+    ]
+    for asn in sorted(with_customer_route, key=lambda a: (len(route_path[a]), a)):
+        path = route_path[asn]
+        for peer in sorted(topo.peers(asn)):
+            candidate = (peer,) + path
+            if _better(
+                ROUTE_PEER, candidate, route_class.get(peer), route_path.get(peer)
+            ):
+                route_class[peer] = ROUTE_PEER
+                route_path[peer] = candidate
+
+    # Phase 3 — descend customer links; provider routes propagate down.
+    queue = deque(sorted(route_class, key=lambda a: (len(route_path[a]), a)))
+    while queue:
+        current = queue.popleft()
+        path = route_path[current]
+        for customer in sorted(topo.customers(current)):
+            candidate = (customer,) + path
+            if _better(
+                ROUTE_PROVIDER,
+                candidate,
+                route_class.get(customer),
+                route_path.get(customer),
+            ):
+                route_class[customer] = ROUTE_PROVIDER
+                route_path[customer] = candidate
+                queue.append(customer)
+
+    return route_path
 
 
 @pytest.fixture
@@ -67,32 +133,32 @@ class TestTopology:
 
 class TestRouting:
     def test_customer_route_up_the_chain(self, diamond):
-        paths = best_paths(diamond, 1001)
+        paths = best_paths(diamond, 1001, diamond.asns())
         assert paths[100] == (100, 1001)
         assert paths[10] == (10, 100, 1001)
 
     def test_peer_route_single_lateral_hop(self, diamond):
-        paths = best_paths(diamond, 1001)
+        paths = best_paths(diamond, 1001, diamond.asns())
         assert paths[20] == (20, 10, 100, 1001)
 
     def test_provider_route_descends(self, diamond):
-        paths = best_paths(diamond, 1001)
+        paths = best_paths(diamond, 1001, diamond.asns())
         assert paths[2001] == (2001, 200, 20, 10, 100, 1001)
 
     def test_multihomed_stub_shortest(self, diamond):
-        paths = best_paths(diamond, 3001)
+        paths = best_paths(diamond, 3001, diamond.asns())
         # from 2001 the direct route via 200 wins over the detour via 10/20
         assert paths[2001] == (2001, 200, 3001)
 
     def test_announcer_maps_to_itself(self, diamond):
-        assert best_paths(diamond, 1001)[1001] == (1001,)
+        assert best_paths(diamond, 1001, diamond.asns())[1001] == (1001,)
 
     def test_unknown_announcer_empty(self, diamond):
-        assert best_paths(diamond, 99999) == {}
+        assert best_paths(diamond, 99999, diamond.asns()) == {}
 
     def test_all_paths_valley_free(self, diamond):
         for origin in (1001, 2001, 3001, 100, 10):
-            for path in best_paths(diamond, origin).values():
+            for path in best_paths(diamond, origin, diamond.asns()).values():
                 assert validate_valley_free(diamond, path), path
 
     def test_valley_rejected_by_oracle(self, diamond):
@@ -127,7 +193,7 @@ class TestGeneratedTopology:
     def test_full_reachability_from_stubs(self):
         asns = list(range(1, 201))
         topo = generate_topology(asns, seed=1)
-        paths = best_paths(topo, asns[-1])  # a stub announces
+        paths = best_paths(topo, asns[-1], topo.asns())  # a stub announces
         assert len(paths) == len(asns)  # everyone has a route
 
 
@@ -137,5 +203,56 @@ def test_generated_paths_always_valley_free(seed, size):
     asns = list(range(1, size + 1))
     topo = generate_topology(asns, seed=seed)
     origin = asns[-1]
-    for path in best_paths(topo, origin).values():
+    for path in best_paths(topo, origin, topo.asns()).values():
         assert validate_valley_free(topo, path)
+
+
+_RECIPES = {
+    "transit-hierarchy": generate_topology,
+    "flat-ixp-heavy": generate_ixp_topology,
+    "regional-internet": generate_regional_topology,
+}
+
+
+def _vantage_sets(topo):
+    """Strategy over vantage sets: stubs, tier-1s, the empty set, ASNs
+    absent from the topology, every AS, and mixes of them."""
+    asns = sorted(topo.asns())
+    stubs = sorted(a for a in asns if topo.is_stub(a))
+    tier1s = sorted(topo.tier1s())
+    foreign = st.integers(min_value=asns[-1] + 1, max_value=asns[-1] + 500)
+    return st.one_of(
+        st.just(frozenset()),
+        st.just(frozenset(asns)),
+        st.frozensets(st.sampled_from(stubs), min_size=1),
+        st.frozensets(st.sampled_from(tier1s), min_size=1),
+        st.frozensets(foreign, min_size=1, max_size=4),
+        st.frozensets(st.sampled_from(asns) | foreign, max_size=40),
+    )
+
+
+@pytest.mark.parametrize("recipe", sorted(_RECIPES))
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    size=st.integers(min_value=60, max_value=160),
+    data=st.data(),
+)
+def test_restricted_sweep_matches_unrestricted(recipe, seed, size, data):
+    """The vantage-restricted sweep returns exactly the unrestricted
+    sweep's vantage entries, in the same order."""
+    asns = list(range(1, size + 1))
+    topo = _RECIPES[recipe](asns, seed=seed)
+    announcers = data.draw(
+        st.lists(st.sampled_from(asns + [size + 1]), min_size=1, max_size=6),
+        label="announcers",
+    )
+    for _ in range(3):
+        vantages = data.draw(_vantage_sets(topo), label="vantages")
+        for announcer in announcers:
+            want = [
+                (v, p)
+                for v, p in _reference_best_paths(topo, announcer).items()
+                if v in vantages
+            ]
+            assert list(best_paths(topo, announcer, vantages).items()) == want

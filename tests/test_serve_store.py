@@ -8,13 +8,16 @@ same day range.  Everything the query layer serves rests on that.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.bgp import PathOracle, all_peer_asns
 from repro.core.taxonomy import Category
 from repro.lifetimes.records import AdminLifetime, BgpLifetime
+from repro.runtime import observability
 from repro.runtime.cache import ArtifactCache, cache_key
 from repro.runtime.faults import FaultInjector, FaultSpec
 from repro.serve.append import append_days
@@ -128,6 +131,47 @@ def bundle():
 def _window(config):
     end = config.end_day
     return end - 59, end
+
+
+class TestRoutedBytesPinned:
+    """Routed output pinned to constants, so a routing change that
+    alters what collectors see fails here even though the columnar and
+    object engines (which share one path oracle) would drift together.
+
+    The store index alone is a coarse pin: at this scale most ASNs stay
+    visible to two or more peers whichever equal-length path wins, so
+    the vantage paths themselves are pinned too.
+    """
+
+    #: sha256 of the index a 30-day store over ``tiny(seed=11)``
+    #: publishes, with the manifest's ``git`` field pinned to
+    #: ``"unknown"`` (it names the build, not the routed bytes).
+    INDEX_SHA256 = (
+        "d2ae96f09912e99bf7dfbeff6a93783d1609b9d3c106fcb6caeffbd56c1f93cb"
+    )
+    #: sha256 of every collector peer's path to every announcer of the
+    #: same world, in the oracle's order.
+    PATHS_SHA256 = (
+        "eae0cf24c799c7f77d0c0183120ce42a4b43f7609281d91dba6c987c5c9f4958"
+    )
+
+    def test_store_index(self, bundle, tmp_path, monkeypatch):
+        monkeypatch.setattr(observability, "git_describe", lambda root=None: None)
+        end = bundle.world.config.end_day
+        build_store(tmp_path, bundle.world, bundle.admin_lives,
+                    start=end - 29, end=end, faults=None)
+        digest = hashlib.sha256((tmp_path / INDEX_NAME).read_bytes()).hexdigest()
+        assert digest == self.INDEX_SHA256
+
+    def test_vantage_paths(self, bundle):
+        world = bundle.world
+        oracle = PathOracle(world.topology, all_peer_asns(world.collectors))
+        rows = [
+            [a, [[v, list(p)] for v, p in oracle.paths_for(a).items()]]
+            for a in sorted(world.topology.asns())
+        ]
+        blob = json.dumps(rows, separators=(",", ":")).encode("utf-8")
+        assert hashlib.sha256(blob).hexdigest() == self.PATHS_SHA256
 
 
 class TestBuildAndAppend:
