@@ -15,15 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.runtime import ArtifactCache, reset_metrics, write_json_atomic
+from repro.runtime import ArtifactCache
 from repro.simulation import DatasetBundle, bench, build_datasets
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: Machine-readable session metrics (stage wall histograms, cache and
-#: ledger counters).  The perf-regression gate parses this file —
-#: never the human-oriented ``.txt`` tables.
-METRICS_SNAPSHOT = RESULTS_DIR / "metrics_snapshot.json"
 
 #: Content-addressed bundle cache shared across benchmark sessions.
 #: The key covers the full config + pipeline version, so a config or
@@ -33,35 +28,6 @@ METRICS_SNAPSHOT = RESULTS_DIR / "metrics_snapshot.json"
 #: pytest-xdist: racing workers each build at worst once and never
 #: observe a torn artifact.
 CACHE_DIR = Path(__file__).parent / ".cache"
-
-
-def pytest_sessionstart(session):
-    """Clear the process-global registry up front so a warm pytest
-    process never double-counts into the session snapshot."""
-    session.config._repro_metrics = reset_metrics()
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Snapshot the whole session's metrics, even on failure.
-
-    A ``sessionfinish`` hook (unlike the fixture teardown this
-    replaces) also runs when the session aborts part-way — e.g. under
-    ``-x`` — so a partially-failed session still emits a snapshot
-    rather than leaving a stale one from the previous run on disk.
-    The snapshot carries the session verdict; the perf gate refuses to
-    compare timings from an ``incomplete`` session, whose stage
-    histograms cover only the benchmarks that got to run.
-    """
-    metrics = getattr(session.config, "_repro_metrics", None)
-    if metrics is None:  # sessionstart never ran (collection-time crash)
-        return
-    snapshot = metrics.snapshot()
-    snapshot["session"] = {
-        "exitstatus": int(exitstatus),
-        "incomplete": int(exitstatus) != 0,
-    }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    write_json_atomic(METRICS_SNAPSHOT, snapshot)
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,8 @@ Loads a ``ledger.json`` (written by ``repro simulate --trace`` or any
 run that calls :func:`repro.runtime.write_ledger`), replays the
 closure check — every instrumented boundary must satisfy
 ``in == kept + dropped + routed`` — and exits non-zero listing each
-violating stage.  CI runs this on the fault-injection and perf-gate
-artifacts: a non-conserving stage means records silently leaked or
+violating stage.  CI runs this on the fault-injection and
+scaling-benchmarks artifacts: a non-conserving stage means records silently leaked or
 were double-counted across a lossy boundary, which no output diff
 would catch on synthetic data.
 

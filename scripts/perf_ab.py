@@ -1,0 +1,193 @@
+#!/usr/bin/env python3
+"""Same-runner A/B performance gate: the working tree against a git ref.
+
+    python scripts/perf_ab.py BASE_REF
+
+Checks ``BASE_REF`` out into a temporary git worktree, then runs every
+workload ``BENCHMARK.json`` names, untraced, for that file's
+``run_seconds``: :data:`PAIRS` pairs per workload, each tree under its
+own ``perfbench/run.py``, with the tree that goes first alternating
+from pair to pair so host drift lands on both sides alike.
+
+The gate fails when any run reports ``correct: false`` or failed
+operations, or when, for any workload and any ``end_to_end`` metric,
+the working tree's median is worse than the base's by more than that
+metric's ``bound`` (relative, in the metric's ``better`` direction).
+Both sides run on the same host in the same job, so no absolute
+timing is ever committed.  It prints each side's medians and
+interquartile spreads, and appends every raw result line to
+``.perfbench-out/ab-results.jsonl`` in the working tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+RESULTS = ROOT / ".perfbench-out" / "ab-results.jsonl"
+
+#: Seed every run uses; both sides measure the same pinned scenario.
+SEED = 14
+
+#: Runs per side and workload.
+PAIRS = 5
+
+SIDES = ("base", "head")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def run_once(tree: Path, command: List[str], workload: str, seconds: float) -> Optional[dict]:
+    """One untraced perfbench run in ``tree``; its result line, or None."""
+    proc = subprocess.run(
+        [*command, "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, stdout=subprocess.PIPE, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return None
+    try:
+        return json.loads(lines[-1])
+    except json.JSONDecodeError:
+        return None
+
+
+def spread(values: List[float]) -> Tuple[float, float]:
+    """Median and interquartile range."""
+    if len(values) < 2:
+        return values[0], 0.0
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q2, q3 - q1
+
+
+def verdict(benchmark: dict, records: List[dict]) -> Tuple[List[tuple], List[str]]:
+    """Table rows and failures (none when the gate passes).
+
+    ``records`` are the JSONL lines: ``side``, ``workload``, ``pair``
+    and ``result`` (the run's parsed result line, None if it crashed).
+    """
+    failures: List[str] = []
+    values: Dict[Tuple[str, str, str], List[float]] = {}
+    for record in records:
+        where = f"{record['side']} {record['workload']} pair {record['pair']}"
+        result = record["result"]
+        if result is None:
+            failures.append(f"{where}: no result line")
+            continue
+        if result.get("correct") is not True or result.get("failed", 0) > 0:
+            failures.append(
+                f"{where}: correct={result.get('correct')} failed={result.get('failed')}"
+            )
+        for metric, entry in result.get("metrics", {}).items():
+            values.setdefault((record["side"], record["workload"], metric), []).append(
+                float(entry["value"])
+            )
+
+    rows: List[tuple] = []
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        for spec in benchmark["end_to_end"]:
+            metric = spec["name"]
+            missing = [s for s in SIDES if not values.get((s, workload, metric))]
+            if missing:
+                failures.append(f"{workload} {metric}: no {'/'.join(missing)} results")
+                continue
+            (base, base_iqr), (head, head_iqr) = (
+                spread(values[(side, workload, metric)]) for side in SIDES
+            )
+            delta = (head - base) / base if base else 0.0
+            worse = delta if spec["better"] == "lower" else -delta
+            status = "FAIL" if worse > spec["bound"] else "ok"
+            rows.append((workload, metric, base, base_iqr, head, head_iqr, delta, status))
+            if status == "FAIL":
+                failures.append(
+                    f"{workload} {metric}: {base:.4g} -> {head:.4g} "
+                    f"({delta:+.1%}, bound {spec['bound']:.0%}, {spec['better']} is better)"
+                )
+    return rows, failures
+
+
+def render(rows: List[tuple]) -> str:
+    lines = [
+        f"{'workload':<12} {'metric':<12} {'base':>10} {'iqr':>9} "
+        f"{'head':>10} {'iqr':>9} {'delta':>8}  verdict"
+    ]
+    for workload, metric, base, base_iqr, head, head_iqr, delta, status in rows:
+        lines.append(
+            f"{workload:<12} {metric:<12} {base:>10.4g} {base_iqr:>9.3g} "
+            f"{head:>10.4g} {head_iqr:>9.3g} {delta:>+8.1%}  {status}"
+        )
+    return "\n".join(lines)
+
+
+def measure(benchmark: dict, trees: Dict[str, Path], base_sha: str) -> List[dict]:
+    records: List[dict] = []
+    RESULTS.parent.mkdir(exist_ok=True)
+    for pair in range(PAIRS):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for workload in (w["name"] for w in benchmark["workloads"]):
+            for side in order:
+                result = run_once(
+                    trees[side], benchmark["command"], workload, benchmark["run_seconds"]
+                )
+                record = {"base": base_sha, "side": side, "workload": workload,
+                          "pair": pair, "result": result}
+                records.append(record)
+                with RESULTS.open("a", encoding="utf-8") as out:
+                    out.write(json.dumps(record) + "\n")
+                p50 = (result or {}).get("metrics", {}).get("op_p50_ms", {}).get("value")
+                print(f"pair {pair + 1}/{PAIRS} {workload:<12} {side}: "
+                      + (f"op_p50_ms {p50:.4g}" if p50 is not None else "no result"),
+                      flush=True)
+    return records
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base_ref", help="git ref of the base tree, e.g. HEAD^")
+    args = parser.parse_args(argv)
+
+    benchmark: Dict[str, Any] = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    try:
+        base_sha = git("rev-parse", "--verify", "--quiet", f"{args.base_ref}^{{commit}}")
+    except subprocess.CalledProcessError:
+        parser.error(f"{args.base_ref!r} names no commit")
+    scratch = Path(tempfile.mkdtemp(prefix="perf-ab-"))
+    base_tree = scratch / "base"
+    git("worktree", "add", "--detach", str(base_tree), base_sha)
+    try:
+        print(f"perf-ab: base {args.base_ref} ({base_sha[:12]}) vs the working tree, "
+              f"{PAIRS} pairs x {len(benchmark['workloads'])} workloads, "
+              f"{benchmark['run_seconds']} s each", flush=True)
+        records = measure(benchmark, {"base": base_tree, "head": ROOT}, base_sha)
+    finally:
+        git("worktree", "remove", "--force", str(base_tree))
+        shutil.rmtree(scratch, ignore_errors=True)
+
+    rows, failures = verdict(benchmark, records)
+    print()
+    print(render(rows))
+    if failures:
+        print("\nperf-ab FAILED:", file=sys.stderr)
+        for failure in failures:
+            print(f"  - {failure}", file=sys.stderr)
+        return 1
+    print(f"\nperf-ab passed: no end-to-end metric worse than its bound "
+          f"(medians of {PAIRS} runs per side)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

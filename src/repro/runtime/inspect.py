@@ -269,8 +269,9 @@ def stage_seconds(run: RunArtifacts) -> Dict[str, float]:
     """stage name → total wall seconds, metrics first, trace fallback.
 
     The metrics snapshot's ``stage.<name>.seconds`` histogram sums are
-    authoritative (that is what the perf gate reads); runs captured
-    without ``--metrics-out`` fall back to summing trace stage spans.
+    authoritative (they are what the pipeline itself timed); runs
+    captured without ``--metrics-out`` fall back to summing trace
+    stage spans.
     """
     if run.metrics is not None:
         out: Dict[str, float] = {}

@@ -10,8 +10,9 @@ prefix back to a loadable run.
 The index is deliberately dumb: JSON lines, append-only, written with a
 single ``O_APPEND`` write per run so concurrent appenders interleave at
 line granularity (POSIX appends of this size are atomic on local
-filesystems).  The reader tolerates a torn final line — a crashed
-writer costs one entry, never the index.
+filesystems).  The reader tolerates a torn final line, and the next
+writer starts its entry on a fresh line — a crashed writer costs one
+entry, never the index.
 """
 
 from __future__ import annotations
@@ -66,9 +67,13 @@ def record_run(
     }
     line = json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
     fd = os.open(
-        index_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
+        index_path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644
     )
     try:
+        # a torn tail from a crashed writer must not swallow this entry
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            line = "\n" + line
         os.write(fd, line.encode("utf-8"))
     finally:
         os.close(fd)

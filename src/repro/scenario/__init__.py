@@ -4,7 +4,7 @@ A :class:`Scenario` is a named stack of independent declarative layers
 — RIR policy mix, topology recipe, growth & transfer schedule, anomaly
 calendar, operational event calendar — that compiles down to the
 existing :class:`~repro.simulation.config.WorldConfig` and runs under
-the unchanged pipeline, cache, ledger, and perf-gate machinery.
+the unchanged pipeline, cache, ledger, and benchmark machinery.
 
 See ``DESIGN.md`` §9 for the layer model and compile contract, and
 ``examples/scenarios/`` for the named scenario files.

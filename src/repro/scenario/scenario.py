@@ -6,7 +6,7 @@ of declarative layers.  :meth:`Scenario.compile` folds every layer's
 and builds the config through the strict
 :meth:`~repro.simulation.config.WorldConfig.from_dict` path, so a
 compiled scenario runs under the existing pipeline (``simulate()``,
-cache, ledger, perf gate) unchanged.
+cache, ledger, benchmarks) unchanged.
 
 Identity: :func:`scenario_fingerprint` reduces a scenario to the same
 canonical structure the artifact cache uses for configs, and

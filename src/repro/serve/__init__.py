@@ -19,8 +19,9 @@ answers "what is AS 3333's story?" without a rebuild:
   per-route metrics, Prometheus text exposition (``/metrics``),
   structured JSONL access logs, and the sliding-window SLO tracker.
 * :mod:`repro.serve.loadgen` — the deterministic zipf-skewed load
-  generator feeding the perf gate, with an end-to-end ``/metrics``
-  consistency check (client-observed vs server-reported).
+  generator behind ``serve-bench`` and the serve benchmarks, with an
+  end-to-end ``/metrics`` consistency check (client-observed vs
+  server-reported).
 
 CLI entry points: ``repro serve-build``, ``repro serve-append``,
 ``repro serve``, ``repro serve-bench``.

@@ -300,7 +300,7 @@ class LifetimesServer:
             raise _DroppedRequest("malformed-head", True)
         method, target, version = parts
         keep_alive = version.upper() != "HTTP/1.0"
-        content_length = 0
+        content_length: Optional[int] = None
         chunked = False
         for _ in range(MAX_HEADER_LINES):
             try:
@@ -316,12 +316,14 @@ class LifetimesServer:
             if name == "connection":
                 keep_alive = value.strip().lower() != "close"
             elif name == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    raise _DroppedRequest("malformed-head", True) from None
-                if content_length < 0:
+                # 1*DIGIT, once: a repeated header would let the last
+                # one hide a body the first one declared
+                value = value.strip()
+                if content_length is not None or not (
+                    value.isascii() and value.isdigit()
+                ):
                     raise _DroppedRequest("malformed-head", True)
+                content_length = int(value)
             elif name == "transfer-encoding":
                 chunked = True
         else:
@@ -330,7 +332,7 @@ class LifetimesServer:
         # end the connection: its bytes would parse as the next request
         if chunked:
             raise _DroppedRequest("request-body", True, 501)
-        if content_length > 0:
+        if content_length:
             raise _DroppedRequest("request-body", True, 413)
         return method, target, keep_alive
 

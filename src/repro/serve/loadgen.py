@@ -4,8 +4,8 @@ Builds a reproducible query plan — zipf-skewed ASN popularity over the
 store's universe, mixed across the four query shapes — and replays it
 against a running server from asyncio client workers holding
 keep-alive connections.  The report carries the latency distribution
-(p50/p99 in microseconds) and sustained throughput, which is what the
-perf gate pins.
+(p50/p99 in microseconds) and sustained throughput, which is what
+``serve-bench --assert-p99-ms`` bounds.
 
 The plan is a pure function of ``(asns, meta, count, seed, skew)``:
 no wall clock, no global RNG — two runs against byte-identical stores

@@ -1,0 +1,135 @@
+"""Tests for the same-runner A/B gate's verdict.
+
+The gate script lives outside the package (``scripts/``), so it is
+loaded here via an explicit file-location import.  The verdict is fed
+synthetic result lines and a synthetic ``BENCHMARK.json`` document; no
+benchmark runs.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+_AB_PATH = Path(__file__).parent.parent / "scripts" / "perf_ab.py"
+_spec = importlib.util.spec_from_file_location("perf_ab", _AB_PATH)
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+BENCHMARK = {
+    "workloads": [{"name": "pipeline"}],
+    "end_to_end": [
+        {"name": "op_p50_ms", "better": "lower", "bound": 0.25},
+        {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+    ],
+}
+
+BASE = {"op_p50_ms": 400.0, "ops_per_s": 2.0, "peak_rss_mb": 80.0}
+
+
+def _records(head: dict, base: dict = BASE, **result) -> list:
+    """Three runs per side, every run reporting the same values."""
+    out = []
+    for side, values in (("base", base), ("head", head)):
+        for pair in range(3):
+            out.append({
+                "side": side,
+                "workload": "pipeline",
+                "pair": pair,
+                "result": {
+                    "correct": True,
+                    "attempted": 10,
+                    "failed": 0,
+                    "metrics": {k: {"value": v} for k, v in values.items()},
+                    **result,
+                },
+            })
+    return out
+
+
+def _failures(records: list) -> list:
+    _rows, failures = ab.verdict(BENCHMARK, records)
+    return failures
+
+
+def test_no_change_passes():
+    rows, failures = ab.verdict(BENCHMARK, _records(BASE))
+    assert failures == []
+    assert [row[1] for row in rows] == ["op_p50_ms", "ops_per_s", "peak_rss_mb"]
+    assert all(row[-1] == "ok" for row in rows)
+
+
+def test_lower_is_better_metric_past_its_bound_fails():
+    failures = _failures(_records({**BASE, "op_p50_ms": 520.0}))
+    assert len(failures) == 1
+    assert "pipeline op_p50_ms" in failures[0]
+
+
+def test_lower_is_better_metric_improving_passes():
+    assert _failures(_records({**BASE, "op_p50_ms": 100.0})) == []
+
+
+def test_throughput_drop_past_its_bound_fails():
+    failures = _failures(_records({**BASE, "ops_per_s": 1.4}))
+    assert len(failures) == 1
+    assert "pipeline ops_per_s" in failures[0]
+
+
+def test_throughput_rise_passes():
+    assert _failures(_records({**BASE, "ops_per_s": 8.0})) == []
+
+
+def test_rss_uses_its_own_tighter_bound():
+    # +12.5%: inside the 25% timing bound, outside RSS's 10%
+    failures = _failures(_records({**BASE, "peak_rss_mb": 90.0}))
+    assert len(failures) == 1
+    assert "pipeline peak_rss_mb" in failures[0]
+    assert _failures(_records({**BASE, "peak_rss_mb": 87.0})) == []
+
+
+def test_exactly_at_the_bound_passes():
+    at_bound = {"op_p50_ms": 500.0, "ops_per_s": 1.5, "peak_rss_mb": 88.0}
+    assert _failures(_records(at_bound)) == []
+
+
+def test_median_ignores_one_outlier_run():
+    records = _records(BASE)
+    records[-1]["result"]["metrics"]["op_p50_ms"]["value"] = 4000.0
+    assert _failures(records) == []
+
+
+def test_incorrect_run_fails():
+    failures = _failures(_records(BASE, correct=False))
+    assert failures and all("correct=False" in f for f in failures)
+
+
+def test_run_with_failed_operations_fails():
+    records = _records(BASE)
+    records[4]["result"]["failed"] = 2
+    failures = _failures(records)
+    assert failures == ["head pipeline pair 1: correct=True failed=2"]
+
+
+def test_run_without_a_result_line_fails():
+    records = _records(BASE)
+    records[0]["result"] = None
+    assert _failures(records) == ["base pipeline pair 0: no result line"]
+
+
+def test_workload_missing_from_one_side_fails():
+    records = [r for r in _records(BASE) if r["side"] == "head"]
+    failures = _failures(records)
+    assert len(failures) == 3
+    assert all("no base results" in f for f in failures)
+
+
+def test_metric_missing_from_one_side_fails():
+    head = {k: v for k, v in BASE.items() if k != "peak_rss_mb"}
+    failures = _failures(_records(head))
+    assert failures == ["pipeline peak_rss_mb: no head results"]
+
+
+def test_spread_is_median_and_interquartile_range():
+    assert ab.spread([1.0, 2.0, 3.0, 4.0, 5.0]) == (3.0, 2.0)
+    assert ab.spread([7.0]) == (7.0, 0.0)

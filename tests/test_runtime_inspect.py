@@ -303,6 +303,11 @@ class TestRunRegistry:
         entries = load_runs(index)
         assert [e["digest"] for e in entries] == ["abc111"]
         assert resolve_run(index, "abc")["digest"] == "abc111"
+        # the next writer is not glued onto the torn line
+        record_run(index, self._manifest("ccc333"), {})
+        entries = load_runs(index)
+        assert [e["digest"] for e in entries] == ["abc111", "ccc333"]
+        assert resolve_run(index, "ccc")["digest"] == "ccc333"
 
     def test_missing_index_loads_empty(self, tmp_path):
         assert load_runs(tmp_path / "absent.jsonl") == []

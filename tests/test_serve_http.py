@@ -452,22 +452,31 @@ class TestRequestHardening:
         # the body is a complete request of its own: a server that
         # ignores Content-Length answers the POST, then the smuggled GET
         smuggled = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
-        payload = (
-            b"POST /healthz HTTP/1.1\r\n"
-            b"Content-Length: " + str(len(smuggled)).encode() + b"\r\n"
-            b"\r\n" + smuggled
-        )
+        length = str(len(smuggled)).encode()
+        cases = [
+            (b"POST /healthz HTTP/1.1\r\nContent-Length: " + length + b"\r\n",
+             b"HTTP/1.1 413 Content Too Large\r\n", "request-body"),
+            # the last of two Content-Length headers must not win
+            (b"GET /healthz HTTP/1.1\r\nContent-Length: " + length + b"\r\n"
+             b"Content-Length: 0\r\n",
+             b"HTTP/1.1 400 Bad Request\r\n", "malformed-head"),
+            # int() takes "+0"; 1*DIGIT does not
+            (b"GET /healthz HTTP/1.1\r\nContent-Length: +0\r\n",
+             b"HTTP/1.1 400 Bad Request\r\n", "malformed-head"),
+        ]
+        for head, status_line, reason in cases:
+            payload = head + b"\r\n" + smuggled
 
-        async def interact(server, host, port):
-            return await _raw_exchange(host, port, payload)
+            async def interact(server, host, port):
+                return await _raw_exchange(host, port, payload)
 
-        raw, server = _serve_raw(index, interact)
-        assert raw.count(b"HTTP/1.1 ") == 1
-        assert raw.startswith(b"HTTP/1.1 413 Content Too Large\r\n")
-        assert b"Connection: close" in raw
-        assert self._dropped(server) == {"request-body": 1}
-        counters = server.metrics.snapshot()["counters"]
-        assert counters.get("serve.http.requests", 0) == 0
+            raw, server = _serve_raw(index, interact)
+            assert raw.count(b"HTTP/1.1 ") == 1, head
+            assert raw.startswith(status_line), head
+            assert b"Connection: close" in raw
+            assert self._dropped(server) == {reason: 1}
+            counters = server.metrics.snapshot()["counters"]
+            assert counters.get("serve.http.requests", 0) == 0
 
     def test_chunked_request_body_answers_501(self, index):
         payload = (
