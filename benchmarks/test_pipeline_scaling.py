@@ -15,12 +15,23 @@ import os
 from time import perf_counter
 
 from repro.lifetimes.bgp import build_operational_dataset
-from repro.runtime import ArtifactCache, PipelineStats, ledger_disabled
+from repro.runtime import ArtifactCache, Tracer, ledger_disabled
+from repro.runtime.inspect import render_trace, trace_view
 from repro.simulation import bench, build_datasets
 from repro.simulation.config import tiny
 from repro.simulation.world import WorldSimulator
 
 from conftest import CACHE_DIR
+
+
+def _seconds_of(tracer: Tracer, *names: str) -> float:
+    """Summed wall time of the tracer's stage spans with these names."""
+    return sum(s.seconds for s in tracer.stage_spans() if s.name in names)
+
+
+def _span_tree(tracer: Tracer) -> str:
+    """The tracer's span tree; its root times the run up to this call."""
+    return render_trace(trace_view(tracer.to_lines()))
 
 
 def _timed_build(**kwargs):
@@ -30,23 +41,24 @@ def _timed_build(**kwargs):
 
 
 def test_pipeline_scaling(record_result):
-    cold_stats = PipelineStats()
-    _, cold_seconds = _timed_build(stats=cold_stats)
+    cold_tracer = Tracer()
+    _, cold_seconds = _timed_build(tracer=cold_tracer)
+    cold_tree = _span_tree(cold_tracer)
 
     # every pipeline stage shows up in the profile
     for name in ("simulate", "restore:per-registry", "admin-lifetimes",
                  "bgp-lifetimes"):
-        assert cold_stats.seconds_of(name) > 0
+        assert _seconds_of(cold_tracer, name) > 0
 
     # warm-cache hit: ensure the entry exists, then time a pure hit.
     # A hit returns a partitioned bundle (components decode on first
     # access), so the hit itself costs file I/O, not graph rebuilding.
     cache = ArtifactCache(CACHE_DIR)
     build_datasets(bench(seed=2021), cache=cache)
-    warm_stats = PipelineStats()
-    _, warm_seconds = _timed_build(cache=cache, stats=warm_stats)
+    warm_tracer = Tracer()
+    _, warm_seconds = _timed_build(cache=cache, tracer=warm_tracer)
     assert cache.hits >= 1
-    assert [s.name for s in warm_stats.stages] == ["cache:lookup"]
+    assert [s.name for s in warm_tracer.stage_spans()] == ["cache:lookup"]
     cache_speedup = cold_seconds / warm_seconds
     assert cache_speedup >= 10, (
         f"warm cache hit only {cache_speedup:.1f}x faster than cold build "
@@ -56,7 +68,7 @@ def test_pipeline_scaling(record_result):
     lines = [
         f"host CPUs: {os.cpu_count()} (every run is one process)",
         "",
-        cold_stats.render(),
+        cold_tree,
         "",
         f"{'cold build':<28} {cold_seconds:>9.3f}s",
         f"{'warm cache hit':<28} {warm_seconds:>9.3f}s",
@@ -70,13 +82,9 @@ def test_pipeline_scaling(record_result):
 _ACTIVITY_STAGES = ("bgp:stream", "bgp:sanitize", "bgp:visibility")
 
 
-def _activity_stage_seconds(stats: PipelineStats) -> float:
-    return sum(stats.seconds_of(name) for name in _ACTIVITY_STAGES)
-
-
-def _routing_line(label: str, stats: PipelineStats) -> str:
+def _routing_line(label: str, tracer: Tracer) -> str:
     """The routing sweeps a run's BGP stages report, and their seconds."""
-    spans = [s for s in stats.tracer.stage_spans() if "routing_sweeps" in s.attrs]
+    spans = [s for s in tracer.stage_spans() if "routing_sweeps" in s.attrs]
     sweeps = sum(s.attrs["routing_sweeps"] for s in spans)
     seconds = sum(s.attrs["routing_s"] for s in spans)
     return f"{label:<28} {seconds:>9.3f}s ({sweeps} sweeps)"
@@ -98,41 +106,42 @@ def test_bgp_activity_scaling(record_result, tmp_path):
     ref_days = 14
     ref_window = dict(start=end - ref_days + 1, end=end)
 
-    object_stats = PipelineStats()
+    object_tracer = Tracer()
     t0 = perf_counter()
     object_lives, object_tables = build_operational_dataset(
-        world, engine="object", stats=object_stats, **ref_window,
+        world, engine="object", tracer=object_tracer, **ref_window,
     )
     object_seconds = perf_counter() - t0
+    object_tree = _span_tree(object_tracer)
 
     cache = ArtifactCache(tmp_path / "cache", faults=None)
-    columnar_stats = PipelineStats()
+    columnar_tracer = Tracer()
     t0 = perf_counter()
     columnar_lives, columnar_tables = build_operational_dataset(
-        world, engine="columnar", cache=cache, stats=columnar_stats,
+        world, engine="columnar", cache=cache, tracer=columnar_tracer,
         **ref_window,
     )
     columnar_seconds = perf_counter() - t0
+    columnar_tree = _span_tree(columnar_tracer)
     assert columnar_tables == object_tables
     assert columnar_lives == object_lives
     assert list(columnar_lives) == list(object_lives)
 
-    warm_stats = PipelineStats()
+    warm_tracer = Tracer()
     t0 = perf_counter()
     warm_lives, _ = build_operational_dataset(
-        world, engine="object", cache=cache, stats=warm_stats, **ref_window,
+        world, engine="object", cache=cache, tracer=warm_tracer, **ref_window,
     )
     warm_seconds = perf_counter() - t0
     assert cache.hits == 1
-    assert [s.name for s in warm_stats.stages] == [
+    assert [s.name for s in warm_tracer.stage_spans()] == [
         "cache:lookup", "bgp:segment",
     ]
     assert warm_lives == object_lives
 
-    columnar_speedup = (
-        _activity_stage_seconds(object_stats)
-        / _activity_stage_seconds(columnar_stats)
-    )
+    object_activity = _seconds_of(object_tracer, *_ACTIVITY_STAGES)
+    columnar_activity = _seconds_of(columnar_tracer, *_ACTIVITY_STAGES)
+    columnar_speedup = object_activity / columnar_activity
     assert columnar_speedup >= 3, (
         f"columnar stream+visibility only {columnar_speedup:.1f}x faster "
         f"than the object stream"
@@ -143,16 +152,19 @@ def test_bgp_activity_scaling(record_result, tmp_path):
         f"window: {ref_days} days, {len(columnar_tables)} active ASNs, "
         f"host CPUs: {os.cpu_count()}",
         "",
-        columnar_stats.compare(
-            object_stats, label=f"columnar {ref_days}d",
-            baseline_label=f"object {ref_days}d",
-        ),
+        f"columnar {ref_days}d:",
+        columnar_tree,
         "",
-        _routing_line("routing in obj bgp:stream", object_stats),
-        _routing_line("routing in col bgp:sanitize", columnar_stats),
+        f"object {ref_days}d:",
+        object_tree,
+        "",
+        _routing_line("routing in obj bgp:stream", object_tracer),
+        _routing_line("routing in col bgp:sanitize", columnar_tracer),
         f"{'object stream':<28} {object_seconds:>9.3f}s",
         f"{'columnar (cold, stores)':<28} {columnar_seconds:>9.3f}s",
         f"{'warm activity-table hit':<28} {warm_seconds:>9.3f}s",
+        f"{'obj stream+sanitize+vis':<28} {object_activity:>9.3f}s",
+        f"{'col stream+sanitize+vis':<28} {columnar_activity:>9.3f}s",
         f"{'stage speedup (col/obj)':<28} {columnar_speedup:>9.2f}x",
         f"{'cold/warm cache speedup':<28} {cache_speedup:>9.2f}x",
     ]

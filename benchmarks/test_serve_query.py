@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.runtime import ArtifactCache, MetricsRegistry, PipelineStats
+from repro.runtime import ArtifactCache, MetricsRegistry, Tracer
 from repro.serve.http import LifetimesServer
 from repro.serve.index import StoreIndex
 from repro.serve.loadgen import plan_queries, run_load
@@ -33,10 +33,10 @@ def test_serve_query_layer(bundle, record_result, tmp_path_factory):
     config = bundle.world.config
     end = config.end_day
     start = max(config.start_day, end - 364)
-    stats = PipelineStats()
+    tracer = Tracer()
     build_store(
         store_dir, bundle.world, bundle.admin_lives,
-        start=start, end=end, faults=None, stats=stats,
+        start=start, end=end, faults=None, tracer=tracer,
         cache=ArtifactCache(CACHE_DIR),
     )
 
@@ -69,8 +69,8 @@ def test_serve_query_layer(bundle, record_result, tmp_path_factory):
     assert server_q, "server recorded no request_us histograms"
 
     build_seconds = sum(
-        stage.seconds for stage in stats.stages
-        if stage.name.startswith("serve:")
+        span.seconds for span in tracer.stage_spans()
+        if span.name.startswith("serve:")
     )
     record_result("serve_query", "\n".join([
         "serve query layer (10k zipf-skewed queries, in-process server)",

@@ -30,7 +30,7 @@ from pathlib import Path
 
 from repro.runtime import (
     ArtifactCache,
-    PipelineStats,
+    Tracer,
     build_ledger,
     build_run_manifest,
     reset_metrics,
@@ -62,17 +62,17 @@ def main(argv=None) -> int:
     out = args.out or Path(tempfile.mkdtemp(prefix="fault-trace-"))
     out.mkdir(parents=True, exist_ok=True)
 
-    metrics = reset_metrics()
-    stats = PipelineStats(metrics=metrics)
-    detach = stats.tracer.subscribe_faults(injector)
+    tracer = Tracer(metrics=reset_metrics())
+    metrics = tracer.metrics
+    detach = tracer.subscribe_faults(injector)
     try:
         with tempfile.TemporaryDirectory(prefix="fault-cache-") as cache_dir:
             # two builds through one faulty cache: the first stores
             # (write/replace faults), the second loads (read faults)
             cache = ArtifactCache(cache_dir)
             config = tiny(seed=args.seed)
-            bundle = build_datasets(config, cache=cache, stats=stats)
-            again = build_datasets(config, cache=cache, stats=stats)
+            bundle = build_datasets(config, cache=cache, tracer=tracer)
+            again = build_datasets(config, cache=cache, tracer=tracer)
     finally:
         detach()
 
@@ -82,13 +82,13 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
 
-    trace_path = stats.tracer.write_jsonl(out / "trace.jsonl")
+    trace_path = tracer.write_jsonl(out / "trace.jsonl")
     write_json_atomic(out / "metrics.json", metrics.snapshot())
     # the dataflow ledger must stay conserving under injection: a
     # rebuilt artifact may not double-count (scripts/check_ledger.py
     # gates this artifact in CI)
     write_ledger(out / "ledger.json", build_ledger(metrics))
-    manifest = build_run_manifest(config=config, stats=stats)
+    manifest = build_run_manifest(config=config, tracer=tracer)
     write_run_manifest(out / "run_manifest.json", manifest)
 
     lines = [json.loads(line) for line in trace_path.read_text(encoding="utf-8").splitlines()]

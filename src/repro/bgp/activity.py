@@ -546,7 +546,7 @@ def schedule_from_world(world, start: Day, end: Day) -> AnnouncementSchedule:
 
 @dataclass
 class ActivityReport:
-    """What one activity-table build processed (for profiling and docs)."""
+    """What one activity-table build processed (for stage spans and docs)."""
 
     days: int
     changed_days: int

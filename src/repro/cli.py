@@ -59,8 +59,8 @@ over all of its items.  Runtime flags on ``simulate``: ``--cache-dir
 PATH`` reuses/stores content-addressed pipeline artifacts,
 ``--cache-verify {off,sha256}`` controls checksum verification of
 loaded cache entries (corrupt entries are quarantined and rebuilt),
-and ``--profile`` prints per-stage wall times plus any runtime
-degradation events.
+and ``--profile`` prints the run's span tree (per-stage wall times and
+item counts) plus any runtime degradation events.
 ``--bgp-engine columnar|object`` rebuilds operational lifetimes from
 the message-level BGP stream over the last ``--bgp-window`` days
 (``columnar`` is the incremental production engine, ``object`` the
@@ -86,8 +86,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .core.joint import JointAnalysis
 from .core.report import render_report
@@ -102,6 +103,9 @@ from .rir.ftp import export_archive
 from .simulation.config import WorldConfig
 from .simulation.datasets import build_datasets
 from .timeline.dates import PAPER_END, from_iso, to_iso
+
+if TYPE_CHECKING:
+    from .runtime import Tracer
 
 __all__ = ["main", "build_parser"]
 
@@ -146,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "its sidecar manifest and quarantines+rebuilds "
                           "corrupt entries; 'off' trusts unpickling alone")
     simulate.add_argument("--profile", action="store_true",
-                          help="print per-stage wall times and item counts")
+                          help="print the run's span tree (per-stage wall "
+                          "times, item counts) and runtime events")
     simulate.add_argument("--trace", nargs="?", const="@out", default=None,
                           metavar="PATH",
                           help="write the run's span trace as JSON lines "
@@ -312,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="register the snapshot in this runs.jsonl "
                         "index (default: OUT/runs.jsonl)")
     sbuild.add_argument("--profile", action="store_true",
-                        help="print per-stage wall times")
+                        help="print the run's span tree and runtime events")
 
     sappend = sub.add_parser(
         "serve-append",
@@ -327,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="register the new snapshot in this "
                          "runs.jsonl index (default: STORE/runs.jsonl)")
     sappend.add_argument("--profile", action="store_true",
-                         help="print per-stage wall times")
+                         help="print the run's span tree and runtime events")
 
     serve = sub.add_parser(
         "serve", help="answer lifetime queries over HTTP from a store"
@@ -385,18 +390,48 @@ def _artifact_path(value, out: Path, default_name: str) -> Optional[Path]:
     return Path(value)
 
 
+@contextmanager
+def _run_tracer() -> Iterator["Tracer"]:
+    """The run's tracer, over the cleared global metrics registry.
+
+    Under ambient fault injection (``REPRO_FAULT_SEED``) every injected
+    fault is mirrored into the trace as a span annotation until the
+    block exits.
+    """
+    from .runtime import Tracer, reset_metrics
+    from .runtime.faults import from_env
+
+    tracer = Tracer(metrics=reset_metrics())  # per-run snapshot semantics
+    injector = from_env()
+    detach = tracer.subscribe_faults(injector) if injector is not None else None
+    try:
+        yield tracer
+    finally:
+        if detach is not None:
+            detach()
+
+
+def _print_profile(tracer: "Tracer") -> None:
+    """``--profile``: the run's span tree, then its runtime events."""
+    from .runtime.inspect import render_trace, trace_view
+
+    print()
+    print(render_trace(trace_view(tracer.to_lines())))
+    if tracer.events:
+        print(f"runtime events ({len(tracer.events)}):")
+        for event in tracer.events:
+            print(f"  {event}")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .runtime import (
-        PipelineStats,
         build_ledger,
         build_run_manifest,
-        get_metrics,
         record_run,
         write_json_atomic,
         write_ledger,
         write_run_manifest,
     )
-    from .runtime.faults import from_env
 
     trace_path = _artifact_path(args.trace, args.out, "trace.jsonl")
     metrics_path = _artifact_path(args.metrics_out, args.out, "metrics.json")
@@ -425,20 +460,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
               f"{config.topology_recipe} topology, seed {config.seed}")
     else:
         config = WorldConfig(seed=args.seed, scale=args.scale)
-    metrics = get_metrics()
-    metrics.clear()  # per-run snapshot semantics
-    stats = PipelineStats(metrics=metrics)
-    # ambient fault injection (REPRO_FAULT_SEED): mirror every injected
-    # fault into the trace as a span annotation
-    detach_faults = None
-    injector = from_env()
-    if injector is not None:
-        detach_faults = stats.tracer.subscribe_faults(injector)
-    try:
+    with _run_tracer() as tracer:
         bundle = build_datasets(
             config, inject_pitfalls=not args.no_pitfalls,
             timeout=args.timeout, cache=args.cache_dir,
-            cache_verify=args.cache_verify, stats=stats,
+            cache_verify=args.cache_verify, tracer=tracer,
             scenario_key=scenario_key,
         )
         if args.bgp_engine == "interval":
@@ -453,7 +479,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 bundle.world, start=start, end=end, timeout=args.timeout,
                 engine=args.bgp_engine,
                 cache=args.cache_dir, cache_verify=args.cache_verify,
-                stats=stats,
+                tracer=tracer,
             )
             joint = JointAnalysis(
                 admin_lives=bundle.admin_lives,
@@ -463,9 +489,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 siblings=bundle.world.orgs.sibling_map(),
                 truth=bundle.world.events,
             )
-    finally:
-        if detach_faults is not None:
-            detach_faults()
+    metrics = tracer.metrics
     args.out.mkdir(parents=True, exist_ok=True)
     admin_path = args.out / "admin_dataset.json"
     op_path = args.out / "operational_dataset.json"
@@ -497,8 +521,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         })
         print(f"wrote {taxonomy_path} (taxonomy counts)")
     if trace_path is not None:
-        stats.tracer.write_jsonl(trace_path)
-        print(f"wrote {trace_path} ({len(stats.tracer.spans) + 1} spans)")
+        tracer.write_jsonl(trace_path)
+        print(f"wrote {trace_path} ({len(tracer.spans) + 1} spans)")
     if metrics_path is not None:
         write_json_atomic(metrics_path, metrics.snapshot())
         print(f"wrote {metrics_path} (metrics snapshot)")
@@ -530,7 +554,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 "cache_dir": str(args.cache_dir) if args.cache_dir else None,
                 "cache_verify": args.cache_verify,
             },
-            stats=stats,
+            tracer=tracer,
             # describe the checkout the *code* ran from, not the cwd
             git_root=Path(__file__).resolve().parent,
         )
@@ -550,8 +574,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         })
         print(f"registered run {manifest['digest'][:12]} in {runs_index}")
     if args.profile:
-        print()
-        print(stats.render())
+        _print_profile(tracer)
     return 0
 
 
@@ -714,8 +737,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_build(args: argparse.Namespace) -> int:
-    from .runtime import PipelineStats, get_metrics
-    from .runtime.faults import from_env
     from .serve.store import DEFAULT_SHARD_SIZE, ServeStoreError, build_store
 
     if args.window < 1:
@@ -728,38 +749,29 @@ def _cmd_serve_build(args: argparse.Namespace) -> int:
         print("error: --end-back pushes the window before the world starts",
               file=sys.stderr)
         return 2
-    metrics = get_metrics()
-    metrics.clear()
-    stats = PipelineStats(metrics=metrics)
-    detach_faults = None
-    injector = from_env()
-    if injector is not None:
-        detach_faults = stats.tracer.subscribe_faults(injector)
-    try:
-        bundle = build_datasets(
-            config, inject_pitfalls=not args.no_pitfalls,
-            timeout=args.timeout, cache=args.cache_dir,
-            stats=stats,
-        )
-        runs_index = args.runs_index
-        if runs_index is None:
-            runs_index = args.out / "runs.jsonl"
-        doc = build_store(
-            args.out, bundle.world, bundle.admin_lives,
-            start=start, end=end, timeout=args.timeout,
-            min_peers=args.min_peers,
-            min_corroboration=args.min_corroboration,
-            shard_size=(args.shard_size if args.shard_size
-                        else DEFAULT_SHARD_SIZE),
-            cache=args.cache_dir, stats=stats,
-            runs_index=runs_index,
-        )
-    except ServeStoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if detach_faults is not None:
-            detach_faults()
+    runs_index = args.runs_index
+    if runs_index is None:
+        runs_index = args.out / "runs.jsonl"
+    with _run_tracer() as tracer:
+        try:
+            bundle = build_datasets(
+                config, inject_pitfalls=not args.no_pitfalls,
+                timeout=args.timeout, cache=args.cache_dir,
+                tracer=tracer,
+            )
+            doc = build_store(
+                args.out, bundle.world, bundle.admin_lives,
+                start=start, end=end, timeout=args.timeout,
+                min_peers=args.min_peers,
+                min_corroboration=args.min_corroboration,
+                shard_size=(args.shard_size if args.shard_size
+                            else DEFAULT_SHARD_SIZE),
+                cache=args.cache_dir, tracer=tracer,
+                runs_index=runs_index,
+            )
+        except ServeStoreError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     counts = doc["counts"]
     print(f"built store {args.out}: {counts['asns']} ASNs, "
           f"{counts['admin_lives']} admin + {counts['op_lives']} op lives, "
@@ -767,58 +779,46 @@ def _cmd_serve_build(args: argparse.Namespace) -> int:
           f"{to_iso(start)} .. {to_iso(end)}")
     print(f"snapshot {doc['digest'][:12]} registered in {runs_index}")
     if args.profile:
-        print()
-        print(stats.render())
+        _print_profile(tracer)
     return 0
 
 
 def _cmd_serve_append(args: argparse.Namespace) -> int:
     import json
 
-    from .runtime import PipelineStats, get_metrics
-    from .runtime.faults import from_env
     from .serve.append import append_days
     from .serve.store import MANIFEST_NAME, ServeStoreError, config_from_fingerprint
     from .simulation.world import WorldSimulator
 
-    metrics = get_metrics()
-    metrics.clear()
-    stats = PipelineStats(metrics=metrics)
-    detach_faults = None
-    injector = from_env()
-    if injector is not None:
-        detach_faults = stats.tracer.subscribe_faults(injector)
+    manifest_path = args.store / MANIFEST_NAME
     try:
-        manifest_path = args.store / MANIFEST_NAME
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read {manifest_path}: {exc}", file=sys.stderr)
-            return 2
-        config = config_from_fingerprint(manifest.get("config"))
-        with stats.stage("simulate", component="simulation") as span:
-            world = WorldSimulator(config).run()
-            span.items = len(world.lives)
-        runs_index = args.runs_index
-        if runs_index is None:
-            runs_index = args.store / "runs.jsonl"
-        doc = append_days(
-            args.store, world, args.days, stats=stats, runs_index=runs_index,
-        )
-    except ServeStoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read {manifest_path}: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if detach_faults is not None:
-            detach_faults()
+    runs_index = args.runs_index
+    if runs_index is None:
+        runs_index = args.store / "runs.jsonl"
+    with _run_tracer() as tracer:
+        try:
+            config = config_from_fingerprint(manifest.get("config"))
+            with tracer.stage("simulate", component="simulation") as span:
+                world = WorldSimulator(config).run()
+                span.items = len(world.lives)
+            doc = append_days(
+                args.store, world, args.days, tracer=tracer,
+                runs_index=runs_index,
+            )
+        except ServeStoreError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     meta = doc["meta"]
     print(f"appended {args.days} day(s): window now "
           f"{to_iso(meta['start'])} .. {to_iso(meta['end'])}, "
           f"{doc['counts']['asns']} ASNs")
     print(f"snapshot {doc['digest'][:12]} registered in {runs_index}")
     if args.profile:
-        print()
-        print(stats.render())
+        _print_profile(tracer)
     return 0
 
 

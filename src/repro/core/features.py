@@ -3,7 +3,7 @@
 §6.1.2 concludes that the compound administrative/operational lens
 "could provide additional classification features for machine-learning
 based detection approaches" (e.g. on top of Testart et al.'s serial-
-hijacker profiling).  This module extracts exactly those features —
+hijacker characterisation).  This module extracts exactly those features —
 one vector per operational lifetime, combining both dimensions — and
 ships a transparent reference scorer so the benchmark can measure how
 much the administrative dimension adds over BGP-only features.

@@ -27,7 +27,7 @@ from ..bgp.stream import SyntheticBgpStream
 from ..bgp.visibility import peer_visibility
 from ..runtime.cache import ACTIVITY_TABLE_VERSION, ArtifactCache
 from ..runtime.ledger import record_boundary
-from ..runtime.profiling import PipelineStats
+from ..runtime.observability import Tracer
 from ..timeline.dates import Day
 from ..timeline.intervals import IntervalSet
 from .records import BgpLifetime
@@ -51,11 +51,11 @@ def _attach(span, ledger_summary) -> None:
         span.set_attr("ledger", ledger_summary)
 
 
-def _attach_routing(span, sweeps: int, seconds: float, stats) -> None:
+def _attach_routing(span, sweeps: int, seconds: float, tracer) -> None:
     """Attribute the routing sweeps run inside a stage to its span."""
     span.set_attr("routing_sweeps", sweeps)
     span.set_attr("routing_s", round(seconds, 6))
-    stats.metrics.inc("bgp.routing.sweeps", sweeps)
+    tracer.metrics.inc("bgp.routing.sweeps", sweeps)
 
 
 @dataclass
@@ -135,7 +135,7 @@ def _object_stream_tables(
     start: Day,
     end: Day,
     min_corroboration: int,
-    stats: PipelineStats,
+    tracer: Tracer,
 ) -> Dict[ASN, OperationalActivity]:
     """The object-stream baseline: one day at a time, element objects.
 
@@ -178,29 +178,29 @@ def _object_stream_tables(
         for asn in set(observed_days) | set(single_days)
     }
     visibility_seconds += perf_counter() - t0
-    span = stats.record("bgp:stream", stream_seconds, items=end - start + 1,
-                        component="bgp", engine="object")
+    span = tracer.record("bgp:stream", stream_seconds, items=end - start + 1,
+                         component="bgp", engine="object")
     _attach_routing(span, stream.oracle.sweeps, stream.oracle.sweep_seconds,
-                    stats)
+                    tracer)
     _attach(span, record_boundary(
         "bgp:stream",
         records_in=san_stats.total_seen,
         kept=san_stats.total_seen,
-        metrics=stats.metrics,
+        metrics=tracer.metrics,
     ))
-    span = stats.record("bgp:sanitize", sanitize_seconds,
-                        items=san_stats.total_seen,
-                        component="bgp", engine="object")
+    span = tracer.record("bgp:sanitize", sanitize_seconds,
+                         items=san_stats.total_seen,
+                         component="bgp", engine="object")
     _attach(span, record_boundary(
         "bgp:sanitize",
         records_in=san_stats.total_seen,
         kept=san_stats.kept,
         dropped=san_stats.dropped,
-        metrics=stats.metrics,
+        metrics=tracer.metrics,
     ))
-    span = stats.record("bgp:visibility", visibility_seconds,
-                        items=len(tables),
-                        component="bgp", engine="object")
+    span = tracer.record("bgp:visibility", visibility_seconds,
+                         items=len(tables),
+                         component="bgp", engine="object")
     # ASN-day conservation: every day bucketed per ASN must reappear in
     # exactly one interval of the built activity tables
     _attach(span, record_boundary(
@@ -215,9 +215,9 @@ def _object_stream_tables(
                 t.single_peer.total_days for t in tables.values()
             ),
         },
-        metrics=stats.metrics,
+        metrics=tracer.metrics,
     ))
-    stats.metrics.inc("bgp.elements", san_stats.total_seen)
+    tracer.metrics.inc("bgp.elements", san_stats.total_seen)
     return tables
 
 
@@ -232,7 +232,7 @@ def build_operational_dataset(
     engine: str = "columnar",
     cache: Union[ArtifactCache, str, Path, None] = None,
     cache_verify: str = "sha256",
-    stats: Optional[PipelineStats] = None,
+    tracer: Optional[Tracer] = None,
     full_rebuild_fraction: float = DEFAULT_REBUILD_FRACTION,
 ) -> Tuple[Dict[ASN, List[BgpLifetime]], Dict[ASN, OperationalActivity]]:
     """Message-level §3.2→§4.2: activity tables plus operational lives.
@@ -266,8 +266,8 @@ def build_operational_dataset(
         raise ValueError(f"unknown BGP activity engine {engine!r}")
     start = world.config.start_day if start is None else start
     end = world.config.end_day if end is None else end
-    if stats is None:
-        stats = PipelineStats()
+    if tracer is None:
+        tracer = Tracer()
     if cache is not None and not isinstance(cache, ArtifactCache):
         cache = ArtifactCache(cache, verify=cache_verify)
 
@@ -282,14 +282,14 @@ def build_operational_dataset(
             end=end,
             min_corroboration=min_corroboration,
         )
-        with stats.stage("cache:lookup", component="cache") as timing:
+        with tracer.stage("cache:lookup", component="cache") as timing:
             tables = cache.load(key)
             if tables is not None:
                 timing.items = len(tables)
                 timing.set_attr("cache", "hit")
             else:
                 timing.set_attr("cache", "miss")
-        stats.drain_events_from(cache)
+        tracer.drain_events_from(cache)
 
     if tables is None:
         if engine == "columnar":
@@ -300,30 +300,30 @@ def build_operational_dataset(
                 min_corroboration=min_corroboration,
                 full_rebuild_fraction=full_rebuild_fraction,
             )
-            span = stats.record("bgp:stream", report.stream_seconds,
-                                items=report.changed_days,
-                                component="bgp", engine="columnar")
+            span = tracer.record("bgp:stream", report.stream_seconds,
+                                 items=report.changed_days,
+                                 component="bgp", engine="columnar")
             _attach(span, record_boundary(
                 "bgp:stream",
                 records_in=report.elements,
                 kept=report.elements,
-                metrics=stats.metrics,
+                metrics=tracer.metrics,
             ))
-            span = stats.record("bgp:sanitize", report.sanitize_seconds,
-                                items=report.elements,
-                                component="bgp", engine="columnar")
+            span = tracer.record("bgp:sanitize", report.sanitize_seconds,
+                                 items=report.elements,
+                                 component="bgp", engine="columnar")
             _attach_routing(span, report.routing_sweeps,
-                            report.routing_seconds, stats)
+                            report.routing_seconds, tracer)
             _attach(span, record_boundary(
                 "bgp:sanitize",
                 records_in=report.elements,
                 kept=report.kept,
                 dropped=report.dropped,
-                metrics=stats.metrics,
+                metrics=tracer.metrics,
             ))
-            span = stats.record("bgp:visibility", report.visibility_seconds,
-                                items=len(tables),
-                                component="bgp", engine="columnar")
+            span = tracer.record("bgp:visibility", report.visibility_seconds,
+                                 items=len(tables),
+                                 component="bgp", engine="columnar")
             # ASN-day conservation from the engine's activity runs into
             # the interval tables: the conversion must neither lose nor
             # invent days
@@ -331,23 +331,23 @@ def build_operational_dataset(
                 "bgp:visibility",
                 records_in=sum(report.class_days_in.values()),
                 routed=report.class_days,
-                metrics=stats.metrics,
+                metrics=tracer.metrics,
             ))
-            stats.metrics.inc("bgp.elements", report.elements)
-            stats.metrics.inc("bgp.contributions", report.contributions)
-            stats.metrics.inc("bgp.rebuilds", report.rebuilds)
+            tracer.metrics.inc("bgp.elements", report.elements)
+            tracer.metrics.inc("bgp.contributions", report.contributions)
+            tracer.metrics.inc("bgp.rebuilds", report.rebuilds)
         else:
             tables = _object_stream_tables(
-                world, start, end, min_corroboration, stats
+                world, start, end, min_corroboration, tracer
             )
         if cache is not None and key is not None:
-            with stats.stage(
+            with tracer.stage(
                 "cache:store", items=len(tables), component="cache"
             ):
                 cache.store(key, tables)
-            stats.drain_events_from(cache)
+            tracer.drain_events_from(cache)
 
-    with stats.stage("bgp:segment", component="bgp", engine=engine) as timing:
+    with tracer.stage("bgp:segment", component="bgp", engine=engine) as timing:
         op_lives = build_bgp_lifetimes(
             tables, timeout=timeout, min_peers=min_peers, end_day=end
         )

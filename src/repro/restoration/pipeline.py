@@ -26,8 +26,7 @@ from ..asn.blocks import IanaLedger
 from ..asn.numbers import ASN
 from ..rir.archive import DelegationArchive, Stint
 from ..runtime.ledger import ledger_enabled, record_boundary
-from ..runtime.observability import MetricsRegistry
-from ..runtime.profiling import PipelineStats
+from ..runtime.observability import MetricsRegistry, Tracer
 from ..timeline.dates import Day
 from .duplicates import resolve_duplicate_records
 from .gaps import bridge_unavailable_gaps
@@ -134,7 +133,7 @@ def restore_archive(
     *,
     erx_reference: Optional[Mapping[ASN, Day]] = None,
     ledger: Optional[IanaLedger] = None,
-    stats: Optional[PipelineStats] = None,
+    tracer: Optional[Tracer] = None,
 ) -> tuple:
     """Run the full §3.1 restoration over an archive.
 
@@ -148,18 +147,19 @@ def restore_archive(
         repair placeholder dates.
     ledger:
         The IANA block ledger, used to spot mistaken allocations.
-    stats:
-        Optional :class:`PipelineStats` receiving per-stage timings.
+    tracer:
+        Optional :class:`~repro.runtime.observability.Tracer`
+        receiving per-stage spans.
 
     Returns
     -------
     (RestoredDelegations, RestorationReport)
     """
-    if stats is None:
-        stats = PipelineStats()
+    if tracer is None:
+        tracer = Tracer()
     registries = sorted(archive.registries())
 
-    with stats.stage(
+    with tracer.stage(
         "restore:views", items=len(registries), component="restoration"
     ):
         views: Dict[str, RegistryView] = {
@@ -175,14 +175,14 @@ def restore_archive(
     # sees one row per day.
     report = RestorationReport()
     rows_before_steps = sum(_view_rows(view) for view in views.values())
-    with stats.stage(
+    with tracer.stage(
         "restore:per-registry",
         items=len(registries),
         component="restoration",
     ) as span:
         for registry in registries:
             report.merge(_restore_registry(
-                registry, views[registry], erx_reference, stats.metrics
+                registry, views[registry], erx_reference, tracer.metrics
             ))
     if ledger_enabled():
         span.set_attr("ledger", {
@@ -193,7 +193,7 @@ def restore_archive(
     # Step (vi) compares already-clean per-registry timelines against
     # each other — the cross-registry join barrier, serial by design.
     rows_before_vi = {r: _view_rows(views[r]) for r in registries}
-    with stats.stage(
+    with tracer.stage(
         "restore:inter-rir", items=len(views), component="restoration"
     ) as span:
         clean_inter_rir_overlaps(views, report, ledger=ledger)
@@ -211,12 +211,12 @@ def restore_archive(
                         f"{registry}_rows_dropped_stale_tail", 0
                     ),
                 },
-                metrics=stats.metrics,
+                metrics=tracer.metrics,
             )
             if summary is not None:
                 span.set_attr(f"ledger.{registry}", summary)
 
-    with stats.stage("restore:merge", component="restoration") as span:
+    with tracer.stage("restore:merge", component="restoration") as span:
         for view in views.values():
             view.prune_recovery_state()
         restored = RestoredDelegations(views=views, end_day=archive.end_day)
@@ -230,7 +230,7 @@ def restore_archive(
             "restoration/merge",
             records_in=sum(_view_rows(view) for view in views.values()),
             kept=sum(len(stints) for stints in restored.stints.values()),
-            metrics=stats.metrics,
+            metrics=tracer.metrics,
         )
         if summary is not None:
             span.set_attr("ledger", summary)

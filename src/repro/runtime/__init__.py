@@ -1,4 +1,4 @@
-"""Pipeline runtime: artifact caching, profiling, observability.
+"""Pipeline runtime: artifact caching, observability, fault injection.
 
 The paper's real corpus (~930G RIB records, 107k ASNs over 6,350 days)
 is processed once and then queried forever; this package gives the
@@ -8,9 +8,11 @@ reproduction pipeline the same operational shape.
   an already-built world is loaded, not re-simulated; entries carry
   checksum manifests verified on load, and corrupt entries are
   quarantined, never trusted and never deleted blind.
-* :mod:`repro.runtime.profiling` — per-stage wall time and item
-  counts plus the runtime's degradation event log, surfaced through
-  ``simulate --profile`` and the scaling benchmark.
+* :mod:`repro.runtime.observability` — the run's one
+  :class:`~repro.runtime.observability.Tracer`: per-stage spans (wall
+  time, item counts), the ``stage.<name>.seconds`` metrics, and the
+  runtime's degradation event log, surfaced through ``simulate
+  --profile``, ``--trace`` and the run manifest.
 * :mod:`repro.runtime.faults` — deterministic, seeded failure
   injection (torn writes, disk full, read-only directories, ...) so
   every failure mode the hardening claims to survive is provoked in
@@ -53,6 +55,7 @@ from .inspect import (
     load_trace,
     render_diff,
     render_trace,
+    trace_view,
 )
 from .ledger import (
     LEDGER_FORMAT,
@@ -82,7 +85,6 @@ from .observability import (
     write_jsonl_atomic,
     write_run_manifest,
 )
-from .profiling import PipelineStats, StageTiming
 from .runs import (
     RUNS_FORMAT,
     RunLookupError,
@@ -119,8 +121,6 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "FaultSpec",
-    "PipelineStats",
-    "StageTiming",
     "LEDGER_FORMAT",
     "LedgerBoundary",
     "boundary",
@@ -142,6 +142,7 @@ __all__ = [
     "load_trace",
     "render_diff",
     "render_trace",
+    "trace_view",
     "RUNS_FORMAT",
     "RunLookupError",
     "load_runs",

@@ -210,8 +210,8 @@ class ArtifactCache:
         self.quarantined = 0
         self.store_failures = 0
         #: Human-readable log of degradations (quarantines, failed
-        #: stores); pipeline drivers drain this into
-        #: :attr:`~repro.runtime.profiling.PipelineStats.events`.
+        #: stores); pipeline drivers drain this into the run's
+        #: :attr:`~repro.runtime.observability.Tracer.events`.
         self.events: List[str] = []
 
     def _inc(self, metric: str, n: int = 1) -> None:

@@ -43,6 +43,7 @@ from .observability import TRACE_FORMAT
 __all__ = [
     "TraceView",
     "load_trace",
+    "trace_view",
     "critical_path",
     "render_trace",
     "folded_stacks",
@@ -85,20 +86,30 @@ def load_trace(path: Union[str, Path]) -> TraceView:
     path = Path(path)
     if path.is_dir():
         path = path / "trace.jsonl"
+    with path.open(encoding="utf-8") as handle:
+        lines = [json.loads(line) for line in handle if line.strip()]
+    try:
+        return trace_view(lines)
+    except ValueError:
+        raise ValueError(f"{path} is not a {TRACE_FORMAT} file") from None
+
+
+def trace_view(lines: Sequence[Dict[str, Any]]) -> TraceView:
+    """Index trace lines (a header, then one span per line).
+
+    Takes what :func:`load_trace` parsed from a file or what
+    :meth:`~repro.runtime.observability.Tracer.to_lines` returns for
+    the trace still in memory, so both render the same way.
+    """
     header: Dict[str, Any] = {}
     spans: List[Dict[str, Any]] = []
-    with path.open(encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if not header and "span_id" not in record:
-                header = record
-                continue
-            spans.append(record)
+    for record in lines:
+        if not header and "span_id" not in record:
+            header = record
+            continue
+        spans.append(record)
     if header.get("format") != TRACE_FORMAT:
-        raise ValueError(f"{path} is not a {TRACE_FORMAT} file")
+        raise ValueError(f"not a {TRACE_FORMAT} trace")
     view = TraceView(header=header, spans=spans)
     ids = {span.get("span_id") for span in spans}
     for span in spans:

@@ -136,7 +136,7 @@ class Span:
         parent_id: Optional[int],
         name: str,
         *,
-        kind: str = "span",
+        kind: str = "stage",
         attrs: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.span_id = span_id
@@ -153,7 +153,7 @@ class Span:
 
     @property
     def items(self) -> Optional[int]:
-        """Work width (kept as an attribute for StageTiming parity)."""
+        """Work width, stored as the ``items`` attribute."""
         return self.attrs.get("items")
 
     @items.setter
@@ -191,25 +191,34 @@ class Span:
 
 
 class Tracer:
-    """A thread-safe collector of nested spans forming one trace.
+    """The run's one accounting object: nested stage spans and events.
 
-    Every tracer owns a root span named ``run``; spans opened with
-    :meth:`span` nest under the opener thread's innermost open span,
+    Every tracer owns a root span named ``run``; stages opened with
+    :meth:`stage` nest under the opener thread's innermost open span,
     falling back to the root, so concurrent threads build disjoint
-    subtrees of one tree.
+    subtrees of one tree.  Every finished stage span also observes its
+    wall time into the ``stage.<name>.seconds`` histogram of
+    :attr:`metrics`, so the metrics snapshot and the trace can never
+    disagree.
+
+    Parameters
+    ----------
+    metrics:
+        The :class:`MetricsRegistry` the run aggregates into (default:
+        the process-global registry).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, *, metrics: Optional[MetricsRegistry] = None) -> None:
         self._lock = threading.Lock()
         self._ids = itertools.count(2)
         self._local = threading.local()
         self.trace_id = os.urandom(8).hex()
+        self.metrics = resolve_metrics(metrics)
         #: Degradation/event log: the runtime's quarantines and failed
-        #: stores.  :class:`~repro.runtime.profiling.PipelineStats`
-        #: exposes this very list as its ``events`` attribute.
+        #: stores.  A clean run leaves it empty.
         self.events: List[str] = []
         self.root = Span(1, None, "run", kind="root")
-        #: Spans in finish order (the root is appended at export time).
+        #: Stage spans in finish order (the root is added at export time).
         self.spans: List[Span] = []
 
     # -- span lifecycle ------------------------------------------------
@@ -226,21 +235,24 @@ class Tracer:
         stack = self._stack()
         return stack[-1] if stack else self.root
 
-    def start_span(
-        self,
-        name: str,
-        *,
-        kind: str = "span",
-        items: Optional[int] = None,
-        parent: Optional[Span] = None,
-        **attrs: Any,
-    ) -> Span:
+    def _new_span(self, name: str, items: Optional[int], attrs: Dict[str, Any]) -> Span:
         with self._lock:
             span_id = next(self._ids)
-        parent = parent if parent is not None else self.current()
-        span = Span(span_id, parent.span_id, name, kind=kind, attrs=attrs)
+        span = Span(span_id, self.current().span_id, name, attrs=attrs)
         if items is not None:
             span.items = items
+        return span
+
+    def _finished(self, span: Span) -> None:
+        """The one place a stage span finishes: log it, observe its wall."""
+        span.finished = True
+        with self._lock:
+            self.spans.append(span)
+        self.metrics.observe(f"stage.{span.name}.seconds", span.seconds)
+
+    def start_span(self, name: str, *, items: Optional[int] = None, **attrs: Any) -> Span:
+        """Open a stage span; close it with :meth:`finish_span`."""
+        span = self._new_span(name, items, attrs)
         self._stack().append(span)
         return span
 
@@ -248,50 +260,36 @@ class Tracer:
         if span.finished:
             return
         span.seconds = time.perf_counter() - span._start_mono
-        span.finished = True
         stack = self._stack()
         if span in stack:
             # close any orphaned children left open by an exception
             while stack and stack[-1] is not span:
                 stack.pop()
             stack.pop()
-        with self._lock:
-            self.spans.append(span)
+        self._finished(span)
 
     @contextmanager
-    def span(
-        self,
-        name: str,
-        *,
-        kind: str = "span",
-        items: Optional[int] = None,
-        **attrs: Any,
-    ) -> Iterator[Span]:
-        span = self.start_span(name, kind=kind, items=items, **attrs)
+    def stage(self, name: str, items: Optional[int] = None, **attrs: Any) -> Iterator[Span]:
+        """Time a stage; the yielded span can be given a late item count.
+
+        Extra keyword attributes (component, engine, registry, ...)
+        land on the stage's span and flow into the exported trace and
+        the manifest's span digest.
+        """
+        span = self.start_span(name, items=items, **attrs)
         try:
             yield span
         finally:
             self.finish_span(span)
 
     def record(
-        self,
-        name: str,
-        seconds: float,
-        *,
-        kind: str = "span",
-        items: Optional[int] = None,
-        **attrs: Any,
+        self, name: str, seconds: float, items: Optional[int] = None, **attrs: Any
     ) -> Span:
-        """Append an externally timed span (already finished)."""
-        with self._lock:
-            span_id = next(self._ids)
-        span = Span(span_id, self.current().span_id, name, kind=kind, attrs=attrs)
-        if items is not None:
-            span.items = items
+        """Append an externally measured stage; returns its span so
+        callers can attach late attributes (ledger summaries)."""
+        span = self._new_span(name, items, attrs)
         span.seconds = float(seconds)
-        span.finished = True
-        with self._lock:
-            self.spans.append(span)
+        self._finished(span)
         return span
 
     # -- annotations and events ----------------------------------------
@@ -306,6 +304,29 @@ class Tracer:
     def annotate_current(self, message: str) -> None:
         """Annotate the current span without logging an event."""
         self.current().annotate(message)
+
+    def drain_events_from(self, *sources: object) -> None:
+        """Move the ``events`` logs of caches into this run.
+
+        The source log is snapshotted before extending and cleared
+        afterwards, so a source reused across runs never re-reports old
+        events — and draining a source that shares this run's event
+        list (including this tracer itself) is a safe no-op instead of
+        an unbounded self-extension.
+        """
+        for source in sources:
+            log = getattr(source, "events", None)
+            if log is None or log is self.events:
+                continue
+            pending = [str(event) for event in log]
+            if not pending:
+                continue
+            try:
+                log.clear()
+            except AttributeError:
+                pass  # immutable source log: report it, cannot drain it
+            for event in pending:
+                self.note(event)
 
     def subscribe_faults(self, injector: Any) -> Callable[[], None]:
         """Mirror every fired fault of ``injector`` into this trace.
@@ -338,7 +359,7 @@ class Tracer:
     def stage_spans(self) -> List[Span]:
         """Finished stage spans in finish order (the profile view)."""
         with self._lock:
-            return [span for span in self.spans if span.kind == "stage"]
+            return list(self.spans)
 
     def to_lines(self) -> List[Dict[str, Any]]:
         """The JSON-lines trace: a header line, then one line per span."""
@@ -643,7 +664,7 @@ def build_run_manifest(
     *,
     config: Any = None,
     settings: Optional[Mapping[str, Any]] = None,
-    stats: Any = None,
+    tracer: Optional[Tracer] = None,
     git_root: Union[str, Path, None] = None,
     clock: Optional[Callable[[], float]] = None,
 ) -> Dict[str, Any]:
@@ -698,12 +719,8 @@ def build_run_manifest(
         # pinned to null so the digest of an unchanged serve-store
         # snapshot stays what earlier builds published
         "backend": None,
-        "span_digest": (
-            stats.tracer.stage_digest()
-            if stats is not None and getattr(stats, "tracer", None) is not None
-            else None
-        ),
-        "events": [str(e) for e in getattr(stats, "events", [])],
+        "span_digest": tracer.stage_digest() if tracer is not None else None,
+        "events": list(tracer.events) if tracer is not None else [],
     }
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     manifest["digest"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -37,7 +37,7 @@ from ..asn.numbers import ASN
 from ..bgp.activity import ActivityEngine, schedule_from_world
 from ..core.taxonomy import classify
 from ..runtime.cache import USE_ENV_FAULTS, cache_key
-from ..runtime.profiling import PipelineStats
+from ..runtime.observability import Tracer
 from ..timeline.intervals import Interval
 from .index import StoreIndex
 from .store import (
@@ -57,7 +57,7 @@ def append_days(
     days: int = 1,
     *,
     faults: Any = USE_ENV_FAULTS,
-    stats: Optional[PipelineStats] = None,
+    tracer: Optional[Tracer] = None,
     runs_index: Union[str, Path, None] = None,
 ) -> Dict[str, Any]:
     """Advance a store's window by ``days``; returns the new index doc.
@@ -69,7 +69,7 @@ def append_days(
     """
     if days < 1:
         raise ServeStoreError("append needs at least one day")
-    stats = stats if stats is not None else PipelineStats()
+    tracer = tracer if tracer is not None else Tracer()
     index = StoreIndex.open(store_dir, faults=faults)
     meta = index.meta
     if index.doc.get("config_hash") != cache_key(config=world.config):
@@ -90,7 +90,7 @@ def append_days(
         for record in shard_records:
             records[record.asn] = record
 
-    with stats.stage(
+    with tracer.stage(
         "serve:append", items=days, component="serve"
     ) as span:
         # 3 — classes for the appended days via the engine's diffing
@@ -129,7 +129,7 @@ def append_days(
             asn: record.admin for asn, record in records.items() if record.admin
         }
         op_lives = derive_op_lives(records, new_meta)
-        taxonomy = classify(admin_lives, op_lives, metrics=stats.metrics)
+        taxonomy = classify(admin_lives, op_lives, metrics=tracer.metrics)
         tables = {
             asn: _activity_of(record)
             for asn, record in records.items()
@@ -143,7 +143,7 @@ def append_days(
         new_meta,
         world.config,
         faults=faults,
-        stats=stats,
+        tracer=tracer,
         runs_index=runs_index,
     )
 

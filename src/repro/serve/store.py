@@ -55,8 +55,7 @@ from ..runtime.cache import (
     CacheStoreError,
     cache_key,
 )
-from ..runtime.observability import build_run_manifest
-from ..runtime.profiling import PipelineStats
+from ..runtime.observability import Tracer, build_run_manifest
 from ..runtime.runs import record_run
 from ..timeline.dates import Day
 from ..timeline.intervals import IntervalSet
@@ -387,7 +386,7 @@ def load_bytes_verified(
 def _snapshot_manifest(config: Any, meta: StoreMeta) -> Dict[str, Any]:
     """The store's identity manifest.
 
-    Built with ``stats=None`` on purpose: span digests, event logs and
+    Built with ``tracer=None`` on purpose: span digests, event logs and
     backend names describe *how* a store was produced, and a store
     reached by append must carry the same identity as one fully
     rebuilt — the digest covers config + serve parameters only.
@@ -395,7 +394,7 @@ def _snapshot_manifest(config: Any, meta: StoreMeta) -> Dict[str, Any]:
     return build_run_manifest(
         config=config,
         settings={"serve": meta.to_json_dict()},
-        stats=None,
+        tracer=None,
         git_root=Path(__file__).resolve().parent,
     )
 
@@ -407,7 +406,7 @@ def publish_store(
     config: Any,
     *,
     faults: Any = USE_ENV_FAULTS,
-    stats: Optional[PipelineStats] = None,
+    tracer: Optional[Tracer] = None,
     runs_index: Union[str, Path, None] = None,
 ) -> Dict[str, Any]:
     """Write (or refresh) a complete store; returns the index document.
@@ -419,7 +418,7 @@ def publish_store(
     an unpublished shard; stale extra shards from a previous, larger
     plan are ignored by readers (the index is the source of truth).
     """
-    stats = stats if stats is not None else PipelineStats()
+    tracer = tracer if tracer is not None else Tracer()
     cache = store_publisher(store_dir, faults=faults)
     asns = sorted(records)
     plan = plan_shards(asns, meta.shard_size)
@@ -427,7 +426,7 @@ def publish_store(
 
     shard_rows = []
     published = 0
-    with stats.stage("serve:publish", items=len(plan), component="serve") as span:
+    with tracer.stage("serve:publish", items=len(plan), component="serve") as span:
         for name, lo, hi in plan:
             shard_asns = asns[lo:hi + 1]
             blob = encode_shard([records[asn] for asn in shard_asns])
@@ -465,7 +464,7 @@ def publish_store(
         if cache.load_named(INDEX_NAME) != index_blob:
             store_bytes_verified(cache, INDEX_NAME, index_blob)
         span.set_attr("published", published)
-    stats.drain_events_from(cache)
+    tracer.drain_events_from(cache)
     if runs_index is not None:
         record_run(runs_index, manifest, {
             "store": Path(store_dir) / INDEX_NAME,
@@ -486,7 +485,7 @@ def build_store(
     min_corroboration: int = 2,
     shard_size: int = DEFAULT_SHARD_SIZE,
     cache: Any = None,
-    stats: Optional[PipelineStats] = None,
+    tracer: Optional[Tracer] = None,
     faults: Any = USE_ENV_FAULTS,
     runs_index: Union[str, Path, None] = None,
 ) -> Dict[str, Any]:
@@ -497,7 +496,7 @@ def build_store(
     taxonomy and encoding are shared with the append path, so the two
     produce byte-identical stores for the same day range.
     """
-    stats = stats if stats is not None else PipelineStats()
+    tracer = tracer if tracer is not None else Tracer()
     start = world.config.start_day if start is None else start
     end = world.config.end_day if end is None else end
     meta = StoreMeta(
@@ -517,10 +516,10 @@ def build_store(
         min_corroboration=min_corroboration,
         engine="columnar",
         cache=cache,
-        stats=stats,
+        tracer=tracer,
     )
-    with stats.stage("serve:assemble", component="serve") as span:
-        taxonomy = classify(admin_lives, op_lives, metrics=stats.metrics)
+    with tracer.stage("serve:assemble", component="serve") as span:
+        taxonomy = classify(admin_lives, op_lives, metrics=tracer.metrics)
         records = build_serve_records(admin_lives, op_lives, tables, taxonomy)
         span.items = len(records)
     return publish_store(
@@ -529,7 +528,7 @@ def build_store(
         meta,
         world.config,
         faults=faults,
-        stats=stats,
+        tracer=tracer,
         runs_index=runs_index,
     )
 

@@ -10,7 +10,8 @@ just run.
 
 The run itself goes through the :mod:`repro.runtime` subsystem: every
 stage runs once, in-process, over all of its items; a
-:class:`PipelineStats` records what each stage cost, and an
+:class:`~repro.runtime.observability.Tracer` records what each stage
+cost, and an
 :class:`ArtifactCache` lets an identical configuration skip the
 rebuild entirely — the pipeline equivalent of serving historical
 queries from precomputed state.
@@ -36,7 +37,7 @@ from ..runtime.cache import (
     dumps_with_gc_paused,
     loads_with_gc_paused,
 )
-from ..runtime.profiling import PipelineStats
+from ..runtime.observability import Tracer
 from .config import WorldConfig, tiny
 from .world import World, WorldSimulator
 
@@ -185,7 +186,7 @@ def build_datasets(
     min_peers: int = 2,
     cache: Union[ArtifactCache, str, Path, None] = None,
     cache_verify: str = "sha256",
-    stats: Optional[PipelineStats] = None,
+    tracer: Optional[Tracer] = None,
     scenario_key: Any = None,
 ) -> DatasetBundle:
     """Run the full pipeline for one world configuration.
@@ -203,8 +204,8 @@ def build_datasets(
         ``"sha256"`` (default) checks loaded entries against their
         sidecar manifests, ``"off"`` trusts unpickling alone.  Ignored
         for an already-constructed :class:`ArtifactCache`.
-    stats:
-        Optional :class:`~repro.runtime.profiling.PipelineStats`
+    tracer:
+        Optional :class:`~repro.runtime.observability.Tracer`
         collecting per-stage wall times, item counts, and the
         runtime's degradation events (quarantines, failed stores).
     scenario_key:
@@ -216,7 +217,7 @@ def build_datasets(
         config = tiny()
     if cache is not None and not isinstance(cache, ArtifactCache):
         cache = ArtifactCache(cache, verify=cache_verify)
-    stats = stats if stats is not None else PipelineStats()
+    tracer = tracer if tracer is not None else Tracer()
 
     key: Optional[str] = None
     if cache is not None:
@@ -229,9 +230,9 @@ def build_datasets(
             min_peers=min_peers,
             scenario_key=scenario_key,
         )
-        with stats.stage("cache:lookup", component="cache") as timing:
+        with tracer.stage("cache:lookup", component="cache") as timing:
             artifact = cache.load(key)
-        stats.drain_events_from(cache)
+        tracer.drain_events_from(cache)
         if artifact is not None:
             timing.items = 1
             timing.set_attr("cache", "hit")
@@ -244,23 +245,23 @@ def build_datasets(
         timing.set_attr("cache", "miss")
 
     bundle = _build(
-        config, stats,
+        config, tracer,
         inject_pitfalls=inject_pitfalls, pitfall_config=pitfall_config,
         timeout=timeout, min_peers=min_peers,
     )
 
     if cache is not None and key is not None:
-        with stats.stage("cache:store", component="cache"):
+        with tracer.stage("cache:store", component="cache"):
             cache.store(
                 key, {"format": _PARTS_FORMAT, "parts": bundle._to_parts()}
             )
-        stats.drain_events_from(cache)
+        tracer.drain_events_from(cache)
     return bundle
 
 
 def _build(
     config: WorldConfig,
-    stats: PipelineStats,
+    tracer: Tracer,
     *,
     inject_pitfalls: bool,
     pitfall_config: Optional[PitfallConfig],
@@ -268,11 +269,11 @@ def _build(
     min_peers: int,
 ) -> DatasetBundle:
     """The uncached pipeline body (world → archive → restore → lifetimes)."""
-    with stats.stage("simulate", component="simulation") as timing:
+    with tracer.stage("simulate", component="simulation") as timing:
         world = WorldSimulator(config).run()
         timing.items = len(world.lives)
 
-    with stats.stage("archive", component="rir") as timing:
+    with tracer.stage("archive", component="rir") as timing:
         clean = DelegationArchive(world.registries, config.end_day)
         windows = {w.source: (w.first_day, w.last_day) for w in clean.sources()}
         defects: List[InjectedDefect] = []
@@ -294,20 +295,20 @@ def _build(
         archive,
         erx_reference=world.erx_reference,
         ledger=world.ledger,
-        stats=stats,
+        tracer=tracer,
     )
 
-    with stats.stage("admin-lifetimes", component="lifetimes") as timing:
+    with tracer.stage("admin-lifetimes", component="lifetimes") as timing:
         admin_lives = build_admin_lifetimes(restored)
         timing.items = len(admin_lives)
-    with stats.stage("bgp-lifetimes", component="lifetimes") as timing:
+    with tracer.stage("bgp-lifetimes", component="lifetimes") as timing:
         op_lives = build_bgp_lifetimes(
             world.activities, timeout=timeout, min_peers=min_peers,
             end_day=config.end_day,
         )
         timing.items = len(op_lives)
 
-    with stats.stage("assemble", component="pipeline"):
+    with tracer.stage("assemble", component="pipeline"):
         bundle = DatasetBundle(
             world=world,
             archive=archive,

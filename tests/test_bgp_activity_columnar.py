@@ -42,7 +42,7 @@ from repro.lifetimes.bgp import (
     build_operational_dataset,
 )
 from repro.net import Prefix
-from repro.runtime import ArtifactCache, MetricsRegistry, PipelineStats
+from repro.runtime import ArtifactCache, MetricsRegistry, Tracer
 from repro.simulation.config import tiny
 from repro.simulation.world import WorldSimulator
 
@@ -301,15 +301,15 @@ class TestWorldPipeline:
         sweeps = {}
         for engine, stage in (("columnar", "bgp:sanitize"),
                               ("object", "bgp:stream")):
-            stats = PipelineStats(metrics=MetricsRegistry())
+            tracer = Tracer(metrics=MetricsRegistry())
             build_operational_dataset(world, start=start, end=end,
-                                      engine=engine, stats=stats)
-            span = next(s for s in stats.tracer.stage_spans()
+                                      engine=engine, tracer=tracer)
+            span = next(s for s in tracer.stage_spans()
                         if s.name == stage)
             assert 0.0 < span.attrs["routing_s"] <= span.seconds + 1e-6
             sweeps[engine] = span.attrs["routing_sweeps"]
-            assert stats.metrics.counter("bgp.routing.sweeps").value == sweeps[engine]
-            others = [s for s in stats.tracer.stage_spans()
+            assert tracer.metrics.counter("bgp.routing.sweeps").value == sweeps[engine]
+            others = [s for s in tracer.stage_spans()
                       if s.name != stage and "routing_sweeps" in s.attrs]
             assert not others
         # one sweep per distinct announcer of the window, either engine
@@ -324,33 +324,33 @@ class TestWorldPipeline:
                                                   tmp_path):
         start, end = window
         cache = ArtifactCache(tmp_path, faults=None)  # pins exact hit counts
-        cold_stats = PipelineStats()
+        cold_tracer = Tracer()
         cold_lives, _ = build_operational_dataset(
-            world, start=start, end=end, cache=cache, stats=cold_stats,
+            world, start=start, end=end, cache=cache, tracer=cold_tracer,
         )
         assert {"bgp:stream", "bgp:sanitize", "bgp:visibility"} <= {
-            s.name for s in cold_stats.stages
+            s.name for s in cold_tracer.stage_spans()
         }
 
-        warm_stats = PipelineStats()
+        warm_tracer = Tracer()
         warm_lives, _ = build_operational_dataset(
-            world, start=start, end=end, cache=cache, stats=warm_stats,
+            world, start=start, end=end, cache=cache, tracer=warm_tracer,
         )
         assert cache.hits == 1
-        assert [s.name for s in warm_stats.stages] == [
+        assert [s.name for s in warm_tracer.stage_spans()] == [
             "cache:lookup", "bgp:segment",
         ]
         assert warm_lives == cold_lives
 
         # the object engine serves from the same entry: the key holds
         # the *output* contract, not the engine that built it
-        cross_stats = PipelineStats()
+        cross_tracer = Tracer()
         cross_lives, _ = build_operational_dataset(
             world, start=start, end=end, engine="object", cache=cache,
-            stats=cross_stats,
+            tracer=cross_tracer,
         )
         assert cache.hits == 2
-        assert [s.name for s in cross_stats.stages] == [
+        assert [s.name for s in cross_tracer.stage_spans()] == [
             "cache:lookup", "bgp:segment",
         ]
         assert cross_lives == cold_lives

@@ -105,10 +105,14 @@ class TestCommands:
     def test_serve_build_append_bench_workflow(self, tmp_path, capsys):
         full, inc = tmp_path / "full", tmp_path / "inc"
         base = ["--scale", "0.006", "--seed", "3"]
-        rc = main(["serve-build", *base, "--out", str(full), "--window", "45"])
+        rc = main(["serve-build", *base, "--out", str(full), "--window", "45",
+                   "--profile"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "built store" in out and "snapshot" in out
+        # --profile prints the run's span tree, serve stages included
+        assert "critical path starred" in out
+        assert "serve:assemble" in out and "serve:publish" in out
 
         rc = main(["serve-build", *base, "--out", str(inc),
                    "--window", "43", "--end-back", "2"])

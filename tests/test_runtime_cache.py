@@ -16,7 +16,7 @@ from repro.rir.pitfalls import PitfallConfig
 from repro.runtime import (
     PIPELINE_VERSION,
     ArtifactCache,
-    PipelineStats,
+    Tracer,
     cache_key,
     fingerprint,
 )
@@ -217,11 +217,11 @@ class TestCachedBundle:
     def test_warm_hit_equals_cold_build(self, tmp_path, serial_bundle):
         cache = ArtifactCache(tmp_path, faults=None)  # pins exact hit counts
         cold = build_datasets(tiny(seed=7), cache=cache)
-        stats = PipelineStats()
-        warm = build_datasets(tiny(seed=7), cache=cache, stats=stats)
+        tracer = Tracer()
+        warm = build_datasets(tiny(seed=7), cache=cache, tracer=tracer)
         assert cache.hits == 1
         # a hit returns before any pipeline stage runs
-        assert [s.name for s in stats.stages] == ["cache:lookup"]
+        assert [s.name for s in tracer.stage_spans()] == ["cache:lookup"]
         for bundle in (cold, warm):
             assert bundle.restored.stints == serial_bundle.restored.stints
             assert bundle.admin_lives == serial_bundle.admin_lives

@@ -14,12 +14,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.runtime import (
     ArtifactCache,
     CacheStoreError,
     FaultInjector,
     FaultSpec,
-    PipelineStats,
 )
 from repro.runtime.faults import from_env
 from repro.simulation import build_datasets
@@ -248,13 +248,30 @@ class TestPipelineUnderFaults:
             assert bundle.op_lives == clean.op_lives
         assert cache.hits == 0  # every lookup degraded to a miss
 
-    def test_stats_render_includes_events(self):
-        stats = PipelineStats()
-        stats.record("simulate", 1.0)
-        stats.note("cache: quarantined corrupt entry deadbeef")
-        text = stats.render()
-        assert "runtime events (1):" in text
-        assert "quarantined" in text
+    def test_profile_lists_quarantine_events(self, tmp_path, capsys,
+                                             monkeypatch):
+        """``simulate --profile`` reports a quarantined cache entry
+        under ``runtime events``, after the run's span tree."""
+        # the test plants its own corruption; ambient injection could
+        # fail the first store and leave nothing to corrupt
+        monkeypatch.delenv("REPRO_FAULT_SEED", raising=False)
+        argv = [
+            "simulate", "--scale", "0.006", "--seed", "3",
+            "--out", str(tmp_path / "data"),
+            "--cache-dir", str(tmp_path / "cache"),
+        ]
+        assert main(argv) == 0
+        entries = sorted((tmp_path / "cache").glob("*.pkl"))
+        assert entries
+        for entry in entries:
+            entry.write_bytes(b"corrupt")
+        capsys.readouterr()
+        assert main([*argv, "--profile"]) == 0
+        out = capsys.readouterr().out
+        profile = out[out.index("critical path starred"):]
+        events = profile[profile.index("runtime events ("):].splitlines()
+        assert any("cache: quarantined corrupt entry" in line
+                   for line in events[1:])
 
 
 class TestEnvInjection:

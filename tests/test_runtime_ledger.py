@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.runtime import (
     ArtifactCache,
     MetricsRegistry,
-    PipelineStats,
+    Tracer,
     boundary,
     build_ledger,
     check_ledger,
@@ -161,7 +161,7 @@ def _build_with_taxonomy(config, **kwargs):
 class TestPipelineClosure:
     def test_full_build_conserves_every_boundary(self):
         metrics = reset_metrics()
-        _build_with_taxonomy(tiny(seed=11), stats=PipelineStats())
+        _build_with_taxonomy(tiny(seed=11), tracer=Tracer())
         doc = build_ledger(metrics)
         assert check_ledger(doc) == []
         assert doc["conserved"] is True
@@ -172,7 +172,7 @@ class TestPipelineClosure:
 
     def test_taxonomy_rows_partition_exactly(self):
         metrics = reset_metrics()
-        _build_with_taxonomy(tiny(seed=11), stats=PipelineStats())
+        _build_with_taxonomy(tiny(seed=11), tracer=Tracer())
         doc = build_ledger(metrics)
         for row in doc["stages"]:
             if not row["stage"].startswith("taxonomy:"):
@@ -185,7 +185,7 @@ class TestPipelineClosure:
     ):
         # the clean reference ledger first, before arming the injector
         metrics = reset_metrics()
-        _build_with_taxonomy(tiny(seed=7), stats=PipelineStats())
+        _build_with_taxonomy(tiny(seed=7), tracer=Tracer())
         clean = build_ledger(metrics)
         assert clean["conserved"] is True
 
@@ -193,8 +193,7 @@ class TestPipelineClosure:
         monkeypatch.setenv("REPRO_FAULT_RATE", "0.25")
         metrics = reset_metrics()
         cache = ArtifactCache(tmp_path / "cache")
-        stats = PipelineStats()
-        _build_with_taxonomy(tiny(seed=7), cache=cache, stats=stats)
+        _build_with_taxonomy(tiny(seed=7), cache=cache, tracer=Tracer())
         faulty = build_ledger(metrics)
 
         # conservation holds under injected cache faults — and the
@@ -209,11 +208,11 @@ class TestLedgerDeterminism:
     @given(seed=st.integers(min_value=1, max_value=40))
     def test_repeat_builds_ledgers_identical(self, seed):
         metrics = reset_metrics()
-        _build_with_taxonomy(tiny(seed=seed), stats=PipelineStats())
+        _build_with_taxonomy(tiny(seed=seed), tracer=Tracer())
         first_doc = build_ledger(metrics)
 
         metrics = reset_metrics()
-        _build_with_taxonomy(tiny(seed=seed), stats=PipelineStats())
+        _build_with_taxonomy(tiny(seed=seed), tracer=Tracer())
         second_doc = build_ledger(metrics)
 
         # the determinism contract covers accounting: a rebuild of the

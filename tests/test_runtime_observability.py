@@ -15,19 +15,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.lifetimes.bgp import build_operational_dataset
 from repro.runtime import (
     RUN_MANIFEST_FORMAT,
     TRACE_FORMAT,
     FaultInjector,
     FaultSpec,
+    ArtifactCache,
     MetricsRegistry,
-    PipelineStats,
     Tracer,
     build_run_manifest,
     get_metrics,
     write_run_manifest,
 )
 from repro.runtime.faults import from_env
+from repro.runtime.inspect import (
+    RunArtifacts,
+    load_trace,
+    render_trace,
+    stage_seconds,
+    trace_view,
+)
+from repro.runtime.observability import write_jsonl_atomic
 from repro.simulation import build_datasets
 from repro.simulation.config import tiny
 
@@ -35,8 +44,8 @@ from repro.simulation.config import tiny
 class TestSpanNesting:
     def test_spans_nest_under_opener(self):
         tracer = Tracer()
-        with tracer.span("outer", kind="stage") as outer:
-            with tracer.span("inner") as inner:
+        with tracer.stage("outer") as outer:
+            with tracer.stage("inner") as inner:
                 assert inner.parent_id == outer.span_id
             assert tracer.current() is outer
         assert tracer.current() is tracer.root
@@ -45,7 +54,7 @@ class TestSpanNesting:
     def test_exception_closes_orphaned_children(self):
         tracer = Tracer()
         with pytest.raises(RuntimeError):
-            with tracer.span("outer"):
+            with tracer.stage("outer"):
                 tracer.start_span("orphan")  # never finished by its opener
                 raise RuntimeError("stage blew up")
         # the outer finish popped the orphan off the stack
@@ -56,7 +65,7 @@ class TestSpanNesting:
         seen = {}
 
         def work(name):
-            with tracer.span(name) as span:
+            with tracer.stage(name) as span:
                 seen[name] = span
 
         threads = [threading.Thread(target=work, args=(f"t{i}",)) for i in range(4)]
@@ -71,7 +80,7 @@ class TestSpanNesting:
 
     def test_trace_lines_have_header_and_root(self, tmp_path):
         tracer = Tracer()
-        with tracer.span("simulate", kind="stage", items=10):
+        with tracer.stage("simulate", items=10):
             pass
         path = tracer.write_jsonl(tmp_path / "trace.jsonl")
         lines = [json.loads(line) for line in path.read_text().splitlines()]
@@ -83,7 +92,7 @@ class TestSpanNesting:
 
     def test_note_logs_event_and_annotates_current(self):
         tracer = Tracer()
-        with tracer.span("stage-x") as span:
+        with tracer.stage("stage-x") as span:
             tracer.note("cache: quarantined entry")
         assert tracer.events == ["cache: quarantined entry"]
         assert span.annotations == ["cache: quarantined entry"]
@@ -119,11 +128,51 @@ class TestMetricsRegistry:
 
     def test_stage_blocks_feed_histograms(self):
         metrics = MetricsRegistry()
-        stats = PipelineStats(metrics=metrics)
-        with stats.stage("simulate", items=3):
+        tracer = Tracer(metrics=metrics)
+        with tracer.stage("simulate", items=3):
             pass
-        hist = metrics.snapshot()["histograms"]["stage.simulate.seconds"]
-        assert hist["count"] == 1
+        tracer.record("archive", 0.5)
+        hists = metrics.snapshot()["histograms"]
+        assert hists["stage.simulate.seconds"]["count"] == 1
+        assert hists["stage.archive.seconds"]["sum"] == 0.5
+
+    def test_stage_histograms_agree_with_stage_spans(self, tmp_path):
+        """Per stage name, the ``stage.<name>.seconds`` histogram counts
+        exactly the stage spans and sums exactly their seconds, so
+        :func:`stage_seconds` answers alike from metrics or trace."""
+        tracer = Tracer(metrics=MetricsRegistry())
+        cache = ArtifactCache(tmp_path, faults=None)
+        bundle = build_datasets(tiny(seed=11), cache=cache, tracer=tracer)
+        end = bundle.world.config.end_day
+        build_operational_dataset(
+            bundle.world, start=end - 29, end=end, engine="columnar",
+            cache=cache, tracer=tracer,
+        )
+        spans = tracer.stage_spans()
+        names = {span.name for span in spans}
+        assert [span.name for span in spans].count("cache:lookup") == 2
+        hists = tracer.metrics.snapshot()["histograms"]
+        assert {k for k in hists if k.startswith("stage.")} == {
+            f"stage.{name}.seconds" for name in names
+        }
+        for name in names:
+            own = [span.seconds for span in spans if span.name == name]
+            hist = hists[f"stage.{name}.seconds"]
+            assert hist["count"] == len(own), name
+            assert hist["sum"] == pytest.approx(sum(own), abs=1e-9), name
+
+        from_metrics = stage_seconds(RunArtifacts(
+            path=tmp_path, metrics=tracer.metrics.snapshot(),
+        ))
+        from_trace = stage_seconds(RunArtifacts(
+            path=tmp_path, trace=trace_view(tracer.to_lines()),
+        ))
+        assert set(from_metrics) == set(from_trace) == names
+        for name in names:
+            # the trace rounds each span to the microsecond
+            assert from_trace[name] == pytest.approx(
+                from_metrics[name], abs=1e-6 * len(spans)
+            ), name
 
 
 class TestBucketedHistograms:
@@ -188,7 +237,7 @@ class TestAmbientFaultMetrics:
             cache = ArtifactCache(tmp_path, faults=injector)
             key = cache.key_for(artifact="x")
             cache.store(key, {"x": 1})
-            with tracer.span("cache:lookup", kind="stage") as span:
+            with tracer.stage("cache:lookup") as span:
                 assert cache.load(key) is None
         finally:
             detach()
@@ -213,12 +262,12 @@ class TestAmbientFaultMetrics:
 
 class TestRunManifest:
     def _manifest(self, tmp_path, seed=7):
-        stats = PipelineStats(metrics=MetricsRegistry())
-        build_datasets(tiny(seed=seed), stats=stats)
+        tracer = Tracer(metrics=MetricsRegistry())
+        build_datasets(tiny(seed=seed), tracer=tracer)
         return build_run_manifest(
             config=tiny(seed=seed),
             settings={"bgp_engine": "columnar", "jobs": 1},
-            stats=stats,
+            tracer=tracer,
         )
 
     def test_manifest_is_byte_identical_across_runs(self, tmp_path):
@@ -253,11 +302,11 @@ class TestRunManifest:
         assert "generated_at" not in manifest  # timestamps are opt-in
 
     def test_clock_opt_in_excluded_from_digest(self, tmp_path):
-        stats = PipelineStats(metrics=MetricsRegistry())
+        tracer = Tracer(metrics=MetricsRegistry())
         with_clock = build_run_manifest(
-            config=tiny(seed=1), stats=stats, clock=lambda: 1234.5
+            config=tiny(seed=1), tracer=tracer, clock=lambda: 1234.5
         )
-        without = build_run_manifest(config=tiny(seed=1), stats=stats)
+        without = build_run_manifest(config=tiny(seed=1), tracer=tracer)
         assert with_clock["generated_at"] == 1234.5
         assert with_clock["digest"] == without["digest"]
 
@@ -265,7 +314,7 @@ class TestRunManifest:
         monkeypatch.setenv("REPRO_FAULT_SEED", "2021")
         monkeypatch.setenv("REPRO_FAULT_RATE", "0.1")
         monkeypatch.setenv("REPRO_FAULT_SITES", "cache:read,cache:write")
-        manifest = build_run_manifest(config=None, stats=None)
+        manifest = build_run_manifest(config=None, tracer=None)
         assert manifest["fault_injection"] == {
             "seed": 2021,
             "rate": 0.1,
@@ -282,78 +331,85 @@ class _LogSource:
 
 class TestDrainEvents:
     def test_drain_moves_and_clears(self):
-        stats = PipelineStats(metrics=MetricsRegistry())
+        tracer = Tracer(metrics=MetricsRegistry())
         source = _LogSource(["cache: store failed"])
-        stats.drain_events_from(source)
-        assert stats.events == ["cache: store failed"]
+        tracer.drain_events_from(source)
+        assert tracer.events == ["cache: store failed"]
         assert source.events == []
 
     def test_source_reused_across_runs_never_rereports(self):
         """Regression: a cache reused across runs must not
         re-report run 1's events into run 2."""
         source = _LogSource(["event-from-run-1"])
-        first = PipelineStats(metrics=MetricsRegistry())
+        first = Tracer(metrics=MetricsRegistry())
         first.drain_events_from(source)
         source.events.append("event-from-run-2")
-        second = PipelineStats(metrics=MetricsRegistry())
+        second = Tracer(metrics=MetricsRegistry())
         second.drain_events_from(source)
         assert first.events == ["event-from-run-1"]
         assert second.events == ["event-from-run-2"]
 
     def test_drain_self_is_noop(self):
-        stats = PipelineStats(metrics=MetricsRegistry())
-        stats.note("my own event")
-        stats.drain_events_from(stats)  # events list is shared: must not loop
-        assert stats.events == ["my own event"]
+        tracer = Tracer(metrics=MetricsRegistry())
+        tracer.note("my own event")
+        tracer.drain_events_from(tracer)  # must not loop over its own log
+        assert tracer.events == ["my own event"]
 
     def test_drain_shared_tracer_source_is_noop(self):
-        tracer = Tracer()
-        stats = PipelineStats(tracer=tracer, metrics=MetricsRegistry())
-        stats.note("shared")
-        stats.drain_events_from(tracer)  # same list object as stats.events
-        assert stats.events == ["shared"]
+        tracer = Tracer(metrics=MetricsRegistry())
+        tracer.note("shared")
+        source = _LogSource(())
+        source.events = tracer.events  # same list object as the run's
+        tracer.drain_events_from(source)
+        assert tracer.events == ["shared"]
 
     def test_drain_immutable_source_still_reports(self):
-        stats = PipelineStats(metrics=MetricsRegistry())
-        stats.drain_events_from(_LogSource(()).__class__(("frozen",)))
-        assert stats.events == ["frozen"]
+        tracer = Tracer(metrics=MetricsRegistry())
+        tracer.drain_events_from(_LogSource(()).__class__(("frozen",)))
+        assert tracer.events == ["frozen"]
 
     def test_drain_tuple_log_reported_not_cleared(self):
         class Frozen:
             events = ("tuple event",)
 
-        stats = PipelineStats(metrics=MetricsRegistry())
-        stats.drain_events_from(Frozen())
-        assert stats.events == ["tuple event"]
+        tracer = Tracer(metrics=MetricsRegistry())
+        tracer.drain_events_from(Frozen())
+        assert tracer.events == ["tuple event"]
 
 
-class TestPipelineStatsView:
+class TestTracerStages:
     def test_stages_project_tracer_spans(self):
-        stats = PipelineStats(metrics=MetricsRegistry())
-        with stats.stage("simulate", items=100):
+        tracer = Tracer(metrics=MetricsRegistry())
+        with tracer.stage("simulate", items=100):
             pass
-        stats.record("archive", 0.5, items=3)
-        assert [s.name for s in stats.stages] == ["simulate", "archive"]
-        assert stats.stages[0].items == 100
-        assert stats.seconds_of("archive") == 0.5
+        tracer.record("archive", 0.5, items=3)
+        spans = tracer.stage_spans()
+        assert [s.name for s in spans] == ["simulate", "archive"]
+        assert all(s.kind == "stage" for s in spans)
+        assert spans[0].items == 100
+        assert spans[1].seconds == 0.5
 
     def test_late_item_count(self):
-        stats = PipelineStats(metrics=MetricsRegistry())
-        with stats.stage("restore") as timing:
+        tracer = Tracer(metrics=MetricsRegistry())
+        with tracer.stage("restore") as timing:
             timing.items = 42
-        assert stats.stages[0].items == 42
+        assert tracer.stage_spans()[0].items == 42
 
-    def test_render_and_compare_still_work(self):
-        stats = PipelineStats(metrics=MetricsRegistry())
-        stats.record("simulate", 2.0, items=10)
-        baseline = PipelineStats(metrics=MetricsRegistry())
-        baseline.record("simulate", 4.0, items=10)
-        assert "simulate" in stats.render()
-        assert "2.0x" in stats.compare(baseline)
+    def test_in_memory_trace_renders_like_its_file(self, tmp_path):
+        tracer = Tracer(metrics=MetricsRegistry())
+        tracer.record("simulate", 2.0, items=10)
+        with tracer.stage("archive"):
+            tracer.note("cache: quarantined corrupt entry")
+        lines = tracer.to_lines()
+        path = write_jsonl_atomic(tmp_path / "trace.jsonl", lines)
+        text = render_trace(trace_view(lines))
+        assert text == render_trace(load_trace(path))
+        assert "simulate" in text and "[items=10]" in text
+        assert "[notes=1]" in text
 
     def test_stage_attrs_flow_into_digest(self):
-        stats = PipelineStats(metrics=MetricsRegistry())
-        with stats.stage("bgp:segment", component="bgp", engine="columnar"):
+        tracer = Tracer(metrics=MetricsRegistry())
+        with tracer.stage("bgp:segment", component="bgp", engine="columnar"):
             pass
-        digest = stats.tracer.stage_digest()
+        digest = tracer.stage_digest()
         assert digest["stages"][0]["attrs"]["engine"] == "columnar"
