@@ -15,8 +15,10 @@ the working tree's median is worse than the base's by more than that
 metric's ``bound`` (relative, in the metric's ``better`` direction).
 Both sides run on the same host in the same job, so no absolute
 timing is ever committed.  It prints each side's medians and
-interquartile spreads, and appends every raw result line to
-``.perfbench-out/ab-results.jsonl`` in the working tree.
+interquartile spreads, the pairs in which the working tree did
+better (ties count for neither side; the verdict ignores them), and
+appends every raw result line to ``.perfbench-out/ab-results.jsonl``
+in the working tree.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def verdict(benchmark: dict, records: List[dict]) -> Tuple[List[tuple], List[str
     and ``result`` (the run's parsed result line, None if it crashed).
     """
     failures: List[str] = []
-    values: Dict[Tuple[str, str, str], List[float]] = {}
+    values: Dict[Tuple[str, str, str], Dict[int, float]] = {}
     for record in records:
         where = f"{record['side']} {record['workload']} pair {record['pair']}"
         result = record["result"]
@@ -92,9 +94,9 @@ def verdict(benchmark: dict, records: List[dict]) -> Tuple[List[tuple], List[str
                 f"{where}: correct={result.get('correct')} failed={result.get('failed')}"
             )
         for metric, entry in result.get("metrics", {}).items():
-            values.setdefault((record["side"], record["workload"], metric), []).append(
-                float(entry["value"])
-            )
+            values.setdefault((record["side"], record["workload"], metric), {})[
+                record["pair"]
+            ] = float(entry["value"])
 
     rows: List[tuple] = []
     for workload in (w["name"] for w in benchmark["workloads"]):
@@ -104,13 +106,18 @@ def verdict(benchmark: dict, records: List[dict]) -> Tuple[List[tuple], List[str
             if missing:
                 failures.append(f"{workload} {metric}: no {'/'.join(missing)} results")
                 continue
+            base_runs, head_runs = (values[(side, workload, metric)] for side in SIDES)
             (base, base_iqr), (head, head_iqr) = (
-                spread(values[(side, workload, metric)]) for side in SIDES
+                spread(list(runs.values())) for runs in (base_runs, head_runs)
             )
             delta = (head - base) / base if base else 0.0
-            worse = delta if spec["better"] == "lower" else -delta
+            sign = 1 if spec["better"] == "lower" else -1
+            worse = sign * delta
             status = "FAIL" if worse > spec["bound"] else "ok"
-            rows.append((workload, metric, base, base_iqr, head, head_iqr, delta, status))
+            paired = base_runs.keys() & head_runs.keys()
+            wins = sum(sign * (base_runs[p] - head_runs[p]) > 0 for p in paired)
+            rows.append((workload, metric, base, base_iqr, head, head_iqr, delta,
+                         f"{wins}/{len(paired)}", status))
             if status == "FAIL":
                 failures.append(
                     f"{workload} {metric}: {base:.4g} -> {head:.4g} "
@@ -122,12 +129,12 @@ def verdict(benchmark: dict, records: List[dict]) -> Tuple[List[tuple], List[str
 def render(rows: List[tuple]) -> str:
     lines = [
         f"{'workload':<12} {'metric':<12} {'base':>10} {'iqr':>9} "
-        f"{'head':>10} {'iqr':>9} {'delta':>8}  verdict"
+        f"{'head':>10} {'iqr':>9} {'delta':>8} {'head wins':>9}  verdict"
     ]
-    for workload, metric, base, base_iqr, head, head_iqr, delta, status in rows:
+    for workload, metric, base, base_iqr, head, head_iqr, delta, wins, status in rows:
         lines.append(
             f"{workload:<12} {metric:<12} {base:>10.4g} {base_iqr:>9.3g} "
-            f"{head:>10.4g} {head_iqr:>9.3g} {delta:>+8.1%}  {status}"
+            f"{head:>10.4g} {head_iqr:>9.3g} {delta:>+8.1%} {wins:>9}  {status}"
         )
     return "\n".join(lines)
 

@@ -125,10 +125,9 @@ class ContributionIndex:
         self,
         topology: AsTopology,
         collectors: Sequence[Collector],
-        table: Optional[PathTable] = None,
     ) -> None:
         self._collectors = list(collectors)
-        self.oracle = PathOracle(topology, all_peer_asns(collectors), table=table)
+        self.oracle = PathOracle(topology, all_peer_asns(collectors))
         self.peers: List[ASN] = sorted(all_peer_asns(collectors))
         self._peer_index: Dict[ASN, int] = {p: i for i, p in enumerate(self.peers)}
         self._cache: Dict[Announcement, Contribution] = {}
@@ -222,11 +221,10 @@ class ActivityEngine:
         *,
         min_corroboration: int = DEFAULT_MIN_PEERS,
         full_rebuild_fraction: float = DEFAULT_REBUILD_FRACTION,
-        table: Optional[PathTable] = None,
     ) -> None:
         if min_corroboration < 1:
             raise ValueError("min_corroboration must be at least 1")
-        self._index = ContributionIndex(topology, collectors, table=table)
+        self._index = ContributionIndex(topology, collectors)
         self._min_corr = min_corroboration
         self._rebuild_fraction = full_rebuild_fraction
         self._n_peers = self._index.n_peers
@@ -560,8 +558,9 @@ class ActivityReport:
     stream_seconds: float = 0.0
     sanitize_seconds: float = 0.0
     visibility_seconds: float = 0.0
-    #: Valley-free routing sweeps run (one per distinct announcer) and
-    #: their wall time, a part of ``sanitize_seconds``.
+    #: Valley-free routing sweeps run (one per distinct routing root: a
+    #: non-stub announcer, or a single-homed stub announcer's provider)
+    #: and their wall time, a part of ``sanitize_seconds``.
     routing_sweeps: int = 0
     routing_seconds: float = 0.0
     #: ASN-day totals per visibility class of the engine's activity runs

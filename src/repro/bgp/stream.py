@@ -9,9 +9,10 @@ announce/withdraw updates on inter-day changes — the same element
 stream shape §3.2 consumes.
 
 Path computation is the hot spot, so :class:`PathOracle` runs the
-valley-free sweep once per announcer (the topology is static), and the
-sweep computes routes only where a collector peer's route can depend on
-them.
+valley-free sweep once per routing root (the topology is static): a
+single-homed stub reuses its provider's sweep, every other announcer
+gets its own, and each sweep computes routes only where a collector
+peer's route can depend on them.
 """
 
 from __future__ import annotations
@@ -112,8 +113,14 @@ class PathTable:
             pid = len(self.paths)
             self._ids[path] = pid
             self.paths.append(path)
-            self.distinct.append(distinct_path_asns(path))
-            self.has_loop.append(path_has_loop(path))
+            if len(set(path)) == len(path):
+                # no ASN repeats: no loop, and the path is its own
+                # distinct-ASN tuple
+                self.distinct.append(path)
+                self.has_loop.append(False)
+            else:
+                self.distinct.append(distinct_path_asns(path))
+                self.has_loop.append(path_has_loop(path))
         return pid
 
     def __len__(self) -> int:
@@ -128,18 +135,21 @@ class PathOracle:
     dense path ids instead of per-element tuples.  ``sweeps`` and
     ``sweep_seconds`` count the routing sweeps run so far and their
     wall time, so callers can attribute routing inside their stages.
+
+    A single-homed stub S (one provider P, no peers, no customers) runs
+    no sweep of its own: every route to S ends ``…P, S``, so each
+    candidate at every AS gains the same last hop and ranks as it did
+    towards P, and no route passes through S.  Its map is S's one-hop
+    path first (when S is a vantage), then P's map in P's order with S
+    appended to every path.  P has a customer, so it is never such a
+    stub itself.
     """
 
-    def __init__(
-        self,
-        topology: AsTopology,
-        vantages: Set[ASN],
-        table: Optional[PathTable] = None,
-    ) -> None:
+    def __init__(self, topology: AsTopology, vantages: Set[ASN]) -> None:
         self._topology = topology
         self._vantages = set(vantages)
         self._cache: Dict[ASN, Dict[ASN, Path]] = {}
-        self.table = table if table is not None else PathTable()
+        self.table = PathTable()
         self._ids_cache: Dict[ASN, Dict[ASN, int]] = {}
         self.sweeps = 0
         self.sweep_seconds = 0.0
@@ -148,12 +158,27 @@ class PathOracle:
         """Vantage → path map for one announcer (cached)."""
         cached = self._cache.get(announcer)
         if cached is None:
-            start = perf_counter()
-            cached = best_paths(self._topology, announcer, self._vantages)
-            self.sweep_seconds += perf_counter() - start
-            self.sweeps += 1
+            provider = self._single_provider(announcer)
+            if provider is not None:
+                cached = {announcer: (announcer,)} if announcer in self._vantages else {}
+                for v, path in self.paths_for(provider).items():
+                    if v != announcer:
+                        cached[v] = path + (announcer,)
+            else:
+                start = perf_counter()
+                cached = best_paths(self._topology, announcer, self._vantages)
+                self.sweep_seconds += perf_counter() - start
+                self.sweeps += 1
             self._cache[announcer] = cached
         return cached
+
+    def _single_provider(self, asn: ASN) -> Optional[ASN]:
+        """The provider of a single-homed stub, else None."""
+        topo = self._topology
+        providers = topo.providers(asn)
+        if len(providers) != 1 or topo.peers(asn) or topo.customers(asn):
+            return None
+        return next(iter(providers))
 
     def path_ids_for(self, announcer: ASN) -> Dict[ASN, int]:
         """Vantage → interned path id for one announcer (cached)."""

@@ -27,6 +27,8 @@ from repro.bgp import (
     active_asns,
     day_visibility,
     decorate_path,
+    distinct_path_asns,
+    path_has_loop,
     peer_visibility,
     sanitize,
 )
@@ -107,6 +109,30 @@ class TestPathTable:
         assert table.has_loop[pid]
         clean = table.intern((10, 100, 1001, 1001))
         assert not table.has_loop[clean]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_columns_match_helpers_after_any_interns(self, data):
+        """Columns equal the helpers on every path, loop-free or not,
+        and re-interning a path returns its first id."""
+        hops = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=8)
+        prepended = st.tuples(hops, st.integers(min_value=0, max_value=3)).map(
+            lambda hp: tuple(hp[0]) + (hp[0][-1],) * hp[1]
+        )
+        pool = data.draw(st.lists(prepended, min_size=1, max_size=20), label="pool")
+        order = data.draw(
+            st.lists(st.sampled_from(pool), min_size=1, max_size=60), label="order"
+        )
+        table = PathTable()
+        first = {}
+        for path in order:
+            pid = table.intern(path)
+            assert first.setdefault(path, pid) == pid
+        assert len(table) == len(first)
+        for pid, path in enumerate(table.paths):
+            assert first[path] == pid
+            assert table.distinct[pid] == distinct_path_asns(path)
+            assert table.has_loop[pid] == path_has_loop(path)
 
     def test_decorate_path_matches_stream(self):
         ann = Announcement(1001, P1, forged_origin=65001, prepend=2)
@@ -312,13 +338,24 @@ class TestWorldPipeline:
             others = [s for s in tracer.stage_spans()
                       if s.name != stage and "routing_sweeps" in s.attrs]
             assert not others
-        # one sweep per distinct announcer of the window, either engine
+        # one sweep per distinct routing root of the window, either
+        # engine: a single-homed stub announcer routes through its
+        # provider's sweep, any other announcer through its own
+        topo = world.topology
         announcers = {
             ann.announcer
             for day in range(start, end + 1)
             for ann in world.announcements_for_day(day)
         }
-        assert sweeps == {"columnar": len(announcers), "object": len(announcers)}
+        roots = set()
+        for a in announcers:
+            providers = topo.providers(a)
+            if len(providers) == 1 and not topo.peers(a) and not topo.customers(a):
+                roots |= providers
+            else:
+                roots.add(a)
+        assert len(roots) < len(announcers)
+        assert sweeps == {"columnar": len(roots), "object": len(roots)}
 
     def test_cache_warm_start_skips_stream_stages(self, world, window,
                                                   tmp_path):

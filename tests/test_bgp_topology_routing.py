@@ -3,11 +3,12 @@
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.bgp import (
     AsTopology,
+    PathOracle,
     best_paths,
     generate_topology,
     validate_valley_free,
@@ -256,3 +257,59 @@ def test_restricted_sweep_matches_unrestricted(recipe, seed, size, data):
                 if v in vantages
             ]
             assert list(best_paths(topo, announcer, vantages).items()) == want
+
+
+def _single_provider(topo, asn):
+    """The provider of a single-homed stub (one provider, no peers, no
+    customers), else None."""
+    providers = topo.providers(asn)
+    if len(providers) != 1 or topo.peers(asn) or topo.customers(asn):
+        return None
+    return next(iter(providers))
+
+
+@pytest.mark.parametrize("recipe", sorted(_RECIPES))
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    size=st.integers(min_value=60, max_value=160),
+    data=st.data(),
+)
+def test_oracle_derives_single_homed_stubs_exactly(recipe, seed, size, data):
+    """The oracle's map for a single-homed stub, derived from its
+    provider's sweep, equals the unrestricted sweep's vantage entries in
+    the same order; the oracle sweeps once per routing root."""
+    asns = list(range(1, size + 1))
+    topo = _RECIPES[recipe](asns, seed=seed)
+    single_homed = [a for a in asns if _single_provider(topo, a) is not None]
+    assume(single_homed)
+    stubs = data.draw(
+        st.lists(st.sampled_from(single_homed), min_size=1, max_size=4),
+        label="stubs",
+    )
+    others = data.draw(
+        st.lists(st.sampled_from(asns + [size + 1]), max_size=4), label="others"
+    )
+    announcers = data.draw(st.permutations(stubs + others), label="announcers")
+    for _ in range(3):
+        vantages = data.draw(
+            st.one_of(
+                _vantage_sets(topo),
+                st.frozensets(st.sampled_from(asns), max_size=20).map(
+                    lambda vs: vs | set(stubs)
+                ),
+            ),
+            label="vantages",
+        )
+        oracle = PathOracle(topo, vantages)
+        roots = set()
+        for announcer in announcers:
+            want = [
+                (v, p)
+                for v, p in _reference_best_paths(topo, announcer).items()
+                if v in vantages
+            ]
+            assert list(oracle.paths_for(announcer).items()) == want
+            provider = _single_provider(topo, announcer)
+            roots.add(announcer if provider is None else provider)
+        assert oracle.sweeps == len(roots)

@@ -133,3 +133,29 @@ def test_metric_missing_from_one_side_fails():
 def test_spread_is_median_and_interquartile_range():
     assert ab.spread([1.0, 2.0, 3.0, 4.0, 5.0]) == (3.0, 2.0)
     assert ab.spread([7.0]) == (7.0, 0.0)
+
+
+def test_pair_wins_are_counted_pair_by_pair():
+    records = _records(BASE)
+    head = [r for r in records if r["side"] == "head"]
+    # pair 0: head faster and higher throughput; pair 1: tie; pair 2:
+    # head slower and lower throughput
+    head[0]["result"]["metrics"]["op_p50_ms"]["value"] = 300.0
+    head[0]["result"]["metrics"]["ops_per_s"]["value"] = 3.0
+    head[2]["result"]["metrics"]["op_p50_ms"]["value"] = 450.0
+    head[2]["result"]["metrics"]["ops_per_s"]["value"] = 1.9
+    rows, failures = ab.verdict(BENCHMARK, records)
+    assert failures == []
+    assert {row[1]: row[-2] for row in rows} == {
+        "op_p50_ms": "1/3", "ops_per_s": "1/3", "peak_rss_mb": "0/3",
+    }
+    table = ab.render(rows)
+    assert "head wins" in table.splitlines()[0]
+    assert " 1/3  ok" in table
+
+
+def test_pair_wins_skip_pairs_missing_a_side():
+    records = _records({**BASE, "op_p50_ms": 300.0})
+    records[1]["result"] = None  # base pair 1 crashed
+    rows, _failures_ = ab.verdict(BENCHMARK, records)
+    assert rows[0][1] == "op_p50_ms" and rows[0][-2] == "2/2"
