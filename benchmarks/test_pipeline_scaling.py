@@ -1,4 +1,4 @@
-"""Pipeline runtime scaling: stage profile, cache speedup, BGP engines.
+"""Pipeline runtime scaling: stage profile, cache speedup, BGP activity.
 
 Unlike the other benchmarks (which regenerate paper tables/figures),
 this one measures the *pipeline itself*: per-stage wall times of a cold
@@ -14,7 +14,12 @@ from __future__ import annotations
 import os
 from time import perf_counter
 
-from repro.lifetimes.bgp import build_operational_dataset
+from repro.bgp import SyntheticBgpStream, sanitize
+from repro.lifetimes.bgp import (
+    activity_from_elements,
+    build_bgp_lifetimes,
+    build_operational_dataset,
+)
 from repro.runtime import ArtifactCache, Tracer, ledger_disabled
 from repro.runtime.inspect import render_trace, trace_view
 from repro.simulation import bench, build_datasets
@@ -77,76 +82,82 @@ def test_pipeline_scaling(record_result):
     record_result("pipeline_scaling", "\n".join(lines))
 
 
-#: Stages the columnar activity engine replaces (segmentation and cache
-#: I/O are shared between engines and excluded from the speedup).
+#: The columnar engine's stages that the object-stream oracle's work
+#: corresponds to (segmentation and cache I/O are excluded from the
+#: speedup).
 _ACTIVITY_STAGES = ("bgp:stream", "bgp:sanitize", "bgp:visibility")
 
 
-def _routing_line(label: str, tracer: Tracer) -> str:
-    """The routing sweeps a run's BGP stages report, and their seconds."""
-    spans = [s for s in tracer.stage_spans() if "routing_sweeps" in s.attrs]
-    sweeps = sum(s.attrs["routing_sweeps"] for s in spans)
-    seconds = sum(s.attrs["routing_s"] for s in spans)
+def _routing_line(label: str, sweeps: int, seconds: float) -> str:
+    """Routing sweeps run and their seconds."""
     return f"{label:<28} {seconds:>9.3f}s ({sweeps} sweeps)"
 
 
 def test_bgp_activity_scaling(record_result, tmp_path):
-    """Columnar vs. object BGP activity: speed, determinism, warm hit.
+    """Columnar engine vs. the object-stream oracle: speed, identity,
+    warm hit.
 
-    One tiny-scale world, one short reference slice: the object-stream
-    oracle and the columnar production engine each build the slice's
-    activity tables, which must be identical, and the columnar
-    engine's stream+sanitize+visibility stages must beat the oracle
-    >= 3x.  The columnar run stores an ``activity-table`` entry; a
-    warm re-run (asking for the object engine, since the key ignores
-    the engine) must hit it and skip the stream stages entirely.
+    One tiny-scale world, one short reference slice: the oracle
+    composition (``SyntheticBgpStream`` -> ``sanitize`` ->
+    ``activity_from_elements``, one element object per (collector,
+    peer, announcement) per day, then ``build_bgp_lifetimes``) and the
+    columnar production path each build the slice's activity tables
+    and lives, which must be identical, and the columnar
+    stream+sanitize+visibility stages must beat the oracle >= 3x.  The
+    columnar run stores an ``activity-table`` entry; a warm re-run must
+    hit it and skip the stream stages entirely.
     """
     world = WorldSimulator(tiny(seed=2021)).run()
     end = world.config.end_day
     ref_days = 14
-    ref_window = dict(start=end - ref_days + 1, end=end)
+    start = end - ref_days + 1
 
-    object_tracer = Tracer()
-    t0 = perf_counter()
-    object_lives, object_tables = build_operational_dataset(
-        world, engine="object", tracer=object_tracer, **ref_window,
+    stream = SyntheticBgpStream(
+        world.topology, world.collectors, world.announcements_for_day
     )
-    object_seconds = perf_counter() - t0
-    object_tree = _span_tree(object_tracer)
+    t0 = perf_counter()
+    # lazy per-day element streams: one day's elements live at a time
+    oracle_tables = activity_from_elements({
+        day: sanitize(stream.elements_for_day(day))
+        for day in range(start, end + 1)
+    })
+    oracle_activity = perf_counter() - t0
+    oracle_lives = build_bgp_lifetimes(oracle_tables, end_day=end)
 
     cache = ArtifactCache(tmp_path / "cache", faults=None)
     columnar_tracer = Tracer()
     t0 = perf_counter()
     columnar_lives, columnar_tables = build_operational_dataset(
-        world, engine="columnar", cache=cache, tracer=columnar_tracer,
-        **ref_window,
+        world, start=start, end=end, cache=cache, tracer=columnar_tracer,
     )
     columnar_seconds = perf_counter() - t0
     columnar_tree = _span_tree(columnar_tracer)
-    assert columnar_tables == object_tables
-    assert columnar_lives == object_lives
-    assert list(columnar_lives) == list(object_lives)
+    assert columnar_tables == oracle_tables
+    assert columnar_lives == oracle_lives
+    assert list(columnar_lives) == list(oracle_lives)
 
     warm_tracer = Tracer()
     t0 = perf_counter()
     warm_lives, _ = build_operational_dataset(
-        world, engine="object", cache=cache, tracer=warm_tracer, **ref_window,
+        world, start=start, end=end, cache=cache, tracer=warm_tracer,
     )
     warm_seconds = perf_counter() - t0
     assert cache.hits == 1
     assert [s.name for s in warm_tracer.stage_spans()] == [
         "cache:lookup", "bgp:segment",
     ]
-    assert warm_lives == object_lives
+    assert warm_lives == oracle_lives
 
-    object_activity = _seconds_of(object_tracer, *_ACTIVITY_STAGES)
     columnar_activity = _seconds_of(columnar_tracer, *_ACTIVITY_STAGES)
-    columnar_speedup = object_activity / columnar_activity
+    columnar_speedup = oracle_activity / columnar_activity
     assert columnar_speedup >= 3, (
         f"columnar stream+visibility only {columnar_speedup:.1f}x faster "
-        f"than the object stream"
+        f"than the object-stream oracle"
     )
 
+    sanitize_span = next(
+        s for s in columnar_tracer.stage_spans() if s.name == "bgp:sanitize"
+    )
     cache_speedup = columnar_seconds / warm_seconds
     lines = [
         f"window: {ref_days} days, {len(columnar_tables)} active ASNs, "
@@ -155,17 +166,16 @@ def test_bgp_activity_scaling(record_result, tmp_path):
         f"columnar {ref_days}d:",
         columnar_tree,
         "",
-        f"object {ref_days}d:",
-        object_tree,
-        "",
-        _routing_line("routing in obj bgp:stream", object_tracer),
-        _routing_line("routing in col bgp:sanitize", columnar_tracer),
-        f"{'object stream':<28} {object_seconds:>9.3f}s",
+        _routing_line("routing in oracle stream", stream.oracle.sweeps,
+                      stream.oracle.sweep_seconds),
+        _routing_line("routing in col bgp:sanitize",
+                      sanitize_span.attrs["routing_sweeps"],
+                      sanitize_span.attrs["routing_s"]),
+        f"{'oracle stream+sanitize+vis':<28} {oracle_activity:>9.3f}s",
+        f"{'col stream+sanitize+vis':<28} {columnar_activity:>9.3f}s",
         f"{'columnar (cold, stores)':<28} {columnar_seconds:>9.3f}s",
         f"{'warm activity-table hit':<28} {warm_seconds:>9.3f}s",
-        f"{'obj stream+sanitize+vis':<28} {object_activity:>9.3f}s",
-        f"{'col stream+sanitize+vis':<28} {columnar_activity:>9.3f}s",
-        f"{'stage speedup (col/obj)':<28} {columnar_speedup:>9.2f}x",
+        f"{'stage speedup (col/oracle)':<28} {columnar_speedup:>9.2f}x",
         f"{'cold/warm cache speedup':<28} {cache_speedup:>9.2f}x",
     ]
     record_result("bgp_activity", "\n".join(lines))

@@ -15,8 +15,6 @@ bogon/special-use registries live in :mod:`repro.asn.bogons`.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 __all__ = [
     "AS_MIN",
     "AS16_MAX",
@@ -134,10 +132,3 @@ def one_digit_apart(a: ASN, b: ASN) -> bool:
         if longer[:i] + longer[i + 1 :] == shorter:
             return True
     return False
-
-
-def split_16_32(asns: Tuple[ASN, ...]) -> Tuple[Tuple[ASN, ...], Tuple[ASN, ...]]:
-    """Partition a tuple of ASNs into (16-bit, 32-bit-only) tuples."""
-    low = tuple(a for a in asns if is_16bit(a))
-    high = tuple(a for a in asns if is_32bit_only(a))
-    return low, high

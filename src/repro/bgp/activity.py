@@ -1,7 +1,8 @@
 """Columnar BGP activity engine: interned paths, peer bitsets, day diffs.
 
-The object pipeline (§3.2 → §4.2) materializes one :class:`BgpElement`
-per (collector, peer, announcement) per day and rebuilds
+The object-stream pipeline (§3.2 → §4.2), kept as the test oracle,
+materializes one :class:`~repro.bgp.messages.BgpElement` per
+(collector, peer, announcement) per day and rebuilds
 ``Dict[ASN, Set[ASN]]`` visibility maps from scratch every day, even
 though consecutive days share almost all announcements.  This engine
 exploits that redundancy the way long-lived BGP studies diff snapshots
@@ -20,26 +21,22 @@ instead of re-reading them:
   diffed against the previous day's; only the (path, peer) pairs that
   appear or disappear touch the counters, and only ASNs whose
   supporting paths changed have their visibility class re-derived.
-  When a day replaces more than ``full_rebuild_fraction`` of the live
-  announcements (a topology-scale shift), the engine falls back to a
-  full recompute of the counters — by construction this yields the
-  same classes, so the fallback is a performance valve, not a
-  semantics switch.
 * **Peer bitset counters** — per-ASN visibility is an integer row of
   live-pair counts per peer slot plus a running visible-peer count; a
   day is classified (observed / single-peer / silent) by comparing
   that count to the threshold, with no set churn.
 
-Output is **byte-identical** to the object path: for every day in the
+Output is **byte-identical** to the oracle's: for every day in the
 window, the engine's per-ASN classes equal what
 ``peer_visibility(sanitize(stream.elements_for_day(day)))`` derives
 (announce updates duplicate RIB pairs and withdrawals carry no path,
 so only the RIB pass shapes visibility).  The equivalence is pinned by
 property tests and by the scaling benchmark's determinism asserts.
 
-A window is replayed in one pass: one engine applies the announcement
-multiset live on the first day, then every later day's diff, so the
-contribution index and the counters are built once per window.
+A window is replayed in one pass (:meth:`ActivityEngine.replay`): one
+engine applies the announcement multiset live on the first day, then
+every later day's diff, so the contribution index and the counters are
+built once per window.
 """
 
 from __future__ import annotations
@@ -48,38 +45,29 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..asn.numbers import ASN
 from ..runtime.ledger import ledger_enabled
 from ..timeline.dates import Day
 from ..timeline.intervals import Interval, IntervalSet
 from .collector import Collector, all_peer_asns
-from .messages import BgpElement  # noqa: F401  (re-exported shape reference)
 from .sanitize import REASON_LOOP, REASON_PREFIX_LENGTH
 from .stream import Announcement, PathOracle, PathTable, decorate_path
 from .topology import AsTopology
 from .visibility import DEFAULT_MIN_PEERS
 
 __all__ = [
-    "DEFAULT_REBUILD_FRACTION",
     "Contribution",
     "ContributionIndex",
     "ActivityEngine",
     "ActivityReport",
     "AnnouncementSchedule",
-    "DayVisibility",
-    "day_visibility",
     "schedule_from_day_source",
     "schedule_from_world",
     "build_activity_tables",
     "build_world_activity_tables",
 ]
-
-#: When one day's diff replaces more than this fraction of the live
-#: announcement multiset, rebuild the counters from scratch instead of
-#: applying the diff (see the module docstring).
-DEFAULT_REBUILD_FRACTION = 0.5
 
 #: Multiset as (announcement, count) pairs — the form schedules use.
 _Items = List[Tuple[Announcement, int]]
@@ -211,7 +199,9 @@ class ActivityEngine:
     open activity runs, and closes runs only when an ASN's visibility
     class actually changes.  :meth:`finish` returns the per-ASN runs
     ``[(class, start, end), ...]`` where class 2 = observed (≥
-    ``min_corroboration`` peers) and class 1 = single-peer.
+    ``min_corroboration`` peers) and class 1 = single-peer;
+    :meth:`replay` drives a whole :class:`AnnouncementSchedule` through
+    both.
     """
 
     def __init__(
@@ -220,18 +210,15 @@ class ActivityEngine:
         collectors: Sequence[Collector],
         *,
         min_corroboration: int = DEFAULT_MIN_PEERS,
-        full_rebuild_fraction: float = DEFAULT_REBUILD_FRACTION,
     ) -> None:
         if min_corroboration < 1:
             raise ValueError("min_corroboration must be at least 1")
         self._index = ContributionIndex(topology, collectors)
         self._min_corr = min_corroboration
-        self._rebuild_fraction = full_rebuild_fraction
         self._n_peers = self._index.n_peers
         self._zero_row = array("i", bytes(4 * (self._n_peers + 1)))
         # live state
         self._live: Counter = Counter()
-        self._live_total = 0
         self._pair_count: Dict[int, int] = {}
         self._rows: Dict[ASN, array] = {}
         # run bookkeeping
@@ -244,15 +231,10 @@ class ActivityEngine:
         self._rate_dropped: Counter = Counter()
         self.kept = 0
         self.dropped: Counter = Counter()
-        self.rebuilds = 0
 
     @property
     def index(self) -> ContributionIndex:
         return self._index
-
-    @property
-    def peers(self) -> List[ASN]:
-        return self._index.peers
 
     @property
     def elements(self) -> int:
@@ -285,15 +267,11 @@ class ActivityEngine:
             else:
                 del self._live[ann]
         self._live.update(added)
-        self._live_total += sum(added.values()) - sum(removed.values())
         touched: Set[ASN] = set()
-        if change > self._rebuild_fraction * max(1, self._live_total):
-            self._rebuild(touched)
-        else:
-            for ann, count in removed.items():
-                self._apply_contribution(ann, -count, touched)
-            for ann, count in added.items():
-                self._apply_contribution(ann, count, touched)
+        for ann, count in removed.items():
+            self._apply_contribution(ann, -count, touched)
+        for ann, count in added.items():
+            self._apply_contribution(ann, count, touched)
         self._commit(day, touched)
 
     def finish(self, end: Day) -> Dict[ASN, List[Tuple[int, Day, Day]]]:
@@ -304,6 +282,16 @@ class ActivityEngine:
         self._run_class.clear()
         self._run_start.clear()
         return self._runs
+
+    def replay(
+        self, schedule: "AnnouncementSchedule"
+    ) -> Dict[ASN, List[Tuple[int, Day, Day]]]:
+        """Apply a schedule's base and every change, then :meth:`finish`
+        at its end; returns the per-ASN runs."""
+        self.apply(schedule.start, Counter(dict(schedule.base)))
+        for day, added, removed in schedule.changes:
+            self.apply(day, Counter(dict(added)), Counter(dict(removed)))
+        return self.finish(schedule.end)
 
     # -- internals ---------------------------------------------------------
 
@@ -351,18 +339,6 @@ class ActivityEngine:
                     row[n_peers] += live_delta
                     touched.add(asn)
 
-    def _rebuild(self, touched: Set[ASN]) -> None:
-        """Full recompute of the counters from the live multiset."""
-        self.rebuilds += 1
-        previously_visible = set(self._rows)
-        self._pair_count = {}
-        self._rows = {}
-        self._rate_kept = 0
-        self._rate_dropped = Counter()
-        for ann, count in self._live.items():
-            self._apply_contribution(ann, count, touched)
-        touched.update(previously_visible)
-
     def _commit(self, day: Day, touched: Set[ASN]) -> None:
         """Open/close activity runs for ASNs whose class changed today."""
         n_peers = self._n_peers
@@ -384,46 +360,6 @@ class ActivityEngine:
             else:
                 del self._run_class[asn]
                 del self._run_start[asn]
-
-
-class DayVisibility:
-    """Columnar view of one day's visibility counters.
-
-    Duck-types the shim protocol of :func:`repro.bgp.visibility.
-    peer_visibility` / ``active_asns``: passing this object where an
-    element iterable is expected answers from the bitset counters
-    without materializing any :class:`BgpElement`.
-    """
-
-    def __init__(self, peers: Sequence[ASN], rows: Mapping[ASN, array]) -> None:
-        self._peers = list(peers)
-        self._rows = rows
-
-    def peer_visibility(self) -> Dict[ASN, Set[ASN]]:
-        """Materialize the legacy asn → peer-set mapping."""
-        n = len(self._peers)
-        peers = self._peers
-        return {
-            asn: {peers[i] for i in range(n) if row[i]}
-            for asn, row in self._rows.items()
-            if row[n]
-        }
-
-    def active_asns(self, min_peers: int = DEFAULT_MIN_PEERS) -> Set[ASN]:
-        """ASNs visible through at least ``min_peers`` distinct peers."""
-        n = len(self._peers)
-        return {asn for asn, row in self._rows.items() if row[n] >= min_peers}
-
-
-def day_visibility(
-    topology: AsTopology,
-    collectors: Sequence[Collector],
-    announcements: Iterable[Announcement],
-) -> DayVisibility:
-    """One day's visibility, computed columnar (no element objects)."""
-    engine = ActivityEngine(topology, collectors)
-    engine.apply(0, Counter(announcements))
-    return DayVisibility(engine.peers, engine._rows)
 
 
 # -- schedules --------------------------------------------------------------
@@ -551,7 +487,6 @@ class ActivityReport:
     elements: int
     kept: int
     dropped: Dict[str, int]
-    rebuilds: int
     #: Unique announcement contributions interned over the window (each
     #: is one sanitized fan-out computed exactly once).
     contributions: int = 0
@@ -578,7 +513,6 @@ def _build_tables(
     stream_seconds: float,
     *,
     min_corroboration: int,
-    full_rebuild_fraction: float,
 ):
     """Replay a whole schedule through one engine into activity tables."""
     # Deferred import: repro.lifetimes.bgp imports this module at load
@@ -587,15 +521,9 @@ def _build_tables(
 
     run_start = perf_counter()
     engine = ActivityEngine(
-        topology,
-        collectors,
-        min_corroboration=min_corroboration,
-        full_rebuild_fraction=full_rebuild_fraction,
+        topology, collectors, min_corroboration=min_corroboration
     )
-    engine.apply(schedule.start, Counter(dict(schedule.base)))
-    for day, added, removed in schedule.changes:
-        engine.apply(day, Counter(dict(added)), Counter(dict(removed)))
-    runs = engine.finish(schedule.end)
+    runs = engine.replay(schedule)
 
     account_days = ledger_enabled()
     class_days_in: Counter = Counter()
@@ -625,7 +553,6 @@ def _build_tables(
         elements=engine.elements,
         kept=engine.kept,
         dropped=engine.dropped,
-        rebuilds=engine.rebuilds,
         contributions=len(engine.index),
         stream_seconds=stream_seconds,
         sanitize_seconds=sanitize_seconds,
@@ -646,7 +573,6 @@ def build_activity_tables(
     end: Day,
     *,
     min_corroboration: int = DEFAULT_MIN_PEERS,
-    full_rebuild_fraction: float = DEFAULT_REBUILD_FRACTION,
 ):
     """Columnar §3.2 activity tables from a per-day announcement source.
 
@@ -663,7 +589,6 @@ def build_activity_tables(
         schedule,
         perf_counter() - stream_start,
         min_corroboration=min_corroboration,
-        full_rebuild_fraction=full_rebuild_fraction,
     )
 
 
@@ -673,7 +598,6 @@ def build_world_activity_tables(
     start: Optional[Day] = None,
     end: Optional[Day] = None,
     min_corroboration: int = DEFAULT_MIN_PEERS,
-    full_rebuild_fraction: float = DEFAULT_REBUILD_FRACTION,
 ):
     """Columnar activity tables for a simulated world's window.
 
@@ -691,5 +615,4 @@ def build_world_activity_tables(
         schedule,
         perf_counter() - stream_start,
         min_corroboration=min_corroboration,
-        full_rebuild_fraction=full_rebuild_fraction,
     )

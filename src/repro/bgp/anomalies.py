@@ -91,10 +91,6 @@ class AnomalyEvent:
     def is_malicious(self) -> bool:
         return self.kind in MALICIOUS_KINDS
 
-    @property
-    def is_misconfiguration(self) -> bool:
-        return self.kind in MISCONFIG_KINDS
-
     def active_on(self, day: Day) -> bool:
         return day in self.interval
 

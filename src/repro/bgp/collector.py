@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from ..asn.numbers import ASN
 from .topology import AsTopology
@@ -75,8 +75,3 @@ def all_peer_asns(collectors: Sequence[Collector]) -> Set[ASN]:
     for collector in collectors:
         out.update(collector.peer_asns)
     return out
-
-
-def peers_by_collector(collectors: Sequence[Collector]) -> Dict[str, Tuple[ASN, ...]]:
-    """Map collector name to its peer tuple."""
-    return {c.name: c.peer_asns for c in collectors}

@@ -7,11 +7,12 @@ ASRank-style *customer cones* — the set of ASes reachable by following
 only customer links — to show that dangling announcements come from
 small networks ("95% of them have no customers").
 
-:class:`AsTopology` stores the graph (networkx underneath) and computes
-cones; :func:`generate_topology` builds a deterministic three-tier
-hierarchy (clique of tier-1s, mid-tier transits, stub edge networks)
-that mimics the Internet's structure closely enough for path shapes
-and cone-size distributions to be meaningful.
+:class:`AsTopology` stores the graph as per-AS provider, customer and
+peer sets and computes cones; :func:`generate_topology` builds a
+deterministic three-tier hierarchy (clique of tier-1s, mid-tier
+transits, stub edge networks) that mimics the Internet's structure
+closely enough for path shapes and cone-size distributions to be
+meaningful.
 
 Two alternative recipes serve the scenario layer
 (:mod:`repro.scenario`): :func:`generate_ixp_topology` wires a flat
@@ -28,8 +29,6 @@ from __future__ import annotations
 
 import random
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set
-
-import networkx as nx
 
 from ..asn.numbers import ASN
 
@@ -51,14 +50,13 @@ P2P = "p2p"  # settlement-free peering
 class AsTopology:
     """An annotated AS graph.
 
-    Provider-customer edges are stored directed provider→customer in a
-    DiGraph; peering links are kept symmetric.  Mutation happens through
-    :meth:`add_p2c` / :meth:`add_p2p`, which maintain the inverse
-    indexes the routing code relies on.
+    Every AS has a provider, a customer and a peer set; a
+    provider→customer edge lands in both ends' sets and peering links
+    are kept symmetric.  Mutation happens through :meth:`add_p2c` /
+    :meth:`add_p2p`.  ASes iterate in insertion order.
     """
 
     def __init__(self) -> None:
-        self._graph = nx.DiGraph()
         self._providers: Dict[ASN, Set[ASN]] = {}
         self._customers: Dict[ASN, Set[ASN]] = {}
         self._peers: Dict[ASN, Set[ASN]] = {}
@@ -67,11 +65,10 @@ class AsTopology:
 
     def add_asn(self, asn: ASN) -> None:
         """Ensure an AS exists (isolated until links are added)."""
-        if asn not in self._graph:
-            self._graph.add_node(asn)
-            self._providers.setdefault(asn, set())
-            self._customers.setdefault(asn, set())
-            self._peers.setdefault(asn, set())
+        if asn not in self._providers:
+            self._providers[asn] = set()
+            self._customers[asn] = set()
+            self._peers[asn] = set()
 
     def add_p2c(self, provider: ASN, customer: ASN) -> None:
         """Add a provider→customer (transit) relationship."""
@@ -79,7 +76,6 @@ class AsTopology:
             raise ValueError("an AS cannot be its own provider")
         self.add_asn(provider)
         self.add_asn(customer)
-        self._graph.add_edge(provider, customer, rel=P2C)
         self._customers[provider].add(customer)
         self._providers[customer].add(provider)
 
@@ -95,13 +91,13 @@ class AsTopology:
     # -- queries -----------------------------------------------------------
 
     def __contains__(self, asn: ASN) -> bool:
-        return asn in self._graph
+        return asn in self._providers
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._providers)
 
     def asns(self) -> Iterable[ASN]:
-        return self._graph.nodes
+        return self._providers.keys()
 
     def providers(self, asn: ASN) -> FrozenSet[ASN]:
         return frozenset(self._providers.get(asn, ()))
@@ -144,17 +140,8 @@ class AsTopology:
     def tier1s(self) -> FrozenSet[ASN]:
         """ASes with no providers (the top of the hierarchy)."""
         return frozenset(
-            asn for asn in self._graph.nodes if not self._providers.get(asn)
+            asn for asn, providers in self._providers.items() if not providers
         )
-
-    def to_networkx(self) -> nx.DiGraph:
-        """A copy of the underlying provider→customer digraph, with
-        peering links attached as ``rel='p2p'`` edges in both directions."""
-        graph = self._graph.copy()
-        for a, peers in self._peers.items():
-            for b in peers:
-                graph.add_edge(a, b, rel=P2P)
-        return graph
 
 
 def generate_topology(

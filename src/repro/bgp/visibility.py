@@ -9,12 +9,6 @@ This module turns one day's (sanitized) element stream into the set of
 active ASNs under a configurable peer threshold, so that the ablation
 benchmark can contrast ``min_peers=1`` (spurious data leaks in) against
 the paper's ``min_peers=2``.
-
-Both entry points also accept a columnar day view (anything exposing
-``peer_visibility()`` / ``active_asns(min_peers)`` methods, such as
-:class:`repro.bgp.activity.DayVisibility`): the signatures are
-unchanged, but a columnar caller skips the per-element object loop
-entirely and reads the bitset counters instead.
 """
 
 from __future__ import annotations
@@ -37,9 +31,6 @@ def peer_visibility(elements: Iterable[BgpElement]) -> Dict[ASN, Set[ASN]]:
     Every ASN on the path counts — origin and transit hops alike — as
     the paper tracks "ASNs that appear in BGP paths".
     """
-    shim = getattr(elements, "peer_visibility", None)
-    if callable(shim):
-        return shim()
     # Hot loop: bind the dict lookup locally and branch on a missing
     # entry instead of paying setdefault's per-call set() allocation;
     # withdrawals short-circuit before any path decode.
@@ -66,9 +57,6 @@ def active_asns(
     """ASNs considered active for the day under the visibility rule."""
     if min_peers < 1:
         raise ValueError("min_peers must be at least 1")
-    shim = getattr(elements, "active_asns", None)
-    if callable(shim):
-        return shim(min_peers)
     return {
         asn
         for asn, peers in peer_visibility(elements).items()

@@ -61,17 +61,17 @@ PATH`` reuses/stores content-addressed pipeline artifacts,
 loaded cache entries (corrupt entries are quarantined and rebuilt),
 and ``--profile`` prints the run's span tree (per-stage wall times and
 item counts) plus any runtime degradation events.
-``--bgp-engine columnar|object`` rebuilds operational lifetimes from
-the message-level BGP stream over the last ``--bgp-window`` days
-(``columnar`` is the incremental production engine, ``object`` the
-per-element oracle; both produce byte-identical datasets, and cached
-activity tables make repeat runs skip the stream).
+``--bgp-window N`` rebuilds operational lifetimes from the
+message-level BGP stream over the last N days with the columnar
+activity engine (cached activity tables make repeat runs skip the
+stream); without it, operational activity comes from the simulation's
+activity intervals over the full window.
 
 Observability flags on ``simulate`` (see DESIGN.md §7): ``--trace``
 writes the run's nested span trace as JSON lines, ``--metrics-out``
 writes a counters/gauges/histograms snapshot, ``--manifest`` writes
 the run provenance manifest (config hash, cache-key versions,
-engine choices, fault-injection settings, git describe, span
+run settings, fault-injection settings, git describe, span
 digest), and ``--ledger`` (implied by ``--trace``) writes the dataflow
 conservation ledger.  Each takes an optional path and defaults to a
 file next to the exported datasets; all are written atomically.
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--manifest", nargs="?", const="@out", default=None,
                           metavar="PATH",
                           help="write the run provenance manifest (config "
-                          "hash, cache-key versions, engine choices, "
+                          "hash, cache-key versions, run settings, "
                           "fault-injection settings, git describe, span "
                           "digest; default PATH: OUT/run_manifest.json)")
     simulate.add_argument("--ledger", nargs="?", const="@out", default=None,
@@ -180,20 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "paths to a runs.jsonl index so 'repro inspect "
                           "diff' can address it by digest prefix (default "
                           "when --manifest is written: OUT/runs.jsonl)")
-    simulate.add_argument("--bgp-engine",
-                          choices=("interval", "columnar", "object"),
-                          default="interval",
-                          help="how operational activity is derived: "
-                          "'interval' reads the simulation's activity "
-                          "intervals directly (default, full window); "
-                          "'columnar' and 'object' rebuild it from the "
-                          "message-level BGP stream over the last "
-                          "--bgp-window days (columnar = incremental "
-                          "engine, object = per-element baseline; both "
-                          "yield byte-identical lifetimes)")
-    simulate.add_argument("--bgp-window", type=int, default=365,
-                          help="days of message-level BGP to rebuild when "
-                          "--bgp-engine is columnar/object (default 365)")
+    simulate.add_argument("--bgp-window", type=int, default=None,
+                          metavar="N",
+                          help="rebuild operational activity from the "
+                          "message-level BGP stream over the last N days "
+                          "(columnar activity engine); default: read the "
+                          "simulation's activity intervals over the full "
+                          "window")
 
     scenarios = sub.add_parser(
         "scenarios", help="list the named scenarios of the library"
@@ -442,6 +435,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # --trace implies the ledger: the two artifacts describe the
         # same run and the CI closure check expects both
         ledger_path = args.out / "ledger.json"
+    if args.bgp_window is not None and args.bgp_window < 1:
+        print("error: --bgp-window must be at least 1 day", file=sys.stderr)
+        return 2
 
     scenario = None
     scenario_key = None
@@ -467,7 +463,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             cache_verify=args.cache_verify, tracer=tracer,
             scenario_key=scenario_key,
         )
-        if args.bgp_engine == "interval":
+        if args.bgp_window is None:
             op_lives = bundle.op_lives
             joint = bundle.joint
         else:
@@ -477,7 +473,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             start = max(config.start_day, end - args.bgp_window + 1)
             op_lives, _tables = build_operational_dataset(
                 bundle.world, start=start, end=end, timeout=args.timeout,
-                engine=args.bgp_engine,
                 cache=args.cache_dir, cache_verify=args.cache_verify,
                 tracer=tracer,
             )
@@ -547,7 +542,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     }
                     if scenario is not None else None
                 ),
-                "bgp_engine": args.bgp_engine,
                 "bgp_window": args.bgp_window,
                 "timeout": args.timeout,
                 "inject_pitfalls": not args.no_pitfalls,

@@ -16,14 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from time import perf_counter
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..asn.numbers import ASN
-from ..bgp.activity import DEFAULT_REBUILD_FRACTION, build_world_activity_tables
+from ..bgp.activity import build_world_activity_tables
 from ..bgp.messages import BgpElement
-from ..bgp.sanitize import SanitizeStats, sanitize
-from ..bgp.stream import SyntheticBgpStream
 from ..bgp.visibility import peer_visibility
 from ..runtime.cache import ACTIVITY_TABLE_VERSION, ArtifactCache
 from ..runtime.ledger import record_boundary
@@ -49,13 +46,6 @@ def _attach(span, ledger_summary) -> None:
     """Put a boundary summary on a stage span (no-op when disabled)."""
     if ledger_summary is not None:
         span.set_attr("ledger", ledger_summary)
-
-
-def _attach_routing(span, sweeps: int, seconds: float, tracer) -> None:
-    """Attribute the routing sweeps run inside a stage to its span."""
-    span.set_attr("routing_sweeps", sweeps)
-    span.set_attr("routing_s", round(seconds, 6))
-    tracer.metrics.inc("bgp.routing.sweeps", sweeps)
 
 
 @dataclass
@@ -130,97 +120,6 @@ def build_bgp_lifetimes(
     return out
 
 
-def _object_stream_tables(
-    world,
-    start: Day,
-    end: Day,
-    min_corroboration: int,
-    tracer: Tracer,
-) -> Dict[ASN, OperationalActivity]:
-    """The object-stream baseline: one day at a time, element objects.
-
-    Algorithmically identical to streaming every day through
-    :func:`repro.bgp.sanitize.sanitize` + :func:`activity_from_elements`
-    (whose equivalence the property tests pin), but processed day by day
-    so the window's elements never coexist in memory, and with the
-    stream/sanitize/visibility stage costs timed separately.
-    """
-    stream = SyntheticBgpStream(
-        world.topology, world.collectors, world.announcements_for_day
-    )
-    san_stats = SanitizeStats()
-    observed_days: Dict[ASN, List[Day]] = {}
-    single_days: Dict[ASN, List[Day]] = {}
-    stream_seconds = sanitize_seconds = visibility_seconds = 0.0
-    for day in range(start, end + 1):
-        t0 = perf_counter()
-        raw = list(stream.elements_for_day(day))
-        t1 = perf_counter()
-        kept = list(sanitize(raw, san_stats))
-        t2 = perf_counter()
-        for asn, peers in peer_visibility(kept).items():
-            npeers = len(peers)
-            if npeers >= min_corroboration:
-                observed_days.setdefault(asn, []).append(day)
-            elif npeers == 1:
-                single_days.setdefault(asn, []).append(day)
-        t3 = perf_counter()
-        stream_seconds += t1 - t0
-        sanitize_seconds += t2 - t1
-        visibility_seconds += t3 - t2
-    t0 = perf_counter()
-    tables = {
-        asn: OperationalActivity(
-            asn=asn,
-            observed=IntervalSet.from_sorted_days(observed_days.get(asn, [])),
-            single_peer=IntervalSet.from_sorted_days(single_days.get(asn, [])),
-        )
-        for asn in set(observed_days) | set(single_days)
-    }
-    visibility_seconds += perf_counter() - t0
-    span = tracer.record("bgp:stream", stream_seconds, items=end - start + 1,
-                         component="bgp", engine="object")
-    _attach_routing(span, stream.oracle.sweeps, stream.oracle.sweep_seconds,
-                    tracer)
-    _attach(span, record_boundary(
-        "bgp:stream",
-        records_in=san_stats.total_seen,
-        kept=san_stats.total_seen,
-        metrics=tracer.metrics,
-    ))
-    span = tracer.record("bgp:sanitize", sanitize_seconds,
-                         items=san_stats.total_seen,
-                         component="bgp", engine="object")
-    _attach(span, record_boundary(
-        "bgp:sanitize",
-        records_in=san_stats.total_seen,
-        kept=san_stats.kept,
-        dropped=san_stats.dropped,
-        metrics=tracer.metrics,
-    ))
-    span = tracer.record("bgp:visibility", visibility_seconds,
-                         items=len(tables),
-                         component="bgp", engine="object")
-    # ASN-day conservation: every day bucketed per ASN must reappear in
-    # exactly one interval of the built activity tables
-    _attach(span, record_boundary(
-        "bgp:visibility",
-        records_in=sum(len(d) for d in observed_days.values())
-        + sum(len(d) for d in single_days.values()),
-        routed={
-            "observed": sum(
-                t.observed.total_days for t in tables.values()
-            ),
-            "single_peer": sum(
-                t.single_peer.total_days for t in tables.values()
-            ),
-        },
-        metrics=tracer.metrics,
-    ))
-    tracer.metrics.inc("bgp.elements", san_stats.total_seen)
-    return tables
-
-
 def build_operational_dataset(
     world,
     *,
@@ -229,41 +128,33 @@ def build_operational_dataset(
     timeout: int = DEFAULT_TIMEOUT,
     min_peers: int = 2,
     min_corroboration: int = 2,
-    engine: str = "columnar",
     cache: Union[ArtifactCache, str, Path, None] = None,
     cache_verify: str = "sha256",
     tracer: Optional[Tracer] = None,
-    full_rebuild_fraction: float = DEFAULT_REBUILD_FRACTION,
 ) -> Tuple[Dict[ASN, List[BgpLifetime]], Dict[ASN, OperationalActivity]]:
     """Message-level §3.2→§4.2: activity tables plus operational lives.
 
     Rebuilds per-ASN :class:`OperationalActivity` from the BGP message
-    stream of ``world`` over ``[start, end]`` and segments it into
-    lifetimes.  ``engine`` selects how the tables are built:
+    stream of ``world`` over ``[start, end]`` with the columnar engine
+    (:mod:`repro.bgp.activity`: interned paths, peer-bitset counters,
+    one day-diffing pass over the window) and segments it into
+    lifetimes.  The tables equal what the object-stream oracle
+    derives (``SyntheticBgpStream`` → ``sanitize`` →
+    :func:`activity_from_elements`), one
+    :class:`~repro.bgp.messages.BgpElement` per (collector, peer,
+    announcement) per day; the tests pin that equivalence.
 
-    ``"columnar"``
-        The incremental engine (:mod:`repro.bgp.activity`): interned
-        paths, peer-bitset counters, one day-diffing pass over the
-        window.
-    ``"object"``
-        The per-element baseline and test oracle: one
-        :class:`~repro.bgp.messages.BgpElement` per (collector, peer,
-        announcement) per day.
-
-    Both engines produce byte-identical tables (and therefore
-    byte-identical lifetimes); when ``cache`` is given, the tables are
-    stored as an ``activity-table`` artifact keyed on the world config,
-    the window and ``min_corroboration`` — *not* the engine — so a warm
-    hit skips the stream/sanitize/visibility stages entirely, whichever
-    engine ran first.  ``timeout``/``min_peers`` only shape the cheap
-    segmentation stage and are deliberately outside the key.
+    When ``cache`` is given, the tables are stored as an
+    ``activity-table`` artifact keyed on the world config, the window
+    and ``min_corroboration``, so a warm hit skips the
+    stream/sanitize/visibility stages entirely.
+    ``timeout``/``min_peers`` only shape the cheap segmentation stage
+    and are deliberately outside the key.
     ``cache_verify`` selects the integrity mode when ``cache`` is a
     path (``"sha256"`` manifests, or ``"off"``).
 
     Returns ``(op_lives, tables)``.
     """
-    if engine not in ("columnar", "object"):
-        raise ValueError(f"unknown BGP activity engine {engine!r}")
     start = world.config.start_day if start is None else start
     end = world.config.end_day if end is None else end
     if tracer is None:
@@ -292,54 +183,49 @@ def build_operational_dataset(
         tracer.drain_events_from(cache)
 
     if tables is None:
-        if engine == "columnar":
-            tables, report = build_world_activity_tables(
-                world,
-                start=start,
-                end=end,
-                min_corroboration=min_corroboration,
-                full_rebuild_fraction=full_rebuild_fraction,
-            )
-            span = tracer.record("bgp:stream", report.stream_seconds,
-                                 items=report.changed_days,
-                                 component="bgp", engine="columnar")
-            _attach(span, record_boundary(
-                "bgp:stream",
-                records_in=report.elements,
-                kept=report.elements,
-                metrics=tracer.metrics,
-            ))
-            span = tracer.record("bgp:sanitize", report.sanitize_seconds,
-                                 items=report.elements,
-                                 component="bgp", engine="columnar")
-            _attach_routing(span, report.routing_sweeps,
-                            report.routing_seconds, tracer)
-            _attach(span, record_boundary(
-                "bgp:sanitize",
-                records_in=report.elements,
-                kept=report.kept,
-                dropped=report.dropped,
-                metrics=tracer.metrics,
-            ))
-            span = tracer.record("bgp:visibility", report.visibility_seconds,
-                                 items=len(tables),
-                                 component="bgp", engine="columnar")
-            # ASN-day conservation from the engine's activity runs into
-            # the interval tables: the conversion must neither lose nor
-            # invent days
-            _attach(span, record_boundary(
-                "bgp:visibility",
-                records_in=sum(report.class_days_in.values()),
-                routed=report.class_days,
-                metrics=tracer.metrics,
-            ))
-            tracer.metrics.inc("bgp.elements", report.elements)
-            tracer.metrics.inc("bgp.contributions", report.contributions)
-            tracer.metrics.inc("bgp.rebuilds", report.rebuilds)
-        else:
-            tables = _object_stream_tables(
-                world, start, end, min_corroboration, tracer
-            )
+        tables, report = build_world_activity_tables(
+            world,
+            start=start,
+            end=end,
+            min_corroboration=min_corroboration,
+        )
+        span = tracer.record("bgp:stream", report.stream_seconds,
+                             items=report.changed_days,
+                             component="bgp", engine="columnar")
+        _attach(span, record_boundary(
+            "bgp:stream",
+            records_in=report.elements,
+            kept=report.elements,
+            metrics=tracer.metrics,
+        ))
+        span = tracer.record("bgp:sanitize", report.sanitize_seconds,
+                             items=report.elements,
+                             component="bgp", engine="columnar")
+        # the valley-free sweeps run inside this stage
+        span.set_attr("routing_sweeps", report.routing_sweeps)
+        span.set_attr("routing_s", round(report.routing_seconds, 6))
+        tracer.metrics.inc("bgp.routing.sweeps", report.routing_sweeps)
+        _attach(span, record_boundary(
+            "bgp:sanitize",
+            records_in=report.elements,
+            kept=report.kept,
+            dropped=report.dropped,
+            metrics=tracer.metrics,
+        ))
+        span = tracer.record("bgp:visibility", report.visibility_seconds,
+                             items=len(tables),
+                             component="bgp", engine="columnar")
+        # ASN-day conservation from the engine's activity runs into
+        # the interval tables: the conversion must neither lose nor
+        # invent days
+        _attach(span, record_boundary(
+            "bgp:visibility",
+            records_in=sum(report.class_days_in.values()),
+            routed=report.class_days,
+            metrics=tracer.metrics,
+        ))
+        tracer.metrics.inc("bgp.elements", report.elements)
+        tracer.metrics.inc("bgp.contributions", report.contributions)
         if cache is not None and key is not None:
             with tracer.stage(
                 "cache:store", items=len(tables), component="cache"
@@ -347,7 +233,7 @@ def build_operational_dataset(
                 cache.store(key, tables)
             tracer.drain_events_from(cache)
 
-    with tracer.stage("bgp:segment", component="bgp", engine=engine) as timing:
+    with tracer.stage("bgp:segment", component="bgp", engine="columnar") as timing:
         op_lives = build_bgp_lifetimes(
             tables, timeout=timeout, min_peers=min_peers, end_day=end
         )

@@ -60,14 +60,6 @@ class RestoredDelegations:
     def delegated_stints(self, asn: ASN) -> List[Stint]:
         return [s for s in self.stints.get(asn, []) if s.record.is_delegated]
 
-    def registries_of(self, asn: ASN) -> List[str]:
-        """Registries that ever delegated this ASN, in first-seen order."""
-        seen: List[str] = []
-        for stint in self.stints.get(asn, []):
-            if stint.record.is_delegated and stint.record.registry not in seen:
-                seen.append(stint.record.registry)
-        return seen
-
 
 def _view_rows(view: RegistryView) -> int:
     """Observed rows (stints) currently held by one registry view."""

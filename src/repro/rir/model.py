@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..asn.numbers import ASN
 from ..timeline.dates import Day, from_iso, to_iso
@@ -176,15 +176,3 @@ class DelegationSnapshot:
         for rec in self.records:
             out[rec.status] = out.get(rec.status, 0) + 1
         return out
-
-    def sorted_records(self) -> List[DelegationRecord]:
-        """Records in ascending ASN order (canonical file order)."""
-        return sorted(self.records, key=lambda r: r.asn)
-
-
-def summarize_counts(snapshots: Sequence[DelegationSnapshot]) -> Dict[str, int]:
-    """Total ASN record count per registry across snapshots."""
-    out: Dict[str, int] = {}
-    for snap in snapshots:
-        out[snap.registry] = out.get(snap.registry, 0) + len(snap.records)
-    return out

@@ -104,18 +104,6 @@ class ArchiveOverlay:
         """Days with no usable file (missing or corrupt)."""
         return self.missing_days.get(source, set()) | self.corrupt_days.get(source, set())
 
-    def is_empty(self) -> bool:
-        return not any(
-            (
-                self.missing_days,
-                self.corrupt_days,
-                self.stale_days,
-                self.record_drops,
-                self.extra_records,
-                self.date_overrides,
-            )
-        )
-
     def defect_count(self) -> int:
         """Total number of injected defect entries (for reports)."""
         total = sum(len(v) for v in self.missing_days.values())

@@ -162,12 +162,6 @@ class Registry:
                     return asn
         return None
 
-    def available_count(self, *, thirty_two_bit: Optional[bool] = None) -> int:
-        """Size of the available pool (optionally one bit class only)."""
-        if thirty_two_bit is None:
-            return len(self._available_set)
-        return sum(1 for a in self._available_set if is_16bit(a) != thirty_two_bit)
-
     # -- allocation lifecycle ---------------------------------------------
 
     def allocate(

@@ -68,13 +68,10 @@ __all__ = [
 PIPELINE_VERSION = "2026.08-1"
 
 #: Version tag of the ``activity-table`` bundle component (the per-ASN
-#: :class:`~repro.lifetimes.bgp.OperationalActivity` tables the BGP
-#: activity engines produce).  Part of every activity-table cache key;
-#: bump when the engines' output semantics change.  The *engine name*
-#: is deliberately not part of the key: columnar and object-stream
-#: builds are contractually byte-identical, so either may serve a hit
-#: for the other — the scaling benchmark's determinism check relies on
-#: exactly this property.
+#: :class:`~repro.lifetimes.bgp.OperationalActivity` tables the columnar
+#: BGP activity engine produces).  Part of every activity-table cache
+#: key; bump when the tables' semantics change, i.e. whenever the engine
+#: and its object-stream test oracle would agree on a new output.
 ACTIVITY_TABLE_VERSION = "activity-table/v1"
 
 #: Format tag of the per-entry sidecar manifest.

@@ -14,7 +14,7 @@ this module gives the reproduction pipeline the same receipts:
   (``cache.hits``, ``cache.verify_failures``, ``bgp.contributions``,
   per-stage wall histograms, ...) behind one lock.
 * Run manifests — :func:`build_run_manifest` assembles the config hash,
-  cache-key versions, engine choices, fault-injection settings,
+  cache-key versions, run settings, fault-injection settings,
   ``git describe``, and a per-stage span digest into a deterministic
   JSON document: identical config and inputs reproduce the manifest
   byte-for-byte (timestamps are opt-in precisely so the default stays
@@ -672,7 +672,7 @@ def build_run_manifest(
 
     The manifest answers "which inputs, code version, and stage path
     produced these datasets": the config's canonical fingerprint and
-    cache-key hash, every cache-key version tag, the engine settings
+    cache-key hash, every cache-key version tag, the run settings
     the caller passes, the ambient fault-injection settings,
     ``git describe``, and the tracer's per-stage span digest.
 

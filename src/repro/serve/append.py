@@ -12,7 +12,8 @@ full rebuild byte-for-byte:
 3. The appended days' classes come from the columnar engine's own
    consecutive-day diffing: :func:`schedule_from_world` over
    ``[end, end + N]`` (event-compressed — unchanged days cost
-   nothing), replayed through one :class:`ActivityEngine`, runs
+   nothing), replayed through one :class:`ActivityEngine`
+   (:meth:`~repro.bgp.activity.ActivityEngine.replay`), runs
    clipped to ``(end, end + N]`` and unioned in with the linear
    interval merge.
 4. Segmentation, taxonomy and shard encoding are the same pure
@@ -29,7 +30,6 @@ digest moves), and the new snapshot registers in the run registry.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
@@ -100,10 +100,7 @@ def append_days(
             list(world.collectors),
             min_corroboration=meta.min_corroboration,
         )
-        engine.apply(old_end, Counter(dict(schedule.base)))
-        for day, added, removed in schedule.changes:
-            engine.apply(day, Counter(dict(added)), Counter(dict(removed)))
-        runs = engine.finish(new_end)
+        runs = engine.replay(schedule)
         span.set_attr("changed_days", schedule.changed_days)
 
         touched = 0

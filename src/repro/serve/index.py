@@ -287,18 +287,6 @@ class StoreIndex:
             "asns": rows,
         }
 
-    def category_counts(self) -> Dict[str, Dict[str, int]]:
-        """Aggregate Table-3 counts over the whole store (debug aid)."""
-        admin: Dict[str, int] = {}
-        op: Dict[str, int] = {}
-        for _asns, records in self._shards:
-            for record in records:
-                for category in record.admin_cats:
-                    admin[category.value] = admin.get(category.value, 0) + 1
-                for category in record.op_cats:
-                    op[category.value] = op.get(category.value, 0) + 1
-        return {"admin": admin, "op": op}
-
     def __len__(self) -> int:
         return sum(len(asns) for asns, _records in self._shards)
 

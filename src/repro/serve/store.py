@@ -514,7 +514,6 @@ def build_store(
         timeout=timeout,
         min_peers=min_peers,
         min_corroboration=min_corroboration,
-        engine="columnar",
         cache=cache,
         tracer=tracer,
     )

@@ -47,10 +47,6 @@ class PrefixPlan:
             self._own[asn] = prefix
         return prefix
 
-    def capacity(self) -> int:
-        """Distinct own-prefix slots before assignments would repeat."""
-        return _SLOTS_PER_BASE * len(_LEGIT_BASES)
-
     def hijack_prefixes(self, count: int) -> Tuple[Prefix, ...]:
         """Fresh /20s for a squat/hijack event (paper: tens of /16-/20s)."""
         out: List[Prefix] = []

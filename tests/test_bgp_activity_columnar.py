@@ -24,12 +24,9 @@ from repro.bgp import (
     Collector,
     PathTable,
     SyntheticBgpStream,
-    active_asns,
-    day_visibility,
     decorate_path,
     distinct_path_asns,
     path_has_loop,
-    peer_visibility,
     sanitize,
 )
 from repro.bgp.activity import (
@@ -41,6 +38,7 @@ from repro.bgp.activity import (
 from repro.bgp.sanitize import SanitizeStats
 from repro.lifetimes.bgp import (
     activity_from_elements,
+    build_bgp_lifetimes,
     build_operational_dataset,
 )
 from repro.net import Prefix
@@ -143,26 +141,6 @@ class TestPathTable:
         assert decorate_path((10, 100, 1001), loop) == (10, 100, 1001, 10)
 
 
-class TestDayVisibilityShim:
-    def test_matches_element_loop(self, small_world):
-        topo, collectors = small_world
-        anns = [Announcement(1001, P1), Announcement(2001, P2, only_peer=20)]
-        stream = SyntheticBgpStream(topo, collectors, lambda d: anns)
-        elements = list(sanitize(stream.elements_for_day(5)))
-        view = day_visibility(topo, collectors, anns)
-        assert peer_visibility(view) == peer_visibility(elements)
-        for min_peers in (1, 2):
-            assert active_asns(view, min_peers=min_peers) == active_asns(
-                elements, min_peers=min_peers
-            )
-
-    def test_threshold_still_validated(self, small_world):
-        topo, collectors = small_world
-        view = day_visibility(topo, collectors, [Announcement(1001, P1)])
-        with pytest.raises(ValueError):
-            active_asns(view, min_peers=0)
-
-
 class TestEngineGuards:
     def test_days_must_ascend(self, small_world):
         topo, collectors = small_world
@@ -177,11 +155,6 @@ class TestEngineGuards:
         engine.apply(5, [Announcement(1001, P1)])
         with pytest.raises(ValueError):
             engine.apply(6, removed=[Announcement(1001, P1)] * 2)
-
-    def test_unknown_engine_rejected(self):
-        world = WorldSimulator(tiny(5)).run()
-        with pytest.raises(ValueError):
-            build_operational_dataset(world, engine="hexagonal")
 
 
 # -- the equivalence property ------------------------------------------------
@@ -231,26 +204,6 @@ class TestColumnarEquivalence:
         )
         assert tables == expected
         assert report.days == end - start + 1
-
-    @settings(max_examples=20, deadline=None)
-    @given(episodes=SCENARIO)
-    def test_rebuild_policy_invariant(self, episodes):
-        """The full-rebuild valve never changes output."""
-        topo, collectors = SMALL_WORLD
-        source = day_source_from_episodes(episodes)
-        start, end = 0, 30
-        reference, _ = build_activity_tables(
-            topo, collectors, source, start, end,
-        )
-        always_rebuild, _ = build_activity_tables(
-            topo, collectors, source, start, end, full_rebuild_fraction=0.0,
-        )
-        never_rebuild, _ = build_activity_tables(
-            topo, collectors, source, start, end,
-            full_rebuild_fraction=1e9,
-        )
-        assert always_rebuild == reference
-        assert never_rebuild == reference
 
     @settings(max_examples=20, deadline=None)
     @given(episodes=SCENARIO)
@@ -306,40 +259,49 @@ class TestWorldPipeline:
         assert generic == expected
 
     def test_operational_dataset_engines_agree(self, world, window):
+        """The production dataset equals the object-stream oracle's
+        tables segmented by :func:`build_bgp_lifetimes`, order included."""
         start, end = window
+        expected_tables = legacy_tables(
+            world.topology, world.collectors, world.announcements_for_day,
+            start, end, 2,
+        )
         for min_peers in (1, 2):
-            col_lives, col_tables = build_operational_dataset(
-                world, start=start, end=end, engine="columnar",
-                min_peers=min_peers,
+            lives, tables = build_operational_dataset(
+                world, start=start, end=end, min_peers=min_peers,
             )
-            obj_lives, obj_tables = build_operational_dataset(
-                world, start=start, end=end, engine="object",
-                min_peers=min_peers,
+            expected_lives = build_bgp_lifetimes(
+                expected_tables, min_peers=min_peers, end_day=end,
             )
-            assert col_tables == obj_tables
-            assert col_lives == obj_lives
-            assert list(col_lives) == list(obj_lives)
+            assert tables == expected_tables
+            assert list(tables) == sorted(expected_tables)
+            assert lives == expected_lives
+            assert list(lives) == list(expected_lives)
 
     def test_routing_is_attributed_to_its_stage(self, world, window):
-        """Each engine reports its routing sweeps on the stage that runs
-        them: ``bgp:sanitize`` for columnar, ``bgp:stream`` for object."""
+        """The engine reports its routing sweeps on ``bgp:sanitize``, the
+        stage that runs them, and sweeps as often as the object-stream
+        oracle does over the same window."""
         start, end = window
-        sweeps = {}
-        for engine, stage in (("columnar", "bgp:sanitize"),
-                              ("object", "bgp:stream")):
-            tracer = Tracer(metrics=MetricsRegistry())
-            build_operational_dataset(world, start=start, end=end,
-                                      engine=engine, tracer=tracer)
-            span = next(s for s in tracer.stage_spans()
-                        if s.name == stage)
-            assert 0.0 < span.attrs["routing_s"] <= span.seconds + 1e-6
-            sweeps[engine] = span.attrs["routing_sweeps"]
-            assert tracer.metrics.counter("bgp.routing.sweeps").value == sweeps[engine]
-            others = [s for s in tracer.stage_spans()
-                      if s.name != stage and "routing_sweeps" in s.attrs]
-            assert not others
-        # one sweep per distinct routing root of the window, either
-        # engine: a single-homed stub announcer routes through its
+        tracer = Tracer(metrics=MetricsRegistry())
+        build_operational_dataset(world, start=start, end=end, tracer=tracer)
+        span = next(s for s in tracer.stage_spans()
+                    if s.name == "bgp:sanitize")
+        assert 0.0 < span.attrs["routing_s"] <= span.seconds + 1e-6
+        sweeps = span.attrs["routing_sweeps"]
+        assert tracer.metrics.counter("bgp.routing.sweeps").value == sweeps
+        others = [s for s in tracer.stage_spans()
+                  if s.name != "bgp:sanitize" and "routing_sweeps" in s.attrs]
+        assert not others
+
+        stream = SyntheticBgpStream(
+            world.topology, world.collectors, world.announcements_for_day
+        )
+        for day in range(start, end + 1):
+            for _ in stream.elements_for_day(day):
+                pass
+        # one sweep per distinct routing root of the window, engine and
+        # oracle alike: a single-homed stub announcer routes through its
         # provider's sweep, any other announcer through its own
         topo = world.topology
         announcers = {
@@ -355,7 +317,8 @@ class TestWorldPipeline:
             else:
                 roots.add(a)
         assert len(roots) < len(announcers)
-        assert sweeps == {"columnar": len(roots), "object": len(roots)}
+        assert sweeps == len(roots)
+        assert stream.oracle.sweeps == len(roots)
 
     def test_cache_warm_start_skips_stream_stages(self, world, window,
                                                   tmp_path):
@@ -378,19 +341,6 @@ class TestWorldPipeline:
             "cache:lookup", "bgp:segment",
         ]
         assert warm_lives == cold_lives
-
-        # the object engine serves from the same entry: the key holds
-        # the *output* contract, not the engine that built it
-        cross_tracer = Tracer()
-        cross_lives, _ = build_operational_dataset(
-            world, start=start, end=end, engine="object", cache=cache,
-            tracer=cross_tracer,
-        )
-        assert cache.hits == 2
-        assert [s.name for s in cross_tracer.stage_spans()] == [
-            "cache:lookup", "bgp:segment",
-        ]
-        assert cross_lives == cold_lives
 
     def test_segmentation_params_outside_cache_key(self, world, window,
                                                    tmp_path):

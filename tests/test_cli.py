@@ -1,6 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +44,14 @@ class TestParser:
     def test_rejects_unknown_cache_verify_mode(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--cache-verify", "md5"])
+
+    def test_bgp_window_alone_selects_message_level(self):
+        assert build_parser().parse_args(["simulate"]).bgp_window is None
+        args = build_parser().parse_args(["simulate", "--bgp-window", "120"])
+        assert args.bgp_window == 120
+        # one activity path: there is no engine to pick
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["simulate", "--bgp-engine", "object"])
 
 
 class TestCommands:
@@ -101,6 +114,29 @@ class TestCommands:
         assert len(index) == 1
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert json.loads(index[0])["digest"] == manifest["digest"]
+
+    def test_bgp_window_runs_message_level_path(self, tmp_path, capsys):
+        rc = main(["simulate", "--scale", "0.006", "--seed", "3",
+                   "--bgp-window", "30", "--out", str(tmp_path),
+                   "--manifest", "--profile"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "bgp:sanitize" in out and "bgp:segment" in out
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["settings"]["bgp_window"] == 30
+        assert "bgp_engine" not in manifest["settings"]
+
+    def test_bgp_window_below_one_rejected_before_building(
+        self, tmp_path, capsys
+    ):
+        for window in ("0", "-3"):
+            rc = main(["simulate", "--scale", "0.006", "--seed", "3",
+                       "--bgp-window", window, "--out", str(tmp_path)])
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: --bgp-window")
+            assert "Taxonomy" not in captured.out  # nothing was built
+            assert not (tmp_path / "admin_dataset.json").exists()
 
     def test_serve_build_append_bench_workflow(self, tmp_path, capsys):
         full, inc = tmp_path / "full", tmp_path / "inc"
@@ -280,6 +316,29 @@ class TestInspectCommands:
 
 
 class TestTopLevelApi:
+    def test_runs_without_networkx(self):
+        """No module of the package needs networkx: with it made
+        unimportable, the entry points import and a world simulates."""
+        script = textwrap.dedent("""
+            import sys
+            sys.modules["networkx"] = None  # any import of it now fails
+            import repro.cli
+            import repro.serve.http
+            import repro.simulation.datasets
+            from repro.simulation.config import tiny
+            from repro.simulation.world import WorldSimulator
+            world = WorldSimulator(tiny(1)).run()
+            assert len(world.topology) > 0
+            print("ok")
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
+
     def test_convenience_imports(self):
         import repro
 

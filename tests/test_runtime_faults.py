@@ -10,6 +10,8 @@ rebuild loop.
 from __future__ import annotations
 
 import pickle
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from repro.runtime import (
     CacheStoreError,
     FaultInjector,
     FaultSpec,
+    MetricsRegistry,
 )
 from repro.runtime.faults import from_env
 from repro.simulation import build_datasets
@@ -138,6 +141,36 @@ class TestCacheFaultMatrix:
         assert cache.load(key) is None  # never returns the impostor
         assert cache.corrupt == 1 and cache.quarantined == 1
         self._rebuilds_correctly(cache, key)
+
+    def test_entry_naming_a_vanished_module_is_rebuilt(
+        self, tmp_path, monkeypatch
+    ):
+        """A checksum-valid entry whose pickle names a module that no
+        longer imports (a dependency dropped since the entry was
+        written) fails to unpickle: quarantined, counted as a verify
+        failure, and rebuilt."""
+        module = types.ModuleType("repro_dropped_dependency")
+
+        class Graph:
+            pass
+
+        Graph.__module__ = module.__name__
+        Graph.__qualname__ = "Graph"
+        module.Graph = Graph
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        metrics = MetricsRegistry()
+        cache = ArtifactCache(tmp_path, faults=None, metrics=metrics)
+        key = cache.key_for(artifact="dropped-dependency")
+        cache.store(key, {"graph": Graph(), **self.PAYLOAD})
+        # the module is gone: importing it now raises ImportError
+        monkeypatch.setitem(sys.modules, module.__name__, None)
+
+        assert cache.load(key) is None
+        assert cache.corrupt == 1 and cache.quarantined == 1
+        assert metrics.counter("cache.verify_failures").value == 1
+        assert list(cache.quarantine_dir.iterdir())
+        self._rebuilds_correctly(cache, key)
+        assert cache.load(key) == self.PAYLOAD
 
     def test_missing_manifest_is_miss_without_quarantine(self, tmp_path):
         cache = ArtifactCache(tmp_path, faults=None)

@@ -145,8 +145,7 @@ class TestMetricsRegistry:
         bundle = build_datasets(tiny(seed=11), cache=cache, tracer=tracer)
         end = bundle.world.config.end_day
         build_operational_dataset(
-            bundle.world, start=end - 29, end=end, engine="columnar",
-            cache=cache, tracer=tracer,
+            bundle.world, start=end - 29, end=end, cache=cache, tracer=tracer,
         )
         spans = tracer.stage_spans()
         names = {span.name for span in spans}
@@ -266,7 +265,7 @@ class TestRunManifest:
         build_datasets(tiny(seed=seed), tracer=tracer)
         return build_run_manifest(
             config=tiny(seed=seed),
-            settings={"bgp_engine": "columnar", "jobs": 1},
+            settings={"bgp_window": 120, "timeout": 30},
             tracer=tracer,
         )
 

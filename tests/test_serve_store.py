@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
@@ -135,8 +134,9 @@ def _window(config):
 
 class TestRoutedBytesPinned:
     """Routed output pinned to constants, so a routing change that
-    alters what collectors see fails here even though the columnar and
-    object engines (which share one path oracle) would drift together.
+    alters what collectors see fails here even though the columnar
+    engine and its object-stream oracle (which share one path oracle)
+    would drift together.
 
     The store index alone is a coarse pin: at this scale most ASNs stay
     visible to two or more peers whichever equal-length path wins, so
