@@ -54,6 +54,9 @@ def test_pipeline_scaling(record_result):
     for name in ("simulate", "restore:per-registry", "admin-lifetimes",
                  "bgp-lifetimes"):
         assert _seconds_of(cold_tracer, name) > 0
+    # and the simulation splits into its three phases
+    for name in ("simulate:seed", "simulate:days", "simulate:assemble"):
+        assert _seconds_of(cold_tracer, name) > 0
 
     # warm-cache hit: ensure the entry exists, then time a pure hit.
     # A hit returns a partitioned bundle (components decode on first

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..timeline.dates import Day
-from .bogons import is_bogon_asn
-from .numbers import AS16_MAX, AS32_MAX, ASN
+from .bogons import iter_bogon_ranges
+from .numbers import AS16_MAX, AS32_MAX, ASN, validate_asn
 
 __all__ = ["BLOCK_SIZE", "BlockDelegation", "IanaLedger"]
 
@@ -34,6 +34,9 @@ BLOCK_SIZE = 1024
 
 #: First 32-bit-only AS number IANA delegates from.
 _FIRST_32BIT_BLOCK_START = 65536
+
+#: ``(first, last)`` of every special-use range, ascending and disjoint.
+_SPECIAL_USE_SPANS = iter_bogon_ranges()
 
 
 @dataclass(frozen=True)
@@ -53,10 +56,21 @@ class BlockDelegation:
         return self.last - self.first + 1
 
     def asns(self) -> Iterator[ASN]:
-        """Yield the delegable (non-bogon) AS numbers of the block."""
-        for asn in range(self.first, self.last + 1):
-            if not is_bogon_asn(asn):
-                yield asn
+        """Yield the delegable (non-bogon) AS numbers of the block.
+
+        The block's range with every special-use range cut out, in
+        ascending order: no per-ASN bogon test.
+        """
+        validate_asn(self.first)
+        validate_asn(self.last)
+        cursor = self.first
+        for lo, hi in _SPECIAL_USE_SPANS:
+            if lo > self.last:
+                break
+            if hi >= cursor:
+                yield from range(cursor, lo)
+                cursor = hi + 1
+        yield from range(cursor, self.last + 1)
 
 
 @dataclass

@@ -797,7 +797,7 @@ def _cmd_serve_append(args: argparse.Namespace) -> int:
         try:
             config = config_from_fingerprint(manifest.get("config"))
             with tracer.stage("simulate", component="simulation") as span:
-                world = WorldSimulator(config).run()
+                world = WorldSimulator(config).run(tracer=tracer)
                 span.items = len(world.lives)
             doc = append_days(
                 args.store, world, args.days, tracer=tracer,

@@ -63,7 +63,7 @@ class RestoredDelegations:
 
 def _view_rows(view: RegistryView) -> int:
     """Observed rows (stints) currently held by one registry view."""
-    return sum(len(stints) for stints in view.stints.values())
+    return sum(map(len, view.stints.values()))
 
 
 def _restore_registry(
@@ -216,7 +216,8 @@ def restore_archive(
             for asn, stints in views[registry].stints.items():
                 restored.stints.setdefault(asn, []).extend(stints)
         for stints in restored.stints.values():
-            stints.sort(key=lambda s: (s.start, s.end))
+            if len(stints) > 1:
+                stints.sort(key=lambda s: (s.start, s.end))
         # the cross-registry merge must neither lose nor invent rows
         summary = record_boundary(
             "restoration/merge",

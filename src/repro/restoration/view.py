@@ -57,8 +57,12 @@ class RegistryView:
 
 
 def _clip_stints(stints: List[Stint], lo: Day, hi: Day) -> List[Stint]:
+    """The stints cut to ``[lo, hi]``; an uncut stint is kept as is."""
     out = []
     for stint in stints:
+        if lo <= stint.start and stint.end <= hi:
+            out.append(stint)
+            continue
         start, end = max(stint.start, lo), min(stint.end, hi)
         if start <= end:
             out.append(Stint(start, end, stint.record))
@@ -115,7 +119,8 @@ def build_registry_view(archive: DelegationArchive, registry: str) -> RegistryVi
             if clipped:
                 merged.setdefault(asn, []).extend(clipped)
     for stints in merged.values():
-        stints.sort(key=lambda s: (s.start, s.end))
+        if len(stints) > 1:
+            stints.sort(key=lambda s: (s.start, s.end))
     view.stints = merged
 
     # days with no usable authoritative file

@@ -268,30 +268,31 @@ class DelegationArchive:
         stale: Set[Day],
     ) -> List[Stint]:
         """Turn raw change points into clamped stints for one kind."""
+        first_day, last_day = window.first_day, window.last_day
+        if stale:
+            days = [_effective_day(day, stale, last_day) for day, _ in changes]
+        else:
+            days = [day for day, _ in changes]
+        days.append(last_day + 1)
+        regular = kind == REGULAR
         stints: List[Stint] = []
-        for idx, (day, record) in enumerate(changes):
-            if stale:
-                day = _effective_day(day, stale, window.last_day)
-            next_day = (
-                _effective_day(changes[idx + 1][0], stale, window.last_day)
-                if idx + 1 < len(changes)
-                else window.last_day + 1
-            )
+        for idx, (_, record) in enumerate(changes):
             if record is None:
                 continue
-            if kind == REGULAR and not record.is_delegated:
-                continue
-            if kind == REGULAR and record.opaque_id is not None:
-                record = DelegationRecord(
-                    registry=record.registry,
-                    cc=record.cc,
-                    asn=record.asn,
-                    reg_date=record.reg_date,
-                    status=record.status,
-                    opaque_id=None,
-                )
-            start = max(day, window.first_day)
-            end = min(next_day - 1, window.last_day)
+            if regular:
+                if not record.is_delegated:
+                    continue
+                if record.opaque_id is not None:
+                    record = DelegationRecord(
+                        registry=record.registry,
+                        cc=record.cc,
+                        asn=record.asn,
+                        reg_date=record.reg_date,
+                        status=record.status,
+                        opaque_id=None,
+                    )
+            start = max(days[idx], first_day)
+            end = min(days[idx + 1] - 1, last_day)
             if start > end:
                 continue
             if stints and stints[-1].end + 1 >= start and stints[-1].record == record:
@@ -434,7 +435,9 @@ def _degrade_boundaries(
             start += 1
         while end >= start and end in unavailable:
             end -= 1
-        if start <= end:
+        if start == stint.start and end == stint.end:
+            out.append(stint)
+        elif start <= end:
             out.append(Stint(start, end, stint.record))
     return out
 

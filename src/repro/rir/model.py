@@ -78,7 +78,7 @@ class Status(enum.Enum):
     @property
     def is_delegated(self) -> bool:
         """True for statuses that mean "held by an organization"."""
-        return self in (Status.ALLOCATED, Status.ASSIGNED)
+        return self is Status.ALLOCATED or self is Status.ASSIGNED
 
     @classmethod
     def parse(cls, text: str) -> "Status":
@@ -113,7 +113,8 @@ class DelegationRecord:
 
     @property
     def is_delegated(self) -> bool:
-        return self.status.is_delegated
+        status = self.status
+        return status is Status.ALLOCATED or status is Status.ASSIGNED
 
     def with_date(self, reg_date: Optional[Day]) -> "DelegationRecord":
         """Copy with a different registration date (restoration step v)."""

@@ -83,6 +83,12 @@ class Registry:
         default_factory=dict
     )
     _available_set: set = field(default_factory=set)
+    #: (release_day, asn) for every quarantine entered; an entry whose
+    #: reservation has since been returned or replaced is stale and
+    #: skipped when popped
+    _release_heap: List[Tuple[Day, ASN]] = field(
+        default_factory=list, repr=False, compare=False
+    )
     _ever_delegated: set = field(default_factory=set)
     _last_day: Day = 0
 
@@ -245,6 +251,7 @@ class Registry:
             previous=alloc,
         )
         self.reserved[asn] = res
+        heapq.heappush(self._release_heap, (res.release_day, asn))
         self._record(
             day,
             DelegationRecord(
@@ -269,14 +276,21 @@ class Registry:
     def tick(self, day: Day) -> List[ASN]:
         """Release quarantined ASNs whose reservation expired.
 
-        Returns the ASNs that moved back to the available pool.  Call
-        once per simulated day (idempotent within a day).
+        Returns the ASNs that moved back to the available pool, in
+        ``(release_day, asn)`` order.  Call once per simulated day
+        (idempotent within a day).
         """
         self._advance(day)
-        due = [asn for asn, res in self.reserved.items() if res.release_day <= day]
-        for asn in due:
-            del self.reserved[asn]
+        due: List[ASN] = []
+        heap, reserved = self._release_heap, self.reserved
+        while heap and heap[0][0] <= day:
+            release_day, asn = heapq.heappop(heap)
+            res = reserved.get(asn)
+            if res is None or res.release_day != release_day:
+                continue  # returned to its owner, or re-reserved since
+            del reserved[asn]
             self._push_available(asn, day)
+            due.append(asn)
         return due
 
     def return_to_owner(self, day: Day, asn: ASN) -> Allocation:

@@ -270,7 +270,7 @@ def _build(
 ) -> DatasetBundle:
     """The uncached pipeline body (world → archive → restore → lifetimes)."""
     with tracer.stage("simulate", component="simulation") as timing:
-        world = WorldSimulator(config).run()
+        world = WorldSimulator(config).run(tracer=tracer)
         timing.items = len(world.lives)
 
     with tracer.stage("archive", component="rir") as timing:

@@ -19,6 +19,7 @@ from ..timeline.dates import Day, year_of
 
 __all__ = [
     "yearly_births",
+    "yearly_birth_rate",
     "daily_birth_rate",
     "poisson",
     "draw_lifetime_days",
@@ -80,9 +81,14 @@ def yearly_births(registry: str, year: int) -> int:
     return best
 
 
+def yearly_birth_rate(registry: str, year: int, scale: float) -> float:
+    """Expected allocations on any one day of ``year`` (Poisson intensity)."""
+    return yearly_births(registry, year) * scale / 365.25
+
+
 def daily_birth_rate(registry: str, day: Day, scale: float) -> float:
     """Expected allocations on one day (Poisson intensity)."""
-    return yearly_births(registry, year_of(day)) * scale / 365.25
+    return yearly_birth_rate(registry, year_of(day), scale)
 
 
 def poisson(rng: random.Random, lam: float) -> int:

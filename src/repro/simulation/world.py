@@ -29,13 +29,14 @@ from ..rir.model import RIR_NAMES
 from ..rir.pitfalls import TransferRecord
 from ..rir.policies import default_policy
 from ..rir.registry import Registry, RegistryError
+from ..runtime.observability import Tracer
 from ..timeline.dates import Day, from_iso, year_of
 from ..timeline.intervals import Interval, IntervalSet
 from .anomalies import AnomalyPlanner, DormantTarget
 from .behavior import BehaviorModel, LifeBehavior, Profile
 from .config import WorldConfig
 from .countries import country_for
-from .growth import daily_birth_rate, draw_lifetime_days, poisson
+from .growth import draw_lifetime_days, poisson, yearly_birth_rate
 from .organizations import Organization, OrgDirectory
 from .prefixes import PrefixPlan
 
@@ -166,7 +167,10 @@ class WorldSimulator:
         self._return_heap: List[Tuple[Day, ASN]] = []
         self._reserved_for_issue: Set[ASN] = set()
         self._erx_pool: List[ASN] = []
-        self._erx_schedule: List[Tuple[Day, str]] = []
+        #: day → (asn, target registry) ERX transfers due that day
+        self._erx_by_day: Dict[Day, List[Tuple[ASN, str]]] = {}
+        #: year → (name, registry, Poisson birth intensity) per registry
+        self._birth_table: Dict[int, List[Tuple[str, Registry, float]]] = {}
         self._inter_rir_days: Dict[Day, int] = {}
         #: (day, registry, org_id, cc) — pending 16-bit retries after
         #: failed 32-bit deployments (§6.3)
@@ -174,26 +178,44 @@ class WorldSimulator:
 
     # -- top level -----------------------------------------------------------
 
-    def run(self) -> World:
+    def run(self, *, tracer: Optional[Tracer] = None) -> World:
+        """Simulate the whole window and assemble the ground truth.
+
+        ``tracer`` receives three child stages of whatever span is
+        open: ``simulate:seed`` (pre-window allocations and the
+        transfer schedules; items = lives seeded), ``simulate:days``
+        (the daily loop; items = days) and ``simulate:assemble``
+        (behavior, topology and anomalies; items = lives).
+        """
+        tracer = tracer if tracer is not None else Tracer()
         config = self.config
-        self._seed_historical(config.start_day)
-        self._schedule_erx()
-        self._schedule_inter_rir()
-        for day in range(config.start_day, config.end_day + 1):
-            self._process_deallocations(day)
-            self._process_returns(day)
-            for registry in self.registries.values():
-                registry.tick(day)
-            self._process_erx(day)
-            self._process_inter_rir(day)
-            self._births(day)
-            self._process_16bit_retries(day)
-            self._maybe_nir_block(day)
-            self._maybe_reserve_episode(day)
-            self._maybe_regdate_correction(day)
-        for life in self.open_lives.values():
-            life.end = None
-        return self._assemble()
+        with tracer.stage("simulate:seed", component="simulation") as span:
+            self._seed_historical(config.start_day)
+            self._schedule_erx()
+            self._schedule_inter_rir()
+            span.items = len(self.lives)
+        days = range(config.start_day, config.end_day + 1)
+        with tracer.stage(
+            "simulate:days", items=len(days), component="simulation"
+        ):
+            for day in days:
+                self._process_deallocations(day)
+                self._process_returns(day)
+                for registry in self.registries.values():
+                    registry.tick(day)
+                self._process_erx(day)
+                self._process_inter_rir(day)
+                self._births(day)
+                self._process_16bit_retries(day)
+                self._maybe_nir_block(day)
+                self._maybe_reserve_episode(day)
+                self._maybe_regdate_correction(day)
+            for life in self.open_lives.values():
+                life.end = None
+        with tracer.stage(
+            "simulate:assemble", items=len(self.lives), component="simulation"
+        ):
+            return self._assemble()
 
     # -- seeding --------------------------------------------------------------
 
@@ -260,6 +282,7 @@ class WorldSimulator:
         """Batch ERX transfers: 2003-2004 to RIPE/APNIC/LACNIC, 2005 to
         AfriNIC (§3.1 step v)."""
         rng = self.rng
+        schedule: List[Tuple[Day, str]] = []
         for asn in self._erx_pool:
             roll = rng.random()
             if roll < 0.70:
@@ -271,16 +294,14 @@ class WorldSimulator:
             else:
                 target, lo, hi = "afrinic", "2005-06-01", "2005-12-15"
             day = rng.randint(from_iso(lo), from_iso(hi))
-            self._erx_schedule.append((day, target))
-        self._erx_schedule.sort()
-        self._erx_iter = 0
-        self._erx_assignments = dict(zip(self._erx_pool, self._erx_schedule))
+            schedule.append((day, target))
+        schedule.sort()
+        # pool order within a day, as a scan of the pool would visit them
+        for asn, (day, target) in zip(self._erx_pool, schedule):
+            self._erx_by_day.setdefault(day, []).append((asn, target))
 
     def _process_erx(self, day: Day) -> None:
-        for asn, (transfer_day, target) in list(self._erx_assignments.items()):
-            if transfer_day != day:
-                continue
-            del self._erx_assignments[asn]
+        for asn, target in self._erx_by_day.pop(day, ()):
             life = self.open_lives.get(asn)
             if (
                 life is None
@@ -386,11 +407,31 @@ class WorldSimulator:
                 heapq.heappush(self._dealloc_heap, (day + length, alloc.asn))
         return life
 
+    def _birth_intensities(self, year: int) -> List[Tuple[str, Registry, float]]:
+        """Each registry's Poisson birth intensity on every day of ``year``.
+
+        Computed once per year with the float expression a per-day
+        :func:`daily_birth_rate` call evaluates, so every Poisson draw
+        is unchanged.
+        """
+        table = self._birth_table.get(year)
+        if table is None:
+            config = self.config
+            table = self._birth_table[year] = [
+                (
+                    name,
+                    registry,
+                    yearly_birth_rate(name, year, config.scale)
+                    * config.birth_rate_multiplier.get(name, 1.0),
+                )
+                for name, registry in self.registries.items()
+            ]
+        return table
+
     def _births(self, day: Day) -> None:
         config, rng = self.config, self.rng
-        for name, registry in self.registries.items():
-            lam = daily_birth_rate(name, day, config.scale)
-            lam *= config.birth_rate_multiplier.get(name, 1.0)
+        year = year_of(day)
+        for name, registry, lam in self._birth_intensities(year):
             for _ in range(poisson(rng, lam)):
                 if (
                     rng.random() < config.sibling_probability
@@ -398,7 +439,7 @@ class WorldSimulator:
                 ):
                     cc = org.cc
                 else:
-                    cc = country_for(name, year_of(day), rng)
+                    cc = country_for(name, year, rng)
                     org = self.orgs.new_org(name, cc)
                 thirty_two = self._bit_choice(registry, day)
                 lag = self._publication_lag(registry)

@@ -1,15 +1,38 @@
 """Unit tests for repro.asn.bogons and repro.asn.blocks."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.asn import (
     BLOCK_SIZE,
     AS16_MAX,
+    AS32_MAX,
     IanaLedger,
     bogon_reason,
     is_bogon_asn,
     iter_bogon_ranges,
 )
+from repro.asn.blocks import BlockDelegation
+
+#: Every special-use range edge and its neighbours, inside the AS space.
+_EDGES = sorted({
+    edge + step
+    for first, last in iter_bogon_ranges()
+    for edge in (first, last, last + 1)
+    for step in (-2, -1, 0, 1, 2)
+    if 0 <= edge + step <= AS32_MAX
+})
+
+
+@st.composite
+def _edge_blocks(draw):
+    """A block starting near one special-use edge, reaching past others."""
+    first = draw(st.sampled_from(_EDGES))
+    length = draw(st.one_of(
+        st.integers(0, 3), st.integers(0, BLOCK_SIZE), st.integers(0, 70_000)
+    ))
+    return BlockDelegation(first, min(first + length, AS32_MAX), "arin", 0)
 
 
 class TestBogons:
@@ -100,6 +123,18 @@ class TestIanaLedger:
         assert 64511 not in asns  # documentation range
         assert 64512 not in asns  # private use
         assert 64000 in asns and 64495 in asns
+
+    @settings(max_examples=300, deadline=None)
+    @given(block=_edge_blocks())
+    @example(block=BlockDelegation(0, 66000, "arin", 0))
+    @example(block=BlockDelegation(4199999000, 4200000999, "arin", 0))
+    @example(block=BlockDelegation(4294966000, AS32_MAX, "arin", 0))
+    @example(block=BlockDelegation(AS32_MAX, AS32_MAX, "arin", 0))
+    def test_block_asns_equal_a_per_asn_bogon_filter(self, block):
+        expected = [
+            a for a in range(block.first, block.last + 1) if not is_bogon_asn(a)
+        ]
+        assert list(block.asns()) == expected
 
     def test_sixteen_bit_totals(self):
         ledger = IanaLedger()

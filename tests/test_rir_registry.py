@@ -1,6 +1,8 @@
 """Unit tests for the Registry state machine and policies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.asn import IanaLedger
 from repro.rir import (
@@ -20,6 +22,101 @@ def make_registry(name="ripencc", **overrides):
     if overrides:
         policy = policy.with_overrides(**overrides)
     return Registry(name=name, policy=policy, ledger=IanaLedger())
+
+
+class _ScanRegistry(Registry):
+    """The oracle: a ``tick`` that scans every reserved ASN each day."""
+
+    def tick(self, day):
+        self._advance(day)
+        due = [asn for asn, res in self.reserved.items() if res.release_day <= day]
+        for asn in due:
+            del self.reserved[asn]
+            self._push_available(asn, day)
+        return due
+
+
+def _apply(reg, day, op, pick, flag):
+    """Run one random operation on ``reg``; its result, for comparison."""
+    if op == "allocate":
+        return reg.allocate(day, f"ORG-{pick}", "IT", thirty_two_bit=flag,
+                            prefer_recycled=pick % 2 == 0).asn
+    if op == "tick":
+        return sorted(reg.tick(day))
+    if op == "return_to_owner":
+        held = sorted(a for a, res in reg.reserved.items() if res.previous)
+        if held:
+            return reg.return_to_owner(day, held[pick % len(held)]).asn
+        return None
+    allocated = sorted(reg.allocated)
+    if not allocated:
+        return None
+    asn = allocated[pick % len(allocated)]
+    method = reg.deallocate if op == "deallocate" else reg.reserve_for_issue
+    return method(day, asn).release_day
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.sampled_from(
+            ["allocate", "deallocate", "reserve_for_issue", "return_to_owner", "tick"]
+        ),
+        st.integers(0, 50),
+        st.booleans(),
+    ),
+    max_size=120,
+)
+
+
+class TestReleaseHeap:
+    """``tick`` pops a release heap; the oracle scans ``reserved``."""
+
+    @staticmethod
+    def _pair(quarantine_days):
+        policy = default_policy("ripencc").with_overrides(
+            quarantine_days=quarantine_days
+        )
+        return (
+            Registry(name="ripencc", policy=policy, ledger=IanaLedger()),
+            _ScanRegistry(name="ripencc", policy=policy, ledger=IanaLedger()),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(quarantine_days=st.integers(1, 6), ops=_OPS)
+    def test_heap_releases_what_a_full_scan_releases(self, quarantine_days, ops):
+        heap, scan = self._pair(quarantine_days)
+        day = D0
+        for step, op, pick, flag in ops:
+            day += step
+            assert _apply(heap, day, op, pick, flag) == _apply(scan, day, op, pick, flag)
+            assert list(heap.reserved) == list(scan.reserved)
+        # release order reaches nothing: per-ASN history (key order
+        # included), the min-heap pools and every later pick agree
+        day += quarantine_days
+        assert sorted(heap.tick(day)) == sorted(scan.tick(day))
+        assert list(heap.history.items()) == list(scan.history.items())
+        for pool in ("fresh16", "fresh32", "recycled16", "recycled32"):
+            assert sorted(getattr(heap, pool)) == sorted(getattr(scan, pool))
+        assert heap.current_records(extended=True) == scan.current_records(extended=True)
+        for flag in (False, True):
+            for pick in range(3):
+                assert _apply(heap, day, "allocate", pick, flag) == _apply(
+                    scan, day, "allocate", pick, flag
+                )
+
+    def test_returned_then_rereserved_waits_for_the_later_release(self):
+        heap, scan = self._pair(10)
+        for reg in (heap, scan):
+            asn = reg.allocate(D0, "ORG-1", "IT", thirty_two_bit=False).asn
+            reg.reserve_for_issue(D0 + 1, asn)  # release D0 + 11
+            reg.return_to_owner(D0 + 2, asn)
+            reg.reserve_for_issue(D0 + 5, asn)  # release D0 + 15
+        for day in range(D0 + 6, D0 + 20):
+            released = heap.tick(day)
+            assert released == scan.tick(day)
+            assert released == ([asn] if day == D0 + 15 else [])
+        assert heap.history == scan.history
 
 
 class TestPolicies:

@@ -260,8 +260,9 @@ class TestAmbientFaultMetrics:
 
 
 class TestRunManifest:
-    def _manifest(self, tmp_path, seed=7):
-        tracer = Tracer(metrics=MetricsRegistry())
+    def _manifest(self, tmp_path, seed=7, tracer=None):
+        if tracer is None:
+            tracer = Tracer(metrics=MetricsRegistry())
         build_datasets(tiny(seed=seed), tracer=tracer)
         return build_run_manifest(
             config=tiny(seed=seed),
@@ -289,7 +290,8 @@ class TestRunManifest:
         )
 
     def test_manifest_fields(self, tmp_path):
-        manifest = self._manifest(tmp_path)
+        tracer = Tracer(metrics=MetricsRegistry())
+        manifest = self._manifest(tmp_path, tracer=tracer)
         assert manifest["format"] == RUN_MANIFEST_FORMAT
         assert manifest["config_hash"]
         assert manifest["cache_versions"]["pipeline"]
@@ -298,6 +300,15 @@ class TestRunManifest:
         stage_names = [row["name"] for row in manifest["span_digest"]["stages"]]
         assert "simulate" in stage_names
         assert "assemble" in stage_names
+        # the simulation's three phases are children of its stage
+        spans = tracer.stage_spans()
+        simulate = next(span for span in spans if span.name == "simulate")
+        children = [span for span in spans if span.parent_id == simulate.span_id]
+        assert [span.name for span in children] == [
+            "simulate:seed", "simulate:days", "simulate:assemble"
+        ]
+        assert all(span.items for span in children)
+        assert {"simulate:seed", "simulate:days", "simulate:assemble"} <= set(stage_names)
         assert "generated_at" not in manifest  # timestamps are opt-in
 
     def test_clock_opt_in_excluded_from_digest(self, tmp_path):

@@ -12,6 +12,7 @@ from repro.bgp import (
     NOISE_ORIGIN,
     SQUAT_DORMANT,
 )
+from repro.scenario import get_scenario, scenario_names
 from repro.simulation import (
     AnomalyPlanner,
     BehaviorModel,
@@ -28,7 +29,8 @@ from repro.simulation import (
     yearly_births,
 )
 from repro.simulation.growth import MID_LIFE_DEATH_SHARE, SHORT_LIFE_SHARE
-from repro.timeline import from_iso
+from repro.simulation.world import WorldSimulator
+from repro.timeline import from_iso, year_of
 
 D = from_iso("2010-01-01")
 END = from_iso("2021-03-01")
@@ -68,6 +70,19 @@ class TestGrowth:
         full = daily_birth_rate("ripencc", D, 1.0)
         tenth = daily_birth_rate("ripencc", D, 0.1)
         assert tenth == pytest.approx(full / 10)
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_yearly_intensity_table_equals_the_daily_rate(self, name):
+        # bit-for-bit (float ==): the table feeds every Poisson draw
+        config = get_scenario(name).compile()
+        sim = WorldSimulator(config)
+        for day in range(config.start_day, config.end_day + 1):
+            table = sim._birth_intensities(year_of(day))
+            assert [(n, lam) for n, _, lam in table] == [
+                (n, daily_birth_rate(n, day, config.scale)
+                 * config.birth_rate_multiplier.get(n, 1.0))
+                for n in sim.registries
+            ]
 
     def test_poisson_mean(self):
         rng = random.Random(0)
