@@ -4,10 +4,11 @@ Paper: 157 missing-file gap fills, same-day divergence on 1.8% of
 days (never AfriNIC), 16 AfriNIC duplicate ASNs, >800 RIPE NCC
 placeholder dates traced to ERX, ~450 ASNs with inter-RIR overlaps.
 The paper could only *count* its repairs; with ground truth we can
-also verify them.
+also verify them: ``score_restoration`` grades every repair against
+the injected defect log.
 """
 
-from repro.restoration import restore_archive
+from repro.restoration import render_scores, restore_archive, score_restoration
 
 from conftest import fmt_table
 
@@ -27,9 +28,15 @@ def test_sec31_restoration(benchmark, bundle, record_result):
     for defect in bundle.injected_defects:
         injected[defect.kind] = injected.get(defect.kind, 0) + 1
 
+    scores = score_restoration(
+        restored, bundle.injected_defects,
+        erx_reference=bundle.world.erx_reference,
+    )
+
     rows = [(k, v) for k, v in sorted(injected.items())]
     text = "Injected defects:\n" + fmt_table(["kind", "count"], rows)
     text += "\n\n" + report.render()
+    text += "\n\nGraded against the injected truth:\n" + render_scores(scores)
     record_result("sec31_restoration", text)
 
     # every defect class was injected
@@ -63,3 +70,14 @@ def test_sec31_restoration(benchmark, bundle, record_result):
     for asn, stints in restored.stints.items():
         for a, b in zip(stints, stints[1:]):
             assert a.end < b.start or a.record.registry != b.record.registry, asn
+
+    # graded recall: every checkable defect of these classes repaired
+    for kind, count in (
+        ("duplicate_record", 16), ("future_regdate", 4),
+        ("mistaken_allocation", 5), ("placeholder_regdate", 186),
+        ("stale_transfer_record", 127),
+    ):
+        score = scores[kind]
+        assert (score.injected, score.repaired, score.unverifiable) == (
+            count, count, 0
+        ), score

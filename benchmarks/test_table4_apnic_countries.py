@@ -3,7 +3,8 @@
 Paper: Australia/Korea/Japan lead in 2010; China rises by 2015; by
 2021 India leads (15.7%), Australia second (14.5%), Indonesia third
 (11.1%) just ahead of China (10.6%), Japan fifth (6.1%).  Also §A:
-Brazil holds >70% of LACNIC by 2021 and the US >92% of ARIN.
+Brazil holds >70% of LACNIC by 2021, the US >92% of ARIN, and Russia
+leads RIPE NCC.
 """
 
 from repro.core import country_shares
@@ -31,8 +32,20 @@ def test_table4_apnic_countries(benchmark, bundle, record_result):
             cc, count, share = tables[label][rank]
             row.append(f"{cc}: {count} ({share:.1%})")
         rows.append(tuple(row))
+    leaders = {
+        registry: country_shares(bundle.admin_lives, registry,
+                                 as_of=SNAPSHOTS["2021"], top=2)
+        for registry in ("lacnic", "arin", "ripencc")
+    }
+    leader_rows = [
+        (registry, *(f"{cc}: {count} ({share:.1%})" for cc, count, share in top))
+        for registry, top in leaders.items()
+    ]
     record_result(
-        "table4_apnic_countries", fmt_table(["pos"] + list(SNAPSHOTS), rows)
+        "table4_apnic_countries",
+        fmt_table(["pos"] + list(SNAPSHOTS), rows)
+        + "\n\n§A leaders, 2021-03-01:\n"
+        + fmt_table(["registry", "1st", "2nd"], leader_rows),
     )
 
     def rank_of(label, cc):
@@ -52,10 +65,11 @@ def test_table4_apnic_countries(benchmark, bundle, record_result):
     in_share = dict((c, s) for c, _n, s in tables["2021"])["IN"]
     assert 0.10 < in_share < 0.25
 
-    # §A cross-checks: Brazil dominates LACNIC, the US dominates ARIN
-    lacnic = country_shares(bundle.admin_lives, "lacnic",
-                            as_of=SNAPSHOTS["2021"], top=2)
+    # §A cross-checks: Brazil dominates LACNIC, the US dominates
+    # ARIN, Russia leads RIPE NCC
+    lacnic = leaders["lacnic"]
     assert lacnic[0][0] == "BR" and lacnic[0][2] > 0.55
-    arin = country_shares(bundle.admin_lives, "arin",
-                          as_of=SNAPSHOTS["2021"], top=1)
+    arin = leaders["arin"]
     assert arin[0][0] == "US" and arin[0][2] > 0.85
+    ripe = leaders["ripencc"]
+    assert ripe[0][0] == "RU" and ripe[0][2] > ripe[1][2]

@@ -8,11 +8,13 @@ simulated archive, so every repair is checkable.
 
 This example corrupts an archive with every §3.1 defect class, runs the
 six-step pipeline, and reports (a) what was injected, (b) what was
-repaired, and (c) how close the recovered lifetimes are to the truth.
+repaired, (c) which injected defects the repairs actually undid, and
+(d) how close the recovered lifetimes are to the truth.
 
 Run:  python examples/restoration_audit.py
 """
 
+from repro.restoration import render_scores, score_restoration
 from repro.rir import ERX_PLACEHOLDER_DATE
 from repro.simulation import WorldConfig, build_datasets
 from repro.timeline import to_iso
@@ -31,6 +33,12 @@ def main() -> None:
 
     print("\n=== Restoration report (cf. §3.1) ===")
     print(bundle.restoration_report.render())
+
+    print("\n=== Repairs graded against the injected defects ===")
+    print(render_scores(score_restoration(
+        bundle.restored, bundle.injected_defects,
+        erx_reference=bundle.world.erx_reference,
+    )))
 
     # Score: lifetime boundaries vs. the simulator's truth
     truth = bundle.world.lives_by_asn()

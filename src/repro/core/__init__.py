@@ -8,11 +8,6 @@ from .features import (
     rank_by_suspicion,
     suspicion_score,
 )
-from .geography import (
-    alive_counts_by_country,
-    country_growth,
-    fastest_growing_countries,
-)
 from .joint import JointAnalysis
 from .report import render_report
 from .roles import (
@@ -110,7 +105,4 @@ __all__ = [
     "collect_role_activity",
     "classify_role",
     "role_census",
-    "alive_counts_by_country",
-    "country_growth",
-    "fastest_growing_countries",
 ]

@@ -2,9 +2,11 @@
 
 The paper could only describe its repairs; the simulated substrate can
 *grade* them.  For each §3.1 defect class this module checks whether
-the corresponding repair actually landed, producing per-class recall
-plus an overall summary used by the restoration benchmarks and the
-audit example.
+the corresponding repair actually landed, producing per-class recall.
+The §3.1 benchmark (``benchmarks/test_sec31_restoration.py``) and
+``examples/restoration_audit.py`` grade a world with it, and
+``tests/test_pipeline_pinned.py`` pins the per-class counts of every
+named scenario.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from ..rir.pitfalls import ERX_PLACEHOLDER_DATE, InjectedDefect
 from ..timeline.dates import Day
 from .pipeline import RestoredDelegations
 
-__all__ = ["DefectScore", "score_restoration"]
+__all__ = ["DefectScore", "render_scores", "score_restoration"]
 
 
 @dataclass
@@ -51,8 +53,10 @@ def score_restoration(
     * ``placeholder_regdate`` — no stint may still carry 1993-09-01;
     * ``future_regdate`` — no delegated stint may date later than its start;
     * ``mistaken_allocation`` — the culprit registry's rows must be gone;
-    * ``stale_transfer_record`` — the origin's rows must stop at or
-      before the destination's delegated start;
+    * ``stale_transfer_record`` — the origin's delegated rows must end
+      before the destination's first delegated row at or after the
+      transfer day (before the transfer day itself when no such row
+      exists);
     * ``record_drop`` / file-level defects have no per-ASN identity in
       the log and are graded by the boundary-accuracy benchmarks
       instead (counted here as unverifiable).
@@ -109,11 +113,18 @@ def score_restoration(
                 score.repaired += 1
         elif defect.kind == "stale_transfer_record":
             origin = defect.source[0] if defect.source else None
+            transfer_day = defect.span.start if defect.span else 0
+            arrivals = [
+                s.start for s in stints
+                if s.record.registry != origin
+                and s.record.is_delegated
+                and s.start >= transfer_day
+            ]
+            cutoff = min(arrivals, default=transfer_day)
             stale_remaining = any(
                 s.record.registry == origin
                 and s.record.is_delegated
-                and defect.span is not None
-                and s.start >= defect.span.start
+                and s.end >= cutoff
                 for s in stints
             )
             if not stale_remaining:
@@ -124,11 +135,13 @@ def score_restoration(
 
 
 def render_scores(scores: Mapping[str, DefectScore]) -> str:
-    """Human-readable per-class recall table."""
+    """Human-readable per-class recall table; ``n/a`` marks classes
+    with nothing checkable."""
     lines = [f"{'defect class':28s} {'injected':>8s} {'repaired':>8s} {'recall':>7s}"]
     for kind in sorted(scores):
         s = scores[kind]
+        recall = "n/a" if s.injected == s.unverifiable else f"{s.recall:.0%}"
         lines.append(
-            f"{kind:28s} {s.injected:8d} {s.repaired:8d} {s.recall:6.0%}"
+            f"{kind:28s} {s.injected:8d} {s.repaired:8d} {recall:>7s}"
         )
     return "\n".join(lines)

@@ -14,7 +14,7 @@ The values here are the library's defaults; the world simulator takes a
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Dict
 
 from ..timeline.dates import Day, from_iso
 from .model import RIR_NAMES
@@ -38,9 +38,6 @@ class RirPolicy:
         When a reserved ASN goes back to the *same* organization, every
         RIR except AfriNIC keeps the original registration date (§2).
         AfriNIC issues a fresh date — the §4.1 "AfriNIC exception".
-    keeps_regdate_on_internal_transfer:
-        RIPE NCC and APNIC do not touch the registration date when an
-        ASN is transferred inside the registry (§2); the others reset it.
     reclaim_delay_days:
         Median administrative lag between the end of BGP activity and
         deallocation.  The paper (§6.1.1) measures ~6 months for APNIC
@@ -53,14 +50,6 @@ class RirPolicy:
     same_or_next_day_share:
         The share of allocations that appear in the files within one
         day of registration (drives the lag distribution).
-    active_recovery_start:
-        Day the registry began actively reclaiming unused/out-of-
-        compliance resources (ARIN/LACNIC/RIPE NCC 2010, App. B), or
-        ``None`` when the registry only reuses returned resources.
-    uses_nir_blocks:
-        APNIC delegates whole blocks to National Internet Registries;
-        in delegation files the entire block appears allocated at once,
-        blurring the true start of end-user administrative lives (§4.1).
     first_32bit_allocation:
         First day the registry hands out a 32-bit ASN (2007, except a
         first RIPE NCC delegation in December 2006 — App. B).
@@ -80,12 +69,9 @@ class RirPolicy:
     name: str
     quarantine_days: int
     keeps_regdate_on_return: bool
-    keeps_regdate_on_internal_transfer: bool
     reclaim_delay_days: int
     allocation_publish_lag_max: int
     same_or_next_day_share: float
-    active_recovery_start: Optional[Day]
-    uses_nir_blocks: bool
     first_32bit_allocation: Day
     default_32bit_from: Day
     sixteen_bit_share_after_default: float
@@ -115,11 +101,8 @@ def _mk(
     *,
     quarantine_days: int,
     keeps_regdate_on_return: bool,
-    keeps_regdate_on_internal_transfer: bool,
     reclaim_delay_days: int,
     same_or_next_day_share: float,
-    active_recovery_start: Optional[str],
-    uses_nir_blocks: bool,
     first_32bit: str,
     default_32bit: str,
     sixteen_bit_share_after_default: float,
@@ -129,14 +112,9 @@ def _mk(
         name=name,
         quarantine_days=quarantine_days,
         keeps_regdate_on_return=keeps_regdate_on_return,
-        keeps_regdate_on_internal_transfer=keeps_regdate_on_internal_transfer,
         reclaim_delay_days=reclaim_delay_days,
         allocation_publish_lag_max=30,
         same_or_next_day_share=same_or_next_day_share,
-        active_recovery_start=(
-            from_iso(active_recovery_start) if active_recovery_start else None
-        ),
-        uses_nir_blocks=uses_nir_blocks,
         first_32bit_allocation=from_iso(first_32bit),
         default_32bit_from=from_iso(default_32bit),
         sixteen_bit_share_after_default=sixteen_bit_share_after_default,
@@ -150,11 +128,8 @@ DEFAULT_POLICIES: Dict[str, RirPolicy] = {
         "afrinic",
         quarantine_days=180,
         keeps_regdate_on_return=False,  # the AfriNIC exception (§4.1)
-        keeps_regdate_on_internal_transfer=False,
         reclaim_delay_days=530,  # median ≈ 1.5 years (§6.1.1)
         same_or_next_day_share=0.901,
-        active_recovery_start=None,
-        uses_nir_blocks=False,
         first_32bit="2007-04-02",
         default_32bit="2009-07-01",
         sixteen_bit_share_after_default=0.015,
@@ -164,11 +139,8 @@ DEFAULT_POLICIES: Dict[str, RirPolicy] = {
         "apnic",
         quarantine_days=90,
         keeps_regdate_on_return=True,
-        keeps_regdate_on_internal_transfer=True,
         reclaim_delay_days=190,  # median > 6 months (§6.1.1)
         same_or_next_day_share=0.97,
-        active_recovery_start="2004-01-01",  # always recovered actively
-        uses_nir_blocks=True,
         first_32bit="2007-01-15",
         default_32bit="2009-06-01",  # strict 32-bit policy from mid-2009
         sixteen_bit_share_after_default=0.01,
@@ -178,11 +150,8 @@ DEFAULT_POLICIES: Dict[str, RirPolicy] = {
         "arin",
         quarantine_days=120,
         keeps_regdate_on_return=True,
-        keeps_regdate_on_internal_transfer=False,
         reclaim_delay_days=320,
         same_or_next_day_share=0.9935,
-        active_recovery_start="2010-01-01",  # out-of-compliance reclaims
-        uses_nir_blocks=False,
         first_32bit="2007-03-01",
         # ARIN only ramps up 32-bit allocations around 2014, years
         # after the other registries (§5, Fig. 12)
@@ -194,11 +163,8 @@ DEFAULT_POLICIES: Dict[str, RirPolicy] = {
         "lacnic",
         quarantine_days=150,
         keeps_regdate_on_return=True,
-        keeps_regdate_on_internal_transfer=False,
         reclaim_delay_days=330,
         same_or_next_day_share=0.96,
-        active_recovery_start="2010-06-01",
-        uses_nir_blocks=False,
         first_32bit="2007-02-01",
         default_32bit="2009-01-01",
         sixteen_bit_share_after_default=0.017,
@@ -208,11 +174,8 @@ DEFAULT_POLICIES: Dict[str, RirPolicy] = {
         "ripencc",
         quarantine_days=90,
         keeps_regdate_on_return=True,
-        keeps_regdate_on_internal_transfer=True,
         reclaim_delay_days=310,
         same_or_next_day_share=0.98,
-        active_recovery_start="2010-01-01",
-        uses_nir_blocks=False,
         first_32bit="2006-12-12",  # the one 2006 delegation (App. B)
         default_32bit="2009-01-01",
         sixteen_bit_share_after_default=0.08,

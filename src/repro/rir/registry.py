@@ -307,19 +307,6 @@ class Registry:
         reg_date = prev.reg_date if self.policy.keeps_regdate_on_return else day
         return self._allocate_specific(day, asn, prev.org_id, prev.cc, reg_date, prev.via_nir)
 
-    def internal_transfer(self, day: Day, asn: ASN, new_org: str, new_cc: str) -> Allocation:
-        """Move a live delegation to another organization in-region.
-
-        RIPE NCC and APNIC keep the registration date; the others issue
-        a fresh one (§2).
-        """
-        self._advance(day)
-        alloc = self.allocated.get(asn)
-        if alloc is None:
-            raise RegistryError(f"{self.name}: AS{asn} is not allocated")
-        reg_date = alloc.reg_date if self.policy.keeps_regdate_on_internal_transfer else day
-        return self._allocate_specific(day, asn, new_org, new_cc, reg_date, alloc.via_nir)
-
     def correct_regdate(self, day: Day, asn: ASN, new_date: Day) -> Allocation:
         """Administrative correction of the registration date (§4.1:
         "Allocated ASN suddenly changing registration date")."""
@@ -368,25 +355,6 @@ class Registry:
         return self._allocate_specific(
             day, alloc.asn, alloc.org_id, alloc.cc, reg_date, alloc.via_nir
         )
-
-    def allocate_nir_block(
-        self, day: Day, nir_org: str, cc: str, count: int
-    ) -> List[Allocation]:
-        """APNIC-style block allocation to a National Internet Registry.
-
-        All ``count`` ASNs become allocated at once under the NIR's
-        opaque id; end-user hand-out inside the block is invisible to
-        delegation files (§4.1), which is precisely the uncertainty the
-        paper describes.
-        """
-        self._advance(day)
-        if not self.policy.uses_nir_blocks:
-            raise RegistryError(f"{self.name} does not delegate to NIRs")
-        thirty_two = day >= self.policy.default_32bit_from
-        return [
-            self.allocate(day, nir_org, cc, thirty_two_bit=thirty_two, via_nir=True)
-            for _ in range(count)
-        ]
 
     # -- snapshots ---------------------------------------------------------
 

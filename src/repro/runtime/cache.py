@@ -52,6 +52,7 @@ __all__ = [
     "PIPELINE_VERSION",
     "ACTIVITY_TABLE_VERSION",
     "MANIFEST_FORMAT",
+    "CACHE_VERSIONS",
     "USE_ENV_FAULTS",
     "CacheError",
     "CacheStoreError",
@@ -76,6 +77,14 @@ ACTIVITY_TABLE_VERSION = "activity-table/v1"
 
 #: Format tag of the per-entry sidecar manifest.
 MANIFEST_FORMAT = "artifact-manifest/v1"
+
+#: Every version tag above, by name, as run manifests and serve
+#: snapshot identities record them.
+CACHE_VERSIONS = {
+    "pipeline": PIPELINE_VERSION,
+    "activity_table": ACTIVITY_TABLE_VERSION,
+    "entry_manifest": MANIFEST_FORMAT,
+}
 
 #: Payloads are pickled inside a tagged envelope so that a legitimately
 #: cached ``None`` (or any falsy artifact) is distinguishable from a

@@ -682,13 +682,7 @@ def build_run_manifest(
     excluded from the identity digest either way.
     """
     # Call-time import: the cache module imports this one for metrics.
-    from .cache import (
-        ACTIVITY_TABLE_VERSION,
-        MANIFEST_FORMAT,
-        PIPELINE_VERSION,
-        cache_key,
-        fingerprint,
-    )
+    from .cache import CACHE_VERSIONS, cache_key, fingerprint
     from .faults import ENV_RATE, ENV_SEED, ENV_SITES, SITES
 
     seed_text = os.environ.get(ENV_SEED)
@@ -707,18 +701,10 @@ def build_run_manifest(
         "format": RUN_MANIFEST_FORMAT,
         "config": fingerprint(config) if config is not None else None,
         "config_hash": cache_key(config=config) if config is not None else None,
-        "cache_versions": {
-            "pipeline": PIPELINE_VERSION,
-            "activity_table": ACTIVITY_TABLE_VERSION,
-            "entry_manifest": MANIFEST_FORMAT,
-        },
+        "cache_versions": dict(CACHE_VERSIONS),
         "settings": fingerprint(dict(settings)) if settings is not None else {},
         "fault_injection": fault_injection,
         "git": git_describe(git_root) or "unknown",
-        # retired field (runs no longer choose an execution backend),
-        # pinned to null so the digest of an unchanged serve-store
-        # snapshot stays what earlier builds published
-        "backend": None,
         "span_digest": tracer.stage_digest() if tracer is not None else None,
         "events": list(tracer.events) if tracer is not None else [],
     }

@@ -3,8 +3,8 @@
 ``repro inspect diff`` wants to compare "that run from before lunch"
 with "this one" without the user remembering directory paths.  Each
 ``simulate`` invocation that writes a manifest appends one line to a
-``runs.jsonl`` index — manifest digest, config hash, backend, and the
-absolute artifact paths — so later commands can resolve a digest
+``runs.jsonl`` index — manifest digest, config hash, ``git describe``,
+and the absolute artifact paths — so later commands can resolve a digest
 prefix back to a loadable run.
 
 The index is deliberately dumb: JSON lines, append-only, written with a
@@ -57,7 +57,6 @@ def record_run(
         "format": RUNS_FORMAT,
         "digest": manifest.get("digest"),
         "config_hash": manifest.get("config_hash"),
-        "backend": manifest.get("backend"),
         "git": manifest.get("git"),
         "artifacts": {
             kind: str(Path(path).resolve())

@@ -153,15 +153,12 @@ class RirPolicyMix(Layer):
     sibling_probability: Optional[float] = None
     hoarder_orgs: Optional[int] = None
     hoarder_asns: Optional[Tuple[int, int]] = None
-    nir_blocks_per_year: Optional[float] = None
     nir_block_size: Optional[Tuple[int, int]] = None
     failed_32bit_rate: Optional[float] = None
     regdate_correction_rate: Optional[float] = None
 
     def validate(self) -> None:
-        self._require_non_negative(
-            "historical_allocations", "hoarder_orgs", "nir_blocks_per_year"
-        )
+        self._require_non_negative("historical_allocations", "hoarder_orgs")
         self._require_fraction(
             "sibling_probability", "failed_32bit_rate", "regdate_correction_rate"
         )

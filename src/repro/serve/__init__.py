@@ -36,7 +36,6 @@ from .loadgen import (
     plan_queries,
     run_load,
     run_load_checked,
-    run_load_sync,
 )
 from .telemetry import (
     AccessLog,
@@ -74,7 +73,6 @@ __all__ = [
     "plan_queries",
     "run_load",
     "run_load_checked",
-    "run_load_sync",
     "AccessLog",
     "ServerTelemetry",
     "SloWindow",

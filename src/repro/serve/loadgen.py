@@ -38,7 +38,6 @@ __all__ = [
     "plan_queries",
     "run_load",
     "run_load_checked",
-    "run_load_sync",
 ]
 
 #: Default query mix: the point lookup dominates (it is what a
@@ -395,13 +394,3 @@ async def run_load_checked(
     }
     return report, consistency
 
-
-def run_load_sync(
-    host: str,
-    port: int,
-    plan: QueryPlan,
-    *,
-    concurrency: int = DEFAULT_CONCURRENCY,
-) -> LoadReport:
-    """:func:`run_load` for synchronous callers (CLI, benchmarks)."""
-    return asyncio.run(run_load(host, port, plan, concurrency=concurrency))

@@ -6,7 +6,7 @@ the §5 taxonomy assignment, laid out for point lookups instead of
 batch analysis:
 
 ``store.json``
-    The shard index: snapshot identity (the run-manifest digest),
+    The shard index: snapshot identity (the snapshot-manifest digest),
     build parameters, and a sorted table of ASN-range shards with
     their payload sha256s.  Queries binary-search this table first.
 ``shard-NNNNN.json``
@@ -16,9 +16,11 @@ batch analysis:
     same flat ``(start, end, start, end, ...)`` tuple form
     :class:`~repro.timeline.intervals.IntervalSet` pickles to.
 ``snapshot_manifest.json``
-    The run manifest identifying the snapshot (deterministic: config
-    fingerprint + serve settings, no timestamps), registered in the
-    PR-5 ``runs.jsonl`` registry so digest prefixes resolve to stores.
+    The snapshot's identity: config fingerprint, cache versions and
+    serve settings, nothing about the build (no commit, no fault
+    settings, no timestamps).  It is registered in the ``runs.jsonl``
+    registry, with the build's ``git describe``, so digest prefixes
+    resolve to stores.
 
 Every file goes through :class:`~repro.runtime.cache.ArtifactCache`'s
 *named-entry* publish path — unique temps, manifest-first atomic
@@ -50,12 +52,14 @@ from ..lifetimes.bgp import (
 )
 from ..lifetimes.records import AdminLifetime, BgpLifetime
 from ..runtime.cache import (
+    CACHE_VERSIONS,
     USE_ENV_FAULTS,
     ArtifactCache,
     CacheStoreError,
     cache_key,
+    fingerprint,
 )
-from ..runtime.observability import Tracer, build_run_manifest
+from ..runtime.observability import Tracer, git_describe
 from ..runtime.runs import record_run
 from ..timeline.dates import Day
 from ..timeline.intervals import IntervalSet
@@ -63,6 +67,7 @@ from ..timeline.intervals import IntervalSet
 __all__ = [
     "SERVE_STORE_FORMAT",
     "SERVE_SHARD_FORMAT",
+    "SNAPSHOT_MANIFEST_FORMAT",
     "INDEX_NAME",
     "MANIFEST_NAME",
     "DEFAULT_SHARD_SIZE",
@@ -86,6 +91,9 @@ SERVE_STORE_FORMAT = "serve-store/v1"
 
 #: Format tag of each shard document.
 SERVE_SHARD_FORMAT = "serve-shard/v1"
+
+#: Format tag of the snapshot identity document.
+SNAPSHOT_MANIFEST_FORMAT = "serve-snapshot/v1"
 
 INDEX_NAME = "store.json"
 MANIFEST_NAME = "snapshot_manifest.json"
@@ -384,19 +392,23 @@ def load_bytes_verified(
 
 
 def _snapshot_manifest(config: Any, meta: StoreMeta) -> Dict[str, Any]:
-    """The store's identity manifest.
+    """The store's identity document: what it holds, not how it was built.
 
-    Built with ``tracer=None`` on purpose: span digests, event logs and
-    backend names describe *how* a store was produced, and a store
-    reached by append must carry the same identity as one fully
-    rebuilt — the digest covers config + serve parameters only.
+    Span digests, commits and ambient fault settings describe a build;
+    a store reached by append, by another commit or under injection
+    must carry the same identity as one fully rebuilt, so the digest
+    covers the config, the cache versions and the serve parameters only.
     """
-    return build_run_manifest(
-        config=config,
-        settings={"serve": meta.to_json_dict()},
-        tracer=None,
-        git_root=Path(__file__).resolve().parent,
-    )
+    manifest: Dict[str, Any] = {
+        "format": SNAPSHOT_MANIFEST_FORMAT,
+        "config": fingerprint(config),
+        "config_hash": cache_key(config=config),
+        "cache_versions": dict(CACHE_VERSIONS),
+        "settings": fingerprint({"serve": meta.to_json_dict()}),
+    }
+    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+    manifest["digest"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return manifest
 
 
 def publish_store(
@@ -466,7 +478,8 @@ def publish_store(
         span.set_attr("published", published)
     tracer.drain_events_from(cache)
     if runs_index is not None:
-        record_run(runs_index, manifest, {
+        build = git_describe(Path(__file__).resolve().parent) or "unknown"
+        record_run(runs_index, {**manifest, "git": build}, {
             "store": Path(store_dir) / INDEX_NAME,
             "manifest": Path(store_dir) / MANIFEST_NAME,
         })

@@ -75,8 +75,7 @@ class WorldConfig:
     #: Share of ended lives whose ASN is later reported with a
     #: registration-date administrative correction.
     regdate_correction_rate: float = 0.002
-    #: APNIC NIR block allocations per year (count, block size range).
-    nir_blocks_per_year: float = 2.0
+    #: ASNs per APNIC NIR block allocation (min, max).
     nir_block_size: Tuple[int, int] = (4, 16)
     #: Share of post-default 32-bit allocations that fail operationally:
     #: the ASN is returned within a month, never used, and the same

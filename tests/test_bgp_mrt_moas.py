@@ -1,4 +1,4 @@
-"""Tests for the MRT-style codec and MOAS/SubMOAS detection."""
+"""Tests for the MRT-style codec and MOAS/SubMOAS evidence."""
 
 import io
 
@@ -11,16 +11,14 @@ from repro.bgp import (
     RIB,
     WITHDRAW,
     BgpElement,
-    MoasDetector,
     MrtError,
     dump_day,
-    find_moas,
-    find_submoas,
     load_day,
     read_elements,
     write_elements,
 )
 from repro.bgp.dumps import dump_file_name, materialize_collector_dumps
+from repro.core import collect_path_evidence
 from repro.net import Prefix
 from repro.simulation.config import tiny
 from repro.simulation.world import WorldSimulator
@@ -123,62 +121,44 @@ class TestMrtRoundtrip:
 
 
 class TestMoas:
+    """MOAS and covering-origin (SubMOAS) evidence, as the §6.4
+    misconfiguration analysis computes it."""
+
     def test_same_prefix_two_origins(self):
         elems = [
             elem(path=(10, 20, 30)),
             elem(peer=11, path=(11, 40)),
         ]
-        conflicts = find_moas(elems)
-        assert len(conflicts) == 1
-        assert conflicts[0].origins == {30, 40}
-        assert conflicts[0].involves(30)
+        evidence = collect_path_evidence(elems, {30, 40})
+        assert evidence[30].moas_partners == (40,)
+        assert evidence[40].moas_partners == (30,)
 
     def test_single_origin_no_conflict(self):
-        assert find_moas([elem(), elem(peer=11)]) == []
+        evidence = collect_path_evidence([elem(), elem(peer=11)], {30})
+        assert evidence[30].moas_partners == ()
 
     def test_withdraws_ignored(self):
-        assert find_moas([elem(WITHDRAW)]) == []
+        evidence = collect_path_evidence(
+            [elem(WITHDRAW), elem(peer=11, path=(11, 40))], {30, 40}
+        )
+        assert evidence[30].prefixes == ()
+        assert evidence[40].moas_partners == ()
 
     def test_submoas(self):
         elems = [
             elem(path=(10, 20, 30), prefix=P1),
             elem(path=(10, 99), prefix=SUB),
         ]
-        conflicts = find_submoas(elems)
-        assert len(conflicts) == 1
-        c = conflicts[0]
-        assert c.covering_origin == 30
-        assert c.specific_origin == 99
-        assert c.covering_prefix == P1 and c.specific_prefix == SUB
+        evidence = collect_path_evidence(elems, {99})
+        assert evidence[99].prefixes == (SUB,)
+        assert evidence[99].covering_origins == (30,)
 
     def test_submoas_same_origin_not_conflict(self):
         elems = [
             elem(path=(10, 30), prefix=P1),
             elem(path=(10, 30), prefix=SUB),
         ]
-        assert find_submoas(elems) == []
-
-    def test_detector_new_and_resolved(self):
-        detector = MoasDetector()
-        day1 = [elem(path=(10, 30)), elem(peer=11, path=(11, 40))]
-        new, resolved = detector.feed(day1)
-        assert len(new) == 1 and resolved == []
-        # same conflict persists: nothing new
-        new, resolved = detector.feed(day1)
-        assert new == [] and resolved == []
-        # conflict disappears
-        new, resolved = detector.feed([elem(path=(10, 30))])
-        assert new == [] and len(resolved) == 1
-        assert detector.active == {}
-
-    def test_detector_origin_change_is_new(self):
-        detector = MoasDetector()
-        detector.feed([elem(path=(10, 30)), elem(peer=11, path=(11, 40))])
-        new, _ = detector.feed(
-            [elem(path=(10, 30)), elem(peer=11, path=(11, 41))]
-        )
-        assert len(new) == 1
-        assert new[0].origins == {30, 41}
+        assert collect_path_evidence(elems, {30})[30].covering_origins == ()
 
 
 class TestCollectorDumps:

@@ -9,8 +9,14 @@ from repro.core import (
     suspicion_score,
 )
 from repro.lifetimes import AdminLifetime, BgpLifetime
-from repro.restoration import render_scores, score_restoration
-from repro.timeline import from_iso
+from repro.restoration import (
+    DefectScore,
+    RestoredDelegations,
+    render_scores,
+    score_restoration,
+)
+from repro.rir import DelegationRecord, InjectedDefect, Status, Stint
+from repro.timeline import Interval, from_iso
 
 D = from_iso("2005-01-01")
 END = from_iso("2021-03-01")
@@ -120,3 +126,50 @@ class TestRestorationScoring:
         text = render_scores(scores)
         assert "duplicate_record" in text
         assert "recall" in text
+
+    @staticmethod
+    def stale_transfer(asn, origin_rows, destination_rows):
+        """A transfer out of ARIN on 2003-11-15, stale for 210 days."""
+        transfer = from_iso("2003-11-15")
+
+        def row(registry, start, end):
+            record = DelegationRecord(registry, "NL", asn, transfer,
+                                      Status.ALLOCATED)
+            return Stint(from_iso(start), from_iso(end), record)
+
+        stints = [row("arin", a, b) for a, b in origin_rows]
+        stints += [row("ripencc", a, b) for a, b in destination_rows]
+        restored = RestoredDelegations(stints={asn: stints})
+        defect = InjectedDefect(
+            "stale_transfer_record", ("arin", "extended"), asn,
+            Interval(transfer, transfer + 210), note="transferred to ripencc",
+        )
+        return score_restoration(restored, [defect])["stale_transfer_record"]
+
+    def test_stale_transfer_trimmed_before_a_later_archive_start(self):
+        # the AS680 shape: the transfer predates RIPE NCC's first file,
+        # so the origin's surviving rows start after the transfer day
+        # and end the day before the destination's first row
+        score = self.stale_transfer(
+            680, [("2003-11-20", "2003-11-25")],
+            [("2003-11-26", "2006-03-28"), ("2006-07-02", "2010-04-21")],
+        )
+        assert (score.injected, score.repaired, score.unverifiable) == (1, 1, 0)
+
+    def test_stale_transfer_overlapping_the_destination_is_a_miss(self):
+        # an origin row that runs past the destination's first row is
+        # the stale tail itself, even when it began before the transfer
+        for origin_rows in ([("2003-11-20", "2003-12-31")],
+                            [("2001-01-01", "2004-01-10")]):
+            score = self.stale_transfer(
+                134, origin_rows, [("2003-11-26", "2010-04-21")]
+            )
+            assert (score.injected, score.repaired) == (1, 0), origin_rows
+
+    def test_render_marks_uncheckable_classes(self):
+        text = render_scores({
+            "missing_file": DefectScore("missing_file", 181, 0, 181),
+            "future_regdate": DefectScore("future_regdate", 4, 4, 0),
+        })
+        rows = {line.split()[0]: line.split()[-1] for line in text.splitlines()[1:]}
+        assert rows == {"missing_file": "n/a", "future_regdate": "100%"}

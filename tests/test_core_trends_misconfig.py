@@ -140,6 +140,25 @@ class TestTables:
         assert country_shares(lives, "lacnic", as_of=D + 50) == []
 
 
+class TestOnSimulatedWorld:
+    def test_india_rises_in_apnic(self):
+        from repro.simulation import build_datasets, tiny
+
+        bundle = build_datasets(tiny(seed=31))
+        early = bundle.world.config.start_day + 2500
+        late = bundle.world.end_day
+
+        def rank(day, cc):
+            rows = country_shares(bundle.admin_lives, "apnic", as_of=day, top=8)
+            return next((i for i, row in enumerate(rows) if row[0] == cc), 99)
+
+        # the Appendix-A story: India and Indonesia climb APNIC's
+        # country ranking and end up among its top five
+        for cc in ("IN", "ID"):
+            assert rank(late, cc) < rank(early, cc), cc
+            assert rank(late, cc) < 5, cc
+
+
 class TestMisconfig:
     def test_prepend_typo(self):
         ev = PathEvidence(3202632026, first_hops=(32026,), prefixes=())

@@ -12,6 +12,7 @@ from repro.rir import (
     Status,
     default_policy,
 )
+from repro.simulation import WorldSimulator, tiny
 from repro.timeline import from_iso
 
 D0 = from_iso("2004-01-01")
@@ -128,14 +129,14 @@ class TestPolicies:
         for other in ("apnic", "arin", "lacnic", "ripencc"):
             assert DEFAULT_POLICIES[other].keeps_regdate_on_return
 
-    def test_internal_transfer_date_keepers(self):
-        keepers = {n for n, p in DEFAULT_POLICIES.items()
-                   if p.keeps_regdate_on_internal_transfer}
-        assert keepers == {"ripencc", "apnic"}
-
     def test_only_apnic_uses_nirs(self):
-        assert DEFAULT_POLICIES["apnic"].uses_nir_blocks
-        assert sum(p.uses_nir_blocks for p in DEFAULT_POLICIES.values()) == 1
+        # APNIC alone delegates whole blocks to National Internet
+        # Registries (§4.1); every such life sits under an NIR org id
+        world = WorldSimulator(tiny(seed=11)).run()
+        nir = [life for life in world.lives if life.via_nir]
+        assert nir
+        assert {life.registry for life in nir} == {"apnic"}
+        assert all(life.org_id.startswith("NIR-") for life in nir)
 
     def test_unknown_registry_rejected(self):
         with pytest.raises(ValueError):
@@ -252,17 +253,6 @@ class TestReturnToOwner:
 
 
 class TestTransfers:
-    def test_internal_transfer_date_policy(self):
-        ripe = make_registry("ripencc")
-        a = ripe.allocate(D0, "ORG-1", "IT", thirty_two_bit=False)
-        moved = ripe.internal_transfer(D0 + 50, a.asn, "ORG-2", "NL")
-        assert moved.reg_date == D0  # RIPE keeps the date
-
-        arin = make_registry("arin")
-        b = arin.allocate(D0, "ORG-1", "US", thirty_two_bit=False)
-        moved2 = arin.internal_transfer(D0 + 50, b.asn, "ORG-2", "CA")
-        assert moved2.reg_date == D0 + 50  # ARIN resets it
-
     def test_inter_rir_transfer(self):
         ledger = IanaLedger()
         arin = Registry("arin", default_policy("arin"), ledger)
@@ -302,16 +292,15 @@ class TestTransfers:
 
 class TestNirBlocks:
     def test_apnic_nir_block(self):
+        # the world hands out an NIR block one ASN at a time
         reg = make_registry("apnic")
-        allocs = reg.allocate_nir_block(D0, "NIR-JPNIC", "JP", 10)
-        assert len(allocs) == 10
-        assert all(a.via_nir for a in allocs)
+        allocs = [
+            reg.allocate(D0, "NIR-JPNIC", "JP", thirty_two_bit=False, via_nir=True)
+            for _ in range(10)
+        ]
+        assert len({a.asn for a in allocs}) == 10
+        assert all(reg.allocated[a.asn].via_nir for a in allocs)
         assert all(a.org_id == "NIR-JPNIC" for a in allocs)
-
-    def test_non_apnic_rejects(self):
-        reg = make_registry("ripencc")
-        with pytest.raises(RegistryError):
-            reg.allocate_nir_block(D0, "NIR-X", "JP", 5)
 
 
 class TestSnapshots:

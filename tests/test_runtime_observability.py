@@ -295,7 +295,7 @@ class TestRunManifest:
         assert manifest["format"] == RUN_MANIFEST_FORMAT
         assert manifest["config_hash"]
         assert manifest["cache_versions"]["pipeline"]
-        assert manifest["backend"] is None  # retired field, pinned null
+        assert "backend" not in manifest  # retired field
         assert manifest["span_digest"]["sha256"]
         stage_names = [row["name"] for row in manifest["span_digest"]["stages"]]
         assert "simulate" in stage_names

@@ -16,7 +16,6 @@ import pytest
 from repro.bgp import PathOracle, all_peer_asns
 from repro.core.taxonomy import Category
 from repro.lifetimes.records import AdminLifetime, BgpLifetime
-from repro.runtime import observability
 from repro.runtime.cache import ArtifactCache, cache_key
 from repro.runtime.faults import FaultInjector, FaultSpec
 from repro.serve.append import append_days
@@ -144,10 +143,10 @@ class TestRoutedBytesPinned:
     """
 
     #: sha256 of the index a 30-day store over ``tiny(seed=11)``
-    #: publishes, with the manifest's ``git`` field pinned to
-    #: ``"unknown"`` (it names the build, not the routed bytes).
+    #: publishes.  The snapshot identity names no build, so this holds
+    #: on any commit, dirty or clean, and under ambient fault injection.
     INDEX_SHA256 = (
-        "d2ae96f09912e99bf7dfbeff6a93783d1609b9d3c106fcb6caeffbd56c1f93cb"
+        "cb9e473c51a25e0f45f031700bb1c332ef3cafaaad24d402037ec82c6de2e8e6"
     )
     #: sha256 of every collector peer's path to every announcer of the
     #: same world, in the oracle's order.
@@ -155,8 +154,7 @@ class TestRoutedBytesPinned:
         "eae0cf24c799c7f77d0c0183120ce42a4b43f7609281d91dba6c987c5c9f4958"
     )
 
-    def test_store_index(self, bundle, tmp_path, monkeypatch):
-        monkeypatch.setattr(observability, "git_describe", lambda root=None: None)
+    def test_store_index(self, bundle, tmp_path):
         end = bundle.world.config.end_day
         build_store(tmp_path, bundle.world, bundle.admin_lives,
                     start=end - 29, end=end, faults=None)
