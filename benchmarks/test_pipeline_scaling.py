@@ -11,16 +11,19 @@ than a rebuild).
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 from time import perf_counter
 
 from repro.bgp import SyntheticBgpStream, sanitize
+from repro.lifetimes import bgp as lifetimes_bgp
 from repro.lifetimes.bgp import (
     activity_from_elements,
     build_bgp_lifetimes,
     build_operational_dataset,
 )
-from repro.runtime import ArtifactCache, Tracer, ledger_disabled
+from repro.runtime import ArtifactCache, Tracer
 from repro.runtime.inspect import render_trace, trace_view
 from repro.simulation import bench, build_datasets
 from repro.simulation.config import tiny
@@ -184,17 +187,21 @@ def test_bgp_activity_scaling(record_result, tmp_path):
     record_result("bgp_activity", "\n".join(lines))
 
 
-def test_cache_verification_overhead(record_result, tmp_path):
+def test_cache_verification_overhead(record_result, tmp_path, monkeypatch):
     """Sha256 verification and ledger accounting each cost <= ~5% warm.
 
-    The ISSUE 3 acceptance bound: checksum verification must be cheap
-    enough to leave on by default.  Same world, same window, same warm
-    activity-table entry — timed under ``verify="off"`` and
-    ``verify="sha256"``, min-of-7 to shed scheduler noise.  The same
-    bound prices the dataflow ledger: the warm path re-timed under
-    :func:`ledger_disabled` must be within 5% of the default
-    accounting-on run, or the conservation counters are too hot to
-    leave enabled.
+    Checksum verification and the dataflow ledger are always on, so
+    each must stay cheap enough to leave on.  Same world, same window,
+    same warm activity-table entry, min-of-7 to shed scheduler noise:
+
+    * verification: the verified hit is timed whole, and the
+      verification's own work on that entry (reading its manifest and
+      hashing its payload) is timed alone; the unverified hit is the
+      difference.
+    * ledger: the verified hit is re-timed with the warm path's
+      emitter (``bgp:segment``, the ledger's hottest boundary on a
+      hit) stubbed out, alternating with the accounting-on hit round
+      by round.
     """
     world = WorldSimulator(tiny(seed=2021)).run()
     end = world.config.end_day
@@ -204,41 +211,63 @@ def test_cache_verification_overhead(record_result, tmp_path):
     # one shared entry directory, populated once
     seed_cache = ArtifactCache(tmp_path, faults=None)
     build_operational_dataset(world, cache=seed_cache, **window)
+    (entry,) = tmp_path.glob("*.pkl")
+    manifest_path = tmp_path / f"{entry.stem}.manifest.json"
 
-    def warm_seconds(verify: str) -> float:
-        cache = ArtifactCache(tmp_path, verify=verify, faults=None)
+    def warm_hit(cache: ArtifactCache) -> float:
+        t0 = perf_counter()
+        lives, _ = build_operational_dataset(world, cache=cache, **window)
+        elapsed = perf_counter() - t0
+        assert lives  # every iteration is a real warm hit
+        return elapsed
+
+    def verify_seconds() -> float:
+        payload = entry.read_bytes()  # read on the unverified path too
         best = float("inf")
         for _ in range(7):
             t0 = perf_counter()
-            lives, _ = build_operational_dataset(
-                world, cache=cache, **window
-            )
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            digest = hashlib.sha256(payload).hexdigest()
             best = min(best, perf_counter() - t0)
-            assert lives  # every iteration is a real warm hit
-        assert cache.hits == 7
-        assert cache.corrupt == 0
+            assert digest == manifest["sha256"]
         return best
 
-    off_t = warm_seconds("off")
-    sha_t = warm_seconds("sha256")
-    # the warm path still runs bgp:segment, the ledger's hottest
-    # boundary on a cache hit — time it with accounting suppressed
-    with ledger_disabled():
-        bare_t = warm_seconds("off")
+    def no_ledger_hit(cache: ArtifactCache) -> float:
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                lifetimes_bgp, "record_boundary", lambda *args, **kwargs: {}
+            )
+            return warm_hit(cache)
+
+    # each side goes first in every other round, so neither pays the
+    # first hit's warm-up alone (timed back to back, the first side
+    # read 5-12% slower with identical code)
+    cache = ArtifactCache(tmp_path, faults=None)
+    best = {warm_hit: float("inf"), no_ledger_hit: float("inf")}
+    for round_no in range(7):
+        order = (warm_hit, no_ledger_hit)
+        for side in order if round_no % 2 == 0 else reversed(order):
+            best[side] = min(best[side], side(cache))
+    sha_t, no_ledger_t = best[warm_hit], best[no_ledger_hit]
+    assert cache.hits == 14
+    assert cache.corrupt == 0
+    verify_t = verify_seconds()
+    off_t = sha_t - verify_t
+    bare_t = no_ledger_t - verify_t
 
     # 5% relative, plus a 2ms absolute floor so the bound is meaningful
     # even when the whole warm hit is sub-millisecond
     assert sha_t <= off_t * 1.05 + 0.002, (
-        f"sha256 verification overhead too high: {sha_t:.4f}s verified "
-        f"vs {off_t:.4f}s unverified"
+        f"sha256 verification overhead too high: {sha_t:.4f}s verified, "
+        f"{verify_t:.4f}s of it verification"
     )
-    assert off_t <= bare_t * 1.05 + 0.002, (
-        f"ledger accounting overhead too high: {off_t:.4f}s with the "
-        f"ledger vs {bare_t:.4f}s without"
+    assert sha_t <= no_ledger_t * 1.05 + 0.002, (
+        f"ledger accounting overhead too high: {sha_t:.4f}s with the "
+        f"ledger vs {no_ledger_t:.4f}s without"
     )
 
     overhead = (sha_t / off_t - 1.0) * 100.0
-    ledger_overhead = (off_t / bare_t - 1.0) * 100.0
+    ledger_overhead = (sha_t / no_ledger_t - 1.0) * 100.0
     lines = [
         "warm activity-table hit, min of 7 runs",
         f"{'verify=off, no ledger':<28} {bare_t:>9.4f}s",

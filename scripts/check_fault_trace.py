@@ -85,8 +85,8 @@ def main(argv=None) -> int:
     trace_path = tracer.write_jsonl(out / "trace.jsonl")
     write_json_atomic(out / "metrics.json", metrics.snapshot())
     # the dataflow ledger must stay conserving under injection: a
-    # rebuilt artifact may not double-count (scripts/check_ledger.py
-    # gates this artifact in CI)
+    # rebuilt artifact may not double-count (`repro inspect ledger
+    # --check` gates this artifact in CI)
     write_ledger(out / "ledger.json", build_ledger(metrics))
     manifest = build_run_manifest(config=config, tracer=tracer)
     write_run_manifest(out / "run_manifest.json", manifest)

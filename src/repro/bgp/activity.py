@@ -48,7 +48,6 @@ from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..asn.numbers import ASN
-from ..runtime.ledger import ledger_enabled
 from ..timeline.dates import Day
 from ..timeline.intervals import Interval, IntervalSet
 from .collector import Collector, all_peer_asns
@@ -499,7 +498,7 @@ class ActivityReport:
     routing_sweeps: int = 0
     routing_seconds: float = 0.0
     #: ASN-day totals per visibility class of the engine's activity runs
-    #: (ledger input side).  Empty when the ledger is disabled.
+    #: (ledger input side).
     class_days_in: Dict[str, int] = field(default_factory=dict)
     #: The same totals over the built interval tables; the conversion
     #: must conserve them exactly.
@@ -525,7 +524,6 @@ def _build_tables(
     )
     runs = engine.replay(schedule)
 
-    account_days = ledger_enabled()
     class_days_in: Counter = Counter()
     class_days: Counter = Counter()
     tables = {}
@@ -539,11 +537,10 @@ def _build_tables(
             single_peer=IntervalSet(single),
         )
         tables[asn] = table
-        if account_days:
-            for cls, run_start_day, run_end_day in asn_runs:
-                class_days_in[_CLASS_NAMES[cls]] += run_end_day - run_start_day + 1
-            class_days["observed"] += table.observed.total_days
-            class_days["single_peer"] += table.single_peer.total_days
+        for cls, run_start_day, run_end_day in asn_runs:
+            class_days_in[_CLASS_NAMES[cls]] += run_end_day - run_start_day + 1
+        class_days["observed"] += table.observed.total_days
+        class_days["single_peer"] += table.single_peer.total_days
     run_seconds = perf_counter() - run_start
 
     sanitize_seconds = engine.index.compute_seconds

@@ -56,11 +56,11 @@ Subcommands mirror the paper's workflow (Fig. 1):
 
 Every run is one process: each pipeline stage runs once, in-process,
 over all of its items.  Runtime flags on ``simulate``: ``--cache-dir
-PATH`` reuses/stores content-addressed pipeline artifacts,
-``--cache-verify {off,sha256}`` controls checksum verification of
-loaded cache entries (corrupt entries are quarantined and rebuilt),
-and ``--profile`` prints the run's span tree (per-stage wall times and
-item counts) plus any runtime degradation events.
+PATH`` reuses/stores content-addressed pipeline artifacts (every
+loaded entry is checked against its sha256 manifest; corrupt entries
+are quarantined and rebuilt), and ``--profile`` prints the run's span
+tree (per-stage wall times and item counts) plus any runtime
+degradation events.
 ``--bgp-window N`` rebuilds operational lifetimes from the
 message-level BGP stream over the last N days with the columnar
 activity engine (cached activity tables make repeat runs skip the
@@ -142,13 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="BGP inactivity timeout in days (default 30)")
     simulate.add_argument("--cache-dir", type=Path, default=None,
                           help="content-addressed artifact cache directory "
-                          "(warm hits skip the whole rebuild)")
-    simulate.add_argument("--cache-verify", choices=("off", "sha256"),
-                          default="sha256",
-                          help="integrity check for loaded cache entries: "
-                          "'sha256' (default) verifies each payload against "
-                          "its sidecar manifest and quarantines+rebuilds "
-                          "corrupt entries; 'off' trusts unpickling alone")
+                          "(warm hits skip the whole rebuild; every entry "
+                          "is sha256-verified on load, and corrupt ones "
+                          "are quarantined and rebuilt)")
     simulate.add_argument("--profile", action="store_true",
                           help="print the run's span tree (per-stage wall "
                           "times, item counts) and runtime events")
@@ -459,8 +455,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     with _run_tracer() as tracer:
         bundle = build_datasets(
             config, inject_pitfalls=not args.no_pitfalls,
-            timeout=args.timeout, cache=args.cache_dir,
-            cache_verify=args.cache_verify, tracer=tracer,
+            timeout=args.timeout, cache=args.cache_dir, tracer=tracer,
             scenario_key=scenario_key,
         )
         if args.bgp_window is None:
@@ -473,8 +468,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             start = max(config.start_day, end - args.bgp_window + 1)
             op_lives, _tables = build_operational_dataset(
                 bundle.world, start=start, end=end, timeout=args.timeout,
-                cache=args.cache_dir, cache_verify=args.cache_verify,
-                tracer=tracer,
+                cache=args.cache_dir, tracer=tracer,
             )
             joint = JointAnalysis(
                 admin_lives=bundle.admin_lives,
@@ -546,7 +540,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 "timeout": args.timeout,
                 "inject_pitfalls": not args.no_pitfalls,
                 "cache_dir": str(args.cache_dir) if args.cache_dir else None,
-                "cache_verify": args.cache_verify,
             },
             tracer=tracer,
             # describe the checkout the *code* ran from, not the cwd
@@ -686,7 +679,11 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         return 0
 
     if args.inspect_command == "ledger":
-        document = ledger_mod.load_ledger(args.ledger)
+        try:
+            document = ledger_mod.load_ledger(args.ledger)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(ledger_mod.render_ledger(document))
         if args.check:
             violations = ledger_mod.check_ledger(document)

@@ -42,12 +42,6 @@ __all__ = [
 DEFAULT_TIMEOUT = 30
 
 
-def _attach(span, ledger_summary) -> None:
-    """Put a boundary summary on a stage span (no-op when disabled)."""
-    if ledger_summary is not None:
-        span.set_attr("ledger", ledger_summary)
-
-
 @dataclass
 class OperationalActivity:
     """Per-ASN daily visibility, split by peer-visibility class."""
@@ -129,7 +123,6 @@ def build_operational_dataset(
     min_peers: int = 2,
     min_corroboration: int = 2,
     cache: Union[ArtifactCache, str, Path, None] = None,
-    cache_verify: str = "sha256",
     tracer: Optional[Tracer] = None,
 ) -> Tuple[Dict[ASN, List[BgpLifetime]], Dict[ASN, OperationalActivity]]:
     """Message-level §3.2→§4.2: activity tables plus operational lives.
@@ -150,8 +143,6 @@ def build_operational_dataset(
     stream/sanitize/visibility stages entirely.
     ``timeout``/``min_peers`` only shape the cheap segmentation stage
     and are deliberately outside the key.
-    ``cache_verify`` selects the integrity mode when ``cache`` is a
-    path (``"sha256"`` manifests, or ``"off"``).
 
     Returns ``(op_lives, tables)``.
     """
@@ -160,7 +151,7 @@ def build_operational_dataset(
     if tracer is None:
         tracer = Tracer()
     if cache is not None and not isinstance(cache, ArtifactCache):
-        cache = ArtifactCache(cache, verify=cache_verify)
+        cache = ArtifactCache(cache)
 
     tables: Optional[Dict[ASN, OperationalActivity]] = None
     key: Optional[str] = None
@@ -192,7 +183,7 @@ def build_operational_dataset(
         span = tracer.record("bgp:stream", report.stream_seconds,
                              items=report.changed_days,
                              component="bgp", engine="columnar")
-        _attach(span, record_boundary(
+        span.set_attr("ledger", record_boundary(
             "bgp:stream",
             records_in=report.elements,
             kept=report.elements,
@@ -205,7 +196,7 @@ def build_operational_dataset(
         span.set_attr("routing_sweeps", report.routing_sweeps)
         span.set_attr("routing_s", round(report.routing_seconds, 6))
         tracer.metrics.inc("bgp.routing.sweeps", report.routing_sweeps)
-        _attach(span, record_boundary(
+        span.set_attr("ledger", record_boundary(
             "bgp:sanitize",
             records_in=report.elements,
             kept=report.kept,
@@ -218,7 +209,7 @@ def build_operational_dataset(
         # ASN-day conservation from the engine's activity runs into
         # the interval tables: the conversion must neither lose nor
         # invent days
-        _attach(span, record_boundary(
+        span.set_attr("ledger", record_boundary(
             "bgp:visibility",
             records_in=sum(report.class_days_in.values()),
             routed=report.class_days,

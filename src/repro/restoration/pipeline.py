@@ -25,7 +25,7 @@ from typing import Dict, List, Mapping, Optional
 from ..asn.blocks import IanaLedger
 from ..asn.numbers import ASN
 from ..rir.archive import DelegationArchive, Stint
-from ..runtime.ledger import ledger_enabled, record_boundary
+from ..runtime.ledger import record_boundary
 from ..runtime.observability import MetricsRegistry, Tracer
 from ..timeline.dates import Day
 from .duplicates import resolve_duplicate_records
@@ -176,11 +176,10 @@ def restore_archive(
             report.merge(_restore_registry(
                 registry, views[registry], erx_reference, tracer.metrics
             ))
-    if ledger_enabled():
-        span.set_attr("ledger", {
-            "in": rows_before_steps,
-            "kept": sum(_view_rows(view) for view in views.values()),
-        })
+    span.set_attr("ledger", {
+        "in": rows_before_steps,
+        "kept": sum(_view_rows(view) for view in views.values()),
+    })
 
     # Step (vi) compares already-clean per-registry timelines against
     # each other — the cross-registry join barrier, serial by design.
@@ -191,7 +190,7 @@ def restore_archive(
         clean_inter_rir_overlaps(views, report, ledger=ledger)
         vi_counts = report.step("vi-inter-rir").counts
         for registry in registries:
-            summary = record_boundary(
+            span.set_attr(f"ledger.{registry}", record_boundary(
                 f"restoration/vi-inter-rir/{registry}",
                 records_in=rows_before_vi[registry],
                 kept=_view_rows(views[registry]),
@@ -204,9 +203,7 @@ def restore_archive(
                     ),
                 },
                 metrics=tracer.metrics,
-            )
-            if summary is not None:
-                span.set_attr(f"ledger.{registry}", summary)
+            ))
 
     with tracer.stage("restore:merge", component="restoration") as span:
         for view in views.values():
@@ -219,12 +216,10 @@ def restore_archive(
             if len(stints) > 1:
                 stints.sort(key=lambda s: (s.start, s.end))
         # the cross-registry merge must neither lose nor invent rows
-        summary = record_boundary(
+        span.set_attr("ledger", record_boundary(
             "restoration/merge",
             records_in=sum(_view_rows(view) for view in views.values()),
             kept=sum(len(stints) for stints in restored.stints.values()),
             metrics=tracer.metrics,
-        )
-        if summary is not None:
-            span.set_attr("ledger", summary)
+        ))
     return restored, report

@@ -59,16 +59,11 @@ from .inspect import (
 )
 from .ledger import (
     LEDGER_FORMAT,
-    LedgerBoundary,
-    boundary,
     build_ledger,
     check_ledger,
-    ledger_disabled,
-    ledger_enabled,
     load_ledger,
     record_boundary,
     render_ledger,
-    set_ledger_enabled,
     write_ledger,
 )
 from .observability import (
@@ -122,16 +117,11 @@ __all__ = [
     "FaultInjector",
     "FaultSpec",
     "LEDGER_FORMAT",
-    "LedgerBoundary",
-    "boundary",
     "build_ledger",
     "check_ledger",
-    "ledger_disabled",
-    "ledger_enabled",
     "load_ledger",
     "record_boundary",
     "render_ledger",
-    "set_ledger_enabled",
     "write_ledger",
     "RunArtifacts",
     "TraceView",

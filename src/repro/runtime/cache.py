@@ -21,16 +21,16 @@ point of a hit.
 
 Precomputed state is only useful if it can be *trusted* after crashes,
 so every entry carries a sidecar manifest (payload SHA-256, byte
-length, pipeline version) that is checked on load when ``verify`` is
-``"sha256"`` (the default).  An entry whose bytes do not match its
-manifest — a torn write that a crash made visible, bit rot, a
-truncated file — is moved to a ``quarantine/`` directory for post
-mortems and treated as a miss, and the artifact is rebuilt; an entry
-is never deleted blind, and a corrupt load can never return a wrong
-artifact silently.  Failed stores degrade gracefully by default (the
-built artifact is returned, the entry is simply not persisted, and the
-failure is surfaced in :attr:`ArtifactCache.events`); strict callers
-get a typed :class:`CacheStoreError` instead.
+length, pipeline version) that is checked on every load.  An entry
+whose bytes do not match its manifest — a torn write that a crash
+made visible, bit rot, a truncated file — is moved to a
+``quarantine/`` directory for post mortems and treated as a miss, and
+the artifact is rebuilt; an entry is never deleted blind, and a
+corrupt load can never return a wrong artifact silently.  Failed
+stores degrade gracefully by default (the built artifact is returned,
+the entry is simply not persisted, and the failure is surfaced in
+:attr:`ArtifactCache.events`); strict callers get a typed
+:class:`CacheStoreError` instead.
 """
 
 from __future__ import annotations
@@ -174,13 +174,10 @@ def loads_with_gc_paused(blob: bytes) -> Any:
 class ArtifactCache:
     """A directory of content-addressed pickled artifacts.
 
+    Every loaded payload is checked against its sidecar manifest.
+
     Parameters
     ----------
-    verify:
-        ``"sha256"`` (default) checks every loaded payload against its
-        sidecar manifest; ``"off"`` trusts unpickling alone (manifests
-        are still written, so the same directory can be re-opened
-        verified later).
     faults:
         A :class:`~repro.runtime.faults.FaultInjector` to consult at
         the cache's failure-prone points, ``None`` for no injection, or
@@ -196,15 +193,11 @@ class ArtifactCache:
         self,
         root: Union[str, Path],
         *,
-        verify: str = "sha256",
         faults: Any = USE_ENV_FAULTS,
         strict_store: bool = False,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if verify not in ("off", "sha256"):
-            raise ValueError(f"unknown verify mode {verify!r}")
         self.root = Path(root)
-        self.verify = verify
         self.faults: Optional[FaultInjector] = resolve_faults(faults)
         self.strict_store = strict_store
         #: Where counters (``cache.hits``, ``cache.verify_failures``,
@@ -305,15 +298,14 @@ class ArtifactCache:
         )
 
     def _verified_payload(
-        self,
-        key: str,
-        path: Path,
-        blob: bytes,
-        manifest_path: Optional[Path] = None,
+        self, key: str, path: Path, manifest_path: Path
     ) -> Optional[bytes]:
-        """The payload bytes iff they match the sidecar manifest."""
-        if manifest_path is None:
-            manifest_path = self.manifest_path_for(key)
+        """The payload bytes iff they are readable and match the sidecar
+        manifest; anything else counts a miss."""
+        blob = self._read_payload(path)
+        if blob is None:
+            self._miss()
+            return None
         if self._manifest_matches(self._read_manifest(manifest_path), blob):
             return blob
         # One fresh re-read closes the benign race where a concurrent
@@ -330,6 +322,7 @@ class ArtifactCache:
             self.events.append(
                 f"cache: entry {key[:12]} has no manifest; treating as miss"
             )
+            self._miss()
             return None
         self.corrupt += 1
         self._inc("cache.verify_failures")
@@ -337,7 +330,12 @@ class ArtifactCache:
             f"cache: entry {key[:12]} failed sha256 verification"
         )
         self._quarantine(path, fresh if fresh is not None else blob)
+        self._miss()
         return None
+
+    def _miss(self) -> None:
+        self.misses += 1
+        self._inc("cache.misses")
 
     def lookup(self, key: str) -> Any:
         """The cached artifact, or the module-private miss marker.
@@ -346,17 +344,9 @@ class ArtifactCache:
         a miss — this is what :meth:`get_or_build` consults.
         """
         path = self.path_for(key)
-        blob = self._read_payload(path)
+        blob = self._verified_payload(key, path, self.manifest_path_for(key))
         if blob is None:
-            self.misses += 1
-            self._inc("cache.misses")
             return _MISS
-        if self.verify == "sha256":
-            blob = self._verified_payload(key, path, blob)
-            if blob is None:
-                self.misses += 1
-                self._inc("cache.misses")
-                return _MISS
         try:
             obj = loads_with_gc_paused(blob)
         except Exception:
@@ -364,8 +354,7 @@ class ArtifactCache:
             self._inc("cache.verify_failures")
             self.events.append(f"cache: entry {key[:12]} failed to unpickle")
             self._quarantine(path, blob)
-            self.misses += 1
-            self._inc("cache.misses")
+            self._miss()
             return _MISS
         self.hits += 1
         self._inc("cache.hits")
@@ -390,19 +379,16 @@ class ArtifactCache:
 
     # -- storing -------------------------------------------------------
 
-    def store(
-        self, key: str, artifact: Any, *, strict: Optional[bool] = None
-    ) -> Optional[Path]:
+    def store(self, key: str, artifact: Any) -> Optional[Path]:
         """Atomically persist an artifact (payload + manifest).
 
         On I/O failure (disk full, read-only directory, ...) the
         partially written temp files are always removed; by default the
         failure is recorded in :attr:`events` and ``None`` is returned
         — the pipeline continues with the freshly built artifact,
-        merely uncached.  With ``strict`` (or ``strict_store=True`` on
-        the cache) a :class:`CacheStoreError` is raised instead.
+        merely uncached.  With ``strict_store=True`` on the cache a
+        :class:`CacheStoreError` is raised instead.
         """
-        strict = self.strict_store if strict is None else strict
         try:
             blob = dumps_with_gc_paused((_ENVELOPE_TAG, artifact))
         except Exception as exc:
@@ -416,7 +402,6 @@ class ArtifactCache:
             path=self.path_for(key),
             manifest_path=self.manifest_path_for(key),
             kind="pickle",
-            strict=strict,
         )
 
     def _publish(
@@ -427,7 +412,6 @@ class ArtifactCache:
         path: Path,
         manifest_path: Path,
         kind: str,
-        strict: bool,
     ) -> Optional[Path]:
         manifest_blob = json.dumps(
             {
@@ -476,7 +460,7 @@ class ArtifactCache:
             self.events.append(
                 f"cache: store of {key[:12]} failed ({exc}); continuing uncached"
             )
-            if strict:
+            if self.strict_store:
                 raise CacheStoreError(
                     f"could not store artifact {key}: {exc}"
                 ) from exc
@@ -505,9 +489,7 @@ class ArtifactCache:
     def named_manifest_path(self, name: str) -> Path:
         return self.root / f"{self._check_name(name)}.manifest.json"
 
-    def store_named(
-        self, name: str, blob: bytes, *, strict: Optional[bool] = None
-    ) -> Optional[Path]:
+    def store_named(self, name: str, blob: bytes) -> Optional[Path]:
         """Atomically persist raw bytes under a caller-chosen name.
 
         Same guarantees as :meth:`store` (unique temps, manifest-first
@@ -515,14 +497,12 @@ class ArtifactCache:
         guaranteed temp cleanup); the payload is written byte-for-byte,
         with no pickle envelope, under a stable name.
         """
-        strict = self.strict_store if strict is None else strict
         return self._publish(
             name,
             bytes(blob),
             path=self.named_path(name),
             manifest_path=self.named_manifest_path(name),
             kind="named",
-            strict=strict,
         )
 
     def load_named(self, name: str) -> Optional[bytes]:
@@ -532,20 +512,11 @@ class ArtifactCache:
         quarantined first); callers that must distinguish retry the
         write and then fail typed — see ``repro.serve.store``.
         """
-        path = self.named_path(name)
-        blob = self._read_payload(path)
+        blob = self._verified_payload(
+            name, self.named_path(name), self.named_manifest_path(name)
+        )
         if blob is None:
-            self.misses += 1
-            self._inc("cache.misses")
             return None
-        if self.verify == "sha256":
-            blob = self._verified_payload(
-                name, path, blob, manifest_path=self.named_manifest_path(name)
-            )
-            if blob is None:
-                self.misses += 1
-                self._inc("cache.misses")
-                return None
         self.hits += 1
         self._inc("cache.hits")
         return blob
@@ -567,7 +538,7 @@ class ArtifactCache:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<ArtifactCache {self.root} verify={self.verify} "
+            f"<ArtifactCache {self.root} "
             f"hits={self.hits} misses={self.misses} "
             f"quarantined={self.quarantined}>"
         )

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Union
 
-from .observability import TRACE_FORMAT
+from .observability import TRACE_FORMAT, nearest_rank
 
 __all__ = [
     "TraceView",
@@ -143,19 +143,13 @@ def critical_path(view: TraceView) -> Set[int]:
     return path
 
 
-def render_trace(
-    view: TraceView,
-    *,
-    max_depth: Optional[int] = None,
-    mark_critical: bool = True,
-) -> str:
+def render_trace(view: TraceView, *, max_depth: Optional[int] = None) -> str:
     """The span tree, one line per span, critical path starred."""
-    hot = critical_path(view) if mark_critical else set()
+    hot = critical_path(view)
     total = sum(s.get("seconds", 0.0) for s in view.roots) or 1.0
     lines = [
         f"Trace {view.header.get('trace_id', '?')} — "
-        f"{len(view.spans)} spans"
-        + (" (critical path starred)" if mark_critical else ""),
+        f"{len(view.spans)} spans (critical path starred)",
     ]
 
     def walk(span: Dict[str, Any], depth: int) -> None:
@@ -323,13 +317,7 @@ DIFF_THRESHOLD = 0.20
 DIFF_ABS_FLOOR = 0.01
 
 
-def diff_runs(
-    a: RunArtifacts,
-    b: RunArtifacts,
-    *,
-    threshold: float = DIFF_THRESHOLD,
-    abs_floor: float = DIFF_ABS_FLOOR,
-) -> Dict[str, Any]:
+def diff_runs(a: RunArtifacts, b: RunArtifacts) -> Dict[str, Any]:
     """Compare two runs and attribute per-stage wall-time deltas.
 
     Attribution rules, in order, per stage:
@@ -339,7 +327,8 @@ def diff_runs(
        a rebuild A skipped.  The reverse flip is ``cache-hit``.
     2. Stage present in only one run: ``added`` / ``removed`` (a
        config or code change; identity section will disagree too).
-    3. Relative delta beyond ``threshold`` (and ``abs_floor``):
+    3. Relative delta beyond :data:`DIFF_THRESHOLD` (and
+       :data:`DIFF_ABS_FLOOR`):
        ``stage-slowdown``/``stage-speedup``.
     4. Else ``unchanged``.
     """
@@ -390,9 +379,8 @@ def diff_runs(
         elif sb is None:
             row["cause"] = "removed"
         else:
-            base = max(sa, abs_floor)
-            rel = (sb - sa) / base
-            if abs(sb - sa) <= abs_floor or abs(rel) <= threshold:
+            rel = (sb - sa) / max(sa, DIFF_ABS_FLOOR)
+            if abs(sb - sa) <= DIFF_ABS_FLOOR or abs(rel) <= DIFF_THRESHOLD:
                 row["cause"] = "unchanged"
             else:
                 row["cause"] = "stage-slowdown" if sb > sa else "stage-speedup"
@@ -460,13 +448,6 @@ def render_diff(diff: Mapping[str, Any]) -> str:
 ACCESS_LOG_FORMAT = "serve-access/v1"
 
 
-def _nearest_rank(sorted_values: Sequence[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1, round(q * (len(sorted_values) - 1))))
-    return sorted_values[rank]
-
-
 def load_access_log(path: Union[str, Path]) -> Dict[str, Any]:
     """Aggregate a serve access log into a summary document.
 
@@ -530,9 +511,9 @@ def load_access_log(path: Union[str, Path]) -> Dict[str, Any]:
 
     for row in routes.values():
         latencies = sorted(row.pop("latencies"))
-        row["p50_us"] = round(_nearest_rank(latencies, 0.50), 1)
-        row["p90_us"] = round(_nearest_rank(latencies, 0.90), 1)
-        row["p99_us"] = round(_nearest_rank(latencies, 0.99), 1)
+        row["p50_us"] = round(nearest_rank(latencies, 0.50), 1)
+        row["p90_us"] = round(nearest_rank(latencies, 0.90), 1)
+        row["p99_us"] = round(nearest_rank(latencies, 0.99), 1)
         row["mean_us"] = round(
             sum(latencies) / len(latencies) if latencies else 0.0, 1
         )

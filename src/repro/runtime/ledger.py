@@ -22,28 +22,24 @@ process-global one.  The ledger therefore rides every metrics snapshot
 for free, and two identical runs produce byte-identical ledgers (the
 determinism contract extends to the accounting).
 
-The closure checker (:func:`check_ledger`, also behind
-``scripts/check_ledger.py`` and ``repro inspect ledger --check``) fails
-on any non-conserving stage — a record that vanished without a reason,
-or a reason counter that over-claims.  Because ``in``/``kept`` are
-measured by *counting records* at the boundary while drop buckets come
-from the stage's own semantic counters, closure is a genuine
-cross-check, not a tautology.
+The closure checker (:func:`check_ledger`, also behind ``repro inspect
+ledger --check``) fails on any non-conserving stage — a record that
+vanished without a reason, or a reason counter that over-claims.
+Because ``in``/``kept`` are measured by *counting records* at the
+boundary while drop buckets come from the stage's own semantic
+counters, closure is a genuine cross-check, not a tautology.
 
 Counters are cheap (one registry increment per bucket when emitted in
-aggregate), but hot loops should accumulate locally and emit once; the
-module-level switch (:func:`set_ledger_enabled`, or ``REPRO_LEDGER=off``
-in the environment) turns emission into a no-op so the overhead
-benchmark can price the accounting.
+aggregate), but hot loops should accumulate locally and emit once.
+Accounting is always on; the overhead benchmark prices it by stubbing
+the emitter out.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from .observability import MetricsRegistry, resolve_metrics, write_json_atomic
 
@@ -51,12 +47,7 @@ __all__ = [
     "LEDGER_FORMAT",
     "KEPT_BUCKET",
     "DROPPED_PREFIX",
-    "LedgerBoundary",
-    "boundary",
     "record_boundary",
-    "ledger_enabled",
-    "set_ledger_enabled",
-    "ledger_disabled",
     "rows_from_counters",
     "build_ledger",
     "write_ledger",
@@ -78,82 +69,6 @@ _COUNTER_PREFIX = "ledger."
 _IN_SUFFIX = ".in"
 _OUT_MARK = ".out."
 
-#: Environment kill-switch, read at import time (the in-process
-#: :func:`set_ledger_enabled` toggle overrides it).
-_ENV_SWITCH = "REPRO_LEDGER"
-
-_ENABLED = os.environ.get(_ENV_SWITCH, "").strip().lower() not in (
-    "0", "off", "false", "no",
-)
-
-
-def ledger_enabled() -> bool:
-    """Whether boundaries currently emit counters in this process."""
-    return _ENABLED
-
-
-def set_ledger_enabled(enabled: bool) -> bool:
-    """Switch ledger emission on/off (process-local); returns the old value."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def ledger_disabled() -> Iterator[None]:
-    """Temporarily suppress ledger emission (benchmarks, overhead tests)."""
-    previous = set_ledger_enabled(False)
-    try:
-        yield
-    finally:
-        set_ledger_enabled(previous)
-
-
-class LedgerBoundary:
-    """Accumulator for one stage's conservation counters.
-
-    Stage names must stay out of the counter separator character
-    (``.``); the pipeline uses ``component:stage`` and
-    ``restoration/<step>/<registry>`` shapes, both safe.
-    """
-
-    __slots__ = ("stage", "_metrics", "_prefix")
-
-    def __init__(self, stage: str, metrics: MetricsRegistry) -> None:
-        if "." in stage:
-            raise ValueError(f"ledger stage name may not contain '.': {stage!r}")
-        self.stage = stage
-        self._metrics = metrics
-        self._prefix = f"{_COUNTER_PREFIX}{stage}"
-
-    def records_in(self, n: int = 1) -> None:
-        """Count records entering the boundary."""
-        if _ENABLED and n:
-            self._metrics.inc(self._prefix + _IN_SUFFIX, n)
-
-    def kept(self, n: int = 1) -> None:
-        """Count records passing through unharmed."""
-        if _ENABLED and n:
-            self._metrics.inc(f"{self._prefix}{_OUT_MARK}{KEPT_BUCKET}", n)
-
-    def dropped(self, reason: str, n: int = 1) -> None:
-        """Count records discarded for one taxonomy reason."""
-        if _ENABLED and n:
-            self._metrics.inc(
-                f"{self._prefix}{_OUT_MARK}{DROPPED_PREFIX}{reason}", n
-            )
-
-    def routed(self, bucket: str, n: int = 1) -> None:
-        """Count records landing in one partition class."""
-        if _ENABLED and n:
-            self._metrics.inc(f"{self._prefix}{_OUT_MARK}{bucket}", n)
-
-
-def boundary(stage: str, metrics: Optional[MetricsRegistry] = None) -> LedgerBoundary:
-    """A :class:`LedgerBoundary` over ``metrics`` (default: process-global)."""
-    return LedgerBoundary(stage, resolve_metrics(metrics))
-
 
 def record_boundary(
     stage: str,
@@ -163,22 +78,28 @@ def record_boundary(
     dropped: Optional[Mapping[str, int]] = None,
     routed: Optional[Mapping[str, int]] = None,
     metrics: Optional[MetricsRegistry] = None,
-) -> Optional[Dict[str, Any]]:
+) -> Dict[str, Any]:
     """Emit one boundary's aggregate counts in a single shot.
 
-    Returns a compact summary dict suitable for span attributes (so the
-    conservation numbers also land in the exported trace), or ``None``
-    when the ledger is disabled.
+    Stage names must stay out of the counter separator character
+    (``.``); the pipeline uses ``component:stage`` and
+    ``restoration/<step>/<registry>`` shapes, both safe.  A zero count
+    emits no counter.  Returns a compact summary dict suitable for span
+    attributes, so the conservation numbers also land in the exported
+    trace.
     """
-    if not _ENABLED:
-        return None
-    bound = boundary(stage, metrics)
-    bound.records_in(records_in)
-    bound.kept(kept)
-    for reason, n in sorted((dropped or {}).items()):
-        bound.dropped(reason, n)
-    for bucket, n in sorted((routed or {}).items()):
-        bound.routed(bucket, n)
+    if "." in stage:
+        raise ValueError(f"ledger stage name may not contain '.': {stage!r}")
+    out = f"{_COUNTER_PREFIX}{stage}{_OUT_MARK}"
+    counts = [(f"{_COUNTER_PREFIX}{stage}{_IN_SUFFIX}", records_in),
+              (out + KEPT_BUCKET, kept)]
+    counts += [(out + DROPPED_PREFIX + reason, n)
+               for reason, n in sorted((dropped or {}).items())]
+    counts += [(out + bucket, n) for bucket, n in sorted((routed or {}).items())]
+    registry = resolve_metrics(metrics)
+    for name, n in counts:
+        if n:
+            registry.inc(name, n)
     summary: Dict[str, Any] = {"in": int(records_in)}
     if kept:
         summary["kept"] = int(kept)
@@ -281,7 +202,7 @@ def load_ledger(path: Union[str, Path]) -> Dict[str, Any]:
     if path.is_dir():
         path = path / "ledger.json"
     document = json.loads(path.read_text(encoding="utf-8"))
-    if document.get("format") != LEDGER_FORMAT:
+    if not isinstance(document, dict) or document.get("format") != LEDGER_FORMAT:
         raise ValueError(f"{path} is not a {LEDGER_FORMAT} document")
     return document
 

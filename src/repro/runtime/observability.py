@@ -52,6 +52,7 @@ __all__ = [
     "HISTOGRAM_BUCKET_BOUNDS",
     "OVERFLOW_BUCKET",
     "bucket_index",
+    "nearest_rank",
     "quantile_from_buckets",
     "MetricsRegistry",
     "get_metrics",
@@ -453,6 +454,14 @@ def bucket_index(value: float) -> int:
     return bisect_left(HISTOGRAM_BUCKET_BOUNDS, value)
 
 
+def nearest_rank(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile over a pre-sorted sample (0.0 if empty)."""
+    if not sorted_values:
+        return 0.0
+    rank = max(0, min(len(sorted_values) - 1, round(q * (len(sorted_values) - 1))))
+    return sorted_values[rank]
+
+
 def quantile_from_buckets(
     buckets: Union[Sequence[int], Mapping[Any, int]],
     q: float,
@@ -466,12 +475,12 @@ def quantile_from_buckets(
     ``buckets`` is either the dense per-bucket count list or the sparse
     ``{index: count}`` mapping a snapshot carries.  Nearest-rank over
     the cumulative counts picks the bucket — using the same
-    ``round(q * (n - 1))`` zero-based rank convention as the load
-    generator's client-side percentiles, so the two planes agree on
-    which observation a quantile names — and the estimate is the
-    geometric midpoint of its bounds (the point minimising worst-case
-    relative error), clamped into ``[minimum, maximum]`` when the
-    histogram's observed extremes are known.
+    ``round(q * (n - 1))`` zero-based rank convention as
+    :func:`nearest_rank` (the client-side percentiles), so the two
+    planes agree on which observation a quantile names — and the
+    estimate is the geometric midpoint of its bounds (the point
+    minimising worst-case relative error), clamped into ``[minimum,
+    maximum]`` when the histogram's observed extremes are known.
     """
     dense = [0] * (OVERFLOW_BUCKET + 1)
     if isinstance(buckets, Mapping):
@@ -666,7 +675,6 @@ def build_run_manifest(
     settings: Optional[Mapping[str, Any]] = None,
     tracer: Optional[Tracer] = None,
     git_root: Union[str, Path, None] = None,
-    clock: Optional[Callable[[], float]] = None,
 ) -> Dict[str, Any]:
     """Assemble the provenance manifest of one pipeline run.
 
@@ -677,9 +685,7 @@ def build_run_manifest(
     ``git describe``, and the tracer's per-stage span digest.
 
     Deterministic by construction: identical config + settings + stage
-    path yield a byte-identical document.  Pass ``clock`` (e.g.
-    ``time.time``) to opt in to a ``generated_at`` timestamp — it is
-    excluded from the identity digest either way.
+    path yield a byte-identical document; it carries no timestamp.
     """
     # Call-time import: the cache module imports this one for metrics.
     from .cache import CACHE_VERSIONS, cache_key, fingerprint
@@ -710,8 +716,6 @@ def build_run_manifest(
     }
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     manifest["digest"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-    if clock is not None:
-        manifest["generated_at"] = clock()
     return manifest
 
 

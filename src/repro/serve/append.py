@@ -36,6 +36,7 @@ from typing import Any, Dict, Optional, Union
 from ..asn.numbers import ASN
 from ..bgp.activity import ActivityEngine, schedule_from_world
 from ..core.taxonomy import classify
+from ..lifetimes.bgp import OperationalActivity, build_bgp_lifetimes
 from ..runtime.cache import USE_ENV_FAULTS, cache_key
 from ..runtime.observability import Tracer
 from ..timeline.intervals import Interval
@@ -44,7 +45,6 @@ from .store import (
     AsnRecord,
     ServeStoreError,
     build_serve_records,
-    derive_op_lives,
     publish_store,
 )
 
@@ -125,13 +125,20 @@ def append_days(
         admin_lives = {
             asn: record.admin for asn, record in records.items() if record.admin
         }
-        op_lives = derive_op_lives(records, new_meta)
-        taxonomy = classify(admin_lives, op_lives, metrics=tracer.metrics)
         tables = {
-            asn: _activity_of(record)
+            asn: OperationalActivity(
+                asn=asn, observed=record.observed, single_peer=record.single
+            )
             for asn, record in records.items()
             if record.observed or record.single
         }
+        op_lives = build_bgp_lifetimes(
+            tables,
+            timeout=new_meta.timeout,
+            min_peers=new_meta.min_peers,
+            end_day=new_meta.end,
+        )
+        taxonomy = classify(admin_lives, op_lives, metrics=tracer.metrics)
         new_records = build_serve_records(admin_lives, op_lives, tables, taxonomy)
 
     return publish_store(
@@ -142,12 +149,4 @@ def append_days(
         faults=faults,
         tracer=tracer,
         runs_index=runs_index,
-    )
-
-
-def _activity_of(record: AsnRecord):
-    from ..lifetimes.bgp import OperationalActivity
-
-    return OperationalActivity(
-        asn=record.asn, observed=record.observed, single_peer=record.single
     )

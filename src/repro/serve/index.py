@@ -88,22 +88,18 @@ class StoreIndex:
 
     @classmethod
     def open(
-        cls,
-        store_dir: Union[str, Path],
-        *,
-        faults: Any = USE_ENV_FAULTS,
-        retries: int = 8,
+        cls, store_dir: Union[str, Path], *, faults: Any = USE_ENV_FAULTS
     ) -> "StoreIndex":
         """Load a store directory (index + every shard, verified)."""
         cache = store_publisher(store_dir, faults=faults)
-        index_blob = load_bytes_verified(cache, INDEX_NAME, retries=retries)
+        index_blob = load_bytes_verified(cache, INDEX_NAME)
         try:
             index_doc = json.loads(index_blob.decode("utf-8"))
         except ValueError as exc:
             raise ServeStoreError(f"store index is not valid JSON: {exc}") from exc
         shards: List[Tuple[List[ASN], List[AsnRecord]]] = []
         for row in index_doc.get("shards", ()):
-            blob = load_bytes_verified(cache, row["name"], retries=retries)
+            blob = load_bytes_verified(cache, row["name"])
             records = decode_shard(blob)
             asns = [record.asn for record in records]
             if not asns or asns[0] != row["lo"] or asns[-1] != row["hi"]:

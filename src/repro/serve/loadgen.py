@@ -27,7 +27,12 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..asn.numbers import ASN
-from ..runtime.observability import OVERFLOW_BUCKET, bucket_index, quantile_from_buckets
+from ..runtime.observability import (
+    OVERFLOW_BUCKET,
+    bucket_index,
+    nearest_rank,
+    quantile_from_buckets,
+)
 from ..timeline.dates import to_iso
 from .store import ServeStoreError, StoreMeta
 from .telemetry import le_label, parse_exposition
@@ -56,6 +61,11 @@ DEFAULT_CONCURRENCY = 16
 #: Query-miss dial: one in this many point lookups targets an ASN just
 #: past the universe, exercising the 404 path.
 MISS_EVERY = 50
+
+#: Budget for the final ``/metrics`` scrape of :func:`run_load_checked`
+#: to catch up with the client (about one second in all).
+SCRAPE_RETRIES = 20
+SCRAPE_DELAY_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -94,14 +104,6 @@ class LoadReport:
             "min_us": round(self.min_us, 1),
             "concurrency": self.concurrency,
         }
-
-
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile over a pre-sorted sample."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1, round(q * (len(sorted_values) - 1))))
-    return sorted_values[rank]
 
 
 def plan_queries(
@@ -149,6 +151,25 @@ def plan_queries(
     return QueryPlan(paths=tuple(paths), seed=seed, skew=skew)
 
 
+async def _read_head(reader: asyncio.StreamReader) -> Tuple[int, Optional[int]]:
+    """Read one response's status line and headers.
+
+    Returns ``(status, content_length)``; the status is 0 for a
+    malformed status line and the length ``None`` when the response
+    carries no ``Content-Length``.  The body is left on the stream.
+    """
+    parts = (await reader.readline()).split()
+    status = int(parts[1]) if len(parts) >= 2 else 0
+    length: Optional[int] = None
+    while True:
+        header = await reader.readline()
+        if header in (b"\r\n", b"\n", b""):
+            return status, length
+        name, _sep, value = header.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value.strip())
+
+
 async def _worker(
     host: str,
     port: int,
@@ -165,17 +186,7 @@ async def _worker(
                 f"GET {path} HTTP/1.1\r\nHost: {host}\r\n\r\n".encode("latin-1")
             )
             await writer.drain()
-            status_line = await reader.readline()
-            parts = status_line.split()
-            status = int(parts[1]) if len(parts) >= 2 else 0
-            length = 0
-            while True:
-                header = await reader.readline()
-                if header in (b"\r\n", b"\n", b""):
-                    break
-                name, _sep, value = header.partition(b":")
-                if name.strip().lower() == b"content-length":
-                    length = int(value.strip())
+            status, length = await _read_head(reader)
             if length:
                 await reader.readexactly(length)
             latencies.append((perf_counter() - t0) * 1e6)
@@ -218,8 +229,8 @@ async def run_load(
         errors=errors,
         seconds=seconds,
         qps=done / seconds if seconds > 0 else 0.0,
-        p50_us=_percentile(latencies, 0.50),
-        p99_us=_percentile(latencies, 0.99),
+        p50_us=nearest_rank(latencies, 0.50),
+        p99_us=nearest_rank(latencies, 0.99),
         concurrency=concurrency,
         min_us=latencies[0] if latencies else 0.0,
     )
@@ -234,17 +245,7 @@ async def _fetch(host: str, port: int, path: str) -> Tuple[int, bytes]:
             "Connection: close\r\n\r\n".encode("latin-1")
         )
         await writer.drain()
-        status_line = await reader.readline()
-        parts = status_line.split()
-        status = int(parts[1]) if len(parts) >= 2 else 0
-        length: Optional[int] = None
-        while True:
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _sep, value = header.partition(b":")
-            if name.strip().lower() == b"content-length":
-                length = int(value.strip())
+        status, length = await _read_head(reader)
         body = (
             await reader.readexactly(length)
             if length is not None
@@ -314,8 +315,6 @@ async def run_load_checked(
     plan: QueryPlan,
     *,
     concurrency: int = DEFAULT_CONCURRENCY,
-    scrape_retries: int = 20,
-    scrape_delay: float = 0.05,
 ) -> Tuple[LoadReport, Dict[str, Any]]:
     """:func:`run_load` bracketed by ``/metrics`` scrapes.
 
@@ -353,10 +352,10 @@ async def run_load_checked(
         _status, after_body = await _fetch(host, port, "/metrics")
         after = parse_exposition(after_body.decode("utf-8"))
         server_requests = _data_requests(after) - base_requests
-        if server_requests >= sent or retries >= scrape_retries:
+        if server_requests >= sent or retries >= SCRAPE_RETRIES:
             break
         retries += 1
-        await asyncio.sleep(scrape_delay)
+        await asyncio.sleep(SCRAPE_DELAY_S)
 
     before_buckets = _data_buckets(before)
     after_buckets = _data_buckets(after)

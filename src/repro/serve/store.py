@@ -48,7 +48,6 @@ from ..lifetimes.bgp import (
     DEFAULT_TIMEOUT,
     OperationalActivity,
     build_operational_dataset,
-    lifetimes_from_activity,
 )
 from ..lifetimes.records import AdminLifetime, BgpLifetime
 from ..runtime.cache import (
@@ -342,7 +341,8 @@ def plan_shards(
 def store_publisher(
     store_dir: Union[str, Path], *, faults: Any = USE_ENV_FAULTS
 ) -> ArtifactCache:
-    """The cache instance all store file I/O routes through."""
+    """The cache instance all store file I/O routes through (a failed
+    store raises, so :func:`store_bytes_verified` can retry it)."""
     return ArtifactCache(store_dir, faults=faults, strict_store=True)
 
 
@@ -362,7 +362,7 @@ def store_bytes_verified(
     failure = "never attempted"
     for _attempt in range(max(1, retries)):
         try:
-            cache.store_named(name, blob, strict=True)
+            cache.store_named(name, blob)
         except CacheStoreError as exc:
             failure = str(exc)
             continue
@@ -543,33 +543,6 @@ def build_store(
         tracer=tracer,
         runs_index=runs_index,
     )
-
-
-# -- store-side segmentation (shared with append) ---------------------------
-
-
-def derive_op_lives(
-    records: Mapping[ASN, AsnRecord],
-    meta: StoreMeta,
-) -> Dict[ASN, List[BgpLifetime]]:
-    """Re-segment every record's activity sets into operational lives.
-
-    Mirrors :func:`repro.lifetimes.bgp.build_bgp_lifetimes` exactly
-    (including dropping ASNs with no active days at this ``min_peers``)
-    so append-time re-segmentation matches the full pipeline.
-    """
-    out: Dict[ASN, List[BgpLifetime]] = {}
-    for asn, record in records.items():
-        activity = OperationalActivity(
-            asn=asn, observed=record.observed, single_peer=record.single
-        )
-        days = activity.active_days(min_peers=meta.min_peers)
-        if not days:
-            continue
-        out[asn] = lifetimes_from_activity(
-            asn, days, timeout=meta.timeout, end_day=meta.end
-        )
-    return out
 
 
 def config_from_fingerprint(doc: Any) -> Any:

@@ -185,7 +185,6 @@ def build_datasets(
     timeout: int = 30,
     min_peers: int = 2,
     cache: Union[ArtifactCache, str, Path, None] = None,
-    cache_verify: str = "sha256",
     tracer: Optional[Tracer] = None,
     scenario_key: Any = None,
 ) -> DatasetBundle:
@@ -199,11 +198,8 @@ def build_datasets(
         restoration, and lifetime inference entirely and returns a
         partitioned bundle whose components are decoded on first
         access; a finished build is stored for the next caller.
-    cache_verify:
-        Integrity mode used when ``cache`` is given as a path:
-        ``"sha256"`` (default) checks loaded entries against their
-        sidecar manifests, ``"off"`` trusts unpickling alone.  Ignored
-        for an already-constructed :class:`ArtifactCache`.
+        Loaded entries are always checked against their sidecar
+        manifests.
     tracer:
         Optional :class:`~repro.runtime.observability.Tracer`
         collecting per-stage wall times, item counts, and the
@@ -216,7 +212,7 @@ def build_datasets(
     if config is None:
         config = tiny()
     if cache is not None and not isinstance(cache, ArtifactCache):
-        cache = ArtifactCache(cache, verify=cache_verify)
+        cache = ArtifactCache(cache)
     tracer = tracer if tracer is not None else Tracer()
 
     key: Optional[str] = None

@@ -28,22 +28,16 @@ class TestParser:
         )
         assert args.dormancy == 500
 
-    def test_simulate_fault_tolerance_defaults(self):
-        args = build_parser().parse_args(["simulate"])
-        assert args.cache_verify == "sha256"
-
     def test_simulate_fault_tolerance_flags(self):
-        args = build_parser().parse_args(["simulate", "--cache-verify", "off"])
-        assert args.cache_verify == "off"
+        args = build_parser().parse_args(["simulate"])
         # every run is one process: the pool's knobs are gone
         assert not hasattr(args, "jobs")
-        for retired in (["--retries", "5"], ["--on-worker-failure", "raise"]):
+        # cache entries are always sha256-verified: there is no mode
+        assert not hasattr(args, "cache_verify")
+        for retired in (["--retries", "5"], ["--on-worker-failure", "raise"],
+                        ["--cache-verify", "off"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["simulate", *retired])
-
-    def test_rejects_unknown_cache_verify_mode(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["simulate", "--cache-verify", "md5"])
 
     def test_bgp_window_alone_selects_message_level(self):
         assert build_parser().parse_args(["simulate"]).bgp_window is None
@@ -84,8 +78,7 @@ class TestCommands:
         argv = [
             "simulate", "--scale", "0.006", "--seed", "3",
             "--out", str(tmp_path / "data"),
-            "--cache-dir", str(tmp_path / "cache"),
-            "--cache-verify", "sha256", "--profile",
+            "--cache-dir", str(tmp_path / "cache"), "--profile",
         ]
         assert main(argv) == 0
         cold = capsys.readouterr().out
@@ -279,6 +272,19 @@ class TestInspectCommands:
         rc = main(["inspect", "ledger", str(path), "--check"])
         assert rc == 1
         assert "VIOLATION" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        None, "{not json", '["ledger/v1"]', '{"format": "metrics/v1"}',
+    ], ids=["missing", "not-json", "not-an-object", "foreign-format"])
+    def test_inspect_ledger_unreadable_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "ledger.json"
+        if content is not None:
+            path.write_text(content)
+        rc = main(["inspect", "ledger", str(path), "--check"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
     def test_inspect_diff_by_path_attributes_cache_hit(
         self, two_runs, capsys

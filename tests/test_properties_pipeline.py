@@ -147,7 +147,7 @@ def test_warm_verified_hit_is_byte_identical_to_cold_build(seed):
     # combine with @given (one fixture instance spans all examples)
     root = tempfile.mkdtemp(prefix="repro-cache-prop-")
     try:
-        cache = ArtifactCache(root, verify="sha256", faults=None)
+        cache = ArtifactCache(root, faults=None)
         stored = build_datasets(config, cache=cache)
         warm = build_datasets(config, cache=cache)
         assert cache.hits == 1

@@ -164,18 +164,6 @@ class TestArtifactCache:
         assert manifest["sha256"] == hashlib.sha256(blob).hexdigest()
         assert manifest["pipeline_version"] == PIPELINE_VERSION
 
-    def test_verify_off_round_trips(self, tmp_path):
-        cache = _clean_cache(tmp_path, verify="off")
-        key = cache.key_for(artifact="t")
-        cache.store(key, [1, 2, 3])
-        assert cache.load(key) == [1, 2, 3]
-        # manifests are still written, so re-opening verified works
-        assert _clean_cache(tmp_path).load(key) == [1, 2, 3]
-
-    def test_rejects_unknown_verify_mode(self, tmp_path):
-        with pytest.raises(ValueError):
-            ArtifactCache(tmp_path, verify="md5")
-
     def test_store_leaves_no_temp_files(self, tmp_path):
         cache = _clean_cache(tmp_path)
         cache.store(cache.key_for(artifact="t"), list(range(100)))

@@ -9,6 +9,8 @@ rebuild loop.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import pickle
 import sys
 import types
@@ -114,14 +116,24 @@ class TestCacheFaultMatrix:
         assert cache.load(key) == self.PAYLOAD
 
     def test_torn_write_unverified_still_degrades_to_miss(self, tmp_path):
-        # with verify=off a torn pickle fails to unpickle — degraded to
-        # a miss + quarantine, never a wrong artifact
-        cache = ArtifactCache(
-            tmp_path, verify="off", faults=_once("cache:write", "torn-write")
-        )
-        key = cache.key_for(artifact="torn-off")
+        # garbage bytes behind a manifest that vouches for them (a torn
+        # write whose manifest was rewritten to match) pass the checksum
+        # but fail to unpickle — degraded to a miss + quarantine, never
+        # a wrong artifact
+        cache = ArtifactCache(tmp_path, faults=None)
+        key = cache.key_for(artifact="torn-vouched")
         cache.store(key, self.PAYLOAD)
+        garbage = b"\x80\x05 not a pickle"
+        cache.path_for(key).write_bytes(garbage)
+        manifest_path = cache.manifest_path_for(key)
+        manifest = json.loads(manifest_path.read_text())
+        manifest.update(
+            sha256=hashlib.sha256(garbage).hexdigest(), length=len(garbage)
+        )
+        manifest_path.write_text(json.dumps(manifest))
         assert cache.load(key) is None
+        assert cache.corrupt == 1 and cache.quarantined == 1
+        assert any("failed to unpickle" in event for event in cache.events)
         self._rebuilds_correctly(cache, key)
 
     def test_truncated_entry_is_a_miss(self, tmp_path):

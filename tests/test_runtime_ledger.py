@@ -1,7 +1,7 @@
 """Dataflow ledger: boundary counters, closure checks, pipeline conservation.
 
 The ledger's contract has three layers, each tested here: the counter
-emission primitives (``boundary``/``record_boundary``), the document
+emission primitive (``record_boundary``), the document
 layer (``build_ledger``/``check_ledger``/``render_ledger`` and the
 ``ledger.json`` round trip), and the pipeline-wide invariant — a full
 ``build_datasets`` run conserves records at every instrumented
@@ -19,11 +19,8 @@ from repro.runtime import (
     ArtifactCache,
     MetricsRegistry,
     Tracer,
-    boundary,
     build_ledger,
     check_ledger,
-    ledger_disabled,
-    ledger_enabled,
     load_ledger,
     record_boundary,
     render_ledger,
@@ -37,11 +34,10 @@ from repro.simulation.config import tiny
 class TestBoundary:
     def test_counters_land_in_registry(self):
         metrics = MetricsRegistry()
-        bound = boundary("x:filter", metrics)
-        bound.records_in(10)
-        bound.kept(7)
-        bound.dropped("bad", 2)
-        bound.routed("weird", 1)
+        record_boundary(
+            "x:filter", records_in=10, kept=7, dropped={"bad": 2},
+            routed={"weird": 1}, metrics=metrics,
+        )
         counters = metrics.snapshot()["counters"]
         assert counters["ledger.x:filter.in"] == 10
         assert counters["ledger.x:filter.out.kept"] == 7
@@ -50,15 +46,16 @@ class TestBoundary:
 
     def test_zero_counts_emit_nothing(self):
         metrics = MetricsRegistry()
-        bound = boundary("x:filter", metrics)
-        bound.records_in(0)
-        bound.kept(0)
-        bound.dropped("bad", 0)
+        record_boundary(
+            "x:filter", records_in=0, kept=0, dropped={"bad": 0},
+            metrics=metrics,
+        )
         assert metrics.snapshot()["counters"] == {}
 
     def test_stage_name_may_not_contain_separator(self):
         with pytest.raises(ValueError):
-            boundary("bad.name", MetricsRegistry())
+            record_boundary("bad.name", records_in=1, kept=1,
+                            metrics=MetricsRegistry())
 
     def test_record_boundary_summary(self):
         metrics = MetricsRegistry()
@@ -69,19 +66,6 @@ class TestBoundary:
         assert summary == {"in": 5, "kept": 3, "dropped": {"dup": 2}}
         counters = metrics.snapshot()["counters"]
         assert counters["ledger.x:filter.in"] == 5
-
-    def test_disabled_ledger_is_a_noop(self):
-        metrics = MetricsRegistry()
-        assert ledger_enabled()
-        with ledger_disabled():
-            assert not ledger_enabled()
-            assert record_boundary("x:f", records_in=5, kept=5,
-                                   metrics=metrics) is None
-            bound = boundary("x:f", metrics)
-            bound.records_in(5)
-            bound.kept(5)
-        assert ledger_enabled()
-        assert metrics.snapshot()["counters"] == {}
 
 
 class TestDocument:

@@ -309,16 +309,7 @@ class TestRunManifest:
         ]
         assert all(span.items for span in children)
         assert {"simulate:seed", "simulate:days", "simulate:assemble"} <= set(stage_names)
-        assert "generated_at" not in manifest  # timestamps are opt-in
-
-    def test_clock_opt_in_excluded_from_digest(self, tmp_path):
-        tracer = Tracer(metrics=MetricsRegistry())
-        with_clock = build_run_manifest(
-            config=tiny(seed=1), tracer=tracer, clock=lambda: 1234.5
-        )
-        without = build_run_manifest(config=tiny(seed=1), tracer=tracer)
-        assert with_clock["generated_at"] == 1234.5
-        assert with_clock["digest"] == without["digest"]
+        assert "generated_at" not in manifest  # no timestamp, ever
 
     def test_fault_injection_settings_captured(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_SEED", "2021")
