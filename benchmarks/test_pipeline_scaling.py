@@ -23,7 +23,7 @@ from repro.lifetimes.bgp import (
     build_bgp_lifetimes,
     build_operational_dataset,
 )
-from repro.runtime import ArtifactCache, Tracer
+from repro.runtime import ArtifactCache, MetricsRegistry, Tracer
 from repro.runtime.inspect import render_trace, trace_view
 from repro.simulation import bench, build_datasets
 from repro.simulation.config import tiny
@@ -128,7 +128,9 @@ def test_bgp_activity_scaling(record_result, tmp_path):
         for day in range(start, end + 1)
     })
     oracle_activity = perf_counter() - t0
-    oracle_lives = build_bgp_lifetimes(oracle_tables, end_day=end)
+    oracle_lives = build_bgp_lifetimes(
+        oracle_tables, end_day=end, metrics=MetricsRegistry()
+    )
 
     cache = ArtifactCache(tmp_path / "cache", faults=None)
     columnar_tracer = Tracer()

@@ -6,6 +6,7 @@ delegation.
 """
 
 from repro.core import Category, classify
+from repro.runtime import MetricsRegistry
 
 from conftest import fmt_table
 
@@ -17,7 +18,9 @@ PAPER_SHARES = {
 
 
 def test_table3_taxonomy(benchmark, bundle, record_result):
-    result = benchmark(classify, bundle.admin_lives, bundle.op_lives)
+    result = benchmark(
+        classify, bundle.admin_lives, bundle.op_lives, metrics=MetricsRegistry()
+    )
     admin_total, op_total = result.totals()
     rows = [
         (name, admin, f"{admin / admin_total:.1%}", op)

@@ -6,6 +6,7 @@ by <5%; the unused category is untouched by construction.
 """
 
 from repro.core import Category, classify
+from repro.runtime import MetricsRegistry
 
 from conftest import fmt_table
 
@@ -16,7 +17,9 @@ def run_sweep(bundle):
     out = {}
     for timeout in TIMEOUTS:
         op_lives = bundle.rebuild_op_lives(timeout=timeout)
-        out[timeout] = classify(bundle.admin_lives, op_lives)
+        out[timeout] = classify(
+            bundle.admin_lives, op_lives, metrics=MetricsRegistry()
+        )
     return out
 
 

@@ -5,10 +5,12 @@ Runs an instrumented serial pipeline build under deterministic ambient
 fault injection (``REPRO_FAULT_SEED``), with the run's tracer subscribed to
 the ambient injector, and then verifies that *every* fault the injector
 actually fired appears as a ``fault: site=... kind=...`` annotation in
-the emitted JSON-lines trace.  CI runs this after the fault-injection
-suite; a fault that fires without leaving a trace annotation means the
-observability layer lost a failure the runtime survived silently —
-exactly the blind spot the layer exists to close.
+the emitted JSON-lines trace, and that the run's ``faults.injected``
+counter equals the number fired.  CI runs this after the
+fault-injection suite; a fault that fires without leaving a trace
+annotation, or a count, means the observability layer lost a failure
+the runtime survived silently — exactly the blind spot the layer
+exists to close.
 
 The run's trace, metrics snapshot, and manifest are written to
 ``--out`` (default: a temp directory) so CI can upload them as
@@ -33,7 +35,6 @@ from repro.runtime import (
     Tracer,
     build_ledger,
     build_run_manifest,
-    reset_metrics,
     write_json_atomic,
     write_ledger,
     write_run_manifest,
@@ -62,14 +63,14 @@ def main(argv=None) -> int:
     out = args.out or Path(tempfile.mkdtemp(prefix="fault-trace-"))
     out.mkdir(parents=True, exist_ok=True)
 
-    tracer = Tracer(metrics=reset_metrics())
+    tracer = Tracer()
     metrics = tracer.metrics
     detach = tracer.subscribe_faults(injector)
     try:
         with tempfile.TemporaryDirectory(prefix="fault-cache-") as cache_dir:
             # two builds through one faulty cache: the first stores
             # (write/replace faults), the second loads (read faults)
-            cache = ArtifactCache(cache_dir)
+            cache = ArtifactCache(cache_dir, metrics=metrics)
             config = tiny(seed=args.seed)
             bundle = build_datasets(config, cache=cache, tracer=tracer)
             again = build_datasets(config, cache=cache, tracer=tracer)
@@ -132,7 +133,12 @@ def main(argv=None) -> int:
             print(f"  - site={event.site} kind={event.kind} detail={event.detail}",
                   file=sys.stderr)
         return 1
-    print("check_fault_trace: every injected fault is annotated in the trace")
+    if counted != len(fired):
+        print(f"check_fault_trace: FAIL — the run counted {counted} faults "
+              f"but {len(fired)} fired", file=sys.stderr)
+        return 1
+    print("check_fault_trace: every injected fault is annotated in the trace "
+          "and counted in the run's metrics")
     return 0
 
 

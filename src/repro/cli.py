@@ -381,16 +381,16 @@ def _artifact_path(value, out: Path, default_name: str) -> Optional[Path]:
 
 @contextmanager
 def _run_tracer() -> Iterator["Tracer"]:
-    """The run's tracer, over the cleared global metrics registry.
+    """The run's tracer, which owns the run's metrics registry.
 
     Under ambient fault injection (``REPRO_FAULT_SEED``) every injected
-    fault is mirrored into the trace as a span annotation until the
-    block exits.
+    fault is mirrored into the trace as a span annotation, and counted
+    in the run's metrics, until the block exits.
     """
-    from .runtime import Tracer, reset_metrics
+    from .runtime import Tracer
     from .runtime.faults import from_env
 
-    tracer = Tracer(metrics=reset_metrics())  # per-run snapshot semantics
+    tracer = Tracer()
     injector = from_env()
     detach = tracer.subscribe_faults(injector) if injector is not None else None
     try:
@@ -458,26 +458,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             timeout=args.timeout, cache=args.cache_dir, tracer=tracer,
             scenario_key=scenario_key,
         )
+        end = config.end_day
         if args.bgp_window is None:
             op_lives = bundle.op_lives
-            joint = bundle.joint
         else:
             from .lifetimes.bgp import build_operational_dataset
 
-            end = config.end_day
             start = max(config.start_day, end - args.bgp_window + 1)
             op_lives, _tables = build_operational_dataset(
                 bundle.world, start=start, end=end, timeout=args.timeout,
                 cache=args.cache_dir, tracer=tracer,
             )
-            joint = JointAnalysis(
-                admin_lives=bundle.admin_lives,
-                op_lives=op_lives,
-                end_day=end,
-                topology=bundle.world.topology,
-                siblings=bundle.world.orgs.sibling_map(),
-                truth=bundle.world.events,
-            )
+        joint = JointAnalysis(
+            admin_lives=bundle.admin_lives,
+            op_lives=op_lives,
+            end_day=end,
+            topology=bundle.world.topology,
+            siblings=bundle.world.orgs.sibling_map(),
+            truth=bundle.world.events,
+            metrics=tracer.metrics,
+        )
     metrics = tracer.metrics
     args.out.mkdir(parents=True, exist_ok=True)
     admin_path = args.out / "admin_dataset.json"

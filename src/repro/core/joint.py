@@ -17,6 +17,7 @@ from ..asn.numbers import ASN
 from ..bgp.anomalies import AnomalyEvent
 from ..bgp.topology import AsTopology
 from ..lifetimes.records import AdminLifetime, BgpLifetime
+from ..runtime.observability import MetricsRegistry
 from ..timeline.dates import Day
 from .partial import PartialOverlapStats, analyze_partial_overlaps
 from .squatting import (
@@ -34,7 +35,11 @@ __all__ = ["JointAnalysis"]
 
 @dataclass
 class JointAnalysis:
-    """One-stop joint analysis over a pair of lifetime datasets."""
+    """One-stop joint analysis over a pair of lifetime datasets.
+
+    ``metrics`` receives the ``taxonomy:*`` ledger rows: a pipeline run
+    passes its tracer's registry, a stand-alone analysis keeps its own.
+    """
 
     admin_lives: Mapping[ASN, Sequence[AdminLifetime]]
     op_lives: Mapping[ASN, Sequence[BgpLifetime]]
@@ -42,11 +47,14 @@ class JointAnalysis:
     topology: Optional[AsTopology] = None
     siblings: Optional[Mapping[str, Sequence[ASN]]] = None
     truth: Sequence[AnomalyEvent] = field(default_factory=tuple)
+    metrics: MetricsRegistry = field(
+        default_factory=MetricsRegistry, compare=False, repr=False
+    )
 
     @cached_property
     def taxonomy(self) -> TaxonomyResult:
         """Table 3 / Fig. 6 classification."""
-        return classify(self.admin_lives, self.op_lives)
+        return classify(self.admin_lives, self.op_lives, metrics=self.metrics)
 
     @cached_property
     def utilization(self) -> UtilizationStats:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..asn.numbers import ASN
 from ..lifetimes.records import AdminLifetime, BgpLifetime
@@ -99,7 +99,7 @@ def classify(
     admin_lives: Mapping[ASN, Sequence[AdminLifetime]],
     op_lives: Mapping[ASN, Sequence[BgpLifetime]],
     *,
-    metrics: Optional[MetricsRegistry] = None,
+    metrics: MetricsRegistry,
 ) -> TaxonomyResult:
     """Assign every lifetime of both kinds to its taxonomy category.
 

@@ -24,7 +24,7 @@ from ..bgp.messages import BgpElement
 from ..bgp.visibility import peer_visibility
 from ..runtime.cache import ACTIVITY_TABLE_VERSION, ArtifactCache
 from ..runtime.ledger import record_boundary
-from ..runtime.observability import Tracer
+from ..runtime.observability import MetricsRegistry, Tracer
 from ..timeline.dates import Day
 from ..timeline.intervals import IntervalSet
 from .records import BgpLifetime
@@ -85,12 +85,14 @@ def build_bgp_lifetimes(
     timeout: int = DEFAULT_TIMEOUT,
     min_peers: int = 2,
     end_day: Day,
+    metrics: MetricsRegistry,
 ) -> Dict[ASN, List[BgpLifetime]]:
     """Operational lifetimes for every active ASN, ASN-sorted.
 
     A lifetime is ``open_ended`` when it could still be running: its
     last activity falls within ``timeout`` days of the window end, so
-    the segmentation cannot yet declare it over.
+    the segmentation cannot yet declare it over.  The ``bgp:segment``
+    ledger row goes to ``metrics``.
     """
     out: Dict[ASN, List[BgpLifetime]] = {}
     silent = 0
@@ -110,6 +112,7 @@ def build_bgp_lifetimes(
         records_in=len(activities),
         kept=len(out),
         dropped={"no_active_days": silent},
+        metrics=metrics,
     )
     return out
 
@@ -151,7 +154,7 @@ def build_operational_dataset(
     if tracer is None:
         tracer = Tracer()
     if cache is not None and not isinstance(cache, ArtifactCache):
-        cache = ArtifactCache(cache)
+        cache = ArtifactCache(cache, metrics=tracer.metrics)
 
     tables: Optional[Dict[ASN, OperationalActivity]] = None
     key: Optional[str] = None
@@ -226,7 +229,8 @@ def build_operational_dataset(
 
     with tracer.stage("bgp:segment", component="bgp", engine="columnar") as timing:
         op_lives = build_bgp_lifetimes(
-            tables, timeout=timeout, min_peers=min_peers, end_day=end
+            tables, timeout=timeout, min_peers=min_peers, end_day=end,
+            metrics=tracer.metrics,
         )
         timing.items = len(op_lives)
     return op_lives, tables

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import List, Mapping, Sequence
 
 from ..asn.numbers import ASN
+from ..runtime.observability import MetricsRegistry
 from ..timeline.dates import Day
 from .bgp import OperationalActivity, build_bgp_lifetimes
 from .records import AdminLifetime
@@ -60,7 +61,9 @@ def fraction_one_or_less_op_life(
     """Fraction of administrative lifetimes containing <= 1 operational
     lifetime under the given timeout (Fig. 3 blue dotted line)."""
     total = contained = 0
-    op_lives = build_bgp_lifetimes(activities, timeout=timeout, end_day=end_day)
+    op_lives = build_bgp_lifetimes(
+        activities, timeout=timeout, end_day=end_day, metrics=MetricsRegistry()
+    )
     for asn, lives in admin_lives.items():
         ops = op_lives.get(asn, [])
         for admin in lives:
@@ -96,7 +99,9 @@ def sweep_timeouts(
     gaps = gap_distribution(activities)
     rows: List[TimeoutSweep] = []
     for timeout in timeouts:
-        op_lives = build_bgp_lifetimes(activities, timeout=timeout, end_day=end_day)
+        op_lives = build_bgp_lifetimes(
+            activities, timeout=timeout, end_day=end_day, metrics=MetricsRegistry()
+        )
         rows.append(
             TimeoutSweep(
                 timeout=timeout,

@@ -73,9 +73,7 @@ from .observability import (
     Span,
     Tracer,
     build_run_manifest,
-    get_metrics,
     git_describe,
-    reset_metrics,
     write_json_atomic,
     write_jsonl_atomic,
     write_run_manifest,
@@ -96,9 +94,7 @@ __all__ = [
     "Span",
     "Tracer",
     "build_run_manifest",
-    "get_metrics",
     "git_describe",
-    "reset_metrics",
     "write_json_atomic",
     "write_jsonl_atomic",
     "write_run_manifest",

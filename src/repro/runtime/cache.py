@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from .faults import USE_ENV_FAULTS, FaultInjector, resolve_faults
-from .observability import MetricsRegistry, resolve_metrics
+from .observability import MetricsRegistry
 
 __all__ = [
     "PIPELINE_VERSION",
@@ -201,8 +201,9 @@ class ArtifactCache:
         self.faults: Optional[FaultInjector] = resolve_faults(faults)
         self.strict_store = strict_store
         #: Where counters (``cache.hits``, ``cache.verify_failures``,
-        #: ...) aggregate; ``None`` means the process-global registry.
-        self.metrics = metrics
+        #: ...) aggregate: the run's registry when a driver passes its
+        #: tracer's, else one the cache owns.
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
@@ -212,9 +213,6 @@ class ArtifactCache:
         #: stores); pipeline drivers drain this into the run's
         #: :attr:`~repro.runtime.observability.Tracer.events`.
         self.events: List[str] = []
-
-    def _inc(self, metric: str, n: int = 1) -> None:
-        resolve_metrics(self.metrics).inc(metric, n)
 
     # -- paths ---------------------------------------------------------
 
@@ -292,7 +290,7 @@ class ArtifactCache:
                 pass
             return
         self.quarantined += 1
-        self._inc("cache.quarantined")
+        self.metrics.inc("cache.quarantined")
         self.events.append(
             f"cache: quarantined corrupt entry {path.name} -> {qpath.name}"
         )
@@ -325,7 +323,7 @@ class ArtifactCache:
             self._miss()
             return None
         self.corrupt += 1
-        self._inc("cache.verify_failures")
+        self.metrics.inc("cache.verify_failures")
         self.events.append(
             f"cache: entry {key[:12]} failed sha256 verification"
         )
@@ -335,7 +333,7 @@ class ArtifactCache:
 
     def _miss(self) -> None:
         self.misses += 1
-        self._inc("cache.misses")
+        self.metrics.inc("cache.misses")
 
     def lookup(self, key: str) -> Any:
         """The cached artifact, or the module-private miss marker.
@@ -351,13 +349,13 @@ class ArtifactCache:
             obj = loads_with_gc_paused(blob)
         except Exception:
             self.corrupt += 1
-            self._inc("cache.verify_failures")
+            self.metrics.inc("cache.verify_failures")
             self.events.append(f"cache: entry {key[:12]} failed to unpickle")
             self._quarantine(path, blob)
             self._miss()
             return _MISS
         self.hits += 1
-        self._inc("cache.hits")
+        self.metrics.inc("cache.hits")
         if (
             isinstance(obj, tuple)
             and len(obj) == 2
@@ -453,10 +451,10 @@ class ArtifactCache:
                 # whatever failed above, never leak temp files
                 for tmp in (tmp_payload, tmp_manifest):
                     tmp.unlink(missing_ok=True)
-            self._inc("cache.stores")
+            self.metrics.inc("cache.stores")
         except OSError as exc:
             self.store_failures += 1
-            self._inc("cache.store_failures")
+            self.metrics.inc("cache.store_failures")
             self.events.append(
                 f"cache: store of {key[:12]} failed ({exc}); continuing uncached"
             )
@@ -518,7 +516,7 @@ class ArtifactCache:
         if blob is None:
             return None
         self.hits += 1
-        self._inc("cache.hits")
+        self.metrics.inc("cache.hits")
         return blob
 
     def get_or_build(self, key: str, builder) -> Any:

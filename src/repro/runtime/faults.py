@@ -54,8 +54,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .observability import get_metrics
-
 __all__ = [
     "SITES",
     "KINDS",
@@ -153,7 +151,7 @@ class FaultInjector:
         self.events: List[FaultEvent] = []
         #: Callables invoked with each :class:`FaultEvent` as it fires.
         #: :meth:`~repro.runtime.observability.Tracer.subscribe_faults`
-        #: registers one to mirror faults into the emitted trace.
+        #: registers one to mirror faults into a run's trace and metrics.
         self.listeners: List[Callable[[FaultEvent], None]] = []
 
     def fired(self, site: Optional[str] = None) -> int:
@@ -179,9 +177,6 @@ class FaultInjector:
     def _log(self, spec: FaultSpec, detail: str) -> None:
         event = FaultEvent(site=spec.site, kind=spec.kind, detail=detail)
         self.events.append(event)
-        metrics = get_metrics()
-        metrics.inc("faults.injected")
-        metrics.inc(f"faults.{spec.site}.{spec.kind}")
         for listener in list(self.listeners):
             listener(event)
 

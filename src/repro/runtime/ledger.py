@@ -16,11 +16,13 @@ partition stages where every input lands in exactly one output class
 
 Ledger rows are **not** stored in their own structure: every boundary
 writes namespaced counters (``ledger.<stage>.in`` /
-``ledger.<stage>.out.<bucket>``) into a
-:class:`~repro.runtime.observability.MetricsRegistry` — by default the
-process-global one.  The ledger therefore rides every metrics snapshot
-for free, and two identical runs produce byte-identical ledgers (the
-determinism contract extends to the accounting).
+``ledger.<stage>.out.<bucket>``) into the run's registry (its
+:attr:`~repro.runtime.observability.Tracer.metrics`), which every
+boundary is handed explicitly — there is no default to fall back on,
+so a boundary cannot count into some other run.  The ledger therefore
+rides every metrics snapshot for free, and two identical runs produce
+byte-identical ledgers (the determinism contract extends to the
+accounting).
 
 The closure checker (:func:`check_ledger`, also behind ``repro inspect
 ledger --check``) fails on any non-conserving stage — a record that
@@ -41,7 +43,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from .observability import MetricsRegistry, resolve_metrics, write_json_atomic
+from .observability import MetricsRegistry, write_json_atomic
 
 __all__ = [
     "LEDGER_FORMAT",
@@ -77,7 +79,7 @@ def record_boundary(
     kept: int = 0,
     dropped: Optional[Mapping[str, int]] = None,
     routed: Optional[Mapping[str, int]] = None,
-    metrics: Optional[MetricsRegistry] = None,
+    metrics: MetricsRegistry,
 ) -> Dict[str, Any]:
     """Emit one boundary's aggregate counts in a single shot.
 
@@ -96,10 +98,9 @@ def record_boundary(
     counts += [(out + DROPPED_PREFIX + reason, n)
                for reason, n in sorted((dropped or {}).items())]
     counts += [(out + bucket, n) for bucket, n in sorted((routed or {}).items())]
-    registry = resolve_metrics(metrics)
     for name, n in counts:
         if n:
-            registry.inc(name, n)
+            metrics.inc(name, n)
     summary: Dict[str, Any] = {"in": int(records_in)}
     if kept:
         summary["kept"] = int(kept)
@@ -164,18 +165,13 @@ def rows_from_counters(counters: Mapping[str, int]) -> List[Dict[str, Any]]:
     return rows
 
 
-def build_ledger(
-    source: Union[MetricsRegistry, Mapping[str, Any], None] = None,
-) -> Dict[str, Any]:
+def build_ledger(source: Union[MetricsRegistry, Mapping[str, Any]]) -> Dict[str, Any]:
     """Assemble the ``ledger/v1`` document from a registry or snapshot.
 
-    ``source`` may be a :class:`MetricsRegistry`, a ``snapshot()`` dict,
-    or ``None`` for the process-global registry.
+    ``source`` is the run's :class:`MetricsRegistry` or a
+    ``snapshot()`` dict of one.
     """
-    if source is None or isinstance(source, MetricsRegistry):
-        snapshot = resolve_metrics(source).snapshot()
-    else:
-        snapshot = source
+    snapshot = source.snapshot() if isinstance(source, MetricsRegistry) else source
     rows = rows_from_counters(snapshot.get("counters", {}))
     return {
         "format": LEDGER_FORMAT,
@@ -184,15 +180,8 @@ def build_ledger(
     }
 
 
-def write_ledger(
-    path: Union[str, Path],
-    document: Optional[Mapping[str, Any]] = None,
-    *,
-    metrics: Optional[MetricsRegistry] = None,
-) -> Path:
-    """Atomically write a ledger document (built from ``metrics`` if absent)."""
-    if document is None:
-        document = build_ledger(metrics)
+def write_ledger(path: Union[str, Path], document: Mapping[str, Any]) -> Path:
+    """Atomically write a ledger document (see :func:`build_ledger`)."""
     return write_json_atomic(path, dict(document))
 
 

@@ -55,8 +55,6 @@ __all__ = [
     "nearest_rank",
     "quantile_from_buckets",
     "MetricsRegistry",
-    "get_metrics",
-    "reset_metrics",
     "write_json_atomic",
     "write_jsonl_atomic",
     "git_describe",
@@ -202,19 +200,17 @@ class Tracer:
     :attr:`metrics`, so the metrics snapshot and the trace can never
     disagree.
 
-    Parameters
-    ----------
-    metrics:
-        The :class:`MetricsRegistry` the run aggregates into (default:
-        the process-global registry).
+    :attr:`metrics` is the run's own :class:`MetricsRegistry`, fresh
+    per tracer: every stage, cache, fault and ledger counter of the run
+    lands there because its driver passes it on explicitly.
     """
 
-    def __init__(self, *, metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._ids = itertools.count(2)
         self._local = threading.local()
         self.trace_id = os.urandom(8).hex()
-        self.metrics = resolve_metrics(metrics)
+        self.metrics = MetricsRegistry()
         #: Degradation/event log: the runtime's quarantines and failed
         #: stores.  A clean run leaves it empty.
         self.events: List[str] = []
@@ -330,13 +326,14 @@ class Tracer:
                 self.note(event)
 
     def subscribe_faults(self, injector: Any) -> Callable[[], None]:
-        """Mirror every fired fault of ``injector`` into this trace.
+        """Mirror every fired fault of ``injector`` into this run.
 
         Each :class:`~repro.runtime.faults.FaultEvent` becomes a
         ``fault: site=... kind=... detail=...`` annotation on the span
-        active when the fault fired, closing the loop between the
-        injection harness and the emitted trace.  Returns a detach
-        callable (tests subscribe short-lived tracers).
+        active when the fault fired, and bumps ``faults.injected`` and
+        ``faults.<site>.<kind>`` in :attr:`metrics`, so a fault is
+        counted exactly where it is traced.  Returns a detach callable
+        (tests subscribe short-lived tracers).
         """
 
         def _on_fire(event: Any) -> None:
@@ -344,6 +341,8 @@ class Tracer:
                 f"fault: site={event.site} kind={event.kind} "
                 f"detail={event.detail}"
             )
+            self.metrics.inc("faults.injected")
+            self.metrics.inc(f"faults.{event.site}.{event.kind}")
 
         injector.listeners.append(_on_fire)
 
@@ -619,34 +618,6 @@ class MetricsRegistry:
                     k: h.snapshot() for k, h in sorted(self._histograms.items())
                 },
             }
-
-    def clear(self) -> None:
-        """Drop every metric (in place, so shared references survive)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-
-
-#: The process-global registry: the cache and the fault injector
-#: report here by default, so zero-configuration runs still aggregate.
-_GLOBAL_METRICS = MetricsRegistry()
-
-
-def get_metrics() -> MetricsRegistry:
-    """The process-global default registry."""
-    return _GLOBAL_METRICS
-
-
-def reset_metrics() -> MetricsRegistry:
-    """Clear the global registry in place (same object) and return it."""
-    _GLOBAL_METRICS.clear()
-    return _GLOBAL_METRICS
-
-
-def resolve_metrics(metrics: Optional[MetricsRegistry]) -> MetricsRegistry:
-    """``None`` → the process-global registry, else pass through."""
-    return metrics if metrics is not None else _GLOBAL_METRICS
 
 
 # -- run manifests ----------------------------------------------------------

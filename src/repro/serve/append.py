@@ -137,6 +137,7 @@ def append_days(
             timeout=new_meta.timeout,
             min_peers=new_meta.min_peers,
             end_day=new_meta.end,
+            metrics=tracer.metrics,
         )
         taxonomy = classify(admin_lives, op_lives, metrics=tracer.metrics)
         new_records = build_serve_records(admin_lives, op_lives, tables, taxonomy)

@@ -45,7 +45,7 @@ from time import perf_counter
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from ..runtime.observability import MetricsRegistry, resolve_metrics
+from ..runtime.observability import MetricsRegistry
 from ..timeline.dates import from_iso
 from .index import DEFAULT_RANGE_LIMIT, StoreIndex
 from .telemetry import ServerTelemetry
@@ -174,14 +174,12 @@ class LifetimesServer:
         self.index = index
         self.host = host
         self.port = port
-        if telemetry is not None:
-            # an injected telemetry brings its own registry; keep the
-            # server's metrics handle pointing at the same place
-            self.telemetry = telemetry
-            self.metrics = telemetry.metrics
-        else:
-            self.metrics = resolve_metrics(metrics)
-            self.telemetry = ServerTelemetry(metrics=self.metrics)
+        # an injected telemetry brings its own registry; ``metrics=None``
+        # gives the server a fresh one of its own
+        self.telemetry = (
+            telemetry if telemetry is not None else ServerTelemetry(metrics=metrics)
+        )
+        self.metrics = self.telemetry.metrics
         self._server: Optional[asyncio.AbstractServer] = None
 
     # -- lifecycle -----------------------------------------------------

@@ -58,7 +58,7 @@ from ..runtime.cache import (
     cache_key,
     fingerprint,
 )
-from ..runtime.observability import Tracer, git_describe
+from ..runtime.observability import MetricsRegistry, Tracer, git_describe
 from ..runtime.runs import record_run
 from ..timeline.dates import Day
 from ..timeline.intervals import IntervalSet
@@ -339,11 +339,17 @@ def plan_shards(
 
 
 def store_publisher(
-    store_dir: Union[str, Path], *, faults: Any = USE_ENV_FAULTS
+    store_dir: Union[str, Path],
+    *,
+    faults: Any = USE_ENV_FAULTS,
+    metrics: Optional[MetricsRegistry] = None,
 ) -> ArtifactCache:
     """The cache instance all store file I/O routes through (a failed
-    store raises, so :func:`store_bytes_verified` can retry it)."""
-    return ArtifactCache(store_dir, faults=faults, strict_store=True)
+    store raises, so :func:`store_bytes_verified` can retry it);
+    ``metrics`` is the run's registry, if the caller has a run."""
+    return ArtifactCache(
+        store_dir, faults=faults, strict_store=True, metrics=metrics
+    )
 
 
 def store_bytes_verified(
@@ -431,7 +437,7 @@ def publish_store(
     plan are ignored by readers (the index is the source of truth).
     """
     tracer = tracer if tracer is not None else Tracer()
-    cache = store_publisher(store_dir, faults=faults)
+    cache = store_publisher(store_dir, faults=faults, metrics=tracer.metrics)
     asns = sorted(records)
     plan = plan_shards(asns, meta.shard_size)
     manifest = _snapshot_manifest(config, meta)

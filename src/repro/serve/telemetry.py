@@ -47,7 +47,6 @@ from ..runtime.observability import (
     OVERFLOW_BUCKET,
     MetricsRegistry,
     quantile_from_buckets,
-    resolve_metrics,
 )
 
 __all__ = [
@@ -510,8 +509,9 @@ def request_quantiles(
 class ServerTelemetry:
     """Everything :class:`LifetimesServer` records and reports.
 
-    One instance per server.  Metrics go into the (shared) registry
-    under labeled names; the SLO ring and access log are per-instance.
+    One instance per server.  Metrics go into ``metrics`` (the caller's
+    registry, or a fresh one the instance owns) under labeled names;
+    the SLO ring and access log are per-instance.
     Two latency series exist on purpose: ``serve.http.latency_us``
     (handler time only, the PR-8 series, unlabeled) and
     ``serve.http.request_us|route=...`` (request-head-parsed through
@@ -527,7 +527,7 @@ class ServerTelemetry:
         slo: Optional[SloWindow] = None,
         wall=time.time,
     ) -> None:
-        self.metrics = resolve_metrics(metrics)
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.access_log = access_log
         self.slo = slo if slo is not None else SloWindow()
         self._wall = wall

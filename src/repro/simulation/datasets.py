@@ -37,7 +37,7 @@ from ..runtime.cache import (
     dumps_with_gc_paused,
     loads_with_gc_paused,
 )
-from ..runtime.observability import Tracer
+from ..runtime.observability import MetricsRegistry, Tracer
 from .config import WorldConfig, tiny
 from .world import World, WorldSimulator
 
@@ -136,12 +136,15 @@ class DatasetBundle:
         self, *, timeout: int, min_peers: int = 2
     ) -> Dict[ASN, List[BgpLifetime]]:
         """Re-segment operational lifetimes under different parameters
-        (Table 5 / the visibility ablation) without re-simulating."""
+        (Table 5 / the visibility ablation) without re-simulating.  Not
+        part of a run: its ``bgp:segment`` row goes to a throwaway
+        registry."""
         return build_bgp_lifetimes(
             self.world.activities,
             timeout=timeout,
             min_peers=min_peers,
             end_day=self.world.end_day,
+            metrics=MetricsRegistry(),
         )
 
 
@@ -211,9 +214,9 @@ def build_datasets(
     """
     if config is None:
         config = tiny()
-    if cache is not None and not isinstance(cache, ArtifactCache):
-        cache = ArtifactCache(cache)
     tracer = tracer if tracer is not None else Tracer()
+    if cache is not None and not isinstance(cache, ArtifactCache):
+        cache = ArtifactCache(cache, metrics=tracer.metrics)
 
     key: Optional[str] = None
     if cache is not None:
@@ -300,7 +303,7 @@ def _build(
     with tracer.stage("bgp-lifetimes", component="lifetimes") as timing:
         op_lives = build_bgp_lifetimes(
             world.activities, timeout=timeout, min_peers=min_peers,
-            end_day=config.end_day,
+            end_day=config.end_day, metrics=tracer.metrics,
         )
         timing.items = len(op_lives)
 

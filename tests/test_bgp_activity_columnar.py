@@ -272,6 +272,7 @@ class TestWorldPipeline:
             )
             expected_lives = build_bgp_lifetimes(
                 expected_tables, min_peers=min_peers, end_day=end,
+                metrics=MetricsRegistry(),
             )
             assert tables == expected_tables
             assert list(tables) == sorted(expected_tables)
@@ -283,7 +284,7 @@ class TestWorldPipeline:
         stage that runs them, and sweeps as often as the object-stream
         oracle does over the same window."""
         start, end = window
-        tracer = Tracer(metrics=MetricsRegistry())
+        tracer = Tracer()
         build_operational_dataset(world, start=start, end=end, tracer=tracer)
         span = next(s for s in tracer.stage_spans()
                     if s.name == "bgp:sanitize")

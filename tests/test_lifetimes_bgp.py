@@ -19,6 +19,7 @@ from repro.lifetimes import (
     load_bgp_dataset,
     sweep_timeouts,
 )
+from repro.runtime import MetricsRegistry
 from repro.timeline import Interval, IntervalSet, from_iso
 
 D = from_iso("2010-01-01")
@@ -65,17 +66,20 @@ class TestSegmentation:
 class TestVisibilityThreshold:
     def test_single_peer_days_excluded_by_default(self):
         act = activity([(D, D + 10)], single=[(D + 100, D + 105)])
-        lives = build_bgp_lifetimes({100: act}, end_day=END)
+        lives = build_bgp_lifetimes({100: act}, end_day=END, metrics=MetricsRegistry())
         assert len(lives[100]) == 1
 
     def test_min_peers_1_includes_spurious(self):
         act = activity([(D, D + 10)], single=[(D + 100, D + 105)])
-        lives = build_bgp_lifetimes({100: act}, min_peers=1, end_day=END)
+        lives = build_bgp_lifetimes(
+            {100: act}, min_peers=1, end_day=END, metrics=MetricsRegistry()
+        )
         assert len(lives[100]) == 2
 
     def test_silent_asn_absent(self):
         act = OperationalActivity(asn=100)
-        assert build_bgp_lifetimes({100: act}, end_day=END) == {}
+        lives = build_bgp_lifetimes({100: act}, end_day=END, metrics=MetricsRegistry())
+        assert lives == {}
 
     def test_rejects_bad_threshold(self):
         act = activity([(D, D)])

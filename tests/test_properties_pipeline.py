@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.core import Category, classify
 from repro.core.report import render_report
 from repro.rir import PitfallConfig
-from repro.runtime import ArtifactCache, dumps_with_gc_paused
+from repro.runtime import ArtifactCache, MetricsRegistry, dumps_with_gc_paused
 from repro.simulation import WorldConfig, build_datasets, tiny
 
 # building a world is ~1s; keep hypothesis example counts low
@@ -74,7 +74,9 @@ class TestLifetimeInvariants:
 
 class TestTaxonomyPartition:
     def test_every_lifetime_assigned_once(self, bundle):
-        result = classify(bundle.admin_lives, bundle.op_lives)
+        result = classify(
+            bundle.admin_lives, bundle.op_lives, metrics=MetricsRegistry()
+        )
         admin_total = sum(len(v) for v in bundle.admin_lives.values())
         op_total = sum(len(v) for v in bundle.op_lives.values())
         assert len(result.admin_assignment) == admin_total
@@ -83,7 +85,9 @@ class TestTaxonomyPartition:
         assert sum(result.op_counts.values()) == op_total
 
     def test_unused_lives_have_no_overlap(self, bundle):
-        result = classify(bundle.admin_lives, bundle.op_lives)
+        result = classify(
+            bundle.admin_lives, bundle.op_lives, metrics=MetricsRegistry()
+        )
         unused = result.admin_lives_in(Category.UNUSED, bundle.admin_lives)
         for life in unused:
             ops = bundle.op_lives.get(life.asn, ())

@@ -15,6 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.joint import JointAnalysis
+from repro.core.taxonomy import classify
+from repro.lifetimes.bgp import build_bgp_lifetimes
 from repro.runtime import (
     ArtifactCache,
     MetricsRegistry,
@@ -24,7 +27,6 @@ from repro.runtime import (
     load_ledger,
     record_boundary,
     render_ledger,
-    reset_metrics,
     write_ledger,
 )
 from repro.simulation import build_datasets
@@ -134,19 +136,23 @@ class TestDocument:
         assert "class[left]" in text and "(75.00%)" in text
 
 
-def _build_with_taxonomy(config, **kwargs):
-    """Build the bundle and force the lazy taxonomy classification, so
-    the ``taxonomy:*`` boundaries fire alongside the pipeline's own."""
-    bundle = build_datasets(config, **kwargs)
-    bundle.joint.taxonomy
+def _build_with_taxonomy(config, *, tracer, **kwargs):
+    """Build the bundle and classify it through a run-bound joint
+    analysis, so the ``taxonomy:*`` boundaries land in the run's
+    registry alongside the pipeline's own."""
+    bundle = build_datasets(config, tracer=tracer, **kwargs)
+    JointAnalysis(
+        bundle.admin_lives, bundle.op_lives,
+        end_day=bundle.world.end_day, metrics=tracer.metrics,
+    ).taxonomy
     return bundle
 
 
 class TestPipelineClosure:
     def test_full_build_conserves_every_boundary(self):
-        metrics = reset_metrics()
-        _build_with_taxonomy(tiny(seed=11), tracer=Tracer())
-        doc = build_ledger(metrics)
+        tracer = Tracer()
+        _build_with_taxonomy(tiny(seed=11), tracer=tracer)
+        doc = build_ledger(tracer.metrics)
         assert check_ledger(doc) == []
         assert doc["conserved"] is True
         names = {row["stage"] for row in doc["stages"]}
@@ -155,9 +161,9 @@ class TestPipelineClosure:
         assert any(name.startswith("restoration/") for name in names)
 
     def test_taxonomy_rows_partition_exactly(self):
-        metrics = reset_metrics()
-        _build_with_taxonomy(tiny(seed=11), tracer=Tracer())
-        doc = build_ledger(metrics)
+        tracer = Tracer()
+        _build_with_taxonomy(tiny(seed=11), tracer=tracer)
+        doc = build_ledger(tracer.metrics)
         for row in doc["stages"]:
             if not row["stage"].startswith("taxonomy:"):
                 continue
@@ -168,17 +174,17 @@ class TestPipelineClosure:
         self, tmp_path, monkeypatch
     ):
         # the clean reference ledger first, before arming the injector
-        metrics = reset_metrics()
-        _build_with_taxonomy(tiny(seed=7), tracer=Tracer())
-        clean = build_ledger(metrics)
+        tracer = Tracer()
+        _build_with_taxonomy(tiny(seed=7), tracer=tracer)
+        clean = build_ledger(tracer.metrics)
         assert clean["conserved"] is True
 
         monkeypatch.setenv("REPRO_FAULT_SEED", "2021")
         monkeypatch.setenv("REPRO_FAULT_RATE", "0.25")
-        metrics = reset_metrics()
-        cache = ArtifactCache(tmp_path / "cache")
-        _build_with_taxonomy(tiny(seed=7), cache=cache, tracer=Tracer())
-        faulty = build_ledger(metrics)
+        tracer = Tracer()
+        cache = ArtifactCache(tmp_path / "cache", metrics=tracer.metrics)
+        _build_with_taxonomy(tiny(seed=7), cache=cache, tracer=tracer)
+        faulty = build_ledger(tracer.metrics)
 
         # conservation holds under injected cache faults — and the
         # counts match the clean run exactly (the cold build emits the
@@ -187,17 +193,83 @@ class TestPipelineClosure:
         assert faulty == clean
 
 
+class TestOneRegistryPerRun:
+    """A run counts into its own tracer's registry, and nothing else
+    does: no boundary, cache or analysis reaches another run."""
+
+    def test_library_build_ledger_is_complete(self):
+        tracer = Tracer()
+        bundle = build_datasets(tiny(seed=3), tracer=tracer)
+        doc = build_ledger(tracer.metrics)
+        assert check_ledger(doc) == []
+        names = [row["stage"] for row in doc["stages"]]
+        assert len(names) == 32
+        assert "bgp:segment" in names
+
+        JointAnalysis(
+            bundle.admin_lives, bundle.op_lives,
+            end_day=bundle.world.end_day, metrics=tracer.metrics,
+        ).taxonomy
+        doc = build_ledger(tracer.metrics)
+        assert check_ledger(doc) == []
+        names = [row["stage"] for row in doc["stages"]]
+        assert len(names) == 34
+        assert {"taxonomy:admin", "taxonomy:op"} <= set(names)
+
+    def test_two_tracers_share_no_counter(self):
+        first, second = Tracer(), Tracer()
+        build_datasets(tiny(seed=3), tracer=first)
+        assert first.metrics.snapshot()["counters"]
+        assert second.metrics.snapshot() == {
+            "counters": {}, "gauges": {}, "histograms": {},
+        }
+        build_datasets(tiny(seed=3), tracer=second)
+        # the same build counted once into each run, never twice
+        assert build_ledger(second.metrics) == build_ledger(first.metrics)
+
+    def test_analysis_resegmentation_leaves_run_ledger_alone(self):
+        tracer = Tracer()
+        bundle = build_datasets(tiny(seed=3), tracer=tracer)
+        before = build_ledger(tracer.metrics)
+        bundle.rebuild_op_lives(timeout=5)
+        bundle.rebuild_op_lives(timeout=30, min_peers=1)
+        bundle.joint.taxonomy
+        assert build_ledger(tracer.metrics) == before
+
+    def test_cache_built_from_a_path_counts_into_the_run(self, tmp_path):
+        # two cold runs, each into its own cache directory: each run
+        # sees exactly its own cache's counts
+        for name in ("first", "second"):
+            tracer = Tracer()
+            build_datasets(tiny(seed=3), cache=tmp_path / name, tracer=tracer)
+            counters = tracer.metrics.snapshot()["counters"]
+            assert counters["cache.misses"] == 1
+            # a cold build stores once (ambient injection may fail it)
+            assert (
+                counters.get("cache.stores", 0)
+                + counters.get("cache.store_failures", 0)
+            ) == 1
+
+    def test_forgotten_registry_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            record_boundary("a:filter", records_in=1, kept=1)  # type: ignore[call-arg]
+        with pytest.raises(TypeError):
+            classify({}, {})  # type: ignore[call-arg]
+        with pytest.raises(TypeError):
+            build_bgp_lifetimes({}, end_day=0)  # type: ignore[call-arg]
+
+
 class TestLedgerDeterminism:
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(min_value=1, max_value=40))
     def test_repeat_builds_ledgers_identical(self, seed):
-        metrics = reset_metrics()
-        _build_with_taxonomy(tiny(seed=seed), tracer=Tracer())
-        first_doc = build_ledger(metrics)
+        tracer = Tracer()
+        _build_with_taxonomy(tiny(seed=seed), tracer=tracer)
+        first_doc = build_ledger(tracer.metrics)
 
-        metrics = reset_metrics()
-        _build_with_taxonomy(tiny(seed=seed), tracer=Tracer())
-        second_doc = build_ledger(metrics)
+        tracer = Tracer()
+        _build_with_taxonomy(tiny(seed=seed), tracer=tracer)
+        second_doc = build_ledger(tracer.metrics)
 
         # the determinism contract covers accounting: a rebuild of the
         # same config yields a byte-identical, conserving ledger

@@ -25,7 +25,6 @@ from repro.runtime import (
     MetricsRegistry,
     Tracer,
     build_run_manifest,
-    get_metrics,
     write_run_manifest,
 )
 from repro.runtime.faults import from_env
@@ -118,17 +117,17 @@ class TestMetricsRegistry:
             },
         }
 
-    def test_clear_is_in_place(self):
+    def test_snapshots_are_copies(self):
         metrics = MetricsRegistry()
         metrics.inc("n")
         counters = metrics.snapshot()["counters"]
-        metrics.clear()
-        assert metrics.snapshot()["counters"] == {}
+        metrics.inc("n")
+        assert metrics.snapshot()["counters"] == {"n": 2}
         assert counters == {"n": 1}  # snapshots are copies, not views
 
     def test_stage_blocks_feed_histograms(self):
-        metrics = MetricsRegistry()
-        tracer = Tracer(metrics=metrics)
+        tracer = Tracer()
+        metrics = tracer.metrics
         with tracer.stage("simulate", items=3):
             pass
         tracer.record("archive", 0.5)
@@ -140,7 +139,7 @@ class TestMetricsRegistry:
         """Per stage name, the ``stage.<name>.seconds`` histogram counts
         exactly the stage spans and sums exactly their seconds, so
         :func:`stage_seconds` answers alike from metrics or trace."""
-        tracer = Tracer(metrics=MetricsRegistry())
+        tracer = Tracer()
         cache = ArtifactCache(tmp_path, faults=None)
         bundle = build_datasets(tiny(seed=11), cache=cache, tracer=tracer)
         end = bundle.world.config.end_day
@@ -209,15 +208,17 @@ class TestAmbientFaultMetrics:
         monkeypatch.setenv("REPRO_FAULT_SEED", "2021")
         monkeypatch.setenv("REPRO_FAULT_RATE", "1.0")
         monkeypatch.setenv("REPRO_FAULT_SITES", "cache:read")
-        metrics = get_metrics()
-        metrics.clear()
-        from repro.runtime import ArtifactCache
-
-        cache = ArtifactCache(tmp_path)
-        assert cache.faults is from_env()
-        key = cache.key_for(artifact="ambient")
-        cache.store(key, {"x": 1})
-        assert cache.load(key) is None  # injected read failure → miss
+        tracer = Tracer()
+        metrics = tracer.metrics
+        detach = tracer.subscribe_faults(from_env())
+        try:
+            cache = ArtifactCache(tmp_path, metrics=metrics)
+            assert cache.faults is from_env()
+            key = cache.key_for(artifact="ambient")
+            cache.store(key, {"x": 1})
+            assert cache.load(key) is None  # injected read failure → miss
+        finally:
+            detach()
         snap = metrics.snapshot()
         assert snap["counters"]["faults.injected"] >= 1
         assert snap["counters"]["faults.cache:read.oserror"] >= 1
@@ -246,6 +247,10 @@ class TestAmbientFaultMetrics:
         for event, note in zip(injector.events, fault_notes):
             assert f"site={event.site}" in note
             assert f"kind={event.kind}" in note
+        # counted where traced, and only there
+        counters = tracer.metrics.snapshot()["counters"]
+        assert counters["faults.injected"] == len(injector.events)
+        assert cache.metrics.snapshot()["counters"].get("faults.injected") is None
 
     def test_detach_stops_annotations(self, tmp_path):
         injector = FaultInjector(
@@ -257,12 +262,13 @@ class TestAmbientFaultMetrics:
         with pytest.raises(OSError):
             injector.on_read(tmp_path / "x")
         assert tracer.root.annotations == []
+        assert tracer.metrics.snapshot()["counters"] == {}
 
 
 class TestRunManifest:
     def _manifest(self, tmp_path, seed=7, tracer=None):
         if tracer is None:
-            tracer = Tracer(metrics=MetricsRegistry())
+            tracer = Tracer()
         build_datasets(tiny(seed=seed), tracer=tracer)
         return build_run_manifest(
             config=tiny(seed=seed),
@@ -290,7 +296,7 @@ class TestRunManifest:
         )
 
     def test_manifest_fields(self, tmp_path):
-        tracer = Tracer(metrics=MetricsRegistry())
+        tracer = Tracer()
         manifest = self._manifest(tmp_path, tracer=tracer)
         assert manifest["format"] == RUN_MANIFEST_FORMAT
         assert manifest["config_hash"]
@@ -332,7 +338,7 @@ class _LogSource:
 
 class TestDrainEvents:
     def test_drain_moves_and_clears(self):
-        tracer = Tracer(metrics=MetricsRegistry())
+        tracer = Tracer()
         source = _LogSource(["cache: store failed"])
         tracer.drain_events_from(source)
         assert tracer.events == ["cache: store failed"]
@@ -342,22 +348,22 @@ class TestDrainEvents:
         """Regression: a cache reused across runs must not
         re-report run 1's events into run 2."""
         source = _LogSource(["event-from-run-1"])
-        first = Tracer(metrics=MetricsRegistry())
+        first = Tracer()
         first.drain_events_from(source)
         source.events.append("event-from-run-2")
-        second = Tracer(metrics=MetricsRegistry())
+        second = Tracer()
         second.drain_events_from(source)
         assert first.events == ["event-from-run-1"]
         assert second.events == ["event-from-run-2"]
 
     def test_drain_self_is_noop(self):
-        tracer = Tracer(metrics=MetricsRegistry())
+        tracer = Tracer()
         tracer.note("my own event")
         tracer.drain_events_from(tracer)  # must not loop over its own log
         assert tracer.events == ["my own event"]
 
     def test_drain_shared_tracer_source_is_noop(self):
-        tracer = Tracer(metrics=MetricsRegistry())
+        tracer = Tracer()
         tracer.note("shared")
         source = _LogSource(())
         source.events = tracer.events  # same list object as the run's
@@ -365,7 +371,7 @@ class TestDrainEvents:
         assert tracer.events == ["shared"]
 
     def test_drain_immutable_source_still_reports(self):
-        tracer = Tracer(metrics=MetricsRegistry())
+        tracer = Tracer()
         tracer.drain_events_from(_LogSource(()).__class__(("frozen",)))
         assert tracer.events == ["frozen"]
 
@@ -373,14 +379,14 @@ class TestDrainEvents:
         class Frozen:
             events = ("tuple event",)
 
-        tracer = Tracer(metrics=MetricsRegistry())
+        tracer = Tracer()
         tracer.drain_events_from(Frozen())
         assert tracer.events == ["tuple event"]
 
 
 class TestTracerStages:
     def test_stages_project_tracer_spans(self):
-        tracer = Tracer(metrics=MetricsRegistry())
+        tracer = Tracer()
         with tracer.stage("simulate", items=100):
             pass
         tracer.record("archive", 0.5, items=3)
@@ -391,13 +397,13 @@ class TestTracerStages:
         assert spans[1].seconds == 0.5
 
     def test_late_item_count(self):
-        tracer = Tracer(metrics=MetricsRegistry())
+        tracer = Tracer()
         with tracer.stage("restore") as timing:
             timing.items = 42
         assert tracer.stage_spans()[0].items == 42
 
     def test_in_memory_trace_renders_like_its_file(self, tmp_path):
-        tracer = Tracer(metrics=MetricsRegistry())
+        tracer = Tracer()
         tracer.record("simulate", 2.0, items=10)
         with tracer.stage("archive"):
             tracer.note("cache: quarantined corrupt entry")
@@ -409,7 +415,7 @@ class TestTracerStages:
         assert "[notes=1]" in text
 
     def test_stage_attrs_flow_into_digest(self):
-        tracer = Tracer(metrics=MetricsRegistry())
+        tracer = Tracer()
         with tracer.stage("bgp:segment", component="bgp", engine="columnar"):
             pass
         digest = tracer.stage_digest()
