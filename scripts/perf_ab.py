@@ -19,6 +19,14 @@ interquartile spreads, the pairs in which the working tree did
 better (ties count for neither side; the verdict ignores them), and
 appends every raw result line to ``.perfbench-out/ab-results.jsonl``
 in the working tree.
+
+When a row fails, or moves by more than half its bound in either
+direction, the gate then says which layer moved: it runs
+:data:`TRACED_PAIRS` more alternating pairs of that workload only,
+traced (``--trace 1``), and prints each ``per_layer`` metric's base
+and head medians, time layers first, each group sorted by absolute
+change.  The traced runs change neither the verdict nor the exit
+status; a run whose every row stays within half its bound runs none.
 """
 
 from __future__ import annotations
@@ -42,6 +50,12 @@ SEED = 14
 #: Runs per side and workload.
 PAIRS = 5
 
+#: Traced runs per side for each workload that failed or moved.
+TRACED_PAIRS = 3
+
+#: Per-layer units that are durations, as milliseconds per unit.
+TIME_UNITS = {"ms": 1.0, "us": 1e-3}
+
 SIDES = ("base", "head")
 
 
@@ -51,11 +65,13 @@ def git(*args: str) -> str:
     ).stdout.strip()
 
 
-def run_once(tree: Path, command: List[str], workload: str, seconds: float) -> Optional[dict]:
-    """One untraced perfbench run in ``tree``; its result line, or None."""
+def run_once(
+    tree: Path, command: List[str], workload: str, seconds: float, trace: int = 0
+) -> Optional[dict]:
+    """One perfbench run in ``tree``; its result line, or None."""
     proc = subprocess.run(
         [*command, "--workload", workload, "--seed", str(SEED),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, stdout=subprocess.PIPE, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -139,24 +155,88 @@ def render(rows: List[tuple]) -> str:
     return "\n".join(lines)
 
 
-def measure(benchmark: dict, trees: Dict[str, Path], base_sha: str) -> List[dict]:
+def moved_workloads(benchmark: dict, rows: List[tuple]) -> List[str]:
+    """Workloads with a row that failed or moved past half its bound."""
+    bounds = {spec["name"]: spec["bound"] for spec in benchmark["end_to_end"]}
+    moved: List[str] = []
+    for workload, metric, *_values, delta, _wins, status in rows:
+        if status == "FAIL" or abs(delta) > bounds[metric] / 2:
+            if workload not in moved:
+                moved.append(workload)
+    return moved
+
+
+def layer_table(benchmark: dict, records: List[dict], workload: str) -> List[tuple]:
+    """``(layer, unit, base, head, change)`` per-layer medians of one
+    workload's traced runs: time layers first, then counts and bytes,
+    each group by absolute change (time compared in milliseconds).
+    Layers that read 0 on both sides are left out."""
+    values: Dict[Tuple[str, str], List[float]] = {}
+    for record in records:
+        if record["workload"] != workload or record["result"] is None:
+            continue
+        for metric, entry in record["result"].get("metrics", {}).items():
+            values.setdefault((record["side"], metric), []).append(float(entry["value"]))
+    rows: List[tuple] = []
+    for spec in benchmark["per_layer"]:
+        layer, unit = spec["name"], spec["unit"]
+        sides = [values.get((side, layer)) for side in SIDES]
+        if not all(sides):
+            continue
+        base, head = (statistics.median(runs) for runs in sides)
+        if base or head:  # a layer the workload never reaches reads 0
+            rows.append((layer, unit, base, head, head - base))
+
+    def key(row: tuple) -> Tuple[bool, float]:
+        _layer, unit, _base, _head, change = row
+        scale = TIME_UNITS.get(unit)
+        return scale is None, -abs(change) * (scale or 1.0)
+
+    return sorted(rows, key=key)
+
+
+def render_layers(workload: str, rows: List[tuple]) -> str:
+    lines = [
+        f"{workload}: per-layer medians of traced runs "
+        f"(this host's time; the end-to-end ms above are normalized)",
+        f"{'layer':<30} {'unit':<6} {'base':>10} {'head':>10} {'change':>10}",
+    ]
+    for layer, unit, base, head, change in rows:
+        lines.append(
+            f"{layer:<30} {unit:<6} {base:>10.4g} {head:>10.4g} {change:>+10.4g}"
+        )
+    return "\n".join(lines)
+
+
+def measure(
+    benchmark: dict,
+    trees: Dict[str, Path],
+    base_sha: str,
+    workloads: List[str],
+    pairs: int,
+    trace: int = 0,
+) -> List[dict]:
     records: List[dict] = []
     RESULTS.parent.mkdir(exist_ok=True)
-    for pair in range(PAIRS):
+    for pair in range(pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
-        for workload in (w["name"] for w in benchmark["workloads"]):
+        for workload in workloads:
             for side in order:
                 result = run_once(
-                    trees[side], benchmark["command"], workload, benchmark["run_seconds"]
+                    trees[side], benchmark["command"], workload,
+                    benchmark["run_seconds"], trace,
                 )
                 record = {"base": base_sha, "side": side, "workload": workload,
-                          "pair": pair, "result": result}
+                          "pair": pair, "trace": trace, "result": result}
                 records.append(record)
                 with RESULTS.open("a", encoding="utf-8") as out:
                     out.write(json.dumps(record) + "\n")
                 p50 = (result or {}).get("metrics", {}).get("op_p50_ms", {}).get("value")
-                print(f"pair {pair + 1}/{PAIRS} {workload:<12} {side}: "
-                      + (f"op_p50_ms {p50:.4g}" if p50 is not None else "no result"),
+                if result is not None and trace:
+                    shown = "traced"
+                else:
+                    shown = f"op_p50_ms {p50:.4g}" if p50 is not None else "no result"
+                print(f"pair {pair + 1}/{pairs} {workload:<12} {side}: {shown}",
                       flush=True)
     return records
 
@@ -174,18 +254,28 @@ def main(argv: Optional[List[str]] = None) -> int:
     scratch = Path(tempfile.mkdtemp(prefix="perf-ab-"))
     base_tree = scratch / "base"
     git("worktree", "add", "--detach", str(base_tree), base_sha)
+    trees = {"base": base_tree, "head": ROOT}
     try:
+        workloads = [w["name"] for w in benchmark["workloads"]]
         print(f"perf-ab: base {args.base_ref} ({base_sha[:12]}) vs the working tree, "
-              f"{PAIRS} pairs x {len(benchmark['workloads'])} workloads, "
+              f"{PAIRS} pairs x {len(workloads)} workloads, "
               f"{benchmark['run_seconds']} s each", flush=True)
-        records = measure(benchmark, {"base": base_tree, "head": ROOT}, base_sha)
+        records = measure(benchmark, trees, base_sha, workloads, PAIRS)
+        rows, failures = verdict(benchmark, records)
+        print()
+        print(render(rows))
+        moved = moved_workloads(benchmark, rows)
+        if moved:
+            print(f"\nmoved past half a bound: {', '.join(moved)}; "
+                  f"{TRACED_PAIRS} traced pairs each", flush=True)
+            traced = measure(benchmark, trees, base_sha, moved, TRACED_PAIRS, trace=1)
+            for workload in moved:
+                print()
+                print(render_layers(workload, layer_table(benchmark, traced, workload)))
     finally:
         git("worktree", "remove", "--force", str(base_tree))
         shutil.rmtree(scratch, ignore_errors=True)
 
-    rows, failures = verdict(benchmark, records)
-    print()
-    print(render(rows))
     if failures:
         print("\nperf-ab FAILED:", file=sys.stderr)
         for failure in failures:

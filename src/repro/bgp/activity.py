@@ -1,30 +1,36 @@
-"""Columnar BGP activity engine: interned paths, peer bitsets, day diffs.
+"""Columnar BGP activity engine: per-(ASN, peer) counters, day diffs.
 
 The object-stream pipeline (§3.2 → §4.2), kept as the test oracle,
 materializes one :class:`~repro.bgp.messages.BgpElement` per
 (collector, peer, announcement) per day and rebuilds
 ``Dict[ASN, Set[ASN]]`` visibility maps from scratch every day, even
-though consecutive days share almost all announcements.  This engine
-exploits that redundancy the way long-lived BGP studies diff snapshots
-instead of re-reading them:
+though consecutive days share almost all announcements.  The §3.2 rule
+asks one question per (ASN, day): how many distinct collector peers see
+a sanitized path through this ASN?  This engine answers it directly and
+exploits the day-over-day redundancy the way long-lived BGP studies
+diff snapshots instead of re-reading them:
 
-* **Path interning** — every propagated AS path is interned once in a
-  :class:`~repro.bgp.stream.PathTable`; the distinct ASNs it makes
-  visible and its sanitizer verdict (loop) are computed at intern time
-  and read back by dense id.
 * **Contribution interning** — an announcement's entire sanitized
-  element fan-out (which (path id, peer) pairs survive §3.2, how many
-  elements each drop reason removes) is a pure function of the
-  announcement under a static topology, so it is computed once and
-  replayed as flat integer arrays.
+  element fan-out is a pure function of the announcement under a
+  static topology, so it is computed once into a
+  :class:`Contribution`: the distinct (ASN, peer) codes of every ASN
+  on every surviving path, plus how many elements one RIB pass keeps
+  and how many each drop reason removes.
+* **Stubs derive from their provider** — a plain announcement of a
+  single-homed stub S with provider P reaches every vantage through P,
+  one hop longer, so its codes are P's codes plus (S, v) for every
+  vantage v (P's entries at peer S give way to (S, S) when S is a
+  vantage).  No path is built for it.
 * **Incremental day diffing** — each day's announcement multiset is
-  diffed against the previous day's; only the (path, peer) pairs that
-  appear or disappear touch the counters, and only ASNs whose
-  supporting paths changed have their visibility class re-derived.
-* **Peer bitset counters** — per-ASN visibility is an integer row of
-  live-pair counts per peer slot plus a running visible-peer count; a
-  day is classified (observed / single-peer / silent) by comparing
-  that count to the threshold, with no set churn.
+  diffed against the previous day's, and only the contributions that
+  appear or disappear touch the counters.
+* **Counters per (ASN, peer)** — one flat ``array('q')`` holds, per
+  ASN slot and peer, how many live contributions see that ASN at that
+  peer, next to a per-slot count of peers whose counter is non-zero.
+  A counter is non-zero iff some live (path, peer) pair contains the
+  ASN at that peer, so only a 0↔non-zero transition moves the visible
+  count, and only ASNs with such a transition are reclassified
+  (observed / single-peer / silent) at the end of the day.
 
 Output is **byte-identical** to the oracle's: for every day in the
 window, the engine's per-ASN classes equal what
@@ -51,8 +57,9 @@ from ..asn.numbers import ASN
 from ..timeline.dates import Day
 from ..timeline.intervals import Interval, IntervalSet
 from .collector import Collector, all_peer_asns
+from .messages import path_has_loop
 from .sanitize import REASON_LOOP, REASON_PREFIX_LENGTH
-from .stream import Announcement, PathOracle, PathTable, decorate_path
+from .stream import Announcement, PathOracle, decorate_path
 from .topology import AsTopology
 from .visibility import DEFAULT_MIN_PEERS
 
@@ -75,19 +82,31 @@ _Items = List[Tuple[Announcement, int]]
 #: ``min_corroboration`` peers, class 1 = single-peer).
 _CLASS_NAMES = {2: "observed", 1: "single_peer"}
 
+#: An announcer's plain routed fan-out: its codes, the elements one
+#: RIB pass keeps, and the indices of the peers that hold a path.
+_Fanout = Tuple[Tuple[int, ...], int, Tuple[int, ...]]
+
+
+class _Slots(dict):
+    """ASN → counter slot, the next free slot on first lookup."""
+
+    def __missing__(self, asn: ASN) -> int:
+        slot = self[asn] = len(self)
+        return slot
+
 
 @dataclass(frozen=True)
 class Contribution:
     """One announcement's sanitized element fan-out, computed once.
 
-    ``pairs`` holds the surviving (path id, peer index) pairs packed as
-    ``pid * n_peers + peer_index`` — distinct and sorted, since
-    visibility is idempotent in duplicate elements.  ``kept`` and
+    ``codes`` holds ``slot * n_peers + peer_index`` for every ASN on
+    every surviving path and the peer that path reaches, each once,
+    since visibility is idempotent in duplicate elements.  ``kept`` and
     ``dropped`` count the elements one RIB pass of the object stream
     would have materialized, so sanitize accounting stays exact.
     """
 
-    pairs: Tuple[int, ...]
+    codes: Tuple[int, ...]
     kept: int
     dropped: Tuple[Tuple[str, int], ...]
 
@@ -106,6 +125,16 @@ class ContributionIndex:
     against the §3.2 prefix-length and loop rules.  All of it happens
     once per unique announcement; afterwards a day's worth of elements
     is a handful of integer reads.
+
+    A *plain* announcement (no forged origin, prepend, loop corruption
+    or single peer) is its announcer's routed paths unchanged.  Those
+    paths repeat no ASN (valley-free routes are simple), so none is a
+    loop, and every collector listing a peer with a path keeps one
+    element.  Its codes are shared by every plain announcement of the
+    announcer, and a single-homed stub's are derived from its
+    provider's without building a path.
+
+    ``slots`` maps each ASN to its counter slot, in first-seen order.
     """
 
     def __init__(
@@ -117,6 +146,12 @@ class ContributionIndex:
         self.oracle = PathOracle(topology, all_peer_asns(collectors))
         self.peers: List[ASN] = sorted(all_peer_asns(collectors))
         self._peer_index: Dict[ASN, int] = {p: i for i, p in enumerate(self.peers)}
+        #: collectors listing each peer: the elements a path there makes
+        self._listings = Counter(
+            peer for collector in self._collectors for peer in collector.peer_asns
+        )
+        self.slots: Dict[ASN, int] = _Slots()
+        self._fanouts: Dict[ASN, _Fanout] = {}
         self._cache: Dict[Announcement, Contribution] = {}
         #: Wall time spent computing new contributions (the columnar
         #: equivalent of the object path's stream + sanitize work).
@@ -130,10 +165,6 @@ class ContributionIndex:
         """Unique announcements interned so far."""
         return len(self._cache)
 
-    @property
-    def table(self) -> PathTable:
-        return self.oracle.table
-
     def contribution(self, ann: Announcement) -> Contribution:
         cached = self._cache.get(ann)
         if cached is None:
@@ -144,17 +175,71 @@ class ContributionIndex:
         return cached
 
     def _compute(self, ann: Announcement) -> Contribution:
-        table = self.oracle.table
-        raw_ids = self.oracle.path_ids_for(ann.announcer)
-        routable = ann.prefix.is_globally_routable_length()
-        plain = (
-            ann.forged_origin is None
-            and not ann.prepend
-            and not ann.corrupt_loop
-        )
+        if (
+            ann.forged_origin is not None
+            or ann.prepend
+            or ann.corrupt_loop
+            or ann.only_peer is not None
+        ):
+            return self._compute_paths(ann)
+        codes, kept, _peers = self._fanout(ann.announcer)
+        if ann.prefix.is_globally_routable_length():
+            return Contribution(codes=codes, kept=kept, dropped=())
+        dropped = ((REASON_PREFIX_LENGTH, kept),) if kept else ()
+        return Contribution(codes=(), kept=0, dropped=dropped)
+
+    def _fanout(self, announcer: ASN) -> _Fanout:
+        """The announcer's plain routed fan-out (cached)."""
+        fanout = self._fanouts.get(announcer)
+        if fanout is None:
+            provider = self.oracle.single_provider(announcer)
+            if provider is None:
+                fanout = self._expand(self.oracle.paths_for(announcer))
+            else:
+                fanout = self._derive_stub(announcer, self._fanout(provider))
+            self._fanouts[announcer] = fanout
+        return fanout
+
+    def _expand(self, paths: Dict[ASN, Tuple[ASN, ...]]) -> _Fanout:
+        """Codes of routed paths: no path repeats an ASN and no two
+        share a peer, so every (ASN, peer) code comes up once."""
         n_peers = len(self.peers)
         peer_index = self._peer_index
-        pairs: Set[int] = set()
+        slot_of = self.slots.__getitem__
+        codes: List[int] = []
+        indices: List[int] = []
+        kept = 0
+        for peer, path in paths.items():
+            i = peer_index[peer]
+            indices.append(i)
+            kept += self._listings[peer]
+            codes.extend([slot * n_peers + i for slot in map(slot_of, path)])
+        return tuple(codes), kept, tuple(indices)
+
+    def _derive_stub(self, stub: ASN, provider: _Fanout) -> _Fanout:
+        """A single-homed stub's fan-out from its provider's.
+
+        The stub's routes are the provider's with the stub appended,
+        except that the stub, when a vantage, sees itself over the
+        one-hop path instead of through its provider; either way the
+        same peers hold a path.
+        """
+        codes, kept, indices = provider
+        n_peers = len(self.peers)
+        own = self._peer_index.get(stub)
+        if own is not None:
+            codes = tuple(code for code in codes if code % n_peers != own)
+        base = self.slots[stub] * n_peers
+        return codes + tuple([base + i for i in indices]), kept, indices
+
+    def _compute_paths(self, ann: Announcement) -> Contribution:
+        """Element by element, for decorated and single-peer
+        announcements (the object stream's own steps)."""
+        paths = self.oracle.paths_for(ann.announcer)
+        routable = ann.prefix.is_globally_routable_length()
+        n_peers = len(self.peers)
+        slots = self.slots
+        codes: Set[int] = set()
         kept = 0
         dropped_prefix = 0
         dropped_loop = 0
@@ -162,31 +247,30 @@ class ContributionIndex:
             for peer in collector.peer_asns:
                 if ann.only_peer is not None and peer != ann.only_peer:
                     continue
-                pid = raw_ids.get(peer)
-                if pid is None:
-                    if ann.only_peer is not None and peer == ann.only_peer:
-                        # spurious data: the peer leaks a path nobody
-                        # else can corroborate
-                        pid = table.intern((peer, ann.announcer))
-                    else:
+                path = paths.get(peer)
+                if path is None:
+                    if ann.only_peer is None:
                         continue
-                if not plain:
-                    pid = table.intern(decorate_path(table.paths[pid], ann))
+                    # spurious data: the peer leaks a path nobody else
+                    # can corroborate
+                    path = (peer, ann.announcer)
+                path = decorate_path(path, ann)
                 if not routable:
                     dropped_prefix += 1
                     continue
-                if table.has_loop[pid]:
+                if path_has_loop(path):
                     dropped_loop += 1
                     continue
                 kept += 1
-                pairs.add(pid * n_peers + peer_index[peer])
+                i = self._peer_index[peer]
+                codes.update(slots[asn] * n_peers + i for asn in path)
         dropped: List[Tuple[str, int]] = []
         if dropped_loop:
             dropped.append((REASON_LOOP, dropped_loop))
         if dropped_prefix:
             dropped.append((REASON_PREFIX_LENGTH, dropped_prefix))
         return Contribution(
-            pairs=tuple(sorted(pairs)), kept=kept, dropped=tuple(dropped)
+            codes=tuple(codes), kept=kept, dropped=tuple(dropped)
         )
 
 
@@ -194,13 +278,13 @@ class ActivityEngine:
     """Incremental per-day visibility classifier over announcement diffs.
 
     Feed it ascending-day multiset diffs via :meth:`apply`; it maintains
-    live (path, peer) pair counts, per-ASN peer-bitset counter rows, and
-    open activity runs, and closes runs only when an ASN's visibility
-    class actually changes.  :meth:`finish` returns the per-ASN runs
-    ``[(class, start, end), ...]`` where class 2 = observed (≥
-    ``min_corroboration`` peers) and class 1 = single-peer;
-    :meth:`replay` drives a whole :class:`AnnouncementSchedule` through
-    both.
+    a live counter per (ASN slot, peer), a visible-peer count per slot,
+    and open activity runs, and closes runs only when an ASN's
+    visibility class actually changes.  :meth:`finish` returns the
+    per-ASN runs ``[(class, start, end), ...]`` in ASN order, where
+    class 2 = observed (≥ ``min_corroboration`` peers) and class 1 =
+    single-peer; :meth:`replay` drives a whole
+    :class:`AnnouncementSchedule` through both.
     """
 
     def __init__(
@@ -215,15 +299,14 @@ class ActivityEngine:
         self._index = ContributionIndex(topology, collectors)
         self._min_corr = min_corroboration
         self._n_peers = self._index.n_peers
-        self._zero_row = array("i", bytes(4 * (self._n_peers + 1)))
         # live state
         self._live: Counter = Counter()
-        self._pair_count: Dict[int, int] = {}
-        self._rows: Dict[ASN, array] = {}
-        # run bookkeeping
-        self._run_class: Dict[ASN, int] = {}
-        self._run_start: Dict[ASN, Day] = {}
-        self._runs: Dict[ASN, List[Tuple[int, Day, Day]]] = {}
+        self._counts = array("q")
+        self._visible = array("q")
+        # run bookkeeping, per slot
+        self._run_class: Dict[int, int] = {}
+        self._run_start: Dict[int, Day] = {}
+        self._runs: Dict[int, List[Tuple[int, Day, Day]]] = {}
         self._last_day: Optional[Day] = None
         # sanitize accounting: current per-day rates and day-weighted totals
         self._rate_kept = 0
@@ -266,7 +349,7 @@ class ActivityEngine:
             else:
                 del self._live[ann]
         self._live.update(added)
-        touched: Set[ASN] = set()
+        touched: Set[int] = set()
         for ann, count in removed.items():
             self._apply_contribution(ann, -count, touched)
         for ann, count in added.items():
@@ -274,13 +357,15 @@ class ActivityEngine:
         self._commit(day, touched)
 
     def finish(self, end: Day) -> Dict[ASN, List[Tuple[int, Day, Day]]]:
-        """Close all open runs at ``end`` and return the per-ASN runs."""
+        """Close all open runs at ``end`` and return the per-ASN runs,
+        in ASN order."""
         self._advance(end + 1)
-        for asn, cls in self._run_class.items():
-            self._runs.setdefault(asn, []).append((cls, self._run_start[asn], end))
+        for slot, cls in self._run_class.items():
+            self._runs.setdefault(slot, []).append((cls, self._run_start[slot], end))
         self._run_class.clear()
         self._run_start.clear()
-        return self._runs
+        asns = list(self._index.slots)
+        return dict(sorted((asns[slot], runs) for slot, runs in self._runs.items()))
 
     def replay(
         self, schedule: "AnnouncementSchedule"
@@ -305,60 +390,57 @@ class ActivityEngine:
         self._last_day = day
 
     def _apply_contribution(
-        self, ann: Announcement, delta: int, touched: Set[ASN]
+        self, ann: Announcement, delta: int, touched: Set[int]
     ) -> None:
         contrib = self._index.contribution(ann)
         self._rate_kept += delta * contrib.kept
         for reason, n in contrib.dropped:
             self._rate_dropped[reason] += delta * n
         n_peers = self._n_peers
-        pair_count = self._pair_count
-        distinct = self._index.table.distinct
-        rows = self._rows
-        zero = self._zero_row
-        for key in contrib.pairs:
-            old = pair_count.get(key, 0)
-            new = old + delta
-            if new:
-                pair_count[key] = new
-            else:
-                del pair_count[key]
-            if (old == 0) == (new == 0):
-                continue  # pair liveness unchanged
-            live_delta = 1 if old == 0 else -1
-            pid, peer = divmod(key, n_peers)
-            for asn in distinct[pid]:
-                row = rows.get(asn)
-                if row is None:
-                    row = array("i", zero)
-                    rows[asn] = row
-                count = row[peer] + live_delta
-                row[peer] = count
-                if count == (1 if live_delta > 0 else 0):
-                    row[n_peers] += live_delta
-                    touched.add(asn)
+        counts = self._counts
+        visible = self._visible
+        grow = len(self._index.slots) - len(visible)
+        if grow > 0:
+            visible.frombytes(bytes(8 * grow))
+            counts.frombytes(bytes(8 * grow * n_peers))
+        if delta > 0:
+            for code in contrib.codes:
+                old = counts[code]
+                counts[code] = old + delta
+                if not old:
+                    slot = code // n_peers
+                    visible[slot] += 1
+                    touched.add(slot)
+        else:
+            for code in contrib.codes:
+                new = counts[code] + delta
+                counts[code] = new
+                if not new:
+                    slot = code // n_peers
+                    visible[slot] -= 1
+                    touched.add(slot)
 
-    def _commit(self, day: Day, touched: Set[ASN]) -> None:
+    def _commit(self, day: Day, touched: Set[int]) -> None:
         """Open/close activity runs for ASNs whose class changed today."""
-        n_peers = self._n_peers
         min_corr = self._min_corr
-        for asn in touched:
-            row = self._rows.get(asn)
-            visible = row[n_peers] if row is not None else 0
-            new_class = 2 if visible >= min_corr else (1 if visible == 1 else 0)
-            old_class = self._run_class.get(asn, 0)
+        visible = self._visible
+        run_class = self._run_class
+        for slot in touched:
+            count = visible[slot]
+            new_class = 2 if count >= min_corr else (1 if count == 1 else 0)
+            old_class = run_class.get(slot, 0)
             if new_class == old_class:
                 continue
             if old_class:
-                self._runs.setdefault(asn, []).append(
-                    (old_class, self._run_start[asn], day - 1)
+                self._runs.setdefault(slot, []).append(
+                    (old_class, self._run_start[slot], day - 1)
                 )
             if new_class:
-                self._run_class[asn] = new_class
-                self._run_start[asn] = day
+                run_class[slot] = new_class
+                self._run_start[slot] = day
             else:
-                del self._run_class[asn]
-                del self._run_start[asn]
+                del run_class[slot]
+                del self._run_start[slot]
 
 
 # -- schedules --------------------------------------------------------------
@@ -527,8 +609,7 @@ def _build_tables(
     class_days_in: Counter = Counter()
     class_days: Counter = Counter()
     tables = {}
-    for asn in sorted(runs):
-        asn_runs = runs[asn]
+    for asn, asn_runs in runs.items():
         observed = [Interval(s, e) for cls, s, e in asn_runs if cls == 2]
         single = [Interval(s, e) for cls, s, e in asn_runs if cls == 1]
         table = OperationalActivity(

@@ -12,18 +12,26 @@ announcer.  An AS's provider route depends only on its providers'
 routes, so the sweep is confined to the vantages' provider closure: it
 climbs the announcer's full provider chain, then crosses peer links and
 descends customer links only inside that closure.  Its cost grows with
-the closure, not with the topology.
+the closure, not with the topology.  The closure and every AS's sorted
+neighbour lists depend only on the topology and the vantages, so a
+:class:`VantageReach` computes them once and every sweep reuses it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Collection, Dict, Optional, Sequence, Set, Tuple
+from typing import Callable, Collection, Dict, Sequence, Tuple
 
 from ..asn.numbers import ASN
 from .topology import AsTopology
 
-__all__ = ["ROUTE_CUSTOMER", "ROUTE_PEER", "ROUTE_PROVIDER", "best_paths"]
+__all__ = [
+    "ROUTE_CUSTOMER",
+    "ROUTE_PEER",
+    "ROUTE_PROVIDER",
+    "VantageReach",
+    "best_paths",
+]
 
 #: Route preference classes, in decreasing preference.
 ROUTE_CUSTOMER = 0
@@ -33,99 +41,135 @@ ROUTE_PROVIDER = 2
 Path = Tuple[ASN, ...]
 
 
-def _better(
-    cls_a: int, path_a: Path, cls_b: Optional[int], path_b: Optional[Path]
-) -> bool:
-    """True when route (cls_a, path_a) beats the incumbent (cls_b, path_b)."""
-    if cls_b is None or path_b is None:
-        return True
-    if cls_a != cls_b:
-        return cls_a < cls_b
-    if len(path_a) != len(path_b):
-        return len(path_a) < len(path_b)
-    return path_a < path_b
+class _Memo(dict):
+    """ASN → value, computed on first lookup."""
+
+    __slots__ = ("_compute",)
+
+    def __init__(self, compute: Callable[[ASN], Tuple[ASN, ...]]) -> None:
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, asn: ASN) -> Tuple[ASN, ...]:
+        value = self[asn] = self._compute(asn)
+        return value
+
+
+class VantageReach:
+    """What a sweep towards a fixed vantage set reads, computed once.
+
+    The closure is the vantages plus every transitive provider of
+    theirs.  ``providers[a]`` is a's providers, sorted; ``peers[a]``
+    and ``customers[a]`` are a's peers and customers inside the
+    closure, sorted.  The three lists fill in on first lookup, so a
+    reach shared by many sweeps sorts each AS's neighbours once.  The
+    topology must not change while the reach is in use.
+    """
+
+    def __init__(self, topo: AsTopology, vantages: Collection[ASN]) -> None:
+        self.vantages = frozenset(vantages)
+        closure = set(self.vantages)
+        stack = list(closure)
+        while stack:
+            for provider in topo.providers(stack.pop()):
+                if provider not in closure:
+                    closure.add(provider)
+                    stack.append(provider)
+        self.providers = _Memo(lambda a: tuple(sorted(topo.providers(a))))
+        self.peers = _Memo(lambda a: tuple(sorted(topo.peers(a) & closure)))
+        self.customers = _Memo(
+            lambda a: tuple(sorted(topo.customers(a) & closure))
+        )
 
 
 def best_paths(
-    topo: AsTopology, announcer: ASN, vantages: Collection[ASN]
+    topo: AsTopology, announcer: ASN, reach: VantageReach
 ) -> Dict[ASN, Path]:
-    """Best valley-free AS path from each vantage AS to ``announcer``.
+    """Best valley-free AS path from each of ``reach``'s vantages to
+    ``announcer``.
 
     The returned path for vantage ``x`` starts at ``x`` and ends at
     ``announcer``; the announcer itself, when a vantage, maps to the
     one-element path.  Vantages with no valley-free route to the
     announcer, or not in the topology, are absent.  Pass
-    ``topo.asns()`` for every AS's path.
+    ``VantageReach(topo, topo.asns())`` for every AS's path.
 
     Only ASes in the vantages' provider closure get peer or provider
     routes: a provider route is derived from the providers' routes
     alone, and the closure holds every provider of its members, so
     each vantage's route is exactly the one a sweep over the whole
     topology would find.  Paths come back in that sweep's order.
+
+    A candidate replaces the incumbent when it has the better class
+    (customer, then peer, then provider), then the shorter path, then
+    the lexicographically smaller one.  Each phase offers candidates of
+    one class, so every comparison below is that rule with the class
+    test folded in.
     """
     if announcer not in topo:
         return {}
-    # the vantages plus every transitive provider of theirs
-    closure: Set[ASN] = set(vantages)
-    stack = list(closure)
-    while stack:
-        for provider in topo.providers(stack.pop()):
-            if provider not in closure:
-                closure.add(provider)
-                stack.append(provider)
     route_class: Dict[ASN, int] = {announcer: ROUTE_CUSTOMER}
     route_path: Dict[ASN, Path] = {announcer: (announcer,)}
 
     # Phase 1 — customer routes climb provider links (BFS = shortest).
+    # Every route written so far is a customer route.
+    providers = reach.providers
     queue = deque([announcer])
     while queue:
         current = queue.popleft()
         path = route_path[current]
-        for provider in sorted(topo.providers(current)):
+        for provider in providers[current]:
             candidate = (provider,) + path
-            if _better(
-                ROUTE_CUSTOMER,
-                candidate,
-                route_class.get(provider),
-                route_path.get(provider),
+            old = route_path.get(provider)
+            if old is None or len(candidate) < len(old) or (
+                len(candidate) == len(old) and candidate < old
             ):
                 route_class[provider] = ROUTE_CUSTOMER
                 route_path[provider] = candidate
                 queue.append(provider)
 
-    # Phase 2 — one lateral peer hop over ASes holding customer routes,
-    # landing only inside the closure.
-    with_customer_route = [
-        asn for asn, cls in route_class.items() if cls == ROUTE_CUSTOMER
-    ]
-    for asn in sorted(with_customer_route, key=lambda a: (len(route_path[a]), a)):
+    # Phase 2 — one lateral peer hop over ASes holding customer routes
+    # (all of them, so far), landing only inside the closure.
+    peers = reach.peers
+    for asn in sorted(route_path, key=lambda a: (len(route_path[a]), a)):
         path = route_path[asn]
-        for peer in sorted(topo.peers(asn) & closure):
+        for peer in peers[asn]:
             candidate = (peer,) + path
-            if _better(
-                ROUTE_PEER, candidate, route_class.get(peer), route_path.get(peer)
-            ):
+            cls = route_class.get(peer)
+            if cls is None:
                 route_class[peer] = ROUTE_PEER
                 route_path[peer] = candidate
+            elif cls == ROUTE_PEER:
+                old = route_path[peer]
+                if len(candidate) < len(old) or (
+                    len(candidate) == len(old) and candidate < old
+                ):
+                    route_path[peer] = candidate
 
     # Phase 3 — descend customer links; provider routes propagate down.
     # A customer inside the closure has all its providers inside it.
+    customers = reach.customers
     queue = deque(sorted(route_class, key=lambda a: (len(route_path[a]), a)))
     while queue:
         current = queue.popleft()
         path = route_path[current]
-        for customer in sorted(topo.customers(current) & closure):
+        for customer in customers[current]:
             candidate = (customer,) + path
-            if _better(
-                ROUTE_PROVIDER,
-                candidate,
-                route_class.get(customer),
-                route_path.get(customer),
-            ):
+            cls = route_class.get(customer)
+            if cls is None:
                 route_class[customer] = ROUTE_PROVIDER
-                route_path[customer] = candidate
-                queue.append(customer)
+            elif cls != ROUTE_PROVIDER:
+                continue
+            else:
+                old = route_path[customer]
+                if len(candidate) > len(old) or (
+                    len(candidate) == len(old) and not candidate < old
+                ):
+                    continue
+            route_path[customer] = candidate
+            queue.append(customer)
 
+    vantages = reach.vantages
     return {v: p for v, p in route_path.items() if v in vantages}
 
 

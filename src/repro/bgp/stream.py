@@ -12,7 +12,8 @@ Path computation is the hot spot, so :class:`PathOracle` runs the
 valley-free sweep once per routing root (the topology is static): a
 single-homed stub reuses its provider's sweep, every other announcer
 gets its own, and each sweep computes routes only where a collector
-peer's route can depend on them.
+peer's route can depend on them, reading neighbour lists that one
+:class:`~repro.bgp.routing.VantageReach` sorted once for all sweeps.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ from ..asn.numbers import ASN
 from ..net.prefix import Prefix
 from ..timeline.dates import Day
 from .collector import Collector, all_peer_asns
-from .messages import ANNOUNCE, RIB, WITHDRAW, BgpElement, distinct_path_asns, path_has_loop
-from .routing import Path, best_paths
+from .messages import ANNOUNCE, RIB, WITHDRAW, BgpElement
+from .routing import Path, VantageReach, best_paths
 from .topology import AsTopology
 
 __all__ = [
     "Announcement",
-    "PathTable",
     "PathOracle",
     "SyntheticBgpStream",
     "decorate_path",
@@ -87,52 +87,11 @@ def decorate_path(path: Path, ann: "Announcement") -> Path:
     return path
 
 
-class PathTable:
-    """Interns AS paths to dense integer ids with precomputed facts.
-
-    The columnar activity engine never carries path tuples through its
-    hot loops: a path is interned once, and everything the §3.2
-    pipeline derives from it — the distinct ASNs it makes visible and
-    whether the sanitizer rejects it as a loop — is computed at intern
-    time and read back by id.  ``paths[i]``, ``distinct[i]`` and
-    ``has_loop[i]`` are parallel columns over path ids.
-    """
-
-    __slots__ = ("_ids", "paths", "distinct", "has_loop")
-
-    def __init__(self) -> None:
-        self._ids: Dict[Path, int] = {}
-        self.paths: List[Path] = []
-        self.distinct: List[Tuple[ASN, ...]] = []
-        self.has_loop: List[bool] = []
-
-    def intern(self, path: Path) -> int:
-        """Return the id of ``path``, assigning the next id when new."""
-        pid = self._ids.get(path)
-        if pid is None:
-            pid = len(self.paths)
-            self._ids[path] = pid
-            self.paths.append(path)
-            if len(set(path)) == len(path):
-                # no ASN repeats: no loop, and the path is its own
-                # distinct-ASN tuple
-                self.distinct.append(path)
-                self.has_loop.append(False)
-            else:
-                self.distinct.append(distinct_path_asns(path))
-                self.has_loop.append(path_has_loop(path))
-        return pid
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-
 class PathOracle:
     """Caches best valley-free paths from vantage ASes to announcers.
 
-    Besides the tuple-level cache the oracle keeps a :class:`PathTable`
-    interning every vantage path once, so columnar consumers work with
-    dense path ids instead of per-element tuples.  ``sweeps`` and
+    The oracle builds one :class:`~repro.bgp.routing.VantageReach` for
+    its vantages and hands it to every sweep.  ``sweeps`` and
     ``sweep_seconds`` count the routing sweeps run so far and their
     wall time, so callers can attribute routing inside their stages.
 
@@ -147,10 +106,8 @@ class PathOracle:
 
     def __init__(self, topology: AsTopology, vantages: Set[ASN]) -> None:
         self._topology = topology
-        self._vantages = set(vantages)
+        self._reach = VantageReach(topology, vantages)
         self._cache: Dict[ASN, Dict[ASN, Path]] = {}
-        self.table = PathTable()
-        self._ids_cache: Dict[ASN, Dict[ASN, int]] = {}
         self.sweeps = 0
         self.sweep_seconds = 0.0
 
@@ -158,36 +115,31 @@ class PathOracle:
         """Vantage → path map for one announcer (cached)."""
         cached = self._cache.get(announcer)
         if cached is None:
-            provider = self._single_provider(announcer)
+            provider = self.single_provider(announcer)
             if provider is not None:
-                cached = {announcer: (announcer,)} if announcer in self._vantages else {}
+                cached = (
+                    {announcer: (announcer,)}
+                    if announcer in self._reach.vantages
+                    else {}
+                )
                 for v, path in self.paths_for(provider).items():
                     if v != announcer:
                         cached[v] = path + (announcer,)
             else:
                 start = perf_counter()
-                cached = best_paths(self._topology, announcer, self._vantages)
+                cached = best_paths(self._topology, announcer, self._reach)
                 self.sweep_seconds += perf_counter() - start
                 self.sweeps += 1
             self._cache[announcer] = cached
         return cached
 
-    def _single_provider(self, asn: ASN) -> Optional[ASN]:
+    def single_provider(self, asn: ASN) -> Optional[ASN]:
         """The provider of a single-homed stub, else None."""
         topo = self._topology
         providers = topo.providers(asn)
         if len(providers) != 1 or topo.peers(asn) or topo.customers(asn):
             return None
         return next(iter(providers))
-
-    def path_ids_for(self, announcer: ASN) -> Dict[ASN, int]:
-        """Vantage → interned path id for one announcer (cached)."""
-        cached = self._ids_cache.get(announcer)
-        if cached is None:
-            intern = self.table.intern
-            cached = {v: intern(p) for v, p in self.paths_for(announcer).items()}
-            self._ids_cache[announcer] = cached
-        return cached
 
 
 class SyntheticBgpStream:

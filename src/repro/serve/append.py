@@ -70,7 +70,8 @@ def append_days(
     if days < 1:
         raise ServeStoreError("append needs at least one day")
     tracer = tracer if tracer is not None else Tracer()
-    index = StoreIndex.open(store_dir, faults=faults)
+    index = StoreIndex.open(store_dir, faults=faults, metrics=tracer.metrics)
+    tracer.drain_events_from(index)
     meta = index.meta
     if index.doc.get("config_hash") != cache_key(config=world.config):
         raise ServeStoreError(

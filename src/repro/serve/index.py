@@ -28,6 +28,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..asn.numbers import ASN
 from ..runtime.cache import USE_ENV_FAULTS
+from ..runtime.observability import MetricsRegistry
 from ..timeline.dates import Day, to_iso
 from .store import (
     INDEX_NAME,
@@ -83,15 +84,23 @@ class StoreIndex:
         self._shards = shards
         #: Shard upper bounds, for the first-level binary search.
         self._his: List[ASN] = [asns[-1] for asns, _records in shards]
+        #: Runtime events of the verified open (quarantines, failed
+        #: reads), for the run that opened the store to drain.
+        self.events: List[str] = []
 
     # -- construction --------------------------------------------------
 
     @classmethod
     def open(
-        cls, store_dir: Union[str, Path], *, faults: Any = USE_ENV_FAULTS
+        cls,
+        store_dir: Union[str, Path],
+        *,
+        faults: Any = USE_ENV_FAULTS,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> "StoreIndex":
-        """Load a store directory (index + every shard, verified)."""
-        cache = store_publisher(store_dir, faults=faults)
+        """Load a store directory (index + every shard, verified);
+        ``metrics`` is the run's registry, if the caller has a run."""
+        cache = store_publisher(store_dir, faults=faults, metrics=metrics)
         index_blob = load_bytes_verified(cache, INDEX_NAME)
         try:
             index_doc = json.loads(index_blob.decode("utf-8"))
@@ -107,7 +116,9 @@ class StoreIndex:
                     f"shard {row['name']} does not match its index row"
                 )
             shards.append((asns, records))
-        return cls(index_doc, shards)
+        index = cls(index_doc, shards)
+        index.events = cache.events
+        return index
 
     # -- lookups -------------------------------------------------------
 

@@ -22,18 +22,20 @@ from repro.bgp import (
     Announcement,
     AsTopology,
     Collector,
-    PathTable,
+    PathOracle,
     SyntheticBgpStream,
+    all_peer_asns,
     decorate_path,
-    distinct_path_asns,
     path_has_loop,
     sanitize,
 )
 from repro.bgp.activity import (
     ActivityEngine,
+    ContributionIndex,
     build_activity_tables,
     build_world_activity_tables,
     schedule_from_day_source,
+    schedule_from_world,
 )
 from repro.bgp.sanitize import SanitizeStats
 from repro.lifetimes.bgp import (
@@ -43,6 +45,7 @@ from repro.lifetimes.bgp import (
 )
 from repro.net import Prefix
 from repro.runtime import ArtifactCache, MetricsRegistry, Tracer
+from repro.scenario import NAMED_SCENARIOS
 from repro.simulation.config import tiny
 from repro.simulation.world import WorldSimulator
 
@@ -69,6 +72,16 @@ def _build_small_world():
 #: hypothesis forbids function-scoped fixtures under @given.
 SMALL_WORLD = _build_small_world()
 
+#: The same topology with the single-homed stubs 1001 and 2001 among
+#: the collector peers, so a stub announcer can see itself.
+STUB_PEER_WORLD = (
+    SMALL_WORLD[0],
+    [
+        Collector("route-views", "routeviews", (10, 100, 1001)),
+        Collector("rrc00", "ris", (20, 200, 1001, 2001)),
+    ],
+)
+
 
 @pytest.fixture
 def small_world():
@@ -90,48 +103,7 @@ def legacy_tables(topo, collectors, day_source, start, end, min_corroboration):
 # -- building blocks ---------------------------------------------------------
 
 
-class TestPathTable:
-    def test_interning_is_stable_and_dense(self):
-        table = PathTable()
-        a = table.intern((10, 100, 1001))
-        b = table.intern((20, 200, 2001))
-        assert (a, b) == (0, 1)
-        assert table.intern((10, 100, 1001)) == a
-        assert len(table) == 2
-        assert table.paths[a] == (10, 100, 1001)
-
-    def test_columns_precomputed(self):
-        table = PathTable()
-        pid = table.intern((10, 100, 100, 1001, 10))
-        assert table.distinct[pid] == (10, 100, 1001)
-        assert table.has_loop[pid]
-        clean = table.intern((10, 100, 1001, 1001))
-        assert not table.has_loop[clean]
-
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_columns_match_helpers_after_any_interns(self, data):
-        """Columns equal the helpers on every path, loop-free or not,
-        and re-interning a path returns its first id."""
-        hops = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=8)
-        prepended = st.tuples(hops, st.integers(min_value=0, max_value=3)).map(
-            lambda hp: tuple(hp[0]) + (hp[0][-1],) * hp[1]
-        )
-        pool = data.draw(st.lists(prepended, min_size=1, max_size=20), label="pool")
-        order = data.draw(
-            st.lists(st.sampled_from(pool), min_size=1, max_size=60), label="order"
-        )
-        table = PathTable()
-        first = {}
-        for path in order:
-            pid = table.intern(path)
-            assert first.setdefault(path, pid) == pid
-        assert len(table) == len(first)
-        for pid, path in enumerate(table.paths):
-            assert first[path] == pid
-            assert table.distinct[pid] == distinct_path_asns(path)
-            assert table.has_loop[pid] == path_has_loop(path)
-
+class TestDecoratePath:
     def test_decorate_path_matches_stream(self):
         ann = Announcement(1001, P1, forged_origin=65001, prepend=2)
         assert decorate_path((10, 100, 1001), ann) == (
@@ -188,11 +160,18 @@ def day_source_from_episodes(episodes):
     return lambda day: by_day.get(day, [])
 
 
+WORLDS = st.sampled_from([SMALL_WORLD, STUB_PEER_WORLD])
+
+
 class TestColumnarEquivalence:
     @settings(max_examples=40, deadline=None)
-    @given(episodes=SCENARIO, min_corroboration=st.sampled_from([1, 2]))
-    def test_matches_object_stream(self, episodes, min_corroboration):
-        topo, collectors = SMALL_WORLD
+    @given(
+        episodes=SCENARIO,
+        min_corroboration=st.sampled_from([1, 2]),
+        world=WORLDS,
+    )
+    def test_matches_object_stream(self, episodes, min_corroboration, world):
+        topo, collectors = world
         source = day_source_from_episodes(episodes)
         start, end = 0, 30
         expected = legacy_tables(
@@ -206,10 +185,10 @@ class TestColumnarEquivalence:
         assert report.days == end - start + 1
 
     @settings(max_examples=20, deadline=None)
-    @given(episodes=SCENARIO)
-    def test_sanitize_accounting_matches(self, episodes):
+    @given(episodes=SCENARIO, world=WORLDS)
+    def test_sanitize_accounting_matches(self, episodes, world):
         """Day-weighted kept/dropped counters equal per-element counts."""
-        topo, collectors = SMALL_WORLD
+        topo, collectors = world
         source = day_source_from_episodes(episodes)
         start, end = 0, 30
         stream = SyntheticBgpStream(topo, collectors, source)
@@ -357,3 +336,90 @@ class TestWorldPipeline:
         )
         # min_peers=1 folds single-peer days in, so it can only add lives
         assert len(relaxed) >= len(strict)
+
+
+# -- the five library scenarios ---------------------------------------------
+
+
+@pytest.fixture(scope="module", params=sorted(NAMED_SCENARIOS))
+def scenario_world(request):
+    return WorldSimulator(NAMED_SCENARIOS[request.param].compile()).run()
+
+
+def _plain(ann):
+    return (
+        ann.forged_origin is None
+        and not ann.prepend
+        and not ann.corrupt_loop
+        and ann.only_peer is None
+    )
+
+
+class TestPlainFanouts:
+    def test_routed_paths_repeat_no_asn(self, scenario_world):
+        """Valley-free routes are simple paths, so a plain announcement
+        needs no loop check and its ASNs need no dedup."""
+        world = scenario_world
+        oracle = PathOracle(world.topology, all_peer_asns(world.collectors))
+        for announcer in world.topology.asns():
+            for path in oracle.paths_for(announcer).values():
+                assert len(set(path)) == len(path), path
+                assert not path_has_loop(path)
+
+    def test_plain_codes_equal_expanded_paths(self, scenario_world):
+        """Every plain announcer's codes and ``kept``, single-homed stubs'
+        derived from their provider's, equal what expanding its routed
+        paths element by element gives."""
+        world = scenario_world
+        config = world.config
+        schedule = schedule_from_world(world, config.start_day, config.end_day)
+        announced = [ann for ann, _ in schedule.base] + [
+            ann for _, added, _ in schedule.changes for ann, _ in added
+        ]
+        announcers = sorted({a.announcer for a in announced if _plain(a)})
+        stubs = _check_plain_codes(world.topology, world.collectors, announcers)
+        assert stubs
+
+    def test_stub_peer_sees_itself_over_one_hop(self):
+        """A single-homed stub that is a collector peer: its own entry
+        is the one-hop path, not its provider's path to it."""
+        topo, collectors = STUB_PEER_WORLD
+        assert _check_plain_codes(topo, collectors, [1001, 2001, 100, 200]) == 2
+
+
+def _check_plain_codes(topo, collectors, announcers):
+    """Assert each announcer's plain contribution equals its expanded
+    ``paths_for`` map; returns how many were single-homed stubs."""
+    index = ContributionIndex(topo, collectors)
+    n_peers = index.n_peers
+    peer_index = {peer: i for i, peer in enumerate(index.peers)}
+    listings = Counter(p for c in collectors for p in c.peer_asns)
+    stubs = 0
+    for announcer in announcers:
+        contrib = index.contribution(Announcement(announcer, P1))
+        stubs += index.oracle.single_provider(announcer) is not None
+        paths = index.oracle.paths_for(announcer)
+        expected = {
+            index.slots[asn] * n_peers + peer_index[peer]
+            for peer, path in paths.items()
+            for asn in path
+        }
+        assert len(contrib.codes) == len(expected), announcer
+        assert set(contrib.codes) == expected, announcer
+        assert contrib.kept == sum(listings[peer] for peer in paths)
+        assert contrib.dropped == ()
+    return stubs
+
+
+def test_store_build_window_report_is_pinned():
+    """The 30-day ``mass-transfer`` window: one contribution per
+    announcement, one sweep per routing root, and the element counts
+    of the object stream."""
+    scenario = NAMED_SCENARIOS["mass-transfer"]
+    world = WorldSimulator(scenario.compile()).run()
+    end = world.config.end_day
+    _tables, report = build_world_activity_tables(world, start=end - 29, end=end)
+    assert report.contributions == 897
+    assert report.routing_sweeps == 426
+    assert (report.elements, report.kept) == (959_292, 959_292)
+    assert report.dropped == {}

@@ -9,12 +9,29 @@ from hypothesis import strategies as st
 from repro.bgp import (
     AsTopology,
     PathOracle,
+    VantageReach,
     best_paths,
     generate_topology,
     validate_valley_free,
 )
-from repro.bgp.routing import ROUTE_CUSTOMER, ROUTE_PEER, ROUTE_PROVIDER, _better
+from repro.bgp.routing import ROUTE_CUSTOMER, ROUTE_PEER, ROUTE_PROVIDER
 from repro.bgp.topology import generate_ixp_topology, generate_regional_topology
+
+
+def everywhere(topo, announcer):
+    """Every AS's best path to ``announcer``."""
+    return best_paths(topo, announcer, VantageReach(topo, topo.asns()))
+
+
+def _better(cls_a, path_a, cls_b, path_b):
+    """True when route (cls_a, path_a) beats the incumbent (cls_b, path_b)."""
+    if cls_b is None or path_b is None:
+        return True
+    if cls_a != cls_b:
+        return cls_a < cls_b
+    if len(path_a) != len(path_b):
+        return len(path_a) < len(path_b)
+    return path_a < path_b
 
 
 def _reference_best_paths(topo, announcer):
@@ -134,32 +151,46 @@ class TestTopology:
 
 class TestRouting:
     def test_customer_route_up_the_chain(self, diamond):
-        paths = best_paths(diamond, 1001, diamond.asns())
+        paths = everywhere(diamond, 1001)
         assert paths[100] == (100, 1001)
         assert paths[10] == (10, 100, 1001)
 
     def test_peer_route_single_lateral_hop(self, diamond):
-        paths = best_paths(diamond, 1001, diamond.asns())
+        paths = everywhere(diamond, 1001)
         assert paths[20] == (20, 10, 100, 1001)
 
     def test_provider_route_descends(self, diamond):
-        paths = best_paths(diamond, 1001, diamond.asns())
+        paths = everywhere(diamond, 1001)
         assert paths[2001] == (2001, 200, 20, 10, 100, 1001)
 
     def test_multihomed_stub_shortest(self, diamond):
-        paths = best_paths(diamond, 3001, diamond.asns())
+        paths = everywhere(diamond, 3001)
         # from 2001 the direct route via 200 wins over the detour via 10/20
         assert paths[2001] == (2001, 200, 3001)
 
+    def test_preference_outranks_length(self):
+        """A customer route beats a shorter peer route, and a peer route
+        beats a shorter provider route."""
+        topo = AsTopology()
+        for provider, customer in ((2, 1), (3, 2), (4, 1), (4, 5),
+                                   (6, 1), (7, 6), (8, 7), (9, 8)):
+            topo.add_p2c(provider, customer)
+        topo.add_p2p(3, 5)
+        topo.add_p2p(4, 9)
+        paths = everywhere(topo, 1)
+        assert paths[9] == (9, 8, 7, 6, 1)  # not the peer route (9, 4, 1)
+        assert paths[5] == (5, 3, 2, 1)  # not the provider route (5, 4, 1)
+        assert paths == _reference_best_paths(topo, 1)
+
     def test_announcer_maps_to_itself(self, diamond):
-        assert best_paths(diamond, 1001, diamond.asns())[1001] == (1001,)
+        assert everywhere(diamond, 1001)[1001] == (1001,)
 
     def test_unknown_announcer_empty(self, diamond):
-        assert best_paths(diamond, 99999, diamond.asns()) == {}
+        assert everywhere(diamond, 99999) == {}
 
     def test_all_paths_valley_free(self, diamond):
         for origin in (1001, 2001, 3001, 100, 10):
-            for path in best_paths(diamond, origin, diamond.asns()).values():
+            for path in everywhere(diamond, origin).values():
                 assert validate_valley_free(diamond, path), path
 
     def test_valley_rejected_by_oracle(self, diamond):
@@ -194,7 +225,7 @@ class TestGeneratedTopology:
     def test_full_reachability_from_stubs(self):
         asns = list(range(1, 201))
         topo = generate_topology(asns, seed=1)
-        paths = best_paths(topo, asns[-1], topo.asns())  # a stub announces
+        paths = everywhere(topo, asns[-1])  # a stub announces
         assert len(paths) == len(asns)  # everyone has a route
 
 
@@ -204,7 +235,7 @@ def test_generated_paths_always_valley_free(seed, size):
     asns = list(range(1, size + 1))
     topo = generate_topology(asns, seed=seed)
     origin = asns[-1]
-    for path in best_paths(topo, origin, topo.asns()).values():
+    for path in everywhere(topo, origin).values():
         assert validate_valley_free(topo, path)
 
 
@@ -241,7 +272,8 @@ def _vantage_sets(topo):
 )
 def test_restricted_sweep_matches_unrestricted(recipe, seed, size, data):
     """The vantage-restricted sweep returns exactly the unrestricted
-    sweep's vantage entries, in the same order."""
+    sweep's vantage entries, in the same order, whether its reach is
+    fresh or already filled in by sweeps towards other announcers."""
     asns = list(range(1, size + 1))
     topo = _RECIPES[recipe](asns, seed=seed)
     announcers = data.draw(
@@ -250,13 +282,16 @@ def test_restricted_sweep_matches_unrestricted(recipe, seed, size, data):
     )
     for _ in range(3):
         vantages = data.draw(_vantage_sets(topo), label="vantages")
+        shared = VantageReach(topo, vantages)
         for announcer in announcers:
             want = [
                 (v, p)
                 for v, p in _reference_best_paths(topo, announcer).items()
                 if v in vantages
             ]
-            assert list(best_paths(topo, announcer, vantages).items()) == want
+            assert list(best_paths(topo, announcer, shared).items()) == want
+            fresh = VantageReach(topo, vantages)
+            assert list(best_paths(topo, announcer, fresh).items()) == want
 
 
 def _single_provider(topo, asn):

@@ -159,3 +159,101 @@ def test_pair_wins_skip_pairs_missing_a_side():
     records[1]["result"] = None  # base pair 1 crashed
     rows, _failures_ = ab.verdict(BENCHMARK, records)
     assert rows[0][1] == "op_p50_ms" and rows[0][-2] == "2/2"
+
+
+LAYERED = {
+    **BENCHMARK,
+    "per_layer": [
+        {"name": "simulation.run_ms", "unit": "ms", "better": "lower"},
+        {"name": "restoration.restore_ms", "unit": "ms", "better": "lower"},
+        {"name": "serve.http.handler_us", "unit": "us", "better": "lower"},
+        {"name": "runtime.gc_collections", "unit": "count", "better": "lower"},
+        {"name": "serve.publish_bytes", "unit": "bytes", "better": "lower"},
+    ],
+}
+
+LAYERS_BASE = {
+    "simulation.run_ms": 220.0,
+    "restoration.restore_ms": 190.0,
+    "serve.http.handler_us": 100.0,
+    "runtime.gc_collections": 200.0,
+    "serve.publish_bytes": 0.0,
+}
+
+
+def _traced(head: dict, base: dict = LAYERS_BASE, workload: str = "pipeline") -> list:
+    """Three traced runs per side, each reporting per-layer metrics."""
+    return [
+        {
+            "side": side,
+            "workload": workload,
+            "pair": pair,
+            "trace": 1,
+            "result": {"metrics": {k: {"value": v} for k, v in values.items()}},
+        }
+        for side, values in (("base", base), ("head", head))
+        for pair in range(3)
+    ]
+
+
+def test_layer_table_puts_the_moved_layer_first():
+    # a 0.3 s busy loop in restore: 300 ms more there, a few ms of
+    # drift elsewhere, and large moves in units that are not time
+    head = {
+        "simulation.run_ms": 224.0,
+        "restoration.restore_ms": 490.0,
+        "serve.http.handler_us": 2000.0,
+        "runtime.gc_collections": 900.0,
+        "serve.publish_bytes": 5000.0,
+    }
+    rows = ab.layer_table(LAYERED, _traced(head), "pipeline")
+    assert [row[0] for row in rows] == [
+        "restoration.restore_ms",
+        "simulation.run_ms",
+        "serve.http.handler_us",
+        "serve.publish_bytes",
+        "runtime.gc_collections",
+    ]
+    layer, unit, base, moved, change = rows[0]
+    assert (unit, base, moved, change) == ("ms", 190.0, 490.0, 300.0)
+    table = ab.render_layers("pipeline", rows)
+    assert table.splitlines()[2].startswith("restoration.restore_ms")
+
+
+def test_layer_table_uses_medians_and_skips_crashed_runs():
+    records = _traced(LAYERS_BASE)
+    records[3]["result"]["metrics"]["simulation.run_ms"]["value"] = 9000.0
+    records[4]["result"] = None
+    rows = ab.layer_table(LAYERED, records, "pipeline")
+    # head keeps runs 3 (9000) and 5 (220): their median is the mean
+    assert dict((row[0], row[3]) for row in rows)["simulation.run_ms"] == 4610.0
+    assert all(row[2] == LAYERS_BASE[row[0]] for row in rows)
+
+
+def test_layer_table_reads_one_workload_and_needs_both_sides():
+    records = _traced(LAYERS_BASE) + _traced(
+        {**LAYERS_BASE, "simulation.run_ms": 1.0}, workload="store-build"
+    )
+    rows = ab.layer_table(LAYERED, records, "pipeline")
+    assert all(change == 0.0 for *_rest, change in rows)
+    # serve.publish_bytes reads 0 on both sides: a layer pipeline never reaches
+    assert "serve.publish_bytes" not in [row[0] for row in rows]
+    assert len(rows) == len(LAYERED["per_layer"]) - 1
+    only_head = [r for r in records if r["side"] == "head"]
+    assert ab.layer_table(LAYERED, only_head, "pipeline") == []
+
+
+def test_moved_workloads_are_failures_and_half_bound_moves():
+    bench = {**BENCHMARK, "workloads": [{"name": "pipeline"}, {"name": "store-build"}]}
+
+    def records(workload, head):
+        return [{**r, "workload": workload} for r in _records(head)]
+
+    rows, _ = ab.verdict(bench, records("pipeline", {**BASE, "op_p50_ms": 440.0})
+                         + records("store-build", BASE))
+    # +10% is inside half the 25% bound: nothing to trace
+    assert ab.moved_workloads(bench, rows) == []
+    rows, _ = ab.verdict(bench, records("pipeline", {**BASE, "op_p50_ms": 260.0})
+                         + records("store-build", {**BASE, "peak_rss_mb": 100.0}))
+    # -35% (a gain) and +25% RSS (a failure) both get traced
+    assert ab.moved_workloads(bench, rows) == ["pipeline", "store-build"]

@@ -16,6 +16,7 @@ import pytest
 from repro.bgp import PathOracle, all_peer_asns
 from repro.core.taxonomy import Category
 from repro.lifetimes.records import AdminLifetime, BgpLifetime
+from repro.runtime import MetricsRegistry, Tracer
 from repro.runtime.cache import ArtifactCache, cache_key
 from repro.runtime.faults import FaultInjector, FaultSpec
 from repro.serve.append import append_days
@@ -213,6 +214,28 @@ class TestBuildAndAppend:
         assert doc1 == doc2
         # unchanged files were recognized and not republished
         assert {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()} == mtimes
+
+    def test_append_counts_its_store_open_in_the_run(self, bundle, tmp_path):
+        """The verified reads of the append's own store open (index plus
+        every shard) land in the run's metrics, next to its publish."""
+        config = bundle.world.config
+        start, end = _window(config)
+        build_store(tmp_path, bundle.world, bundle.admin_lives,
+                    start=start, end=end - 2, faults=None)
+        asns = json.loads((tmp_path / INDEX_NAME).read_text())["counts"]["asns"]
+        build_store(tmp_path, bundle.world, bundle.admin_lives,
+                    start=start, end=end - 2, faults=None,
+                    shard_size=(asns + 1) // 2)
+        opened = MetricsRegistry()
+        index = StoreIndex.open(tmp_path, faults=None, metrics=opened)
+        assert len(index.doc["shards"]) == 2
+        assert opened.counter("cache.hits").value == 3
+        assert index.events == []
+
+        tracer = Tracer()
+        append_days(tmp_path, bundle.world, 2, faults=None, tracer=tracer)
+        # 3 reads open the store; its publish compares and reads back 8
+        assert tracer.metrics.counter("cache.hits").value == 3 + 8
 
     def test_append_rejects_foreign_world(self, bundle, tmp_path):
         config = bundle.world.config
