@@ -68,7 +68,7 @@ def test_pipeline_scaling(record_result):
     build_datasets(bench(seed=2021), cache=cache)
     warm_tracer = Tracer()
     _, warm_seconds = _timed_build(cache=cache, tracer=warm_tracer)
-    assert cache.hits >= 1
+    assert warm_tracer.metrics.snapshot()["counters"]["cache.hits"] == 1
     assert [s.name for s in warm_tracer.stage_spans()] == ["cache:lookup"]
     cache_speedup = cold_seconds / warm_seconds
     assert cache_speedup >= 10, (
@@ -150,7 +150,7 @@ def test_bgp_activity_scaling(record_result, tmp_path):
         world, start=start, end=end, cache=cache, tracer=warm_tracer,
     )
     warm_seconds = perf_counter() - t0
-    assert cache.hits == 1
+    assert warm_tracer.metrics.snapshot()["counters"]["cache.hits"] == 1
     assert [s.name for s in warm_tracer.stage_spans()] == [
         "cache:lookup", "bgp:segment",
     ]
@@ -216,9 +216,13 @@ def test_cache_verification_overhead(record_result, tmp_path, monkeypatch):
     (entry,) = tmp_path.glob("*.pkl")
     manifest_path = tmp_path / f"{entry.stem}.manifest.json"
 
+    run = Tracer()  # every timed hit counts into one run
+
     def warm_hit(cache: ArtifactCache) -> float:
         t0 = perf_counter()
-        lives, _ = build_operational_dataset(world, cache=cache, **window)
+        lives, _ = build_operational_dataset(
+            world, cache=cache, tracer=run, **window
+        )
         elapsed = perf_counter() - t0
         assert lives  # every iteration is a real warm hit
         return elapsed
@@ -251,8 +255,9 @@ def test_cache_verification_overhead(record_result, tmp_path, monkeypatch):
         for side in order if round_no % 2 == 0 else reversed(order):
             best[side] = min(best[side], side(cache))
     sha_t, no_ledger_t = best[warm_hit], best[no_ledger_hit]
-    assert cache.hits == 14
-    assert cache.corrupt == 0
+    counters = run.metrics.snapshot()["counters"]
+    assert counters["cache.hits"] == 14
+    assert "cache.verify_failures" not in counters
     verify_t = verify_seconds()
     off_t = sha_t - verify_t
     bare_t = no_ledger_t - verify_t

@@ -6,11 +6,15 @@ fault injection (``REPRO_FAULT_SEED``), with the run's tracer subscribed to
 the ambient injector, and then verifies that *every* fault the injector
 actually fired appears as a ``fault: site=... kind=...`` annotation in
 the emitted JSON-lines trace, and that the run's ``faults.injected``
-counter equals the number fired.  CI runs this after the
-fault-injection suite; a fault that fires without leaving a trace
-annotation, or a count, means the observability layer lost a failure
-the runtime survived silently — exactly the blind spot the layer
-exists to close.
+counter equals the number fired.  It then closes the degradation
+account the same way: the run's ``cache.verify_failures`` plus
+``cache.store_failures`` must equal the verification and store
+failure messages in the run's events, and ``cache.quarantined`` the
+quarantine messages.  CI runs this after the fault-injection suite; a
+fault or degradation that happens without leaving a trace annotation,
+an event, or a count means the observability layer lost a failure the
+runtime survived silently — exactly the blind spot the layer exists to
+close.
 
 The run's trace, metrics snapshot, and manifest are written to
 ``--out`` (default: a temp directory) so CI can upload them as
@@ -29,6 +33,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from typing import List
 
 from repro.runtime import (
     ArtifactCache,
@@ -42,6 +47,43 @@ from repro.runtime import (
 from repro.runtime.faults import from_env
 from repro.simulation import build_datasets
 from repro.simulation.config import tiny
+
+
+def degradation_mismatches(counters, events) -> List[str]:
+    """How the run's cache counters and its event messages disagree.
+
+    Verification failures (sha256 or unpickle) and failed stores must
+    each have one message, and so must quarantines; an empty list means
+    the account closes.
+    """
+    failed = sum(
+        1 for event in events
+        if event.startswith("cache: ")
+        and (event.endswith(" failed sha256 verification")
+             or event.endswith(" failed to unpickle")
+             or "; continuing uncached" in event)
+    )
+    quarantines = sum(
+        1 for event in events
+        if event.startswith("cache: quarantined corrupt entry ")
+    )
+    counted_failed = (
+        counters.get("cache.verify_failures", 0)
+        + counters.get("cache.store_failures", 0)
+    )
+    counted_quarantines = counters.get("cache.quarantined", 0)
+    mismatches = []
+    if counted_failed != failed:
+        mismatches.append(
+            f"cache.verify_failures + cache.store_failures = {counted_failed}, "
+            f"but {failed} failure events"
+        )
+    if counted_quarantines != quarantines:
+        mismatches.append(
+            f"cache.quarantined = {counted_quarantines}, "
+            f"but {quarantines} quarantine events"
+        )
+    return mismatches
 
 
 def main(argv=None) -> int:
@@ -70,7 +112,7 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory(prefix="fault-cache-") as cache_dir:
             # two builds through one faulty cache: the first stores
             # (write/replace faults), the second loads (read faults)
-            cache = ArtifactCache(cache_dir, metrics=metrics)
+            cache = ArtifactCache(cache_dir)
             config = tiny(seed=args.seed)
             bundle = build_datasets(config, cache=cache, tracer=tracer)
             again = build_datasets(config, cache=cache, tracer=tracer)
@@ -137,8 +179,16 @@ def main(argv=None) -> int:
         print(f"check_fault_trace: FAIL — the run counted {counted} faults "
               f"but {len(fired)} fired", file=sys.stderr)
         return 1
+    mismatches = degradation_mismatches(snapshot["counters"], tracer.events)
+    if mismatches:
+        print("check_fault_trace: FAIL — the run's cache counters and its "
+              "events disagree:", file=sys.stderr)
+        for mismatch in mismatches:
+            print(f"  - {mismatch}", file=sys.stderr)
+        return 1
     print("check_fault_trace: every injected fault is annotated in the trace "
-          "and counted in the run's metrics")
+          "and counted in the run's metrics, and every cache degradation "
+          "counted is an event of the run")
     return 0
 
 

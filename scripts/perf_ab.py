@@ -3,8 +3,11 @@
 
     python scripts/perf_ab.py BASE_REF
 
-Checks ``BASE_REF`` out into a temporary git worktree, then runs every
-workload ``BENCHMARK.json`` names, untraced, for that file's
+Checks ``BASE_REF`` out into a temporary git worktree, byte-compiles
+both trees' ``src`` and ``perfbench`` once (a fresh worktree has no
+``__pycache__``, and set-up would otherwise pay the base's compiles
+alone), then runs every workload ``BENCHMARK.json`` names, untraced,
+for that file's
 ``run_seconds``: :data:`PAIRS` pairs per workload, each tree under its
 own ``perfbench/run.py``, with the tree that goes first alternating
 from pair to pair so host drift lands on both sides alike.
@@ -63,6 +66,16 @@ def git(*args: str) -> str:
     return subprocess.run(
         ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+def compile_trees(trees: Dict[str, Path]) -> None:
+    """Byte-compile each tree's sources, so neither side's runs pay
+    for compiling what the other side's runs load from bytecode."""
+    for side in SIDES:
+        subprocess.run(
+            [sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+            cwd=trees[side], check=True, stdout=subprocess.DEVNULL,
+        )
 
 
 def run_once(
@@ -256,6 +269,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     git("worktree", "add", "--detach", str(base_tree), base_sha)
     trees = {"base": base_tree, "head": ROOT}
     try:
+        compile_trees(trees)
         workloads = [w["name"] for w in benchmark["workloads"]]
         print(f"perf-ab: base {args.base_ref} ({base_sha[:12]}) vs the working tree, "
               f"{PAIRS} pairs x {len(workloads)} workloads, "

@@ -59,25 +59,24 @@ over all of its items.  Runtime flags on ``simulate``: ``--cache-dir
 PATH`` reuses/stores content-addressed pipeline artifacts (every
 loaded entry is checked against its sha256 manifest; corrupt entries
 are quarantined and rebuilt), and ``--profile`` prints the run's span
-tree (per-stage wall times and item counts) plus any runtime
-degradation events.
+tree (per-stage wall times and item counts) plus the run's
+degradation events, each also annotated on the span where it
+happened.
 ``--bgp-window N`` rebuilds operational lifetimes from the
 message-level BGP stream over the last N days with the columnar
 activity engine (cached activity tables make repeat runs skip the
 stream); without it, operational activity comes from the simulation's
 activity intervals over the full window.
 
-Observability flags on ``simulate`` (see DESIGN.md §7): ``--trace``
-writes the run's nested span trace as JSON lines, ``--metrics-out``
-writes a counters/gauges/histograms snapshot, ``--manifest`` writes
-the run provenance manifest (config hash, cache-key versions,
-run settings, fault-injection settings, git describe, span
-digest), and ``--ledger`` (implied by ``--trace``) writes the dataflow
-conservation ledger.  Each takes an optional path and defaults to a
-file next to the exported datasets; all are written atomically.
-Writing a manifest also appends the run to a ``runs.jsonl`` index
-(``--runs-index``) so ``inspect diff`` can address it later by digest
-prefix.
+Every ``simulate`` run writes its record next to the exported
+datasets (see DESIGN.md §7), each file atomically: ``trace.jsonl``
+(the nested span trace as JSON lines), ``metrics.json`` (a
+counters/gauges/histograms snapshot), ``ledger.json`` (the dataflow
+conservation ledger) and ``run_manifest.json`` (config hash,
+cache-key versions, run settings, fault-injection settings, git
+describe, span digest).  The run is appended to a ``runs.jsonl``
+index (``--runs-index``, default next to the datasets) so ``inspect
+diff`` can address it later by digest prefix.
 
 Run ``python -m repro.cli <subcommand> --help`` for options.
 """
@@ -148,34 +147,12 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--profile", action="store_true",
                           help="print the run's span tree (per-stage wall "
                           "times, item counts) and runtime events")
-    simulate.add_argument("--trace", nargs="?", const="@out", default=None,
-                          metavar="PATH",
-                          help="write the run's span trace as JSON lines "
-                          "(nested stage spans, cache and fault "
-                          "annotations; default PATH: OUT/trace.jsonl)")
-    simulate.add_argument("--metrics-out", nargs="?", const="@out",
-                          default=None, metavar="PATH",
-                          help="write a metrics snapshot (counters, gauges, "
-                          "per-stage histograms) as JSON "
-                          "(default PATH: OUT/metrics.json)")
-    simulate.add_argument("--manifest", nargs="?", const="@out", default=None,
-                          metavar="PATH",
-                          help="write the run provenance manifest (config "
-                          "hash, cache-key versions, run settings, "
-                          "fault-injection settings, git describe, span "
-                          "digest; default PATH: OUT/run_manifest.json)")
-    simulate.add_argument("--ledger", nargs="?", const="@out", default=None,
-                          metavar="PATH",
-                          help="write the dataflow ledger (per-stage record "
-                          "conservation counters: in == kept + dropped-by-"
-                          "reason; default PATH: OUT/ledger.json). Implied "
-                          "by --trace")
     simulate.add_argument("--runs-index", type=Path, default=None,
                           metavar="PATH",
                           help="append this run's manifest digest + artifact "
                           "paths to a runs.jsonl index so 'repro inspect "
-                          "diff' can address it by digest prefix (default "
-                          "when --manifest is written: OUT/runs.jsonl)")
+                          "diff' can address it by digest prefix (default: "
+                          "OUT/runs.jsonl)")
     simulate.add_argument("--bgp-window", type=int, default=None,
                           metavar="N",
                           help="rebuild operational activity from the "
@@ -371,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _artifact_path(value, out: Path, default_name: str) -> Optional[Path]:
-    """Resolve a ``--trace``-style flag: absent, bare, or explicit path."""
+    """Resolve an optional-path flag: absent, bare, or explicit path."""
     if value is None:
         return None
     if value == "@out":
@@ -422,15 +399,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         write_run_manifest,
     )
 
-    trace_path = _artifact_path(args.trace, args.out, "trace.jsonl")
-    metrics_path = _artifact_path(args.metrics_out, args.out, "metrics.json")
-    manifest_path = _artifact_path(args.manifest, args.out, "run_manifest.json")
-    ledger_path = _artifact_path(args.ledger, args.out, "ledger.json")
     taxonomy_path = _artifact_path(args.taxonomy_out, args.out, "taxonomy.json")
-    if ledger_path is None and trace_path is not None:
-        # --trace implies the ledger: the two artifacts describe the
-        # same run and the CI closure check expects both
-        ledger_path = args.out / "ledger.json"
     if args.bgp_window is not None and args.bgp_window < 1:
         print("error: --bgp-window must be at least 1 day", file=sys.stderr)
         return 2
@@ -509,57 +478,54 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "op_asns": joint.total_op_asns(),
         })
         print(f"wrote {taxonomy_path} (taxonomy counts)")
-    if trace_path is not None:
-        tracer.write_jsonl(trace_path)
-        print(f"wrote {trace_path} ({len(tracer.spans) + 1} spans)")
-    if metrics_path is not None:
-        write_json_atomic(metrics_path, metrics.snapshot())
-        print(f"wrote {metrics_path} (metrics snapshot)")
-    if ledger_path is not None:
-        ledger_doc = build_ledger(metrics)
-        write_ledger(ledger_path, ledger_doc)
-        verdict = (
-            "all conserving" if ledger_doc["conserved"]
-            else "CONSERVATION VIOLATIONS"
-        )
-        print(f"wrote {ledger_path} ({len(ledger_doc['stages'])} ledger "
-              f"stages, {verdict})")
-    if manifest_path is not None:
-        manifest = build_run_manifest(
-            config=config,
-            settings={
-                "scenario": (
-                    {
-                        "name": scenario.name,
-                        "digest": scenario.digest(),
-                        "fingerprint": scenario_key,
-                    }
-                    if scenario is not None else None
-                ),
-                "bgp_window": args.bgp_window,
-                "timeout": args.timeout,
-                "inject_pitfalls": not args.no_pitfalls,
-                "cache_dir": str(args.cache_dir) if args.cache_dir else None,
-            },
-            tracer=tracer,
-            # describe the checkout the *code* ran from, not the cwd
-            git_root=Path(__file__).resolve().parent,
-        )
-        write_run_manifest(manifest_path, manifest)
-        print(f"wrote {manifest_path} (run manifest, "
-              f"digest {manifest['digest'][:12]})")
-        runs_index = args.runs_index
-        if runs_index is None:
-            runs_index = args.out / "runs.jsonl"
-        record_run(runs_index, manifest, {
-            "admin": admin_path,
-            "operational": op_path,
-            "manifest": manifest_path,
-            "metrics": metrics_path,
-            "trace": trace_path,
-            "ledger": ledger_path,
-        })
-        print(f"registered run {manifest['digest'][:12]} in {runs_index}")
+    # the run's record: trace, metrics, ledger and manifest, always
+    trace_path = tracer.write_jsonl(args.out / "trace.jsonl")
+    print(f"wrote {trace_path} ({len(tracer.spans) + 1} spans)")
+    metrics_path = write_json_atomic(args.out / "metrics.json", metrics.snapshot())
+    print(f"wrote {metrics_path} (metrics snapshot)")
+    ledger_doc = build_ledger(metrics)
+    ledger_path = write_ledger(args.out / "ledger.json", ledger_doc)
+    verdict = (
+        "all conserving" if ledger_doc["conserved"]
+        else "CONSERVATION VIOLATIONS"
+    )
+    print(f"wrote {ledger_path} ({len(ledger_doc['stages'])} ledger "
+          f"stages, {verdict})")
+    manifest = build_run_manifest(
+        config=config,
+        settings={
+            "scenario": (
+                {
+                    "name": scenario.name,
+                    "digest": scenario.digest(),
+                    "fingerprint": scenario_key,
+                }
+                if scenario is not None else None
+            ),
+            "bgp_window": args.bgp_window,
+            "timeout": args.timeout,
+            "inject_pitfalls": not args.no_pitfalls,
+            "cache_dir": str(args.cache_dir) if args.cache_dir else None,
+        },
+        tracer=tracer,
+        # describe the checkout the *code* ran from, not the cwd
+        git_root=Path(__file__).resolve().parent,
+    )
+    manifest_path = write_run_manifest(args.out / "run_manifest.json", manifest)
+    print(f"wrote {manifest_path} (run manifest, "
+          f"digest {manifest['digest'][:12]})")
+    runs_index = args.runs_index
+    if runs_index is None:
+        runs_index = args.out / "runs.jsonl"
+    record_run(runs_index, manifest, {
+        "admin": admin_path,
+        "operational": op_path,
+        "manifest": manifest_path,
+        "metrics": metrics_path,
+        "trace": trace_path,
+        "ledger": ledger_path,
+    })
+    print(f"registered run {manifest['digest'][:12]} in {runs_index}")
     if args.profile:
         _print_profile(tracer)
     return 0

@@ -153,30 +153,8 @@ def build_operational_dataset(
     end = world.config.end_day if end is None else end
     if tracer is None:
         tracer = Tracer()
-    if cache is not None and not isinstance(cache, ArtifactCache):
-        cache = ArtifactCache(cache, metrics=tracer.metrics)
 
-    tables: Optional[Dict[ASN, OperationalActivity]] = None
-    key: Optional[str] = None
-    if cache is not None:
-        key = cache.key_for(
-            artifact="activity-table",
-            table_version=ACTIVITY_TABLE_VERSION,
-            config=world.config,
-            start=start,
-            end=end,
-            min_corroboration=min_corroboration,
-        )
-        with tracer.stage("cache:lookup", component="cache") as timing:
-            tables = cache.load(key)
-            if tables is not None:
-                timing.items = len(tables)
-                timing.set_attr("cache", "hit")
-            else:
-                timing.set_attr("cache", "miss")
-        tracer.drain_events_from(cache)
-
-    if tables is None:
+    def build() -> Dict[ASN, OperationalActivity]:
         tables, report = build_world_activity_tables(
             world,
             start=start,
@@ -220,12 +198,22 @@ def build_operational_dataset(
         ))
         tracer.metrics.inc("bgp.elements", report.elements)
         tracer.metrics.inc("bgp.contributions", report.contributions)
-        if cache is not None and key is not None:
-            with tracer.stage(
-                "cache:store", items=len(tables), component="cache"
-            ):
-                cache.store(key, tables)
-            tracer.drain_events_from(cache)
+        return tables
+
+    if cache is None:
+        tables = build()
+    else:
+        if not isinstance(cache, ArtifactCache):
+            cache = ArtifactCache(cache)
+        key = cache.key_for(
+            artifact="activity-table",
+            table_version=ACTIVITY_TABLE_VERSION,
+            config=world.config,
+            start=start,
+            end=end,
+            min_corroboration=min_corroboration,
+        )
+        tables = cache.get_or_build(key, build, tracer=tracer)
 
     with tracer.stage("bgp:segment", component="bgp", engine="columnar") as timing:
         op_lives = build_bgp_lifetimes(

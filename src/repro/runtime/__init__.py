@@ -12,7 +12,7 @@ reproduction pipeline the same operational shape.
   :class:`~repro.runtime.observability.Tracer`: per-stage spans (wall
   time, item counts), the ``stage.<name>.seconds`` metrics, and the
   runtime's degradation event log, surfaced through ``simulate
-  --profile``, ``--trace`` and the run manifest.
+  --profile`` and the run's ``trace.jsonl`` and manifest.
 * :mod:`repro.runtime.faults` — deterministic, seeded failure
   injection (torn writes, disk full, read-only directories, ...) so
   every failure mode the hardening claims to survive is provoked in

@@ -28,9 +28,20 @@ made visible, bit rot, a truncated file — is moved to a
 the artifact is rebuilt; an entry is never deleted blind, and a
 corrupt load can never return a wrong artifact silently.  Failed
 stores degrade gracefully by default (the built artifact is returned,
-the entry is simply not persisted, and the failure is surfaced in
-:attr:`ArtifactCache.events`); strict callers get a typed
+the entry is simply not persisted); strict callers get a typed
 :class:`CacheStoreError` instead.
+
+The cache keeps no account of its own.  Every ``load``/``store`` call
+names the run it serves: its
+:class:`~repro.runtime.observability.Tracer` counts the outcome in
+``tracer.metrics`` (``cache.hits``, ``cache.misses``,
+``cache.verify_failures``, ``cache.quarantined``, ``cache.stores``,
+``cache.store_failures``) and each degradation lands in
+``tracer.note`` on the span open when it happened, so one cache
+directory shared by many runs still splits its outcomes run by run.
+:meth:`ArtifactCache.get_or_build` is the one cached-stage path:
+lookup, then build and store on a miss, under ``cache:lookup`` and
+``cache:store`` spans.
 """
 
 from __future__ import annotations
@@ -42,11 +53,12 @@ import itertools
 import json
 import os
 import pickle
+from collections.abc import Sized
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from .faults import USE_ENV_FAULTS, FaultInjector, resolve_faults
-from .observability import MetricsRegistry
+from .observability import Tracer
 
 __all__ = [
     "PIPELINE_VERSION",
@@ -195,24 +207,10 @@ class ArtifactCache:
         *,
         faults: Any = USE_ENV_FAULTS,
         strict_store: bool = False,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.root = Path(root)
         self.faults: Optional[FaultInjector] = resolve_faults(faults)
         self.strict_store = strict_store
-        #: Where counters (``cache.hits``, ``cache.verify_failures``,
-        #: ...) aggregate: the run's registry when a driver passes its
-        #: tracer's, else one the cache owns.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
-        self.quarantined = 0
-        self.store_failures = 0
-        #: Human-readable log of degradations (quarantines, failed
-        #: stores); pipeline drivers drain this into the run's
-        #: :attr:`~repro.runtime.observability.Tracer.events`.
-        self.events: List[str] = []
 
     # -- paths ---------------------------------------------------------
 
@@ -256,7 +254,7 @@ class ArtifactCache:
             and manifest.get("sha256") == hashlib.sha256(blob).hexdigest()
         )
 
-    def _quarantine(self, path: Path, observed: bytes) -> None:
+    def _quarantine(self, path: Path, observed: bytes, tracer: Tracer) -> None:
         """Move the bad entry aside — but only the bytes actually read.
 
         A plain ``unlink(path)`` races with concurrent builders: a
@@ -289,20 +287,28 @@ class ArtifactCache:
             except OSError:
                 pass
             return
-        self.quarantined += 1
-        self.metrics.inc("cache.quarantined")
-        self.events.append(
+        tracer.metrics.inc("cache.quarantined")
+        tracer.note(
             f"cache: quarantined corrupt entry {path.name} -> {qpath.name}"
         )
 
+    def _corrupt(
+        self, key: str, path: Path, observed: bytes, why: str, tracer: Tracer
+    ) -> None:
+        """Count a failed verification, quarantine it, count the miss."""
+        tracer.metrics.inc("cache.verify_failures")
+        tracer.note(f"cache: entry {key[:12]} {why}")
+        self._quarantine(path, observed, tracer)
+        tracer.metrics.inc("cache.misses")
+
     def _verified_payload(
-        self, key: str, path: Path, manifest_path: Path
+        self, key: str, path: Path, manifest_path: Path, tracer: Tracer
     ) -> Optional[bytes]:
         """The payload bytes iff they are readable and match the sidecar
         manifest; anything else counts a miss."""
         blob = self._read_payload(path)
         if blob is None:
-            self._miss()
+            tracer.metrics.inc("cache.misses")
             return None
         if self._manifest_matches(self._read_manifest(manifest_path), blob):
             return blob
@@ -314,57 +320,54 @@ class ArtifactCache:
         if fresh is not None and self._manifest_matches(manifest, fresh):
             return fresh
         if manifest is None:
-            # Unverifiable, not provably corrupt (legacy entry or a
-            # lost manifest): miss, but leave the payload in place for
-            # the rebuild's store to overwrite.
-            self.events.append(
+            # Unverifiable, not provably corrupt (a lost manifest):
+            # miss, but leave the payload in place for the rebuild's
+            # store to overwrite.
+            tracer.note(
                 f"cache: entry {key[:12]} has no manifest; treating as miss"
             )
-            self._miss()
+            tracer.metrics.inc("cache.misses")
             return None
-        self.corrupt += 1
-        self.metrics.inc("cache.verify_failures")
-        self.events.append(
-            f"cache: entry {key[:12]} failed sha256 verification"
+        self._corrupt(
+            key, path, fresh if fresh is not None else blob,
+            "failed sha256 verification", tracer,
         )
-        self._quarantine(path, fresh if fresh is not None else blob)
-        self._miss()
         return None
 
-    def _miss(self) -> None:
-        self.misses += 1
-        self.metrics.inc("cache.misses")
-
-    def lookup(self, key: str) -> Any:
+    def _lookup(self, key: str, tracer: Tracer) -> Any:
         """The cached artifact, or the module-private miss marker.
 
         Unlike :meth:`load`, a cached ``None`` is distinguishable from
-        a miss — this is what :meth:`get_or_build` consults.
+        a miss — this is what :meth:`get_or_build` consults.  A
+        checksum-valid payload without the envelope was not written by
+        :meth:`store`: a miss, left for the rebuild's store to
+        overwrite.
         """
         path = self.path_for(key)
-        blob = self._verified_payload(key, path, self.manifest_path_for(key))
+        blob = self._verified_payload(
+            key, path, self.manifest_path_for(key), tracer
+        )
         if blob is None:
             return _MISS
         try:
             obj = loads_with_gc_paused(blob)
         except Exception:
-            self.corrupt += 1
-            self.metrics.inc("cache.verify_failures")
-            self.events.append(f"cache: entry {key[:12]} failed to unpickle")
-            self._quarantine(path, blob)
-            self._miss()
+            self._corrupt(key, path, blob, "failed to unpickle", tracer)
             return _MISS
-        self.hits += 1
-        self.metrics.inc("cache.hits")
-        if (
+        if not (
             isinstance(obj, tuple)
             and len(obj) == 2
             and obj[0] == _ENVELOPE_TAG
         ):
-            return obj[1]
-        return obj  # legacy entry written before envelopes
+            tracer.note(
+                f"cache: entry {key[:12]} has no envelope; treating as miss"
+            )
+            tracer.metrics.inc("cache.misses")
+            return _MISS
+        tracer.metrics.inc("cache.hits")
+        return obj[1]
 
-    def load(self, key: str) -> Optional[Any]:
+    def load(self, key: str, *, tracer: Tracer) -> Optional[Any]:
         """Return the cached artifact, or ``None`` on a miss.
 
         A corrupt or unreadable entry counts as a miss and is
@@ -372,19 +375,19 @@ class ArtifactCache:
         (``None`` is ambiguous here by design — callers caching
         possibly-``None`` artifacts go through :meth:`get_or_build`.)
         """
-        value = self.lookup(key)
+        value = self._lookup(key, tracer)
         return None if value is _MISS else value
 
     # -- storing -------------------------------------------------------
 
-    def store(self, key: str, artifact: Any) -> Optional[Path]:
+    def store(self, key: str, artifact: Any, *, tracer: Tracer) -> Optional[Path]:
         """Atomically persist an artifact (payload + manifest).
 
         On I/O failure (disk full, read-only directory, ...) the
         partially written temp files are always removed; by default the
-        failure is recorded in :attr:`events` and ``None`` is returned
-        — the pipeline continues with the freshly built artifact,
-        merely uncached.  With ``strict_store=True`` on the cache a
+        failure is noted in the run and ``None`` is returned — the
+        pipeline continues with the freshly built artifact, merely
+        uncached.  With ``strict_store=True`` on the cache a
         :class:`CacheStoreError` is raised instead.
         """
         try:
@@ -400,6 +403,7 @@ class ArtifactCache:
             path=self.path_for(key),
             manifest_path=self.manifest_path_for(key),
             kind="pickle",
+            tracer=tracer,
         )
 
     def _publish(
@@ -410,6 +414,7 @@ class ArtifactCache:
         path: Path,
         manifest_path: Path,
         kind: str,
+        tracer: Tracer,
     ) -> Optional[Path]:
         manifest_blob = json.dumps(
             {
@@ -451,11 +456,10 @@ class ArtifactCache:
                 # whatever failed above, never leak temp files
                 for tmp in (tmp_payload, tmp_manifest):
                     tmp.unlink(missing_ok=True)
-            self.metrics.inc("cache.stores")
+            tracer.metrics.inc("cache.stores")
         except OSError as exc:
-            self.store_failures += 1
-            self.metrics.inc("cache.store_failures")
-            self.events.append(
+            tracer.metrics.inc("cache.store_failures")
+            tracer.note(
                 f"cache: store of {key[:12]} failed ({exc}); continuing uncached"
             )
             if self.strict_store:
@@ -487,7 +491,9 @@ class ArtifactCache:
     def named_manifest_path(self, name: str) -> Path:
         return self.root / f"{self._check_name(name)}.manifest.json"
 
-    def store_named(self, name: str, blob: bytes) -> Optional[Path]:
+    def store_named(
+        self, name: str, blob: bytes, *, tracer: Tracer
+    ) -> Optional[Path]:
         """Atomically persist raw bytes under a caller-chosen name.
 
         Same guarantees as :meth:`store` (unique temps, manifest-first
@@ -501,9 +507,10 @@ class ArtifactCache:
             path=self.named_path(name),
             manifest_path=self.named_manifest_path(name),
             kind="named",
+            tracer=tracer,
         )
 
-    def load_named(self, name: str) -> Optional[bytes]:
+    def load_named(self, name: str, *, tracer: Tracer) -> Optional[bytes]:
         """Verified bytes of a named entry, or ``None``.
 
         ``None`` covers both "missing" and "corrupt" (the latter is
@@ -511,32 +518,43 @@ class ArtifactCache:
         write and then fail typed — see ``repro.serve.store``.
         """
         blob = self._verified_payload(
-            name, self.named_path(name), self.named_manifest_path(name)
+            name, self.named_path(name), self.named_manifest_path(name), tracer
         )
-        if blob is None:
-            return None
-        self.hits += 1
-        self.metrics.inc("cache.hits")
+        if blob is not None:
+            tracer.metrics.inc("cache.hits")
         return blob
 
-    def get_or_build(self, key: str, builder) -> Any:
-        """Load the artifact for ``key``, building and storing on a miss.
+    def get_or_build(
+        self, key: str, builder: Callable[[], Any], *, tracer: Tracer
+    ) -> Any:
+        """The one cached-stage path: load ``key``, else build and store.
 
+        The lookup runs in a ``cache:lookup`` span (``cache=hit|miss``),
+        the builder's own stages run beside it, and the store runs in a
+        ``cache:store`` span, both with ``component="cache"``.  A sized
+        artifact (the activity tables) gives both spans ``items`` =
+        its length; a hit of any other artifact counts one item.
         Builders may legitimately return ``None``; the envelope makes a
         cached ``None`` hit instead of rebuilding forever.
         """
-        value = self.lookup(key)
-        if value is _MISS:
-            value = builder()
-            self.store(key, value)
+        with tracer.stage("cache:lookup", component="cache") as span:
+            value = self._lookup(key, tracer)
+            if value is not _MISS:
+                span.items = len(value) if isinstance(value, Sized) else 1
+                span.set_attr("cache", "hit")
+                return value
+            span.set_attr("cache", "miss")
+        value = builder()
+        with tracer.stage(
+            "cache:store",
+            items=len(value) if isinstance(value, Sized) else None,
+            component="cache",
+        ):
+            self.store(key, value, tracer=tracer)
         return value
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).exists()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<ArtifactCache {self.root} "
-            f"hits={self.hits} misses={self.misses} "
-            f"quarantined={self.quarantined}>"
-        )
+        return f"<ArtifactCache {self.root}>"

@@ -274,8 +274,8 @@ def stage_seconds(run: RunArtifacts) -> Dict[str, float]:
     """stage name → total wall seconds, metrics first, trace fallback.
 
     The metrics snapshot's ``stage.<name>.seconds`` histogram sums are
-    authoritative (they are what the pipeline itself timed); runs
-    captured without ``--metrics-out`` fall back to summing trace
+    authoritative (they are what the pipeline itself timed); run
+    directories without a ``metrics.json`` fall back to summing trace
     stage spans.
     """
     if run.metrics is not None:

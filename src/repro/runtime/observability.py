@@ -212,7 +212,8 @@ class Tracer:
         self.trace_id = os.urandom(8).hex()
         self.metrics = MetricsRegistry()
         #: Degradation/event log: the runtime's quarantines and failed
-        #: stores.  A clean run leaves it empty.
+        #: stores, noted by the cache call that served this run when it
+        #: happened.  A clean run leaves it empty.
         self.events: List[str] = []
         self.root = Span(1, None, "run", kind="root")
         #: Stage spans in finish order (the root is added at export time).
@@ -301,29 +302,6 @@ class Tracer:
     def annotate_current(self, message: str) -> None:
         """Annotate the current span without logging an event."""
         self.current().annotate(message)
-
-    def drain_events_from(self, *sources: object) -> None:
-        """Move the ``events`` logs of caches into this run.
-
-        The source log is snapshotted before extending and cleared
-        afterwards, so a source reused across runs never re-reports old
-        events — and draining a source that shares this run's event
-        list (including this tracer itself) is a safe no-op instead of
-        an unbounded self-extension.
-        """
-        for source in sources:
-            log = getattr(source, "events", None)
-            if log is None or log is self.events:
-                continue
-            pending = [str(event) for event in log]
-            if not pending:
-                continue
-            try:
-                log.clear()
-            except AttributeError:
-                pass  # immutable source log: report it, cannot drain it
-            for event in pending:
-                self.note(event)
 
     def subscribe_faults(self, injector: Any) -> Callable[[], None]:
         """Mirror every fired fault of ``injector`` into this run.

@@ -70,8 +70,7 @@ def append_days(
     if days < 1:
         raise ServeStoreError("append needs at least one day")
     tracer = tracer if tracer is not None else Tracer()
-    index = StoreIndex.open(store_dir, faults=faults, metrics=tracer.metrics)
-    tracer.drain_events_from(index)
+    index = StoreIndex.open(store_dir, faults=faults, tracer=tracer)
     meta = index.meta
     if index.doc.get("config_hash") != cache_key(config=world.config):
         raise ServeStoreError(

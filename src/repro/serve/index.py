@@ -28,7 +28,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..asn.numbers import ASN
 from ..runtime.cache import USE_ENV_FAULTS
-from ..runtime.observability import MetricsRegistry
+from ..runtime.observability import Tracer
 from ..timeline.dates import Day, to_iso
 from .store import (
     INDEX_NAME,
@@ -84,9 +84,6 @@ class StoreIndex:
         self._shards = shards
         #: Shard upper bounds, for the first-level binary search.
         self._his: List[ASN] = [asns[-1] for asns, _records in shards]
-        #: Runtime events of the verified open (quarantines, failed
-        #: reads), for the run that opened the store to drain.
-        self.events: List[str] = []
 
     # -- construction --------------------------------------------------
 
@@ -96,19 +93,24 @@ class StoreIndex:
         store_dir: Union[str, Path],
         *,
         faults: Any = USE_ENV_FAULTS,
-        metrics: Optional[MetricsRegistry] = None,
+        tracer: Optional[Tracer] = None,
     ) -> "StoreIndex":
-        """Load a store directory (index + every shard, verified);
-        ``metrics`` is the run's registry, if the caller has a run."""
-        cache = store_publisher(store_dir, faults=faults, metrics=metrics)
-        index_blob = load_bytes_verified(cache, INDEX_NAME)
+        """Load a store directory (index + every shard, verified).
+
+        Each verified read and any degradation is counted in
+        ``tracer``'s run; without a run (the ``serve`` command, load
+        generators) a fresh :class:`Tracer` takes them.
+        """
+        tracer = tracer if tracer is not None else Tracer()
+        cache = store_publisher(store_dir, faults=faults)
+        index_blob = load_bytes_verified(cache, INDEX_NAME, tracer=tracer)
         try:
             index_doc = json.loads(index_blob.decode("utf-8"))
         except ValueError as exc:
             raise ServeStoreError(f"store index is not valid JSON: {exc}") from exc
         shards: List[Tuple[List[ASN], List[AsnRecord]]] = []
         for row in index_doc.get("shards", ()):
-            blob = load_bytes_verified(cache, row["name"])
+            blob = load_bytes_verified(cache, row["name"], tracer=tracer)
             records = decode_shard(blob)
             asns = [record.asn for record in records]
             if not asns or asns[0] != row["lo"] or asns[-1] != row["hi"]:
@@ -116,9 +118,7 @@ class StoreIndex:
                     f"shard {row['name']} does not match its index row"
                 )
             shards.append((asns, records))
-        index = cls(index_doc, shards)
-        index.events = cache.events
-        return index
+        return cls(index_doc, shards)
 
     # -- lookups -------------------------------------------------------
 

@@ -58,7 +58,7 @@ from ..runtime.cache import (
     cache_key,
     fingerprint,
 )
-from ..runtime.observability import MetricsRegistry, Tracer, git_describe
+from ..runtime.observability import Tracer, git_describe
 from ..runtime.runs import record_run
 from ..timeline.dates import Day
 from ..timeline.intervals import IntervalSet
@@ -339,17 +339,11 @@ def plan_shards(
 
 
 def store_publisher(
-    store_dir: Union[str, Path],
-    *,
-    faults: Any = USE_ENV_FAULTS,
-    metrics: Optional[MetricsRegistry] = None,
+    store_dir: Union[str, Path], *, faults: Any = USE_ENV_FAULTS
 ) -> ArtifactCache:
     """The cache instance all store file I/O routes through (a failed
-    store raises, so :func:`store_bytes_verified` can retry it);
-    ``metrics`` is the run's registry, if the caller has a run."""
-    return ArtifactCache(
-        store_dir, faults=faults, strict_store=True, metrics=metrics
-    )
+    store raises, so :func:`store_bytes_verified` can retry it)."""
+    return ArtifactCache(store_dir, faults=faults, strict_store=True)
 
 
 def store_bytes_verified(
@@ -357,6 +351,7 @@ def store_bytes_verified(
     name: str,
     blob: bytes,
     *,
+    tracer: Tracer,
     retries: int = DEFAULT_PUBLISH_RETRIES,
 ) -> None:
     """Publish one store file and prove it landed intact.
@@ -364,15 +359,16 @@ def store_bytes_verified(
     Each attempt is a full atomic publish followed by a verified
     read-back compared byte-for-byte — a torn write, an injected I/O
     error, or a mangled payload shows up as a mismatch and is retried.
+    Every attempt's outcome is counted in ``tracer``'s run.
     """
     failure = "never attempted"
     for _attempt in range(max(1, retries)):
         try:
-            cache.store_named(name, blob)
+            cache.store_named(name, blob, tracer=tracer)
         except CacheStoreError as exc:
             failure = str(exc)
             continue
-        if cache.load_named(name) == blob:
+        if cache.load_named(name, tracer=tracer) == blob:
             return
         failure = "read-back did not match published bytes"
     raise ServeStoreError(
@@ -381,11 +377,15 @@ def store_bytes_verified(
 
 
 def load_bytes_verified(
-    cache: ArtifactCache, name: str, *, retries: int = DEFAULT_READ_RETRIES
+    cache: ArtifactCache,
+    name: str,
+    *,
+    tracer: Tracer,
+    retries: int = DEFAULT_READ_RETRIES,
 ) -> bytes:
     """Verified bytes of one store file, retrying transient read faults."""
     for _attempt in range(max(1, retries)):
-        blob = cache.load_named(name)
+        blob = cache.load_named(name, tracer=tracer)
         if blob is not None:
             return blob
     raise ServeStoreError(
@@ -437,7 +437,7 @@ def publish_store(
     plan are ignored by readers (the index is the source of truth).
     """
     tracer = tracer if tracer is not None else Tracer()
-    cache = store_publisher(store_dir, faults=faults, metrics=tracer.metrics)
+    cache = store_publisher(store_dir, faults=faults)
     asns = sorted(records)
     plan = plan_shards(asns, meta.shard_size)
     manifest = _snapshot_manifest(config, meta)
@@ -448,9 +448,9 @@ def publish_store(
         for name, lo, hi in plan:
             shard_asns = asns[lo:hi + 1]
             blob = encode_shard([records[asn] for asn in shard_asns])
-            existing = cache.load_named(name)
+            existing = cache.load_named(name, tracer=tracer)
             if existing != blob:
-                store_bytes_verified(cache, name, blob)
+                store_bytes_verified(cache, name, blob, tracer=tracer)
                 published += 1
             shard_rows.append({
                 "name": name,
@@ -477,12 +477,11 @@ def publish_store(
         manifest_blob = (
             json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
         ).encode("utf-8")
-        if cache.load_named(MANIFEST_NAME) != manifest_blob:
-            store_bytes_verified(cache, MANIFEST_NAME, manifest_blob)
-        if cache.load_named(INDEX_NAME) != index_blob:
-            store_bytes_verified(cache, INDEX_NAME, index_blob)
+        if cache.load_named(MANIFEST_NAME, tracer=tracer) != manifest_blob:
+            store_bytes_verified(cache, MANIFEST_NAME, manifest_blob, tracer=tracer)
+        if cache.load_named(INDEX_NAME, tracer=tracer) != index_blob:
+            store_bytes_verified(cache, INDEX_NAME, index_blob, tracer=tracer)
         span.set_attr("published", published)
-    tracer.drain_events_from(cache)
     if runs_index is not None:
         build = git_describe(Path(__file__).resolve().parent) or "unknown"
         record_run(runs_index, {**manifest, "git": build}, {

@@ -54,8 +54,11 @@ _BUNDLE_PARTS = (
     "op_lives",
 )
 
-#: Format tag of partitioned cache entries (see ``_to_parts``).
-_PARTS_FORMAT = "dataset-bundle-parts/v1"
+#: Format tag of a bundle's cache entry, part of its key: the bundle
+#: pickles itself as its parts (see ``__reduce__``).  The ``v1`` entries
+#: were ``{"format", "parts"}`` dicts under a key without this tag, so
+#: they can never load as a bundle.
+_PARTS_FORMAT = "dataset-bundle-parts/v2"
 
 
 @dataclass
@@ -117,6 +120,11 @@ class DatasetBundle:
             for name in _BUNDLE_PARTS
         }
 
+    def __reduce__(self):
+        # a bundle pickles as its parts and unpickles partitioned, so a
+        # cache hit decodes each component only on first access
+        return DatasetBundle._from_parts, (self._to_parts(),)
+
     @classmethod
     def _from_parts(cls, parts: Dict[str, bytes]) -> "DatasetBundle":
         """Wrap pickled components without decoding any of them yet."""
@@ -167,6 +175,7 @@ def _bundle_cache_key(
     """
     return cache.key_for(
         artifact="dataset-bundle",
+        format=_PARTS_FORMAT,
         config=config,
         inject_pitfalls=inject_pitfalls,
         pitfall_config=(
@@ -215,47 +224,28 @@ def build_datasets(
     if config is None:
         config = tiny()
     tracer = tracer if tracer is not None else Tracer()
-    if cache is not None and not isinstance(cache, ArtifactCache):
-        cache = ArtifactCache(cache, metrics=tracer.metrics)
 
-    key: Optional[str] = None
-    if cache is not None:
-        key = _bundle_cache_key(
-            cache,
-            config,
-            inject_pitfalls=inject_pitfalls,
-            pitfall_config=pitfall_config,
-            timeout=timeout,
-            min_peers=min_peers,
-            scenario_key=scenario_key,
+    def build() -> DatasetBundle:
+        return _build(
+            config, tracer,
+            inject_pitfalls=inject_pitfalls, pitfall_config=pitfall_config,
+            timeout=timeout, min_peers=min_peers,
         )
-        with tracer.stage("cache:lookup", component="cache") as timing:
-            artifact = cache.load(key)
-        tracer.drain_events_from(cache)
-        if artifact is not None:
-            timing.items = 1
-            timing.set_attr("cache", "hit")
-            if (
-                isinstance(artifact, dict)
-                and artifact.get("format") == _PARTS_FORMAT
-            ):
-                return DatasetBundle._from_parts(artifact["parts"])
-            return artifact
-        timing.set_attr("cache", "miss")
 
-    bundle = _build(
-        config, tracer,
-        inject_pitfalls=inject_pitfalls, pitfall_config=pitfall_config,
-        timeout=timeout, min_peers=min_peers,
+    if cache is None:
+        return build()
+    if not isinstance(cache, ArtifactCache):
+        cache = ArtifactCache(cache)
+    key = _bundle_cache_key(
+        cache,
+        config,
+        inject_pitfalls=inject_pitfalls,
+        pitfall_config=pitfall_config,
+        timeout=timeout,
+        min_peers=min_peers,
+        scenario_key=scenario_key,
     )
-
-    if cache is not None and key is not None:
-        with tracer.stage("cache:store", component="cache"):
-            cache.store(
-                key, {"format": _PARTS_FORMAT, "parts": bundle._to_parts()}
-            )
-        tracer.drain_events_from(cache)
-    return bundle
+    return cache.get_or_build(key, build, tracer=tracer)
 
 
 def _build(

@@ -39,6 +39,12 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["simulate", *retired])
 
+    def test_simulate_always_writes_its_run_record(self):
+        # the record is not optional: its four switches are gone
+        for retired in ("--trace", "--metrics-out", "--manifest", "--ledger"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["simulate", retired, "x"])
+
     def test_bgp_window_alone_selects_message_level(self):
         assert build_parser().parse_args(["simulate"]).bgp_window is None
         args = build_parser().parse_args(["simulate", "--bgp-window", "120"])
@@ -91,12 +97,16 @@ class TestCommands:
         assert json.loads(admin)  # valid dataset after warm rebuild
 
     def test_trace_implies_ledger_and_registers_run(self, tmp_path, capsys):
+        """Every run writes its whole record, trace and ledger together,
+        and registers itself; there are no flags to turn parts off."""
         out = tmp_path / "run"
         rc = main([
-            "simulate", "--scale", "0.006", "--seed", "3",
-            "--out", str(out), "--trace", "--metrics-out", "--manifest",
+            "simulate", "--scale", "0.006", "--seed", "3", "--out", str(out),
         ])
         assert rc == 0
+        for name in ("trace.jsonl", "metrics.json", "ledger.json",
+                     "run_manifest.json"):
+            assert (out / name).is_file(), name
         printed = capsys.readouterr().out
         assert "all conserving" in printed
         assert "registered run" in printed
@@ -111,7 +121,7 @@ class TestCommands:
     def test_bgp_window_runs_message_level_path(self, tmp_path, capsys):
         rc = main(["simulate", "--scale", "0.006", "--seed", "3",
                    "--bgp-window", "30", "--out", str(tmp_path),
-                   "--manifest", "--profile"])
+                   "--profile"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "bgp:sanitize" in out and "bgp:segment" in out
@@ -228,7 +238,6 @@ class TestInspectCommands:
             assert main([
                 "simulate", "--scale", "0.006", "--seed", "3",
                 "--out", str(out), "--cache-dir", str(tmp_path / "cache"),
-                "--trace", "--metrics-out", "--manifest",
                 "--runs-index", str(index),
             ]) == 0
             return out

@@ -257,3 +257,40 @@ def test_moved_workloads_are_failures_and_half_bound_moves():
                          + records("store-build", {**BASE, "peak_rss_mb": 100.0}))
     # -35% (a gain) and +25% RSS (a failure) both get traced
     assert ab.moved_workloads(bench, rows) == ["pipeline", "store-build"]
+
+
+def test_both_trees_are_compiled_before_any_run(monkeypatch, tmp_path):
+    """A fresh base worktree has no bytecode; the gate compiles both
+    trees once, before the first pair, so set-up compares like with
+    like."""
+    import json
+    import subprocess
+
+    calls = []
+    line = json.dumps({
+        "correct": True, "attempted": 1, "failed": 0,
+        "metrics": {k: {"value": v} for k, v in BASE.items()},
+    })
+
+    def fake_run(command, cwd=None, **kwargs):
+        calls.append((list(command), Path(cwd)))
+        return subprocess.CompletedProcess(command, 0, stdout=line + "\n")
+
+    monkeypatch.setattr(ab, "git", lambda *args: "0" * 40)
+    monkeypatch.setattr(ab, "RESULTS", tmp_path / "ab-results.jsonl")
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    monkeypatch.setattr(ab, "PAIRS", 2)
+    ab.main(["HEAD"])
+
+    compiles = [i for i, (command, _cwd) in enumerate(calls)
+                if command[1:4] == ["-m", "compileall", "-q"]]
+    runs = [i for i, (command, _cwd) in enumerate(calls)
+            if "--workload" in command]
+    assert len(compiles) == 2
+    # the two compiled trees are the two trees every run uses
+    compiled = {calls[i][1] for i in compiles}
+    assert ab.ROOT in compiled and len(compiled) == 2
+    assert {calls[i][1] for i in runs} == compiled
+    assert runs and max(compiles) < min(runs)
+    for i in compiles:
+        assert calls[i][0][-2:] == ["src", "perfbench"]

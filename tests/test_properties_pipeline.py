@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.core import Category, classify
 from repro.core.report import render_report
 from repro.rir import PitfallConfig
-from repro.runtime import ArtifactCache, MetricsRegistry, dumps_with_gc_paused
+from repro.runtime import ArtifactCache, MetricsRegistry, Tracer, dumps_with_gc_paused
 from repro.simulation import WorldConfig, build_datasets, tiny
 
 # building a world is ~1s; keep hypothesis example counts low
@@ -153,8 +153,9 @@ def test_warm_verified_hit_is_byte_identical_to_cold_build(seed):
     try:
         cache = ArtifactCache(root, faults=None)
         stored = build_datasets(config, cache=cache)
-        warm = build_datasets(config, cache=cache)
-        assert cache.hits == 1
+        run = Tracer()
+        warm = build_datasets(config, cache=cache, tracer=run)
+        assert run.metrics.snapshot()["counters"]["cache.hits"] == 1
         for part in ("admin_lives", "op_lives"):
             cold_bytes = dumps_with_gc_paused(getattr(cold, part))
             assert dumps_with_gc_paused(getattr(stored, part)) == cold_bytes

@@ -24,7 +24,7 @@ from repro.runtime import (
     CacheStoreError,
     FaultInjector,
     FaultSpec,
-    MetricsRegistry,
+    Tracer,
 )
 from repro.runtime.faults import from_env
 from repro.simulation import build_datasets
@@ -94,6 +94,15 @@ class TestInjectorDeterminism:
         assert inj.events[0].kind == "read-only"
 
 
+def _counters(tracer: Tracer) -> dict:
+    """The run's ``cache.*`` counters (read without creating any)."""
+    return {
+        name: value
+        for name, value in tracer.metrics.snapshot()["counters"].items()
+        if name.startswith("cache.")
+    }
+
+
 class TestCacheFaultMatrix:
     """Every cache-side injector ends in rebuild-or-typed-error."""
 
@@ -102,18 +111,22 @@ class TestCacheFaultMatrix:
     def _rebuilds_correctly(self, cache: ArtifactCache, key: str) -> None:
         """The invariant every fault must uphold: get_or_build returns
         the correct artifact afterwards."""
-        assert cache.get_or_build(key, lambda: self.PAYLOAD) == self.PAYLOAD
+        assert cache.get_or_build(
+            key, lambda: self.PAYLOAD, tracer=Tracer()
+        ) == self.PAYLOAD
 
     def test_torn_write_detected_and_quarantined(self, tmp_path):
         cache = ArtifactCache(tmp_path, faults=_once("cache:write", "torn-write"))
+        run = Tracer()
         key = cache.key_for(artifact="torn")
-        cache.store(key, self.PAYLOAD)
-        assert cache.load(key) is None  # checksum catches the torn bytes
-        assert cache.corrupt == 1
-        assert cache.quarantined == 1
+        cache.store(key, self.PAYLOAD, tracer=run)
+        assert cache.load(key, tracer=run) is None  # checksum catches the torn bytes
+        counters = _counters(run)
+        assert counters["cache.verify_failures"] == 1
+        assert counters["cache.quarantined"] == 1
         assert list(cache.quarantine_dir.iterdir())  # bytes kept for forensics
         self._rebuilds_correctly(cache, key)
-        assert cache.load(key) == self.PAYLOAD
+        assert cache.load(key, tracer=run) == self.PAYLOAD
 
     def test_torn_write_unverified_still_degrades_to_miss(self, tmp_path):
         # garbage bytes behind a manifest that vouches for them (a torn
@@ -121,8 +134,9 @@ class TestCacheFaultMatrix:
         # but fail to unpickle — degraded to a miss + quarantine, never
         # a wrong artifact
         cache = ArtifactCache(tmp_path, faults=None)
+        run = Tracer()
         key = cache.key_for(artifact="torn-vouched")
-        cache.store(key, self.PAYLOAD)
+        cache.store(key, self.PAYLOAD, tracer=run)
         garbage = b"\x80\x05 not a pickle"
         cache.path_for(key).write_bytes(garbage)
         manifest_path = cache.manifest_path_for(key)
@@ -131,27 +145,33 @@ class TestCacheFaultMatrix:
             sha256=hashlib.sha256(garbage).hexdigest(), length=len(garbage)
         )
         manifest_path.write_text(json.dumps(manifest))
-        assert cache.load(key) is None
-        assert cache.corrupt == 1 and cache.quarantined == 1
-        assert any("failed to unpickle" in event for event in cache.events)
+        assert cache.load(key, tracer=run) is None
+        counters = _counters(run)
+        assert counters["cache.verify_failures"] == 1
+        assert counters["cache.quarantined"] == 1
+        assert any("failed to unpickle" in event for event in run.events)
         self._rebuilds_correctly(cache, key)
 
     def test_truncated_entry_is_a_miss(self, tmp_path):
         cache = ArtifactCache(tmp_path, faults=_once("cache:write", "truncate"))
+        run = Tracer()
         key = cache.key_for(artifact="trunc")
-        cache.store(key, self.PAYLOAD)
+        cache.store(key, self.PAYLOAD, tracer=run)
         assert cache.path_for(key).stat().st_size == 0
-        assert cache.load(key) is None
+        assert cache.load(key, tracer=run) is None
         self._rebuilds_correctly(cache, key)
 
     def test_manifest_mismatch_quarantines(self, tmp_path):
         cache = ArtifactCache(tmp_path, faults=None)
+        run = Tracer()
         key = cache.key_for(artifact="tamper")
-        cache.store(key, self.PAYLOAD)
+        cache.store(key, self.PAYLOAD, tracer=run)
         # bit rot: valid pickle, wrong bytes for the manifest
         cache.path_for(key).write_bytes(pickle.dumps("impostor"))
-        assert cache.load(key) is None  # never returns the impostor
-        assert cache.corrupt == 1 and cache.quarantined == 1
+        assert cache.load(key, tracer=run) is None  # never returns the impostor
+        counters = _counters(run)
+        assert counters["cache.verify_failures"] == 1
+        assert counters["cache.quarantined"] == 1
         self._rebuilds_correctly(cache, key)
 
     def test_entry_naming_a_vanished_module_is_rebuilt(
@@ -170,61 +190,80 @@ class TestCacheFaultMatrix:
         Graph.__qualname__ = "Graph"
         module.Graph = Graph
         monkeypatch.setitem(sys.modules, module.__name__, module)
-        metrics = MetricsRegistry()
-        cache = ArtifactCache(tmp_path, faults=None, metrics=metrics)
+        run = Tracer()
+        cache = ArtifactCache(tmp_path, faults=None)
         key = cache.key_for(artifact="dropped-dependency")
-        cache.store(key, {"graph": Graph(), **self.PAYLOAD})
+        cache.store(key, {"graph": Graph(), **self.PAYLOAD}, tracer=run)
         # the module is gone: importing it now raises ImportError
         monkeypatch.setitem(sys.modules, module.__name__, None)
 
-        assert cache.load(key) is None
-        assert cache.corrupt == 1 and cache.quarantined == 1
-        assert metrics.counter("cache.verify_failures").value == 1
+        assert cache.load(key, tracer=run) is None
+        counters = _counters(run)
+        assert counters["cache.verify_failures"] == 1
+        assert counters["cache.quarantined"] == 1
         assert list(cache.quarantine_dir.iterdir())
         self._rebuilds_correctly(cache, key)
-        assert cache.load(key) == self.PAYLOAD
+        assert cache.load(key, tracer=run) == self.PAYLOAD
 
     def test_missing_manifest_is_miss_without_quarantine(self, tmp_path):
         cache = ArtifactCache(tmp_path, faults=None)
-        key = cache.key_for(artifact="legacy")
-        cache.store(key, self.PAYLOAD)
+        run = Tracer()
+        key = cache.key_for(artifact="lost-manifest")
+        cache.store(key, self.PAYLOAD, tracer=run)
         cache.manifest_path_for(key).unlink()
-        assert cache.load(key) is None  # unverifiable → miss
-        assert cache.quarantined == 0  # ... but not proof of corruption
+        assert cache.load(key, tracer=run) is None  # unverifiable → miss
+        # ... but not proof of corruption
+        assert "cache.quarantined" not in _counters(run)
         assert key in cache  # payload left for the rebuild to overwrite
         self._rebuilds_correctly(cache, key)
 
     def test_read_oserror_is_miss_then_rebuild(self, tmp_path):
         clean = ArtifactCache(tmp_path, faults=None)
+        run = Tracer()
         key = clean.key_for(artifact="read-fault")
-        clean.store(key, self.PAYLOAD)
+        clean.store(key, self.PAYLOAD, tracer=run)
         cache = ArtifactCache(tmp_path, faults=_once("cache:read", "oserror"))
-        assert cache.load(key) is None
-        assert cache.load(key) == self.PAYLOAD  # transient: next read hits
+        assert cache.load(key, tracer=run) is None
+        # transient: next read hits
+        assert cache.load(key, tracer=run) == self.PAYLOAD
 
     def test_disk_full_store_degrades_and_cleans_up(self, tmp_path):
         cache = ArtifactCache(tmp_path, faults=_always("cache:write", "disk-full"))
+        run = Tracer()
         key = cache.key_for(artifact="full")
-        assert cache.store(key, self.PAYLOAD) is None
-        assert cache.store_failures == 1
-        assert cache.events  # degradation is surfaced, not swallowed
+        assert cache.store(key, self.PAYLOAD, tracer=run) is None
+        assert _counters(run) == {"cache.store_failures": 1}
+        assert run.events  # degradation is surfaced, not swallowed
         assert not [p for p in tmp_path.iterdir() if ".tmp" in p.name]
         # the artifact is still produced, merely uncached
-        assert cache.get_or_build(key, lambda: self.PAYLOAD) == self.PAYLOAD
+        self._rebuilds_correctly(cache, key)
 
     def test_read_only_store_degrades(self, tmp_path):
         cache = ArtifactCache(tmp_path, faults=_always("cache:write", "read-only"))
         key = cache.key_for(artifact="rofs")
-        assert cache.store(key, self.PAYLOAD) is None
-        assert cache.get_or_build(key, lambda: self.PAYLOAD) == self.PAYLOAD
+        assert cache.store(key, self.PAYLOAD, tracer=Tracer()) is None
+        self._rebuilds_correctly(cache, key)
         assert not [p for p in tmp_path.iterdir() if ".tmp" in p.name]
 
     def test_replace_failure_degrades_and_cleans_up(self, tmp_path):
         cache = ArtifactCache(tmp_path, faults=_always("cache:replace", "oserror"))
         key = cache.key_for(artifact="replace")
-        assert cache.store(key, self.PAYLOAD) is None
+        assert cache.store(key, self.PAYLOAD, tracer=Tracer()) is None
         assert key not in cache
         assert not [p for p in tmp_path.iterdir() if ".tmp" in p.name]
+
+    def test_failed_store_is_noted_on_the_store_span(self, tmp_path):
+        cache = ArtifactCache(tmp_path, faults=_always("cache:write", "disk-full"))
+        run = Tracer()
+        key = cache.key_for(artifact="noted")
+        cache.get_or_build(key, lambda: self.PAYLOAD, tracer=run)
+        (store,) = [s for s in run.stage_spans() if s.name == "cache:store"]
+        assert len(run.events) == 1
+        assert run.events[0].startswith(f"cache: store of {key[:12]} failed")
+        # the fault annotation and the degradation land on the span
+        # where they happened, not on its parent
+        assert store.annotations[-1] == run.events[0]
+        assert run.root.annotations == []
 
     def test_strict_store_raises_typed_error(self, tmp_path):
         cache = ArtifactCache(
@@ -233,33 +272,37 @@ class TestCacheFaultMatrix:
             strict_store=True,
         )
         with pytest.raises(CacheStoreError):
-            cache.store(cache.key_for(artifact="strict"), self.PAYLOAD)
+            cache.store(
+                cache.key_for(artifact="strict"), self.PAYLOAD, tracer=Tracer()
+            )
 
     def test_unpicklable_artifact_always_raises(self, tmp_path):
         cache = ArtifactCache(tmp_path, faults=None)
         with pytest.raises(CacheStoreError):
-            cache.store(cache.key_for(artifact="bad"), lambda: None)
+            cache.store(cache.key_for(artifact="bad"), lambda: None, tracer=Tracer())
 
     def test_quarantine_restores_entry_replaced_by_racing_builder(self, tmp_path):
         # the unlink-race fix: quarantining on the evidence of *stale*
         # bytes must not destroy a fresh entry another builder renamed in
         cache = ArtifactCache(tmp_path, faults=None)
+        run = Tracer()
         key = cache.key_for(artifact="race")
-        cache.store(key, self.PAYLOAD)
+        cache.store(key, self.PAYLOAD, tracer=run)
         path = cache.path_for(key)
         stale_observation = b"the corrupt bytes some reader saw earlier"
-        cache._quarantine(path, stale_observation)
-        assert cache.quarantined == 0
-        assert cache.load(key) == self.PAYLOAD  # fresh entry survived
+        cache._quarantine(path, stale_observation, run)
+        assert "cache.quarantined" not in _counters(run)
+        assert cache.load(key, tracer=run) == self.PAYLOAD  # fresh entry survived
 
     def test_quarantine_keeps_genuinely_corrupt_bytes(self, tmp_path):
         cache = ArtifactCache(tmp_path, faults=None)
+        run = Tracer()
         key = cache.key_for(artifact="bad-bytes")
         path = cache.path_for(key)
         tmp_path.mkdir(exist_ok=True)
         path.write_bytes(b"definitely corrupt")
-        cache._quarantine(path, b"definitely corrupt")
-        assert cache.quarantined == 1
+        cache._quarantine(path, b"definitely corrupt", run)
+        assert _counters(run) == {"cache.quarantined": 1}
         assert not path.exists()
         moved = list(cache.quarantine_dir.iterdir())
         assert len(moved) == 1
@@ -286,12 +329,15 @@ class TestPipelineUnderFaults:
         )
         # first build stores torn entries; the verified warm path must
         # reject them and rebuild rather than serve them
-        first = build_datasets(tiny(seed=11), cache=cache)
-        second = build_datasets(tiny(seed=11), cache=cache)
+        first_run, second_run = Tracer(), Tracer()
+        first = build_datasets(tiny(seed=11), cache=cache, tracer=first_run)
+        second = build_datasets(tiny(seed=11), cache=cache, tracer=second_run)
         for bundle in (first, second):
             assert bundle.admin_lives == clean.admin_lives
             assert bundle.op_lives == clean.op_lives
-        assert cache.hits == 0  # every lookup degraded to a miss
+        for run in (first_run, second_run):
+            # every lookup degraded to a miss
+            assert "cache.hits" not in _counters(run)
 
     def test_profile_lists_quarantine_events(self, tmp_path, capsys,
                                              monkeypatch):
@@ -317,6 +363,43 @@ class TestPipelineUnderFaults:
         events = profile[profile.index("runtime events ("):].splitlines()
         assert any("cache: quarantined corrupt entry" in line
                    for line in events[1:])
+
+
+def _fault_trace_script():
+    import importlib.util
+
+    path = Path(__file__).parent.parent / "scripts" / "check_fault_trace.py"
+    spec = importlib.util.spec_from_file_location("check_fault_trace", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestDegradationClosure:
+    """The CI closure: every counted cache degradation is an event."""
+
+    def test_faulty_run_closes_and_a_lost_event_does_not(self, tmp_path):
+        closure = _fault_trace_script().degradation_mismatches
+        cache = ArtifactCache(
+            tmp_path,
+            faults=FaultInjector(
+                [FaultSpec("cache:write", "disk-full", max_fires=1),
+                 FaultSpec("cache:write", "torn-write", max_fires=1)],
+                seed=0,
+            ),
+        )
+        run = Tracer()
+        key = cache.key_for(artifact="closure")
+        # a failed store, a torn store, then the torn entry's lookup
+        for _ in range(3):
+            cache.get_or_build(key, lambda: "payload", tracer=run)
+        counters = run.metrics.snapshot()["counters"]
+        assert counters["cache.store_failures"] == 1
+        assert counters["cache.verify_failures"] == 1
+        assert counters["cache.quarantined"] == 1
+        assert closure(counters, run.events) == []
+        assert len(closure(counters, run.events[1:])) == 1
+        assert len(closure(counters, [])) == 2
 
 
 class TestEnvInjection:

@@ -182,7 +182,7 @@ class TestPipelineClosure:
         monkeypatch.setenv("REPRO_FAULT_SEED", "2021")
         monkeypatch.setenv("REPRO_FAULT_RATE", "0.25")
         tracer = Tracer()
-        cache = ArtifactCache(tmp_path / "cache", metrics=tracer.metrics)
+        cache = ArtifactCache(tmp_path / "cache")
         _build_with_taxonomy(tiny(seed=7), cache=cache, tracer=tracer)
         faulty = build_ledger(tracer.metrics)
 
@@ -250,7 +250,13 @@ class TestOneRegistryPerRun:
                 + counters.get("cache.store_failures", 0)
             ) == 1
 
-    def test_forgotten_registry_is_a_type_error(self):
+    def test_forgotten_registry_is_a_type_error(self, tmp_path):
+        cache = ArtifactCache(tmp_path, faults=None)
+        key = cache.key_for(artifact="t")
+        with pytest.raises(TypeError):
+            cache.store(key, "x")  # type: ignore[call-arg]
+        with pytest.raises(TypeError):
+            cache.load(key)  # type: ignore[call-arg]
         with pytest.raises(TypeError):
             record_boundary("a:filter", records_in=1, kept=1)  # type: ignore[call-arg]
         with pytest.raises(TypeError):

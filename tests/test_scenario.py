@@ -539,7 +539,7 @@ class TestScenarioCli:
         out_dir = tmp_path / "run"
         rc = main([
             "simulate", "--scenario", str(path),
-            "--out", str(out_dir), "--taxonomy-out", "--manifest",
+            "--out", str(out_dir), "--taxonomy-out",
         ])
         assert rc == 0
         stdout = capsys.readouterr().out
@@ -568,7 +568,7 @@ class TestScenarioCli:
     def test_plain_simulate_has_no_scenario_entry(self, tmp_path):
         rc = main([
             "simulate", "--scale", "0.004", "--seed", "8",
-            "--out", str(tmp_path), "--manifest",
+            "--out", str(tmp_path),
         ])
         assert rc == 0
         manifest = json.loads(

@@ -163,10 +163,11 @@ class TestStoreIndex:
         blob = (json.dumps(index_doc, sort_keys=True,
                            separators=(",", ":")) + "\n").encode()
         # rewrite through the cache so the sidecar manifest stays valid
+        from repro.runtime import Tracer
         from repro.serve.store import store_bytes_verified, store_publisher
 
         store_bytes_verified(store_publisher(broken, faults=None),
-                             "store.json", blob)
+                             "store.json", blob, tracer=Tracer())
         with pytest.raises(ServeStoreError, match="does not match its index"):
             StoreIndex.open(broken, faults=None)
 

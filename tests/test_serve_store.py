@@ -16,7 +16,7 @@ import pytest
 from repro.bgp import PathOracle, all_peer_asns
 from repro.core.taxonomy import Category
 from repro.lifetimes.records import AdminLifetime, BgpLifetime
-from repro.runtime import MetricsRegistry, Tracer
+from repro.runtime import Tracer
 from repro.runtime.cache import ArtifactCache, cache_key
 from repro.runtime.faults import FaultInjector, FaultSpec
 from repro.serve.append import append_days
@@ -226,11 +226,11 @@ class TestBuildAndAppend:
         build_store(tmp_path, bundle.world, bundle.admin_lives,
                     start=start, end=end - 2, faults=None,
                     shard_size=(asns + 1) // 2)
-        opened = MetricsRegistry()
-        index = StoreIndex.open(tmp_path, faults=None, metrics=opened)
+        opened = Tracer()
+        index = StoreIndex.open(tmp_path, faults=None, tracer=opened)
         assert len(index.doc["shards"]) == 2
-        assert opened.counter("cache.hits").value == 3
-        assert index.events == []
+        assert opened.metrics.counter("cache.hits").value == 3
+        assert opened.events == []
 
         tracer = Tracer()
         append_days(tmp_path, bundle.world, 2, faults=None, tracer=tracer)
@@ -295,17 +295,25 @@ class TestFaultRecovery:
             [FaultSpec("cache:write", "torn-write", rate=1.0, max_fires=2)]
         )
         cache = store_publisher(tmp_path, faults=injector)
-        store_bytes_verified(cache, "store.json", b'{"x": 1}\n')
+        run = Tracer()
+        store_bytes_verified(cache, "store.json", b'{"x": 1}\n', tracer=run)
         assert injector.fired() >= 1
-        assert load_bytes_verified(cache, "store.json") == b'{"x": 1}\n'
+        assert load_bytes_verified(cache, "store.json", tracer=run) == b'{"x": 1}\n'
+        # each torn attempt is counted in the run that retried it
+        counters = run.metrics.snapshot()["counters"]
+        assert counters["cache.verify_failures"] == injector.fired()
+        assert len(run.events) == 2 * injector.fired()  # failure + quarantine
 
     def test_publish_retries_through_failed_rename(self, tmp_path):
         injector = FaultInjector(
             [FaultSpec("cache:replace", "oserror", rate=1.0, max_fires=2)]
         )
         cache = store_publisher(tmp_path, faults=injector)
-        store_bytes_verified(cache, "shard-00000.json", b"payload")
-        assert load_bytes_verified(cache, "shard-00000.json") == b"payload"
+        run = Tracer()
+        store_bytes_verified(cache, "shard-00000.json", b"payload", tracer=run)
+        assert load_bytes_verified(cache, "shard-00000.json", tracer=run) == b"payload"
+        counters = run.metrics.snapshot()["counters"]
+        assert counters["cache.store_failures"] == injector.fired()
 
     def test_publish_raises_typed_error_when_budget_exhausted(self, tmp_path):
         injector = FaultInjector(
@@ -313,20 +321,24 @@ class TestFaultRecovery:
         )
         cache = store_publisher(tmp_path, faults=injector)
         with pytest.raises(ServeStoreError, match="could not publish"):
-            store_bytes_verified(cache, "store.json", b"payload", retries=3)
+            store_bytes_verified(
+                cache, "store.json", b"payload", tracer=Tracer(), retries=3
+            )
 
     def test_load_raises_typed_error_on_missing_file(self, tmp_path):
         cache = store_publisher(tmp_path, faults=None)
         with pytest.raises(ServeStoreError, match="missing"):
-            load_bytes_verified(cache, "store.json", retries=2)
+            load_bytes_verified(cache, "store.json", tracer=Tracer(), retries=2)
 
     def test_corrupt_payload_on_disk_is_quarantined_not_served(self, tmp_path):
         cache = store_publisher(tmp_path, faults=None)
-        store_bytes_verified(cache, "shard-00000.json", b"good bytes")
+        run = Tracer()
+        store_bytes_verified(cache, "shard-00000.json", b"good bytes", tracer=run)
         (tmp_path / "shard-00000.json").write_bytes(b"flipped")
-        assert cache.load_named("shard-00000.json") is None  # quarantined
+        # quarantined
+        assert cache.load_named("shard-00000.json", tracer=run) is None
         with pytest.raises(ServeStoreError):
-            load_bytes_verified(cache, "shard-00000.json", retries=2)
+            load_bytes_verified(cache, "shard-00000.json", tracer=run, retries=2)
 
     def test_torn_store_heals_end_to_end(self, bundle, tmp_path):
         """A full publish under injected torn writes still yields a store
@@ -353,31 +365,35 @@ class TestNamedCacheEntries:
 
     def test_store_and_load_roundtrip(self, tmp_path):
         cache = ArtifactCache(tmp_path, faults=None)
-        cache.store_named("store.json", b"hello")
-        assert cache.load_named("store.json") == b"hello"
+        run = Tracer()
+        cache.store_named("store.json", b"hello", tracer=run)
+        assert cache.load_named("store.json", tracer=run) == b"hello"
         assert (tmp_path / "store.json").is_file()
         assert (tmp_path / "store.json.manifest.json").is_file()
 
     def test_overwrite_replaces_atomically(self, tmp_path):
         cache = ArtifactCache(tmp_path, faults=None)
-        cache.store_named("a.json", b"one")
-        cache.store_named("a.json", b"two")
-        assert cache.load_named("a.json") == b"two"
+        run = Tracer()
+        cache.store_named("a.json", b"one", tracer=run)
+        cache.store_named("a.json", b"two", tracer=run)
+        assert cache.load_named("a.json", tracer=run) == b"two"
 
     def test_missing_entry_is_none(self, tmp_path):
-        assert ArtifactCache(tmp_path, faults=None).load_named("nope") is None
+        cache = ArtifactCache(tmp_path, faults=None)
+        assert cache.load_named("nope", tracer=Tracer()) is None
 
     def test_rejects_path_escapes(self, tmp_path):
         cache = ArtifactCache(tmp_path, faults=None)
         for name in ("../evil", "a/b", "", ".hidden"):
             with pytest.raises(ValueError):
-                cache.store_named(name, b"x")
+                cache.store_named(name, b"x", tracer=Tracer())
 
     def test_no_temp_wreckage_after_faulty_publish(self, tmp_path):
         injector = FaultInjector(
             [FaultSpec("cache:write", "disk-full", rate=1.0, max_fires=1)]
         )
         cache = ArtifactCache(tmp_path, faults=injector, strict_store=False)
-        cache.store_named("x.json", b"payload")  # non-strict: swallowed
+        # non-strict: swallowed
+        cache.store_named("x.json", b"payload", tracer=Tracer())
         leftovers = [p.name for p in tmp_path.iterdir() if ".tmp." in p.name]
         assert leftovers == []
