@@ -11,7 +11,8 @@ answers "what is AS 3333's story?" without a rebuild:
   registered in the run registry.  All writes go through the artifact
   cache's atomic publish with byte-for-byte read-back verification.
 * :mod:`repro.serve.index` — :class:`StoreIndex`, the in-memory view
-  answering point, as-of-date, and range queries in O(log n).
+  answering point, as-of-date, and range queries in O(log n), as
+  response bytes joined from per-ASN fragments encoded on first touch.
 * :mod:`repro.serve.append` — incremental day-append, byte-identical
   to a full rebuild over the extended window.
 * :mod:`repro.serve.http` — the stdlib-asyncio HTTP/JSON front end.

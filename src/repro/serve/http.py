@@ -22,6 +22,13 @@ malformed paths 400, every error body is JSON.  An unexpected handler
 exception is a 500 JSON body (never a torn connection) and lands in
 ``serve.http.exceptions``.
 
+Responses are encoded once.  Every data route answers with the index's
+``*_body`` bytes (joined from per-ASN fragments encoded on first touch)
+and ``/snapshot`` with a body encoded when the server is built; only
+errors, ``/healthz``, ``/status`` and ``/metrics`` are rendered per
+request.  A request's path is split once, and each response head is
+joined from a prefix built once per (status, content type, keep-alive).
+
 Telemetry goes through :class:`~repro.serve.telemetry.ServerTelemetry`:
 per-route+status labeled counters and latency histograms (labels use
 route *templates* like ``/asn/{n}/lives`` so cardinality is bounded by
@@ -42,7 +49,7 @@ from __future__ import annotations
 import asyncio
 import json
 from time import perf_counter
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..runtime.observability import MetricsRegistry
@@ -114,6 +121,10 @@ def _parse_range(text: str) -> Tuple[int, int]:
     return lo_n, hi_n
 
 
+def _segments(path: str) -> List[str]:
+    return [s for s in path.split("/") if s]
+
+
 def route_template(path: str) -> str:
     """The bounded-cardinality route label for a request path.
 
@@ -122,9 +133,13 @@ def route_template(path: str) -> str:
     to a prefix bucket (``/asn/*``), everything else to ``unmatched``.
     Metric labels therefore never echo client-controlled strings.
     """
+    return _template(path, _segments(path))
+
+
+def _template(path: str, segments: List[str]) -> str:
+    """:func:`route_template` over an already split path."""
     if path in ("/healthz", "/snapshot", "/metrics", "/status"):
         return path
-    segments = [s for s in path.split("/") if s]
     if segments and segments[0] == "asn":
         if len(segments) == 3 and segments[2] == "lives":
             return "/asn/{n}/lives"
@@ -142,9 +157,8 @@ def route_template(path: str) -> str:
     return "unmatched"
 
 
-def _asn_of(path: str) -> Optional[int]:
+def _asn_of(segments: List[str]) -> Optional[int]:
     """The ASN a path addresses, when it addresses one (for access logs)."""
-    segments = [s for s in path.split("/") if s]
     if len(segments) >= 2 and segments[0] == "asn":
         try:
             return int(segments[1])
@@ -157,6 +171,22 @@ def _json_body(document: Dict[str, Any]) -> bytes:
     return (
         json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
     ).encode("utf-8")
+
+
+_UNKNOWN_ASN = _json_body({"error": "unknown asn"})
+
+_REASONS = {
+    200: "OK",
+    400: "Bad Request",
+    404: "Not Found",
+    405: "Method Not Allowed",
+    413: "Content Too Large",
+    500: "Internal Server Error",
+    501: "Not Implemented",
+}
+
+#: ``(status, content type, keep-alive)`` -> the head around its length.
+_HEADS: Dict[Tuple[int, str, bool], Tuple[bytes, bytes]] = {}
 
 
 class LifetimesServer:
@@ -180,6 +210,7 @@ class LifetimesServer:
             telemetry if telemetry is not None else ServerTelemetry(metrics=metrics)
         )
         self.metrics = self.telemetry.metrics
+        self._snapshot_body = _json_body(index.snapshot())
         self._server: Optional[asyncio.AbstractServer] = None
 
     # -- lifecycle -----------------------------------------------------
@@ -239,10 +270,13 @@ class LifetimesServer:
                     break
                 t_request = perf_counter()
                 method, target, keep_alive = request
-                path = urlsplit(target).path
+                parts = urlsplit(target)
+                path = parts.path
+                segments = _segments(path)
+                route = _template(path, segments)
                 t_handler = perf_counter()
-                status, body, content_type, route = self._dispatch(
-                    method, target, path
+                status, body, content_type = self._dispatch(
+                    method, path, segments, parts.query, route
                 )
                 handler_us = (perf_counter() - t_handler) * 1e6
                 writer.write(
@@ -258,7 +292,7 @@ class LifetimesServer:
                     request_us=(perf_counter() - t_request) * 1e6,
                     handler_us=handler_us,
                     bytes_out=len(body),
-                    asn=_asn_of(path),
+                    asn=_asn_of(segments),
                 )
                 if not keep_alive:
                     break
@@ -338,93 +372,73 @@ class LifetimesServer:
     def _head(
         status: int, length: int, keep_alive: bool, content_type: str = _JSON
     ) -> bytes:
-        reason = {
-            200: "OK",
-            400: "Bad Request",
-            404: "Not Found",
-            405: "Method Not Allowed",
-            413: "Content Too Large",
-            500: "Internal Server Error",
-            501: "Not Implemented",
-        }.get(status, "Error")
-        connection = "keep-alive" if keep_alive else "close"
-        return (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Server: {_SERVER_NAME}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {length}\r\n"
-            f"Connection: {connection}\r\n"
-            f"\r\n"
-        ).encode("latin-1")
+        key = (status, content_type, keep_alive)
+        around = _HEADS.get(key)
+        if around is None:
+            connection = "keep-alive" if keep_alive else "close"
+            around = _HEADS[key] = (
+                f"HTTP/1.1 {status} {_REASONS.get(status, 'Error')}\r\n"
+                f"Server: {_SERVER_NAME}\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: ".encode("latin-1"),
+                f"\r\nConnection: {connection}\r\n\r\n".encode("latin-1"),
+            )
+        return b"%s%d%s" % (around[0], length, around[1])
 
     # -- routing -------------------------------------------------------
 
     def _dispatch(
-        self, method: str, target: str, path: str
-    ) -> Tuple[int, bytes, str, str]:
-        """One request → (status, body, content type, route template).
+        self, method: str, path: str, segments: List[str], query: str,
+        route: str,
+    ) -> Tuple[int, bytes, str]:
+        """One request → (status, body, content type).
 
         Everything a handler can throw is caught here: expected parse
         failures as 400, anything else as a 500 JSON body counted in
         ``serve.http.exceptions`` — a broken shard or poisoned index
         must never tear down the connection without an answer.
         """
-        route = route_template(path)
         if method != "GET":
-            return (
-                405,
-                _json_body({"error": "only GET is supported"}),
-                _JSON,
-                route,
-            )
+            return 405, _json_body({"error": "only GET is supported"}), _JSON
         try:
             if path == "/metrics":
                 return (
-                    200,
-                    self.telemetry.metrics_text().encode("utf-8"),
-                    _PROM_TEXT,
-                    route,
+                    200, self.telemetry.metrics_text().encode("utf-8"), _PROM_TEXT
                 )
             if path == "/status":
                 document = self.telemetry.status_document(self.index.digest)
-                return 200, _json_body(document), _JSON, route
-            query = parse_qs(urlsplit(target).query)
-            status, document = self._route(path, query)
+                return 200, _json_body(document), _JSON
+            status, body = self._route(path, segments, parse_qs(query))
         except _BadRequest as exc:
-            return 400, _json_body({"error": str(exc)}), _JSON, route
+            return 400, _json_body({"error": str(exc)}), _JSON
         except Exception as exc:  # noqa: BLE001 - catch-all is the contract
             self.telemetry.record_exception(route, exc)
-            return (
-                500,
-                _json_body({"error": "internal server error"}),
-                _JSON,
-                route,
-            )
-        return status, _json_body(document), _JSON, route
+            return 500, _json_body({"error": "internal server error"}), _JSON
+        return status, body, _JSON
 
     def _route(
-        self, path: str, query: Dict[str, list]
-    ) -> Tuple[int, Dict[str, Any]]:
+        self, path: str, segments: List[str], query: Dict[str, list]
+    ) -> Tuple[int, bytes]:
         limit = DEFAULT_RANGE_LIMIT
         if "limit" in query:
             limit = _parse_int(query["limit"][-1], "limit")
-        segments = [s for s in path.split("/") if s]
         if path == "/healthz":
-            return 200, {
+            return 200, _json_body({
                 "status": "ok",
                 "snapshot": self.index.digest,
                 "slo": self.telemetry.slo.summary(),
-            }
+            })
         if path == "/snapshot":
-            return 200, self.index.snapshot()
+            return 200, self._snapshot_body
+        index = self.index
         if len(segments) >= 2 and segments[0] == "asn":
             asn = _parse_int(segments[1], "asn")
             if len(segments) == 3 and segments[2] == "lives":
-                return self._found(self.index.lives(asn))
+                return _found(index.lives_body(asn))
             if len(segments) == 3 and segments[2] == "taxonomy":
-                return self._found(self.index.taxonomy(asn))
+                return _found(index.taxonomy_body(asn))
             if len(segments) == 4 and segments[2] == "as-of":
-                return self._found(self.index.as_of(asn, _parse_day(segments[3])))
+                return _found(index.as_of_body(asn, _parse_day(segments[3])))
             raise _BadRequest(
                 "asn routes: /asn/<n>/lives, /asn/<n>/taxonomy, "
                 "/asn/<n>/as-of/<date>"
@@ -432,18 +446,18 @@ class LifetimesServer:
         if len(segments) >= 2 and segments[0] == "range":
             lo, hi = _parse_range(segments[1])
             if len(segments) == 2:
-                return 200, self.index.range_summary(lo, hi, limit=limit)
+                return 200, index.range_summary_body(lo, hi, limit=limit)
             if len(segments) == 4 and segments[2] == "as-of":
-                return 200, self.index.range_as_of(
+                return 200, index.range_as_of_body(
                     lo, hi, _parse_day(segments[3]), limit=limit
                 )
             raise _BadRequest(
                 "range routes: /range/<lo>-<hi>, /range/<lo>-<hi>/as-of/<date>"
             )
-        return 404, {"error": f"no route for {path}"}
+        return 404, _json_body({"error": f"no route for {path}"})
 
-    @staticmethod
-    def _found(document: Optional[Dict[str, Any]]) -> Tuple[int, Dict[str, Any]]:
-        if document is None:
-            return 404, {"error": "unknown asn"}
-        return 200, document
+
+def _found(body: Optional[bytes]) -> Tuple[int, bytes]:
+    if body is None:
+        return 404, _UNKNOWN_ASN
+    return 200, body

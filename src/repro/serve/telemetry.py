@@ -45,7 +45,10 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 from ..runtime.observability import (
     HISTOGRAM_BUCKET_BOUNDS,
     OVERFLOW_BUCKET,
+    Counter,
+    Histogram,
     MetricsRegistry,
+    bucket_index,
     quantile_from_buckets,
 )
 
@@ -419,8 +422,6 @@ class SloWindow:
         error: bool = False,
         now: Optional[float] = None,
     ) -> None:
-        from ..runtime.observability import bucket_index
-
         now = self._clock() if now is None else now
         entry = self._slot_for(now)
         entry["buckets"][bucket_index(latency_us)] += 1
@@ -505,6 +506,13 @@ def request_quantiles(
 
 # -- the server-facing facade -----------------------------------------------
 
+#: Per ``(route, status)``: the total and labeled request counters, the
+#: error counter (``None`` below 400), the handler latency histogram
+#: and the route's request histogram.
+_RequestHandles = Tuple[
+    Counter, Counter, Optional[Counter], Histogram, Histogram
+]
+
 
 class ServerTelemetry:
     """Everything :class:`LifetimesServer` records and reports.
@@ -532,8 +540,28 @@ class ServerTelemetry:
         self.slo = slo if slo is not None else SloWindow()
         self._wall = wall
         self.started = wall()
+        self._handles: Dict[Tuple[str, int], _RequestHandles] = {}
 
     # -- recording -----------------------------------------------------
+
+    def _handles_for(self, route: str, status: int) -> _RequestHandles:
+        """The series one ``(route, status)`` pair feeds, resolved once.
+
+        Each series is created on the first request that feeds it, as
+        a per-call ``inc``/``observe`` would, so the registry (and
+        ``/metrics``) never shows a series no request has touched.
+        """
+        metrics = self.metrics
+        handles = self._handles[(route, status)] = (
+            metrics.counter("serve.http.requests"),
+            metrics.counter(
+                labeled("serve.http.requests", route=route, status=status)
+            ),
+            metrics.counter("serve.http.errors") if status >= 400 else None,
+            metrics.histogram("serve.http.latency_us"),
+            metrics.histogram(labeled("serve.http.request_us", route=route)),
+        )
+        return handles
 
     def record_request(
         self,
@@ -547,15 +575,16 @@ class ServerTelemetry:
         bytes_out: int,
         asn: Optional[int] = None,
     ) -> None:
-        metrics = self.metrics
-        metrics.inc("serve.http.requests")
-        metrics.inc(labeled("serve.http.requests", route=route, status=status))
-        if status >= 400:
-            metrics.inc("serve.http.errors")
-        metrics.observe("serve.http.latency_us", handler_us)
-        metrics.observe(
-            labeled("serve.http.request_us", route=route), request_us
-        )
+        handles = self._handles.get((route, status))
+        if handles is None:
+            handles = self._handles_for(route, status)
+        total, per_route, errors, latency, request = handles
+        total.inc()
+        per_route.inc()
+        if errors is not None:
+            errors.inc()
+        latency.observe(handler_us)
+        request.observe(request_us)
         self.slo.observe(request_us, error=status >= 500)
         if self.access_log is not None:
             self.access_log.log({

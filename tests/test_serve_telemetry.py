@@ -262,6 +262,71 @@ class TestServerTelemetry:
         assert record["status"] == 200
 
 
+class _PerCallTelemetry(ServerTelemetry):
+    """The recording before handles were resolved once: every call
+    formats its labeled names and looks each series up by name."""
+
+    def record_request(self, *, method, route, path, status, request_us,
+                       handler_us, bytes_out, asn=None):
+        metrics = self.metrics
+        metrics.inc("serve.http.requests")
+        metrics.inc(labeled("serve.http.requests", route=route, status=status))
+        if status >= 400:
+            metrics.inc("serve.http.errors")
+        metrics.observe("serve.http.latency_us", handler_us)
+        metrics.observe(
+            labeled("serve.http.request_us", route=route), request_us
+        )
+        self.slo.observe(request_us, error=status >= 500)
+
+
+class TestResolvedHandles:
+    """Handles resolved once per (route, status) change no reported byte."""
+
+    SEQUENCE = [
+        ("/asn/{n}/lives", 200, 80.0), ("/asn/{n}/lives", 404, 35.0),
+        ("/range/{lo}-{hi}", 200, 900.0), ("/asn/{n}/lives", 200, 95.0),
+        ("/healthz", 200, 12.0), ("/asn/*", 400, 20.0),
+        ("/asn/{n}/as-of/{date}", 500, 4_000.0), ("/metrics", 200, 150.0),
+        ("/range/{lo}-{hi}", 200, 1_200.0), ("unmatched", 404, 9.0),
+    ]
+
+    def _pair(self):
+        def make(cls):
+            return cls(
+                metrics=MetricsRegistry(), wall=lambda: 1_000.0,
+                slo=SloWindow(clock=lambda: 5.0),
+            )
+
+        return make(_PerCallTelemetry), make(ServerTelemetry)
+
+    def _reports(self, telemetry):
+        return (
+            telemetry.metrics_text().encode("utf-8"),
+            json.dumps(telemetry.status_document("cafe"), sort_keys=True),
+        )
+
+    def test_metrics_and_status_bytes_match_per_call_recording(self):
+        per_call, resolved = self._pair()
+        assert self._reports(per_call) == self._reports(resolved)
+        for step, (route, status, us) in enumerate(self.SEQUENCE * 3):
+            for telemetry in (per_call, resolved):
+                telemetry.record_request(
+                    method="GET", route=route, path="/x", status=status,
+                    request_us=us + step, handler_us=us / 2, bytes_out=10,
+                )
+            assert self._reports(per_call) == self._reports(resolved), step
+
+    def test_no_series_appears_before_its_first_request(self):
+        _per_call, resolved = self._pair()
+        resolved.record_request(
+            method="GET", route="/healthz", path="/healthz", status=200,
+            request_us=10.0, handler_us=5.0, bytes_out=10,
+        )
+        counters = resolved.metrics.snapshot()["counters"]
+        assert "serve.http.errors" not in counters
+
+
 class TestRequestQuantiles:
     def test_aggregates_across_routes(self):
         metrics = MetricsRegistry()
