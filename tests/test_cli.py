@@ -180,6 +180,7 @@ class TestCommands:
         report = json.loads((tmp_path / "bench.json").read_text())
         assert report["queries"] == 300 and report["errors"] == 0
         assert report["consistency"]["requests_match"] is True
+        assert report["consistency"]["quantiles_agree"] is True
         assert report["consistency"]["server"]["p99_us"] > 0
 
         rc = main(["inspect", "serve-log", str(tmp_path / "access.jsonl"),
