@@ -23,7 +23,9 @@ diff snapshots instead of re-reading them:
   vantage).  No path is built for it.
 * **Incremental day diffing** — each day's announcement multiset is
   diffed against the previous day's, and only the contributions that
-  appear or disappear touch the counters.
+  appear or disappear touch the counters.  The first day starts from
+  empty counters, so its multiset is loaded in bulk instead
+  (:meth:`ActivityEngine.load`): one histogram of every live code.
 * **Counters per (ASN, peer)** — one flat ``array('q')`` holds, per
   ASN slot and peer, how many live contributions see that ASN at that
   peer, next to a per-slot count of peers whose counter is non-zero.
@@ -40,9 +42,9 @@ so only the RIB pass shapes visibility).  The equivalence is pinned by
 property tests and by the scaling benchmark's determinism asserts.
 
 A window is replayed in one pass (:meth:`ActivityEngine.replay`): one
-engine applies the announcement multiset live on the first day, then
-every later day's diff, so the contribution index and the counters are
-built once per window.
+engine loads the announcement multiset live on the first day, then
+applies every later day's diff, so the contribution index and the
+counters are built once per window.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..asn.numbers import ASN
 from ..timeline.dates import Day
@@ -84,7 +88,7 @@ _CLASS_NAMES = {2: "observed", 1: "single_peer"}
 
 #: An announcer's plain routed fan-out: its codes, the elements one
 #: RIB pass keeps, and the indices of the peers that hold a path.
-_Fanout = Tuple[Tuple[int, ...], int, Tuple[int, ...]]
+_Fanout = Tuple[array, int, Tuple[int, ...]]
 
 
 class _Slots(dict):
@@ -95,18 +99,22 @@ class _Slots(dict):
         return slot
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Contribution:
     """One announcement's sanitized element fan-out, computed once.
 
-    ``codes`` holds ``slot * n_peers + peer_index`` for every ASN on
-    every surviving path and the peer that path reaches, each once,
-    since visibility is idempotent in duplicate elements.  ``kept`` and
-    ``dropped`` count the elements one RIB pass of the object stream
-    would have materialized, so sanitize accounting stays exact.
+    ``codes`` is one packed ``array('q')`` of ``slot * n_peers +
+    peer_index`` for every ASN on every surviving path and the peer
+    that path reaches, each once, since visibility is idempotent in
+    duplicate elements.  ``kept`` and ``dropped`` count the elements
+    one RIB pass of the object stream would have materialized, so
+    sanitize accounting stays exact.
+
+    A contribution compares and hashes by identity (``eq=False``): an
+    array is unhashable, and the index interns one per announcement.
     """
 
-    codes: Tuple[int, ...]
+    codes: array
     kept: int
     dropped: Tuple[Tuple[str, int], ...]
 
@@ -186,7 +194,7 @@ class ContributionIndex:
         if ann.prefix.is_globally_routable_length():
             return Contribution(codes=codes, kept=kept, dropped=())
         dropped = ((REASON_PREFIX_LENGTH, kept),) if kept else ()
-        return Contribution(codes=(), kept=0, dropped=dropped)
+        return Contribution(codes=array("q"), kept=0, dropped=dropped)
 
     def _fanout(self, announcer: ASN) -> _Fanout:
         """The announcer's plain routed fan-out (cached)."""
@@ -206,7 +214,7 @@ class ContributionIndex:
         n_peers = len(self.peers)
         peer_index = self._peer_index
         slot_of = self.slots.__getitem__
-        codes: List[int] = []
+        codes = array("q")
         indices: List[int] = []
         kept = 0
         for peer, path in paths.items():
@@ -214,7 +222,7 @@ class ContributionIndex:
             indices.append(i)
             kept += self._listings[peer]
             codes.extend([slot * n_peers + i for slot in map(slot_of, path)])
-        return tuple(codes), kept, tuple(indices)
+        return codes, kept, tuple(indices)
 
     def _derive_stub(self, stub: ASN, provider: _Fanout) -> _Fanout:
         """A single-homed stub's fan-out from its provider's.
@@ -228,9 +236,9 @@ class ContributionIndex:
         n_peers = len(self.peers)
         own = self._peer_index.get(stub)
         if own is not None:
-            codes = tuple(code for code in codes if code % n_peers != own)
+            codes = array("q", [code for code in codes if code % n_peers != own])
         base = self.slots[stub] * n_peers
-        return codes + tuple([base + i for i in indices]), kept, indices
+        return codes + array("q", [base + i for i in indices]), kept, indices
 
     def _compute_paths(self, ann: Announcement) -> Contribution:
         """Element by element, for decorated and single-peer
@@ -270,21 +278,23 @@ class ContributionIndex:
         if dropped_prefix:
             dropped.append((REASON_PREFIX_LENGTH, dropped_prefix))
         return Contribution(
-            codes=tuple(codes), kept=kept, dropped=tuple(dropped)
+            codes=array("q", codes), kept=kept, dropped=tuple(dropped)
         )
 
 
 class ActivityEngine:
     """Incremental per-day visibility classifier over announcement diffs.
 
-    Feed it ascending-day multiset diffs via :meth:`apply`; it maintains
-    a live counter per (ASN slot, peer), a visible-peer count per slot,
-    and open activity runs, and closes runs only when an ASN's
-    visibility class actually changes.  :meth:`finish` returns the
-    per-ASN runs ``[(class, start, end), ...]`` in ASN order, where
-    class 2 = observed (≥ ``min_corroboration`` peers) and class 1 =
-    single-peer; :meth:`replay` drives a whole
-    :class:`AnnouncementSchedule` through both.
+    Feed it ascending-day multiset diffs via :meth:`apply` (the first
+    one, onto empty counters, may be a whole multiset via
+    :meth:`load`); it maintains a live counter per (ASN slot, peer), a
+    visible-peer count per slot, and open activity runs, and closes
+    runs only when an ASN's visibility class actually changes.
+    :meth:`finish` returns the per-ASN runs ``[(class, start, end),
+    ...]`` in ASN order, where class 2 = observed (≥
+    ``min_corroboration`` peers) and class 1 = single-peer;
+    :meth:`replay` drives a whole :class:`AnnouncementSchedule` through
+    them.
     """
 
     def __init__(
@@ -331,19 +341,22 @@ class ActivityEngine:
         added: Iterable[Announcement] = (),
         removed: Iterable[Announcement] = (),
     ) -> None:
-        """Apply one day's announcement diff (multisets; ascending days)."""
-        if self._last_day is not None and day <= self._last_day:
-            raise ValueError("apply() days must be strictly ascending")
+        """Apply one day's announcement diff (multisets; ascending days).
+
+        The whole diff is checked before any state changes, so a
+        rejected one (``ValueError``) leaves the engine as it was.
+        """
+        self._check_day(day)
+        added = _multiset(added)
+        removed = _multiset(removed)
+        for ann, count in removed.items():
+            if count > self._live[ann]:
+                raise ValueError(f"removing more {ann!r} than live")
         self._advance(day)
-        added = added if isinstance(added, Counter) else Counter(added)
-        removed = removed if isinstance(removed, Counter) else Counter(removed)
-        change = sum(added.values()) + sum(removed.values())
-        if not change:
+        if not added and not removed:
             return
         for ann, count in removed.items():
             left = self._live[ann] - count
-            if left < 0:
-                raise ValueError(f"removing more {ann!r} than live")
             if left:
                 self._live[ann] = left
             else:
@@ -354,6 +367,49 @@ class ActivityEngine:
             self._apply_contribution(ann, -count, touched)
         for ann, count in added.items():
             self._apply_contribution(ann, count, touched)
+        self._commit(day, touched)
+
+    def load(self, day: Day, base: Iterable[Tuple[Announcement, int]]) -> None:
+        """Apply a whole ``(announcement, count)`` multiset onto empty
+        counters (no live announcement), in bulk.
+
+        Equal to ``apply(day, Counter(dict(base)))``, state for state,
+        commit for commit (the property tests pin it): from zero, every
+        counter is the multiplicity-weighted number of live
+        contributions holding its code, so one histogram of the joined
+        code buffers is the counters, a slot's non-zero counters are
+        its visible peers, and every slot with one is touched.
+        Contributions are interned (and slots assigned) in ``base``
+        order, as the walk does.
+        """
+        if self._live:
+            raise ValueError("load() needs empty counters")
+        self._check_day(day)
+        live = _multiset(dict(base))
+        self._advance(day)
+        if not live:
+            return
+        contribs = [self._index.contribution(ann) for ann in live]
+        self._live = live
+        for contrib, count in zip(contribs, live.values()):
+            self._account(contrib, count)
+        n_peers = self._n_peers
+        n_slots = len(self._index.slots)
+        codes = np.frombuffer(b"".join(c.codes for c in contribs), dtype=np.int64)
+        weights = None
+        if any(count > 1 for count in live.values()):
+            # float64 sums of integer weights are exact below 2**53
+            weights = np.repeat(
+                np.fromiter(live.values(), dtype=np.float64, count=len(live)),
+                [len(c.codes) for c in contribs],
+            )
+        counts = np.bincount(codes, weights, minlength=n_slots * n_peers)
+        del codes, weights
+        visible = np.count_nonzero(counts.reshape(n_slots, n_peers), axis=1)
+        self._counts = array("q", counts.astype(np.int64, copy=False).tobytes())
+        self._visible = array("q", visible.astype(np.int64, copy=False).tobytes())
+        touched = np.flatnonzero(visible).tolist()
+        del counts, visible
         self._commit(day, touched)
 
     def finish(self, end: Day) -> Dict[ASN, List[Tuple[int, Day, Day]]]:
@@ -370,14 +426,18 @@ class ActivityEngine:
     def replay(
         self, schedule: "AnnouncementSchedule"
     ) -> Dict[ASN, List[Tuple[int, Day, Day]]]:
-        """Apply a schedule's base and every change, then :meth:`finish`
-        at its end; returns the per-ASN runs."""
-        self.apply(schedule.start, Counter(dict(schedule.base)))
+        """:meth:`load` a schedule's base, :meth:`apply` every change,
+        then :meth:`finish` at its end; returns the per-ASN runs."""
+        self.load(schedule.start, schedule.base)
         for day, added, removed in schedule.changes:
             self.apply(day, Counter(dict(added)), Counter(dict(removed)))
         return self.finish(schedule.end)
 
     # -- internals ---------------------------------------------------------
+
+    def _check_day(self, day: Day) -> None:
+        if self._last_day is not None and day <= self._last_day:
+            raise ValueError("days must be strictly ascending")
 
     def _advance(self, day: Day) -> None:
         """Accumulate day-weighted sanitize totals up to (excluding) ``day``."""
@@ -393,9 +453,7 @@ class ActivityEngine:
         self, ann: Announcement, delta: int, touched: Set[int]
     ) -> None:
         contrib = self._index.contribution(ann)
-        self._rate_kept += delta * contrib.kept
-        for reason, n in contrib.dropped:
-            self._rate_dropped[reason] += delta * n
+        self._account(contrib, delta)
         n_peers = self._n_peers
         counts = self._counts
         visible = self._visible
@@ -420,7 +478,13 @@ class ActivityEngine:
                     visible[slot] -= 1
                     touched.add(slot)
 
-    def _commit(self, day: Day, touched: Set[int]) -> None:
+    def _account(self, contrib: Contribution, delta: int) -> None:
+        """Move the per-day sanitize rates by ``delta`` copies."""
+        self._rate_kept += delta * contrib.kept
+        for reason, n in contrib.dropped:
+            self._rate_dropped[reason] += delta * n
+
+    def _commit(self, day: Day, touched: Iterable[int]) -> None:
         """Open/close activity runs for ASNs whose class changed today."""
         min_corr = self._min_corr
         visible = self._visible
@@ -441,6 +505,16 @@ class ActivityEngine:
             else:
                 del run_class[slot]
                 del self._run_start[slot]
+
+
+def _multiset(items) -> Counter:
+    """A diff side as a Counter of positive counts (zeros dropped)."""
+    counter = items if isinstance(items, Counter) else Counter(items)
+    if all(count > 0 for count in counter.values()):
+        return counter
+    if any(count < 0 for count in counter.values()):
+        raise ValueError("announcement counts must not be negative")
+    return +counter
 
 
 # -- schedules --------------------------------------------------------------

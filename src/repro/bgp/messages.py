@@ -56,8 +56,9 @@ def path_has_loop(as_path: Tuple[ASN, ...]) -> bool:
 def distinct_path_asns(as_path: Tuple[ASN, ...]) -> Tuple[ASN, ...]:
     """Distinct ASNs of a path, in order of first appearance.
 
-    Shared by :meth:`BgpElement.path_asns` and the columnar activity
-    engine's path table, which precomputes this once per interned path.
+    Backs :meth:`BgpElement.path_asns`, which caches it per element.
+    The columnar activity engine needs no dedup: it counts per (ASN,
+    peer) code, and a decorated path's codes go into a set.
     """
     out = []
     seen = set()

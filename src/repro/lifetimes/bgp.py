@@ -132,8 +132,9 @@ def build_operational_dataset(
 
     Rebuilds per-ASN :class:`OperationalActivity` from the BGP message
     stream of ``world`` over ``[start, end]`` with the columnar engine
-    (:mod:`repro.bgp.activity`: interned paths, peer-bitset counters,
-    one day-diffing pass over the window) and segments it into
+    (:mod:`repro.bgp.activity`: interned per-announcement
+    contributions, one counter per (ASN, peer), one day-diffing pass
+    over the window) and segments it into
     lifetimes.  The tables equal what the object-stream oracle
     derives (``SyntheticBgpStream`` → ``sanitize`` →
     :func:`activity_from_elements`), one

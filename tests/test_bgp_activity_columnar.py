@@ -128,6 +128,86 @@ class TestEngineGuards:
         with pytest.raises(ValueError):
             engine.apply(6, removed=[Announcement(1001, P1)] * 2)
 
+    def test_load_needs_empty_counters(self, small_world):
+        topo, collectors = small_world
+        engine = ActivityEngine(topo, collectors)
+        engine.apply(5, [Announcement(1001, P1)])
+        with pytest.raises(ValueError):
+            engine.load(6, [(Announcement(2001, P2), 1)])
+        # an engine whose live multiset emptied again loads like a new one
+        engine.apply(6, removed=[Announcement(1001, P1)])
+        engine.load(8, [(Announcement(2001, P2), 1)])
+        fresh = ActivityEngine(topo, collectors)
+        fresh.apply(5, [Announcement(1001, P1)])
+        fresh.apply(6, removed=[Announcement(1001, P1)])
+        fresh.apply(8, [Announcement(2001, P2)])
+        assert engine.finish(10) == fresh.finish(10)
+
+    def test_rejected_diff_changes_nothing(self):
+        """A diff that removes more than is live raises before it moves
+        any state: live multiset, counters, runs, sanitize totals or the
+        last day; the engine then ends where one that never saw it
+        does."""
+        world = WorldSimulator(tiny(3)).run()
+        end = world.config.end_day
+        schedule = schedule_from_world(world, end - 120, end)
+        live_ann, _ = schedule.base[0]
+        bad_day, added, removed = schedule.changes[0]
+
+        engine = ActivityEngine(world.topology, world.collectors)
+        engine.load(schedule.start, schedule.base)
+        before = _engine_state(engine)
+        with pytest.raises(ValueError):
+            engine.apply(
+                bad_day, Counter(dict(added)),
+                Counter(dict(removed)) + Counter({live_ann: 5}),
+            )
+        assert _engine_state(engine) == before
+
+        for day, added, removed in schedule.changes:
+            engine.apply(day, Counter(dict(added)), Counter(dict(removed)))
+        clean = ActivityEngine(world.topology, world.collectors)
+        assert engine.finish(end) == clean.replay(schedule)
+        assert (engine.kept, engine.dropped) == (clean.kept, clean.dropped)
+
+    def test_negative_counts_are_rejected(self, small_world):
+        topo, collectors = small_world
+        engine = ActivityEngine(topo, collectors)
+        with pytest.raises(ValueError):
+            engine.apply(5, Counter({Announcement(1001, P1): -1}))
+        with pytest.raises(ValueError):
+            engine.load(5, [(Announcement(1001, P1), -1)])
+        assert _engine_state(engine) == _engine_state(
+            ActivityEngine(topo, collectors)
+        )
+
+    def test_zero_counts_are_ignored(self, small_world):
+        """A zero count in a passed Counter is no change, not a walk
+        with delta 0 (which moved visible counts off zero codes)."""
+        topo, collectors = small_world
+        engine, plain = ActivityEngine(topo, collectors), ActivityEngine(topo, collectors)
+        engine.apply(0, Counter({Announcement(1001, P1): 1, Announcement(2001, P1): 0}))
+        plain.apply(0, [Announcement(1001, P1)])
+        assert _engine_state(engine) == _engine_state(plain)
+        assert engine.finish(3) == plain.finish(3)
+
+
+def _engine_state(engine):
+    """Everything :meth:`ActivityEngine.apply` may move, as plain values."""
+    return (
+        dict(engine._live),
+        engine._counts.tolist(),
+        engine._visible.tolist(),
+        dict(engine._run_class),
+        dict(engine._run_start),
+        {slot: list(runs) for slot, runs in engine._runs.items()},
+        engine._last_day,
+        engine._rate_kept,
+        +engine._rate_dropped,
+        engine.kept,
+        +engine.dropped,
+    )
+
 
 # -- the equivalence property ------------------------------------------------
 
@@ -211,6 +291,60 @@ class TestColumnarEquivalence:
         changed = {day for day, _, _ in schedule.changes}
         # the multiset changes exactly when an episode starts or ends
         assert changed == {2, 4, 6, 7}
+
+
+#: A first-day multiset: every decoration, only-peer and non-routable
+#: announcements, and multiplicities above one (weighted counters).
+BASE = st.lists(
+    st.tuples(ANNOUNCEMENT, st.integers(min_value=1, max_value=4)),
+    max_size=10,
+    unique_by=lambda item: item[0],
+)
+
+
+def _record_commits(engine):
+    """The touched slots of each of ``engine``'s commits, in order."""
+    commits = []
+    commit = engine._commit
+
+    def record(day, touched):
+        commits.append(set(touched))
+        commit(day, touched)
+
+    engine._commit = record
+    return commits
+
+
+class TestBulkLoad:
+    """:meth:`ActivityEngine.load` (one histogram of the joined code
+    buffers) leaves the engine exactly where the per-code walk of
+    :meth:`ActivityEngine.apply` does, and both go on alike."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=BASE, later=BASE,
+        min_corroboration=st.sampled_from([1, 2]), world=WORLDS,
+    )
+    def test_load_equals_walk(self, base, later, min_corroboration, world):
+        topo, collectors = world
+        walk, bulk = (
+            ActivityEngine(topo, collectors, min_corroboration=min_corroboration)
+            for _ in range(2)
+        )
+        walked, loaded = _record_commits(walk), _record_commits(bulk)
+        walk.apply(0, Counter(dict(base)))
+        bulk.load(0, base)
+        assert _engine_state(bulk) == _engine_state(walk)
+        assert loaded == walked
+        assert list(bulk.index.slots) == list(walk.index.slots)
+        assert list(bulk.index._cache) == list(walk.index._cache)
+
+        for engine in (walk, bulk):
+            engine.apply(4, Counter(dict(later)))
+            engine.apply(9, removed=Counter(dict(base)))
+        assert loaded == walked
+        assert bulk.finish(12) == walk.finish(12)
+        assert (bulk.kept, +bulk.dropped) == (walk.kept, +walk.dropped)
 
 
 class TestWorldPipeline:
