@@ -31,7 +31,7 @@ def _context_support(stints: List[Stint], candidate: Stint) -> int:
     for other in stints:
         if other is candidate:
             continue
-        if other.interval.overlaps(candidate.interval):
+        if other.start <= candidate.end and candidate.start <= other.end:
             continue
         if records_compatible(other.record, candidate.record):
             support += other.duration
@@ -67,8 +67,11 @@ def resolve_duplicate_records(
 
 
 def _find_overlap(stints: List[Stint]):
+    # compares the stints' dates directly: building an Interval per
+    # stint here was a measurable share of restoration
     for i in range(len(stints) - 1):
-        if stints[i].interval.overlaps(stints[i + 1].interval):
+        a, b = stints[i], stints[i + 1]
+        if a.start <= b.end and b.start <= a.end:
             return i, i + 1
     return None
 

@@ -37,6 +37,9 @@ from .registry import Registry
 
 __all__ = ["FileState", "Stint", "SourceWindow", "DelegationArchive"]
 
+#: Sets a field of a frozen slotted row, whose own ``__setattr__`` raises.
+_set = object.__setattr__
+
 
 class FileState:
     """Tri-state availability of one day's file."""
@@ -46,14 +49,38 @@ class FileState:
     CORRUPT = "corrupt"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Stint:
     """A maximal span of days during which one source showed the same
-    row for one ASN.  ``record`` carries the row content."""
+    row for one ASN.  ``record`` carries the row content.
+
+    Slotted with a hand-written ``__init__``, like the record it holds
+    (DESIGN.md §5, decision 11).
+    """
+
+    __slots__ = ("start", "end", "record")
 
     start: Day
     end: Day
     record: DelegationRecord
+
+    def __init__(self, start: Day, end: Day, record: DelegationRecord) -> None:
+        _set(self, "start", start)
+        _set(self, "end", end)
+        _set(self, "record", record)
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.end, self.record))
+
+    def __reduce__(self):
+        # the default slot state cannot be set back on a frozen object
+        # (its __setattr__ raises), so a stint pickles as a call
+        return (Stint, (self.start, self.end, self.record))
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # pickles written before the class had slots carry a field dict
+        for name, value in state.items():
+            _set(self, name, value)
 
     @property
     def interval(self) -> Interval:
@@ -201,11 +228,14 @@ class DelegationArchive:
             return 0
         first = min(w.first_day for w in windows)
         last = max(w.last_day for w in windows)
+        unavailable = {
+            key: self._overlay.unavailable_days(key) for key in (regular, extended)
+        }
         for day in range(first, last + 1):
             for key in (regular, extended):
                 if key not in self._windows or not self._windows[key].covers(day):
                     continue
-                if day not in self._overlay.unavailable_days(key):
+                if day not in unavailable[key]:
                     total += 1
                     break
         return total
@@ -235,9 +265,24 @@ class DelegationArchive:
         extras = self._overlay.extra_records.get(source, {})
         overrides = self._overlay.date_overrides.get(source, {})
 
+        regular = kind == REGULAR
+        first_day, last_day = window.first_day, window.last_day
         out: Dict[ASN, List[Stint]] = {}
         for asn, changes in registry.history.items():
-            stints = self._base_stints(changes, kind, window, stale)
+            if regular and not _has_delegated_row(changes):
+                # most histories are pool rows only, which the regular
+                # feed never lists
+                stints = []
+            elif not regular and len(changes) == 1 and not stale:
+                # a single change point shows its row to the window's end
+                day, record = changes[0]
+                start = max(day, first_day)
+                if record is not None and start <= last_day:
+                    stints = [Stint(start, last_day, record)]
+                else:
+                    stints = []
+            else:
+                stints = self._base_stints(changes, kind, window, stale)
             if not stints and asn not in extras:
                 continue
             if asn in overrides:
@@ -367,6 +412,15 @@ class DelegationArchive:
 # -- stint surgery helpers ----------------------------------------------
 
 
+def _has_delegated_row(
+    changes: Sequence[Tuple[Day, Optional[DelegationRecord]]],
+) -> bool:
+    for _, record in changes:
+        if record is not None and record.is_delegated:
+            return True
+    return False
+
+
 def _effective_day(day: Day, stale: Set[Day], last_day: Day) -> Day:
     """A change landing on a stale day only becomes visible on the next
     regenerated file."""
@@ -383,18 +437,19 @@ def _apply_date_overrides(
     for span, date in overrides:
         nxt: List[Stint] = []
         for stint in out:
-            hit = stint.interval.intersection(span)
-            if hit is None or not stint.record.is_delegated:
+            lo = max(stint.start, span.start)
+            hi = min(stint.end, span.end)
+            if lo > hi or not stint.record.is_delegated:
                 nxt.append(stint)
                 continue
-            if stint.start < hit.start:
-                nxt.append(Stint(stint.start, hit.start - 1, stint.record))
+            if stint.start < lo:
+                nxt.append(Stint(stint.start, lo - 1, stint.record))
             if date is not None:
-                nxt.append(Stint(hit.start, hit.end, stint.record.with_date(date)))
+                nxt.append(Stint(lo, hi, stint.record.with_date(date)))
             else:
-                nxt.append(Stint(hit.start, hit.end, stint.record))
-            if hit.end < stint.end:
-                nxt.append(Stint(hit.end + 1, stint.end, stint.record))
+                nxt.append(Stint(lo, hi, stint.record))
+            if hi < stint.end:
+                nxt.append(Stint(hi + 1, stint.end, stint.record))
         out = nxt
     return out
 
@@ -404,14 +459,13 @@ def _punch_intervals(stints: List[Stint], holes: Sequence[Interval]) -> List[Sti
     for hole in holes:
         nxt: List[Stint] = []
         for stint in out:
-            hit = stint.interval.intersection(hole)
-            if hit is None:
+            if hole.end < stint.start or stint.end < hole.start:
                 nxt.append(stint)
                 continue
-            if stint.start < hit.start:
-                nxt.append(Stint(stint.start, hit.start - 1, stint.record))
-            if hit.end < stint.end:
-                nxt.append(Stint(hit.end + 1, stint.end, stint.record))
+            if stint.start < hole.start:
+                nxt.append(Stint(stint.start, hole.start - 1, stint.record))
+            if hole.end < stint.end:
+                nxt.append(Stint(hole.end + 1, stint.end, stint.record))
         out = nxt
     return out
 

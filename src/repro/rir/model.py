@@ -19,7 +19,7 @@ the restoration pipeline.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..asn.numbers import ASN
@@ -34,6 +34,9 @@ __all__ = [
     "DelegationRecord",
     "DelegationSnapshot",
 ]
+
+#: Sets a field of a frozen slotted row, whose own ``__setattr__`` raises.
+_set = object.__setattr__
 
 #: Canonical lowercase registry identifiers, as used inside the files.
 RIR_NAMES: Tuple[str, ...] = ("afrinic", "apnic", "arin", "lacnic", "ripencc")
@@ -88,28 +91,68 @@ class Status(enum.Enum):
             raise ValueError(f"unknown delegation status {text!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DelegationRecord:
     """One ASN row of a delegation file.
 
     ``reg_date`` is the registration date field; for ``available``
     records the real files leave it empty (``None`` here).  ``opaque_id``
-    is only present in extended files.  ``cc`` is the ISO country code
-    of the holding organization (empty for pool resources).
+    is only present in extended files (``None`` by default).  ``cc`` is
+    the ISO country code of the holding organization (empty for pool
+    resources).
+
+    A run builds one record per change point, so the class is slotted
+    and sets its fields in a hand-written ``__init__`` (DESIGN.md §5,
+    decision 11).  It stays a frozen dataclass: ``fields``, equality
+    and ``repr`` are the generated ones.
     """
+
+    __slots__ = ("registry", "cc", "asn", "reg_date", "status", "opaque_id")
 
     registry: str
     cc: str
     asn: ASN
     reg_date: Optional[Day]
     status: Status
-    opaque_id: Optional[str] = None
+    opaque_id: Optional[str]
 
-    def __post_init__(self) -> None:
-        if self.registry not in RIR_NAMES:
-            raise ValueError(f"unknown registry {self.registry!r}")
-        if self.status.is_delegated and self.reg_date is None:
-            raise ValueError(f"delegated record for AS{self.asn} lacks a date")
+    def __init__(
+        self,
+        registry: str,
+        cc: str,
+        asn: ASN,
+        reg_date: Optional[Day],
+        status: Status,
+        opaque_id: Optional[str] = None,
+    ) -> None:
+        if registry not in RIR_NAMES:
+            raise ValueError(f"unknown registry {registry!r}")
+        if reg_date is None and status.is_delegated:
+            raise ValueError(f"delegated record for AS{asn} lacks a date")
+        _set(self, "registry", registry)
+        _set(self, "cc", cc)
+        _set(self, "asn", asn)
+        _set(self, "reg_date", reg_date)
+        _set(self, "status", status)
+        _set(self, "opaque_id", opaque_id)
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.registry, self.cc, self.asn, self.reg_date, self.status, self.opaque_id)
+        )
+
+    def __reduce__(self):
+        # the default slot state cannot be set back on a frozen object
+        # (its __setattr__ raises), so a record pickles as a call
+        return (
+            DelegationRecord,
+            (self.registry, self.cc, self.asn, self.reg_date, self.status, self.opaque_id),
+        )
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # pickles written before the class had slots carry a field dict
+        for name, value in state.items():
+            _set(self, name, value)
 
     @property
     def is_delegated(self) -> bool:
@@ -118,11 +161,15 @@ class DelegationRecord:
 
     def with_date(self, reg_date: Optional[Day]) -> "DelegationRecord":
         """Copy with a different registration date (restoration step v)."""
-        return replace(self, reg_date=reg_date)
+        return DelegationRecord(
+            self.registry, self.cc, self.asn, reg_date, self.status, self.opaque_id
+        )
 
     def with_status(self, status: Status) -> "DelegationRecord":
         """Copy with a different status (pitfall/restoration use)."""
-        return replace(self, status=status)
+        return DelegationRecord(
+            self.registry, self.cc, self.asn, self.reg_date, status, self.opaque_id
+        )
 
     def key_fields(self) -> Tuple[str, str, Optional[Day], str, Optional[str]]:
         """Everything except the ASN, for run-length file compression."""

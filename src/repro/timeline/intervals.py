@@ -16,25 +16,50 @@ model).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .dates import Day, to_iso
 
 __all__ = ["Interval", "IntervalSet"]
 
+#: Sets a field of a frozen slotted row, whose own ``__setattr__`` raises.
+_set = object.__setattr__
 
-@dataclass(frozen=True, order=True)
+
+@dataclass(frozen=True, order=True, init=False)
 class Interval:
-    """A closed day interval ``[start, end]`` (both inclusive)."""
+    """A closed day interval ``[start, end]`` (both inclusive).
+
+    Slotted with a hand-written ``__init__``, like the other per-row
+    types (DESIGN.md §5, decision 11); the generated equality, ordering
+    and ``repr`` are kept.
+    """
+
+    __slots__ = ("start", "end")
 
     start: Day
     end: Day
 
-    def __post_init__(self) -> None:
-        if self.end < self.start:
+    def __init__(self, start: Day, end: Day) -> None:
+        if end < start:
             raise ValueError(
-                f"interval end {to_iso(self.end)} precedes start {to_iso(self.start)}"
+                f"interval end {to_iso(end)} precedes start {to_iso(start)}"
             )
+        _set(self, "start", start)
+        _set(self, "end", end)
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.end))
+
+    def __reduce__(self):
+        # the default slot state cannot be set back on a frozen object
+        # (its __setattr__ raises), so an interval pickles as a call
+        return (Interval, (self.start, self.end))
+
+    def __setstate__(self, state: Dict[str, Day]) -> None:
+        # pickles written before the class had slots carry a field dict
+        for name, value in state.items():
+            _set(self, name, value)
 
     @property
     def duration(self) -> int:

@@ -1,6 +1,10 @@
 """Tests for DelegationArchive: timelines, snapshots, overlay effects,
 and the equivalence of the fast (timeline) and slow (file) paths."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.asn import IanaLedger
@@ -14,9 +18,12 @@ from repro.rir import (
     FileState,
     Registry,
     Status,
+    Stint,
     default_policy,
     parse_snapshot,
 )
+from repro.scenario import get_scenario
+from repro.simulation.datasets import build_datasets
 from repro.timeline import Interval, from_iso
 
 START = from_iso("2010-05-01")
@@ -228,3 +235,182 @@ class TestPathEquivalence:
         assert sorted(snap.records, key=lambda r: (r.asn, r.status.value)) == sorted(
             direct.records, key=lambda r: (r.asn, r.status.value)
         )
+
+    def test_every_mass_transfer_source_matches_its_change_points(
+        self, mass_transfer_archive
+    ):
+        """Timelines against an oracle that reads the registry's change
+        points and the overlay directly, on every source of an archive
+        with stale days, drops, date overrides and extra rows.
+
+        For every ASN the checked days are each stint's first and last
+        day and the days just outside it (where a timeline shortcut
+        would go wrong), its change days, and the window's ends.  A
+        file's rows must be the timeline's rows on the day its content
+        was generated (the last non-stale day); files are checked on
+        every stale day, the day after one, and every fifth edge day.
+        """
+        archive = mass_transfer_archive
+        overlay = archive.overlay
+        assert overlay.stale_days and overlay.record_drops
+        assert overlay.date_overrides and overlay.extra_records
+        for window in archive.sources():
+            source = window.source
+            registry = archive._registries[source[0]]
+            timeline = archive.timeline(source)
+            stale = overlay.stale_days.get(source, set())
+            usable = {
+                day
+                for day in archive.iter_days(source)
+                if archive.file_state(source, day) == FileState.PRESENT
+            }
+            edge_days = set()
+            asns = set(registry.history) | set(overlay.extra_records.get(source, {}))
+            for asn in asns:
+                stints = timeline.get(asn, [])
+                assert all(
+                    window.first_day <= s.start <= s.end <= window.last_day
+                    for s in stints
+                )
+                edges = {
+                    day
+                    for stint in stints
+                    for day in (stint.start - 1, stint.start, stint.end, stint.end + 1)
+                }
+                edge_days |= edges
+                days = edges | {window.first_day, window.last_day}
+                days |= {day for day, _ in registry.history.get(asn, ())}
+                for day in days & usable:
+                    rows = _sorted_rows(
+                        s.record for s in stints if s.start <= day <= s.end
+                    )
+                    assert rows == _oracle_rows(archive, registry, source, asn, day), (
+                        source, asn, day,
+                    )
+            edge_days = sorted(edge_days & usable)
+            file_days = set(edge_days[::5]) | {
+                day for day in edge_days if day in stale or day - 1 in stale
+            }
+            for day in sorted(file_days):
+                generated = day
+                while generated in stale:
+                    generated -= 1
+                snap = archive.snapshot(source, day)
+                assert _sorted_rows(snap.records) == _rows_on(timeline, generated)
+
+    def test_single_change_point_on_a_stale_day(self, world):
+        """A pool-only ASN whose one change point falls on a stale day
+        is first listed by the next regenerated file."""
+        source = ("ripencc", EXTENDED)
+        registry = world["registry"]
+        pool_only = [
+            asn for asn, changes in registry.history.items() if len(changes) == 1
+        ]
+        asn = pool_only[0]
+        (change_day, record), = registry.history[asn]
+        assert record.status is Status.AVAILABLE
+        overlay = ArchiveOverlay()
+        overlay.mark_stale(source, change_day)
+        overlay.mark_stale(source, change_day + 1)
+        archive = make_archive(world, overlay)
+        assert archive.timeline(source)[asn] == [
+            Stint(change_day + 2, END, record)
+        ]
+        assert asn not in archive.snapshot(source, change_day + 1).asns()
+        assert asn in archive.snapshot(source, change_day + 2).asns()
+        # the regular feed never lists a pool-only ASN
+        assert asn not in archive.timeline(("ripencc", REGULAR))
+
+
+@pytest.fixture(scope="module")
+def mass_transfer_archive():
+    scenario = get_scenario("mass-transfer")
+    return build_datasets(scenario.compile()).archive
+
+
+def _row_key(record):
+    return (
+        record.asn,
+        record.status.value,
+        -1 if record.reg_date is None else record.reg_date,
+        record.cc,
+        record.opaque_id or "",
+    )
+
+
+def _sorted_rows(records):
+    return sorted(records, key=_row_key)
+
+
+def _rows_on(timeline, day):
+    return _sorted_rows(
+        stint.record
+        for stints in timeline.values()
+        for stint in stints
+        if stint.start <= day <= stint.end
+    )
+
+
+def _oracle_rows(archive, registry, source, asn, day):
+    """The rows ``source`` lists for ``asn`` on a usable ``day``, from
+    the change points and the overlay, without building a stint."""
+    overlay = archive.overlay
+    window = archive.window(source)
+    regular = source[1] == REGULAR
+    stale = overlay.stale_days.get(source, set())
+    rows = []
+    current = None
+    for change_day, record in registry.history.get(asn, ()):
+        # a change on a stale day shows on the next regenerated file
+        while change_day in stale and change_day <= window.last_day:
+            change_day += 1
+        if change_day > day:
+            break
+        current = record
+    if regular and current is not None:
+        current = (
+            DelegationRecord(
+                current.registry, current.cc, current.asn,
+                current.reg_date, current.status,
+            )
+            if current.is_delegated
+            else None
+        )
+    if current is not None:
+        for span, date in overlay.date_overrides.get(source, {}).get(asn, ()):
+            if day in span and date is not None and current.is_delegated:
+                current = current.with_date(date)
+        holes = overlay.record_drops.get(source, {}).get(asn, ())
+        if not any(day in hole for hole in holes):
+            rows.append(current)
+    for span, record in overlay.extra_records.get(source, {}).get(asn, ()):
+        if day in span and (record.is_delegated or not regular):
+            rows.append(record)
+    return _sorted_rows(rows)
+
+
+class TestStintRow:
+    def test_frozen(self, world):
+        stint = make_archive(world).timeline(("ripencc", EXTENDED))[world["asns"][0]][0]
+        for f in dataclasses.fields(Stint):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(stint, f.name, getattr(stint, f.name))
+
+    def test_fields_unchanged(self):
+        assert [f.name for f in dataclasses.fields(Stint)] == ["start", "end", "record"]
+
+    def test_eq_and_hash_follow_the_field_tuple(self):
+        record = DelegationRecord("ripencc", "", 7, None, Status.AVAILABLE)
+        a = Stint(10, 20, record)
+        assert a == Stint(10, 20, DelegationRecord("ripencc", "", 7, None, Status.AVAILABLE))
+        assert hash(a) == hash((10, 20, record))
+        assert a != Stint(10, 21, record)
+        assert a != (10, 20, record)
+
+    def test_pickle_and_deepcopy_round_trip(self, world):
+        stints = make_archive(world).timeline(("ripencc", EXTENDED))[world["asns"][0]]
+        for clone in (pickle.loads(pickle.dumps(stints)), copy.deepcopy(stints)):
+            assert clone == stints
+            assert [hash(s) for s in clone] == [hash(s) for s in stints]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                clone[0].end = 0

@@ -1,5 +1,9 @@
 """Unit tests for repro.rir.model and repro.rir.formats."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +69,85 @@ class TestDelegationRecord:
 
     def test_describe_mentions_asn(self):
         assert "AS42" in rec(42).describe()
+
+
+def _field_tuple(record):
+    return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+
+
+class TestDelegationRecordRowContract:
+    """The slotted record keeps the frozen dataclass's behaviour."""
+
+    def test_fields_unchanged(self):
+        assert [f.name for f in dataclasses.fields(DelegationRecord)] == [
+            "registry", "cc", "asn", "reg_date", "status", "opaque_id",
+        ]
+        assert dataclasses.is_dataclass(DelegationRecord)
+
+    def test_every_field_is_frozen(self):
+        r = rec(1)
+        for f in dataclasses.fields(r):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(r, f.name, getattr(r, f.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del r.cc
+        assert not hasattr(r, "__dict__")
+
+    def test_keyword_and_positional_construction_agree(self):
+        assert rec(5) == DelegationRecord(
+            "ripencc", "IT", 5, from_iso("2010-05-01"), Status.ALLOCATED, "ORG-1"
+        )
+        assert DelegationRecord("arin", "", 7, None, Status.RESERVED).opaque_id is None
+
+    def test_validation_raises_value_error(self):
+        with pytest.raises(ValueError, match="unknown registry"):
+            DelegationRecord("internic", "US", 7, 10, Status.ALLOCATED)
+        for status in (Status.ALLOCATED, Status.ASSIGNED):
+            with pytest.raises(ValueError, match="lacks a date"):
+                DelegationRecord(
+                    registry="arin", cc="US", asn=7, reg_date=None, status=status
+                )
+
+    def test_eq_and_hash_follow_the_field_tuple(self):
+        rows = [
+            rec(1), rec(1), rec(2), rec(1, opaque=None), rec(1, cc="FR"),
+            rec(1, status=Status.ASSIGNED), rec(1, date="2011-01-01"),
+            rec(1, registry="arin"),
+            rec(1, status=Status.AVAILABLE, date=None, cc="", opaque=None),
+        ]
+        for a in rows:
+            assert hash(a) == hash(_field_tuple(a))
+            for b in rows:
+                assert (a == b) == (_field_tuple(a) == _field_tuple(b))
+        assert rec(1) != _field_tuple(rec(1))
+
+    def test_repr_is_the_dataclass_repr(self):
+        assert repr(DelegationRecord("arin", "", 7, None, Status.AVAILABLE)) == (
+            "DelegationRecord(registry='arin', cc='', asn=7, reg_date=None, "
+            "status=<Status.AVAILABLE: 'available'>, opaque_id=None)"
+        )
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        rows = [rec(1), rec(2, status=Status.RESERVED, date=None, opaque=None)]
+        for clone in (pickle.loads(pickle.dumps(rows)), copy.deepcopy(rows)):
+            assert clone == rows
+            assert [hash(r) for r in clone] == [hash(r) for r in rows]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                clone[0].asn = 3
+
+    def test_with_date_and_with_status_change_one_field(self):
+        r = rec(1)
+        new_day = from_iso("1999-01-01")
+        fields = _field_tuple(r)
+        dated = r.with_date(new_day)
+        assert dated == rec(1, date="1999-01-01")
+        assert _field_tuple(dated) == fields[:3] + (new_day,) + fields[4:]
+        assigned = r.with_status(Status.ASSIGNED)
+        assert assigned == rec(1, status=Status.ASSIGNED)
+        assert _field_tuple(assigned) == fields[:4] + (Status.ASSIGNED,) + fields[5:]
+        # the copies are validated like any record
+        with pytest.raises(ValueError):
+            r.with_date(None)
 
 
 class TestSnapshot:

@@ -8,11 +8,13 @@ degrade to misses instead of poisoning later runs.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 from dataclasses import dataclass
 
 import pytest
 
+from repro.rir import DelegationRecord, Status, Stint
 from repro.rir.pitfalls import PitfallConfig
 from repro.runtime import (
     PIPELINE_VERSION,
@@ -23,6 +25,7 @@ from repro.runtime import (
 )
 from repro.simulation import DatasetBundle, build_datasets
 from repro.simulation.config import tiny
+from repro.timeline import Interval, IntervalSet
 
 
 @dataclass
@@ -402,3 +405,44 @@ class TestCachedBundle:
         (lookup,) = [s for s in second.stage_spans() if s.name == "cache:lookup"]
         assert lookup.annotations == second.events
         assert second.root.annotations == []
+
+
+#: ``pickle.dumps((stint, interval_set, interval), HIGHEST_PROTOCOL)``,
+#: written before ``Stint``, ``DelegationRecord`` and ``Interval`` had
+#: slots: the stint, its record and the bare interval carry a field
+#: dict as their state.  Artifact-cache entries from those builds hold
+#: the same form, and must still load.
+_DICT_STATE_ROWS = bytes.fromhex(
+    "80059566010000000000008c11726570726f2e7269722e61726368697665948c05537469"
+    "6e749493942981947d94288c057374617274944db0368c03656e64944d14378c06726563"
+    "6f7264948c0f726570726f2e7269722e6d6f64656c948c1044656c65676174696f6e5265"
+    "636f72649493942981947d94288c087265676973747279948c07726970656e6363948c02"
+    "6363948c024954948c0361736e944d050d8c087265675f64617465944db0368c06737461"
+    "7475739468088c065374617475739493948c09616c6c6f636174656494859452948c096f"
+    "70617175655f6964948c054f52472d3194756275628c086275696c74696e73948c076765"
+    "74617474729493948c18726570726f2e74696d656c696e652e696e74657276616c73948c"
+    "0b496e74657276616c5365749493948c0a5f66726f6d5f666c61749486945294284b0a4b"
+    "144b1e4b28749485945294681e8c08496e74657276616c9493942981947d942868054b05"
+    "68064b09756287942e"
+)
+
+
+class TestRowsPickledBeforeSlots:
+    def test_dict_state_rows_load_equal_and_frozen(self):
+        stint, interval_set, interval = pickle.loads(_DICT_STATE_ROWS)
+        record = DelegationRecord(
+            "ripencc", "IT", 3333, 14000, Status.ALLOCATED, "ORG-1"
+        )
+        expected = Stint(14000, 14100, record)
+        assert stint == expected and hash(stint) == hash(expected)
+        assert stint.record == record and hash(stint.record) == hash(record)
+        assert interval_set == IntervalSet([Interval(10, 20), Interval(30, 40)])
+        assert interval == Interval(5, 9) and hash(interval) == hash(Interval(5, 9))
+        for row, name in (
+            (stint, "end"), (stint.record, "cc"), (interval, "start"),
+            (next(iter(interval_set)), "end"),
+        ):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(row, name, 0)
+        # and they pickle again in the current form
+        assert pickle.loads(pickle.dumps(stint)) == expected

@@ -1,5 +1,9 @@
 """Unit and property-based tests for repro.timeline.intervals."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +60,54 @@ class TestInterval:
 
     def test_ordering_by_start(self):
         assert Interval(1, 9) < Interval(2, 3)
+
+
+class TestIntervalRowContract:
+    """The slotted interval keeps the frozen dataclass's behaviour."""
+
+    def test_fields_unchanged(self):
+        assert [f.name for f in dataclasses.fields(Interval)] == ["start", "end"]
+
+    def test_every_field_is_frozen(self):
+        iv = Interval(3, 9)
+        for name in ("start", "end"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(iv, name, 5)
+        assert not hasattr(iv, "__dict__")
+
+    def test_validation_raises_value_error(self):
+        with pytest.raises(ValueError, match="precedes start"):
+            Interval(start=10, end=9)
+
+    def test_repr_is_the_dataclass_repr(self):
+        assert repr(Interval(3, 9)) == "Interval(start=3, end=9)"
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        ivs = [Interval(3, 9), Interval(-2, 40)]
+        for clone in (pickle.loads(pickle.dumps(ivs)), copy.deepcopy(ivs)):
+            assert clone == ivs
+            assert [hash(iv) for iv in clone] == [hash(iv) for iv in ivs]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                clone[0].start = 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-20, 20), st.integers(0, 5)), min_size=1, max_size=12
+    )
+)
+def test_interval_eq_hash_and_order_follow_the_field_tuple(pairs):
+    ivs = [Interval(s, s + n) for s, n in pairs]
+    tuples = [(iv.start, iv.end) for iv in ivs]
+    for iv, t in zip(ivs, tuples):
+        assert hash(iv) == hash(t)
+    for a, ta in zip(ivs, tuples):
+        for b, tb in zip(ivs, tuples):
+            assert (a == b) == (ta == tb)
+            assert (a < b) == (ta < tb) and (a <= b) == (ta <= tb)
+            assert (a > b) == (ta > tb) and (a >= b) == (ta >= tb)
+    assert [(iv.start, iv.end) for iv in sorted(ivs)] == sorted(tuples)
 
 
 class TestIntervalSetBasics:
