@@ -81,7 +81,7 @@ class Status(enum.Enum):
     @property
     def is_delegated(self) -> bool:
         """True for statuses that mean "held by an organization"."""
-        return self is Status.ALLOCATED or self is Status.ASSIGNED
+        return self is _ALLOCATED or self is _ASSIGNED
 
     @classmethod
     def parse(cls, text: str) -> "Status":
@@ -89,6 +89,12 @@ class Status(enum.Enum):
             return cls(text.strip().lower())
         except ValueError:
             raise ValueError(f"unknown delegation status {text!r}") from None
+
+
+# Module-level aliases of the delegated members: a global read costs a
+# fraction of an enum member lookup, and the checks below run per row.
+_ALLOCATED = Status.ALLOCATED
+_ASSIGNED = Status.ASSIGNED
 
 
 @dataclass(frozen=True, init=False)
@@ -127,7 +133,7 @@ class DelegationRecord:
     ) -> None:
         if registry not in RIR_NAMES:
             raise ValueError(f"unknown registry {registry!r}")
-        if reg_date is None and status.is_delegated:
+        if reg_date is None and (status is _ALLOCATED or status is _ASSIGNED):
             raise ValueError(f"delegated record for AS{asn} lacks a date")
         _set(self, "registry", registry)
         _set(self, "cc", cc)
@@ -157,7 +163,7 @@ class DelegationRecord:
     @property
     def is_delegated(self) -> bool:
         status = self.status
-        return status is Status.ALLOCATED or status is Status.ASSIGNED
+        return status is _ALLOCATED or status is _ASSIGNED
 
     def with_date(self, reg_date: Optional[Day]) -> "DelegationRecord":
         """Copy with a different registration date (restoration step v)."""

@@ -29,6 +29,12 @@ from .policies import RirPolicy
 
 __all__ = ["Allocation", "Reservation", "Registry", "RegistryError"]
 
+# Module-level aliases: a global read is cheaper than an enum member
+# lookup, and every transition builds a record with one of these.
+_ALLOCATED = Status.ALLOCATED
+_AVAILABLE = Status.AVAILABLE
+_RESERVED = Status.RESERVED
+
 
 class RegistryError(RuntimeError):
     """Raised when a transition is requested from the wrong state."""
@@ -149,7 +155,7 @@ class Registry:
                 cc="",
                 asn=asn,
                 reg_date=None,
-                status=Status.AVAILABLE,
+                status=_AVAILABLE,
             ),
         )
 
@@ -232,7 +238,7 @@ class Registry:
                 cc=cc,
                 asn=asn,
                 reg_date=alloc.reg_date,
-                status=Status.ALLOCATED,
+                status=_ALLOCATED,
                 opaque_id=org_id,
             ),
         )
@@ -259,7 +265,7 @@ class Registry:
                 cc="",
                 asn=asn,
                 reg_date=None,
-                status=Status.RESERVED,
+                status=_RESERVED,
             ),
         )
         return res
@@ -368,7 +374,7 @@ class Registry:
                     cc=alloc.cc,
                     asn=asn,
                     reg_date=alloc.reg_date,
-                    status=Status.ALLOCATED,
+                    status=_ALLOCATED,
                     opaque_id=alloc.org_id if extended else None,
                 )
             )
@@ -377,14 +383,14 @@ class Registry:
                 records.append(
                     DelegationRecord(
                         registry=self.name, cc="", asn=asn,
-                        reg_date=None, status=Status.RESERVED,
+                        reg_date=None, status=_RESERVED,
                     )
                 )
             for asn in self._available_set:
                 records.append(
                     DelegationRecord(
                         registry=self.name, cc="", asn=asn,
-                        reg_date=None, status=Status.AVAILABLE,
+                        reg_date=None, status=_AVAILABLE,
                     )
                 )
         records.sort(key=lambda r: r.asn)

@@ -12,7 +12,9 @@ answers "what is AS 3333's story?" without a rebuild:
   cache's atomic publish with byte-for-byte read-back verification.
 * :mod:`repro.serve.index` — :class:`StoreIndex`, the in-memory view
   answering point, as-of-date, and range queries in O(log n), as
-  response bytes joined from per-ASN fragments encoded on first touch.
+  response bytes joined from per-ASN fragments encoded on first touch;
+  its open verifies every shard but builds a shard's records only when
+  a query first reaches it.
 * :mod:`repro.serve.append` — incremental day-append, byte-identical
   to a full rebuild over the extended window.
 * :mod:`repro.serve.http` — the stdlib-asyncio HTTP/JSON front end.

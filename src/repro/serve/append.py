@@ -85,10 +85,9 @@ def append_days(
             f"({new_end} > {world.config.end_day})"
         )
 
-    records: Dict[ASN, AsnRecord] = {}
-    for asns, shard_records in index._shards:
-        for record in shard_records:
-            records[record.asn] = record
+    records: Dict[ASN, AsnRecord] = {
+        record.asn: record for record in index.iter_records()
+    }
 
     with tracer.stage(
         "serve:append", items=days, component="serve"

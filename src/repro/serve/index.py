@@ -1,9 +1,10 @@
 """In-memory query index over a published serve store.
 
-:class:`StoreIndex` opens a ``serve-store/v1`` directory, loads the
-shard table plus every shard document (verified, with bounded retries
-on injected read faults), and answers the three query shapes the HTTP
-layer exposes:
+:class:`StoreIndex` opens a ``serve-store/v1`` directory: it reads the
+shard table and every shard document (verified, with bounded retries
+on injected read faults), parses and checks each shard's columns, and
+builds a shard's records only when a query first reaches it.  It
+answers the three query shapes the HTTP layer exposes:
 
 * **point** — ``lives(asn)`` / ``taxonomy(asn)``: binary search over
   the shard bounds, then over the shard's sorted ``asns`` array —
@@ -30,8 +31,11 @@ store swap between queries.  Each shape comes twice:
   call.  They are the oracle the byte-identity tests and the
   benchmark's response check encode independently.
 
-:meth:`StoreIndex.open` only loads and verifies: no fragment is encoded
-until a query asks for one.
+:meth:`StoreIndex.open` only loads, verifies and checks: no record is
+built and no fragment encoded until a query asks for one.  ``len``,
+:meth:`~StoreIndex.all_asns`, :meth:`~StoreIndex.snapshot`, the digest
+and the shard bisection read only the ASN columns and the index
+document, so they never build a record.
 """
 
 from __future__ import annotations
@@ -50,9 +54,11 @@ from .store import (
     SERVE_STORE_FORMAT,
     AsnRecord,
     ServeStoreError,
+    ShardColumns,
     StoreMeta,
-    decode_shard,
+    decode_rows,
     load_bytes_verified,
+    parse_shard,
     store_publisher,
 )
 
@@ -146,22 +152,63 @@ class _RecordBytes:
         self.taxonomy = _encode(_taxonomy_json(record))[:-1]
 
 
+class _Shard:
+    """One shard: its ASN column, and its records from first touch on.
+
+    Until then it holds the parsed columns of its document;
+    :meth:`records` builds every record of the shard at once through
+    :func:`~repro.serve.store.decode_rows` and drops the columns.  A
+    shard unpacks as ``(asns, records)``, the pair
+    :class:`StoreIndex` takes for a decoded shard.
+    """
+
+    __slots__ = ("asns", "_records", "_columns")
+
+    def __init__(
+        self,
+        asns: List[ASN],
+        records: Optional[List[AsnRecord]] = None,
+        columns: Optional[ShardColumns] = None,
+    ) -> None:
+        self.asns = asns
+        self._records = records
+        self._columns = columns
+
+    def records(self) -> List[AsnRecord]:
+        """The shard's records, decoded on the first call."""
+        records = self._records
+        if records is None:
+            records = self._records = decode_rows(self._columns)
+            self._columns = None
+        return records
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter((self.asns, self.records()))
+
+
 class StoreIndex:
-    """A read-only, fully loaded view of one store snapshot."""
+    """A read-only view of one store snapshot, decoded shard by shard."""
 
     def __init__(
         self,
         index_doc: Dict[str, Any],
-        shards: List[Tuple[List[ASN], List[AsnRecord]]],
+        shards: Sequence[Union[ShardColumns, Tuple[List[ASN], List[AsnRecord]]]],
     ) -> None:
+        """``shards`` in ASN order, each either parsed (its records are
+        built on first touch) or an ``(asns, records)`` pair."""
         if index_doc.get("format") != SERVE_STORE_FORMAT:
             raise ServeStoreError(f"not a {SERVE_STORE_FORMAT} index document")
         self.doc = index_doc
         self.digest: str = index_doc["digest"]
         self.meta = StoreMeta.from_json_dict(index_doc["meta"])
-        self._shards = shards
+        self._shards = [
+            _Shard(shard.asns, columns=shard)
+            if isinstance(shard, ShardColumns)
+            else _Shard(*shard)
+            for shard in shards
+        ]
         #: Shard upper bounds, for the first-level binary search.
-        self._his: List[ASN] = [asns[-1] for asns, _records in shards]
+        self._his: List[ASN] = [shard.asns[-1] for shard in self._shards]
         #: Each touched record's fragments, encoded on first touch.
         self._encoded: Dict[ASN, _RecordBytes] = {}
         #: Each shard's range-summary rows, encoded on first touch.
@@ -178,7 +225,14 @@ class StoreIndex:
         faults: Any = USE_ENV_FAULTS,
         tracer: Optional[Tracer] = None,
     ) -> "StoreIndex":
-        """Load a store directory (index + every shard, verified).
+        """Open a store directory; no record is built until queried.
+
+        The index and every shard are read and verified against their
+        sha256 sidecars.  Each shard is parsed and checked: its format
+        tag, equal-length columns, strictly ascending ASNs, and ASN
+        bounds and count equal to its index row.  Its rows are only
+        decoded when a query first reaches the shard, so a malformed
+        row fails that query, not the open.
 
         Each verified read and any degradation is counted in
         ``tracer``'s run; without a run (the ``serve`` command, load
@@ -191,30 +245,41 @@ class StoreIndex:
             index_doc = json.loads(index_blob.decode("utf-8"))
         except ValueError as exc:
             raise ServeStoreError(f"store index is not valid JSON: {exc}") from exc
-        shards: List[Tuple[List[ASN], List[AsnRecord]]] = []
+        shards: List[ShardColumns] = []
         for row in index_doc.get("shards", ()):
-            blob = load_bytes_verified(cache, row["name"], tracer=tracer)
-            records = decode_shard(blob)
-            asns = [record.asn for record in records]
-            if not asns or asns[0] != row["lo"] or asns[-1] != row["hi"]:
+            columns = parse_shard(
+                load_bytes_verified(cache, row["name"], tracer=tracer)
+            )
+            asns = columns.asns
+            if (
+                not asns
+                or asns[0] != row["lo"]
+                or asns[-1] != row["hi"]
+                or len(asns) != row.get("count")
+            ):
                 raise ServeStoreError(
                     f"shard {row['name']} does not match its index row"
                 )
-            shards.append((asns, records))
+            shards.append(columns)
         return cls(index_doc, shards)
 
     # -- lookups -------------------------------------------------------
 
     def all_asns(self) -> List[ASN]:
         """The store's full sorted ASN universe (load-gen planning)."""
-        return [asn for asns, _records in self._shards for asn in asns]
+        return [asn for shard in self._shards for asn in shard.asns]
+
+    def iter_records(self) -> Iterator[AsnRecord]:
+        """Every record in ASN order, decoding each shard as it is reached."""
+        for shard in self._shards:
+            yield from shard.records()
 
     def _locate(self, asn: ASN) -> Optional[Tuple[int, int]]:
         """``(shard, position)`` of the ASN via two binary searches."""
         shard_pos = bisect_left(self._his, asn)
         if shard_pos >= len(self._shards):
             return None
-        asns = self._shards[shard_pos][0]
+        asns = self._shards[shard_pos].asns
         pos = bisect_left(asns, asn)
         if pos < len(asns) and asns[pos] == asn:
             return shard_pos, pos
@@ -226,7 +291,7 @@ class StoreIndex:
         if located is None:
             return None
         shard_pos, pos = located
-        return self._shards[shard_pos][1][pos]
+        return self._shards[shard_pos].records()[pos]
 
     def _spans_in_range(
         self, lo: ASN, hi: ASN
@@ -234,7 +299,7 @@ class StoreIndex:
         """``(shard, start, stop)`` slices holding ``lo <= asn <= hi``."""
         shard_pos = bisect_left(self._his, lo)
         while shard_pos < len(self._shards):
-            asns = self._shards[shard_pos][0]
+            asns = self._shards[shard_pos].asns
             if asns[0] > hi:
                 return
             yield shard_pos, bisect_left(asns, lo), bisect_right(asns, hi)
@@ -245,7 +310,7 @@ class StoreIndex:
     ) -> Iterator[AsnRecord]:
         """Records with ``lo <= asn <= hi``, ascending."""
         for shard_pos, start, stop in self._spans_in_range(lo, hi):
-            yield from self._shards[shard_pos][1][start:stop]
+            yield from self._shards[shard_pos].records()[start:stop]
 
     def _fragments(self, record: AsnRecord) -> _RecordBytes:
         """The record's fragments, encoded on the first call."""
@@ -258,7 +323,9 @@ class StoreIndex:
         """The shard's range-summary rows, encoded on the first call."""
         rows = self._summaries[shard_pos]
         if rows is None:
-            rows = [_encode(_summary_json(r)) for r in self._shards[shard_pos][1]]
+            rows = [
+                _encode(_summary_json(r)) for r in self._shards[shard_pos].records()
+            ]
             self._summaries[shard_pos] = rows
         return rows
 
@@ -481,7 +548,7 @@ class StoreIndex:
         )
 
     def __len__(self) -> int:
-        return sum(len(asns) for asns, _records in self._shards)
+        return sum(len(shard.asns) for shard in self._shards)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

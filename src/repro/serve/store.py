@@ -40,7 +40,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..asn.numbers import ASN
 from ..core.taxonomy import Category, TaxonomyResult, classify
@@ -76,6 +76,9 @@ __all__ = [
     "StoreMeta",
     "build_serve_records",
     "encode_shard",
+    "ShardColumns",
+    "parse_shard",
+    "decode_rows",
     "decode_shard",
     "plan_shards",
     "store_bytes_verified",
@@ -275,15 +278,51 @@ def encode_shard(records: Sequence[AsnRecord]) -> bytes:
     )
 
 
-def decode_shard(blob: bytes) -> List[AsnRecord]:
-    """Parse shard bytes back into records (inverse of :func:`encode_shard`)."""
+class ShardColumns(NamedTuple):
+    """The parsed columns of one shard document, before any record is built."""
+
+    asns: List[ASN]
+    admin: List[Any]
+    op: List[Any]
+    observed: List[Any]
+    single: List[Any]
+    pool: List[str]
+
+
+def parse_shard(blob: bytes) -> ShardColumns:
+    """Parse shard bytes and check their shape, building no record.
+
+    Checks the format tag, that the five per-ASN columns are lists of
+    one length, and that the ASNs ascend strictly.  The rows inside the
+    columns are left to :func:`decode_rows`.
+    """
     try:
         doc = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise ServeStoreError(f"shard is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != SERVE_SHARD_FORMAT:
         raise ServeStoreError(f"shard is not a {SERVE_SHARD_FORMAT} document")
-    pool = doc["pool"]
+    try:
+        columns = ShardColumns(*(doc[name] for name in ShardColumns._fields))
+    except KeyError as exc:
+        raise ServeStoreError(f"shard lacks its {exc} column") from exc
+    if not all(isinstance(column, list) for column in columns):
+        raise ServeStoreError("shard columns are not arrays")
+    asns = columns.asns
+    if any(len(column) != len(asns) for column in columns[1:5]):
+        raise ServeStoreError("shard columns differ in length")
+    try:
+        ascending = all(a < b for a, b in zip(asns, asns[1:]))
+    except TypeError as exc:
+        raise ServeStoreError(f"shard ASNs are not numbers: {exc}") from exc
+    if not ascending:
+        raise ServeStoreError("shard ASNs do not ascend strictly")
+    return columns
+
+
+def decode_rows(columns: ShardColumns) -> List[AsnRecord]:
+    """Build the records of one parsed shard, one per ASN."""
+    pool = columns.pool
 
     def lookup(idx: int) -> Optional[str]:
         return None if idx < 0 else pool[idx]
@@ -291,12 +330,13 @@ def decode_shard(blob: bytes) -> List[AsnRecord]:
     out: List[AsnRecord] = []
     try:
         rows = zip(
-            doc["asns"], doc["admin"], doc["op"], doc["observed"], doc["single"]
+            columns.asns, columns.admin, columns.op, columns.observed, columns.single
         )
         for asn, admin_rows, op_rows, observed, single in rows:
-            record = AsnRecord(asn=asn)
+            admin: List[AdminLifetime] = []
+            admin_cats: List[Category] = []
             for start, end, reg_date, regs, cc, org, flags, cat in admin_rows:
-                record.admin.append(AdminLifetime(
+                admin.append(AdminLifetime(
                     asn=asn,
                     start=start,
                     end=end,
@@ -308,18 +348,25 @@ def decode_shard(blob: bytes) -> List[AsnRecord]:
                     via_nir=bool(flags & 2),
                     left_censored=bool(flags & 4),
                 ))
-                record.admin_cats.append(CATEGORY_ORDER[cat])
+                admin_cats.append(CATEGORY_ORDER[cat])
+            op: List[BgpLifetime] = []
+            op_cats: List[Category] = []
             for start, end, open_ended, cat in op_rows:
-                record.op.append(BgpLifetime(
+                op.append(BgpLifetime(
                     asn=asn, start=start, end=end, open_ended=bool(open_ended)
                 ))
-                record.op_cats.append(CATEGORY_ORDER[cat])
-            record.observed = _unflat(observed)
-            record.single = _unflat(single)
-            out.append(record)
+                op_cats.append(CATEGORY_ORDER[cat])
+            out.append(AsnRecord(
+                asn, admin, op, admin_cats, op_cats, _unflat(observed), _unflat(single)
+            ))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ServeStoreError(f"malformed shard row: {exc}") from exc
     return out
+
+
+def decode_shard(blob: bytes) -> List[AsnRecord]:
+    """Parse shard bytes back into records (inverse of :func:`encode_shard`)."""
+    return decode_rows(parse_shard(blob))
 
 
 def plan_shards(

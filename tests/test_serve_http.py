@@ -174,6 +174,82 @@ class TestStoreIndex:
             StoreIndex.open(broken, faults=None)
 
 
+def _rewritten(store_dir, tmp_path, name, mutate):
+    """A copy of the store with one file's JSON document changed by
+    ``mutate``, republished so its sha256 sidecar still verifies."""
+    import shutil
+
+    from repro.runtime import Tracer
+    from repro.serve.store import store_bytes_verified, store_publisher
+
+    copy = tmp_path / "copy"
+    shutil.copytree(store_dir, copy)
+    doc = json.loads((copy / name).read_text())
+    mutate(doc)
+    blob = (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    store_bytes_verified(store_publisher(copy, faults=None), name, blob,
+                         tracer=Tracer())
+    return copy
+
+
+def _eager_index(store_dir):
+    """The store's index over records built up front by ``decode_shard``."""
+    from repro.serve.store import decode_shard
+
+    doc = json.loads((store_dir / "store.json").read_text())
+    shards = []
+    for row in doc["shards"]:
+        records = decode_shard((store_dir / row["name"]).read_bytes())
+        shards.append(([record.asn for record in records], records))
+    return StoreIndex(doc, shards)
+
+
+def _decoded_shards(index):
+    return [shard._records is not None for shard in index._shards]
+
+
+class TestLazyOpen:
+    def test_open_decodes_no_shard(self, store_dir):
+        fresh = StoreIndex.open(store_dir, faults=None)
+        assert len(fresh._shards) > 1
+        assert len(fresh) == len(fresh.all_asns())
+        assert fresh.snapshot()["snapshot"] == fresh.digest
+        assert fresh.snapshot()["shards"] == len(fresh._shards)
+        fresh.lives_body(fresh.all_asns()[-1] + 1)  # past the universe
+        assert not any(_decoded_shards(fresh))
+
+    def test_a_point_query_decodes_only_its_shard(self, store_dir):
+        fresh = StoreIndex.open(store_dir, faults=None)
+        fresh.taxonomy_body(fresh.all_asns()[-1])
+        assert _decoded_shards(fresh) == [False] * (len(fresh._shards) - 1) + [True]
+        assert fresh._shards[-1]._columns is None  # parsed columns dropped
+
+    def test_iter_records_matches_eager_decode(self, store_dir):
+        fresh = StoreIndex.open(store_dir, faults=None)
+        eager = _eager_index(store_dir)
+        assert list(fresh.iter_records()) == list(eager.iter_records())
+        assert [r.asn for r in fresh.iter_records()] == fresh.all_asns()
+
+    @pytest.mark.parametrize("mutate, reason", [
+        (lambda doc: doc["op"].pop(), "differ in length"),
+        (lambda doc: doc["observed"].append([]), "differ in length"),
+        (lambda doc: doc["asns"].reverse(), "ascend strictly"),
+        (lambda doc: doc["asns"].__setitem__(2, doc["asns"][1]), "ascend strictly"),
+    ])
+    def test_open_rejects_a_reshaped_shard(self, store_dir, tmp_path, mutate, reason):
+        broken = _rewritten(store_dir, tmp_path, "shard-00000.json", mutate)
+        with pytest.raises(ServeStoreError, match=reason):
+            StoreIndex.open(broken, faults=None)
+
+    def test_open_rejects_count_mismatch(self, store_dir, tmp_path):
+        def recount(doc):
+            doc["shards"][1]["count"] -= 1
+
+        broken = _rewritten(store_dir, tmp_path, "store.json", recount)
+        with pytest.raises(ServeStoreError, match="does not match its index"):
+            StoreIndex.open(broken, faults=None)
+
+
 class TestHttpServer:
     @pytest.fixture()
     def served(self, index):
@@ -570,6 +646,38 @@ class TestInternalErrors:
         )] == 1
 
 
+    def test_a_malformed_row_fails_only_its_shard(self, store_dir, tmp_path):
+        """A shard whose bytes verify but which holds a malformed row
+        opens; the first query reaching it is a counted 500, and the
+        other shards keep answering."""
+        def break_row(doc):
+            doc["admin"][5] = [[1, 2]]  # an admin life cut short
+
+        broken = _rewritten(store_dir, tmp_path, "shard-00001.json", break_row)
+        index = StoreIndex.open(broken, faults=None)
+        first, second = index._shards[0].asns[0], index._shards[1].asns[0]
+
+        async def interact(server, host, port):
+            return [await _aget(host, port, path) for path in (
+                f"/asn/{second}/lives", f"/asn/{second}/taxonomy",
+                f"/asn/{first}/lives", f"/range/{first}-{first}",
+            )]
+
+        results, server = _serve_raw(index, interact)
+        for status, body in results[:2]:
+            assert status == 500
+            assert json.loads(body) == {"error": "internal server error"}
+        assert [status for status, _body in results[2:]] == [200, 200]
+        counters = server.metrics.snapshot()["counters"]
+        assert counters["serve.http.exceptions"] == 2
+        from repro.serve.telemetry import labeled
+
+        assert counters[labeled(
+            "serve.http.exceptions", route="/asn/{n}/lives",
+            type="ServeStoreError",
+        )] == 1
+
+
 class TestLoadGen:
     def test_plan_is_deterministic(self, index):
         meta = index.meta
@@ -955,6 +1063,51 @@ class TestServedBytes:
         ((_s2, new),) = _fetch_all(host2, port2, [f"/asn/{asn}/lives"])
         assert json.loads(old)["snapshot"] == before.digest
         assert json.loads(new)["snapshot"] == after.digest
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_lazy_open_serves_the_eager_bytes(self, servers, store_dir, data):
+        """Every route of a lazily opened index, cold and warm, answers
+        the bytes of an index over records built by ``decode_shard``."""
+        from repro.timeline.dates import to_iso
+
+        eager = _eager_index(store_dir)
+        asns = eager.all_asns()
+        top = asns[-1]
+        asn = data.draw(st.one_of(
+            st.sampled_from(asns), st.integers(0, top + 10)), label="asn")
+        lo = data.draw(st.one_of(
+            st.sampled_from(asns), st.integers(0, top + 10)), label="lo")
+        hi = lo + data.draw(st.one_of(
+            st.integers(0, 3), st.integers(0, top), st.just(10**10),
+        ), label="width")
+        day = data.draw(st.one_of(
+            st.sampled_from(_probe_days(eager, eager.record(asn))),
+            st.integers(eager.meta.start - 50, eager.meta.end + 50),
+        ), label="day")
+        limit = data.draw(st.sampled_from([1, 2, 250, 1000]), label="limit")
+        calls = [
+            ("lives_body", (asn,), {}),
+            ("taxonomy_body", (asn,), {}),
+            ("as_of_body", (asn, day), {}),
+            ("range_summary_body", (lo, hi), {"limit": limit}),
+            ("range_as_of_body", (lo, hi, day), {"limit": limit}),
+        ]
+        for name, args, kwargs in calls:
+            lazy = StoreIndex.open(store_dir, faults=None)
+            want = getattr(eager, name)(*args, **kwargs)
+            assert getattr(lazy, name)(*args, **kwargs) == want, ("cold", name)
+            assert getattr(lazy, name)(*args, **kwargs) == want, ("warm", name)
+        # the served "tiny" snapshot is a lazy open too
+        _index, host, port = servers["tiny"]
+        paths = [f"/asn/{asn}/lives", f"/asn/{asn}/taxonomy",
+                 f"/asn/{asn}/as-of/{to_iso(day)}",
+                 f"/range/{lo}-{hi}?limit={limit}",
+                 f"/range/{lo}-{hi}/as-of/{to_iso(day)}?limit={limit}",
+                 "/snapshot"]
+        for path, got in zip(paths, _fetch_all(host, port, paths)):
+            assert got == _oracle(eager, path), path
 
     def test_open_encodes_nothing(self, store_dir):
         fresh = StoreIndex.open(store_dir, faults=None)

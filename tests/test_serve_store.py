@@ -29,9 +29,11 @@ from repro.serve.store import (
     StoreMeta,
     build_store,
     config_from_fingerprint,
+    decode_rows,
     decode_shard,
     encode_shard,
     load_bytes_verified,
+    parse_shard,
     plan_shards,
     store_bytes_verified,
     store_publisher,
@@ -96,6 +98,39 @@ class TestShardCodec:
         doc = json.loads(encode_shard([_record()]).decode())
         doc["admin"][0][0] = [1, 2]  # row truncated mid-fields
         with pytest.raises(ServeStoreError, match="malformed shard row"):
+            decode_shard(json.dumps(doc).encode())
+
+
+    def test_parse_leaves_rows_to_decode_rows(self):
+        doc = json.loads(encode_shard([_record(64500), _record(64501)]).decode())
+        doc["admin"][1][0] = [1, 2]
+        columns = parse_shard(json.dumps(doc).encode())
+        assert columns.asns == [64500, 64501]
+        with pytest.raises(ServeStoreError, match="malformed shard row"):
+            decode_rows(columns)
+
+    def test_decode_shard_is_parse_then_decode_rows(self):
+        blob = encode_shard([_record(64500), _record(64501, op=[], op_cats=[])])
+        assert decode_rows(parse_shard(blob)) == decode_shard(blob)
+
+    @pytest.mark.parametrize("column", ["asns", "admin", "op", "observed", "single"])
+    def test_rejects_unequal_columns(self, column):
+        doc = json.loads(encode_shard([_record(64500), _record(64501)]).decode())
+        doc[column].pop()
+        with pytest.raises(ServeStoreError, match="differ in length"):
+            decode_shard(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("asns", [[64501, 64500], [64500, 64500], [64500, "x"]])
+    def test_rejects_asns_out_of_order(self, asns):
+        doc = json.loads(encode_shard([_record(64500), _record(64501)]).decode())
+        doc["asns"] = asns
+        with pytest.raises(ServeStoreError, match="ascend|not numbers"):
+            decode_shard(json.dumps(doc).encode())
+
+    def test_rejects_a_missing_column(self):
+        doc = json.loads(encode_shard([_record()]).decode())
+        del doc["pool"]
+        with pytest.raises(ServeStoreError, match="lacks its 'pool' column"):
             decode_shard(json.dumps(doc).encode())
 
 
