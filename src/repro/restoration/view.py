@@ -90,10 +90,9 @@ def build_registry_view(archive: DelegationArchive, registry: str) -> RegistryVi
     view.extended_start = extended_window.first_day if extended_window else None
 
     if has_regular:
-        view.regular_stints = {
-            asn: list(stints)
-            for asn, stints in archive.timeline(regular_key).items()
-        }
+        # the views own their timelines: restoration reads each source
+        # once, so nothing is memoized on the archive
+        view.regular_stints = archive.build_timeline(regular_key)
         view.regular_first_day = regular_window.first_day
         view.regular_last_day = regular_window.last_day
         view.regular_unavailable_days = set(archive.unavailable_days(regular_key))
@@ -112,7 +111,7 @@ def build_registry_view(archive: DelegationArchive, registry: str) -> RegistryVi
                 if clipped:
                     merged[asn] = clipped
     if has_extended:
-        for asn, stints in archive.timeline(extended_key).items():
+        for asn, stints in archive.build_timeline(extended_key).items():
             clipped = _clip_stints(
                 stints, extended_window.first_day, extended_window.last_day
             )

@@ -139,17 +139,26 @@ class DelegationArchive:
                     (name, EXTENDED), ext_first, end_day
                 )
         self._timeline_cache: Dict[SourceKey, Dict[ASN, List[Stint]]] = {}
+        #: Each source's stints in file-row order, for :meth:`snapshot`.
+        self._snapshot_rows: Dict[SourceKey, List[Stint]] = {}
 
     def __getstate__(self) -> dict:
-        """Pickle without the memoized timelines.
+        """Pickle without the memoized timelines and snapshot rows.
 
-        The cache is pure derived state: a loaded archive recomputes
-        exactly the timelines it needs, and stripping it keeps on-disk
+        Both caches are pure derived state: a loaded archive recomputes
+        exactly the timelines it needs, and stripping them keeps on-disk
         artifact-cache entries small.
         """
         state = self.__dict__.copy()
         state["_timeline_cache"] = {}
+        state["_snapshot_rows"] = {}
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        """Load; an archive pickled before ``_snapshot_rows`` existed
+        gets it empty."""
+        state.setdefault("_snapshot_rows", {})
+        self.__dict__.update(state)
 
     # -- introspection -----------------------------------------------------
 
@@ -251,9 +260,17 @@ class DelegationArchive:
         (possibly overlapping) stints, and date overrides rewrite the
         registration date for their span — exactly what a day-by-day
         parse of the published files would yield.
+
+        Memoized: every call returns the same dict.  A caller that reads
+        each source once should take :meth:`build_timeline` instead.
         """
-        if source in self._timeline_cache:
-            return self._timeline_cache[source]
+        out = self._timeline_cache.get(source)
+        if out is None:
+            out = self._timeline_cache[source] = self.build_timeline(source)
+        return out
+
+    def build_timeline(self, source: SourceKey) -> Dict[ASN, List[Stint]]:
+        """:meth:`timeline`, built afresh and kept by no one but the caller."""
         if source not in self._windows:
             raise ValueError(f"source {source} is not published")
         registry_name, kind = source
@@ -302,7 +319,6 @@ class DelegationArchive:
             stints = _extra_stints(rows, window, kind)
             if stints:
                 out[asn] = sorted(stints, key=lambda s: (s.start, s.end))
-        self._timeline_cache[source] = out
         return out
 
     def _base_stints(
@@ -363,13 +379,18 @@ class DelegationArchive:
         stale = self._overlay.stale_days.get(source, set())
         while effective in stale:
             effective -= 1
+        rows = self._snapshot_rows.get(source)
+        if rows is None:
+            # sorted once: a stable sort commutes with the day filter
+            rows = self._snapshot_rows[source] = sorted(
+                (stint for stints in self.timeline(source).values()
+                 for stint in stints),
+                key=lambda s: (s.record.asn, s.record.status.value),
+            )
         records = [
-            stint.record
-            for stints in self.timeline(source).values()
-            for stint in stints
+            stint.record for stint in rows
             if stint.start <= effective <= stint.end
         ]
-        records.sort(key=lambda r: (r.asn, r.status.value))
         return DelegationSnapshot(
             registry=registry_name,
             file_day=effective,

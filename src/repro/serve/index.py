@@ -14,7 +14,8 @@ answers the three query shapes the HTTP layer exposes:
   interval arrays;
 * **range** — ``range_summary(lo, hi)`` / ``range_as_of``: two binary
   searches bound the shard span, then the covered records stream out,
-  O(log n + k) for k hits.
+  O(log n + k) for k hits.  The range as-of body reads each shard's
+  lives from flat int columns in one vectorised pass per shard.
 
 Every answer carries the snapshot digest, so clients can detect a
 store swap between queries.  Each shape comes twice:
@@ -24,8 +25,10 @@ store swap between queries.  Each shape comes twice:
   once and kept for the life of the index — the snapshot is immutable,
   so nothing is ever invalidated.  An ASN's lives and taxonomy are
   encoded on the first query that emits them, a shard's range-summary
-  rows on the first range summary that reaches the shard.  The HTTP
-  server answers every data route with these;
+  rows on the first range summary that reaches the shard, and a
+  shard's as-of columns (:class:`_AsOfColumns`) on the first range
+  as-of that reaches it.  The HTTP server answers every data route
+  with these;
 * the dict methods (``lives``, ``taxonomy``, ``as_of``,
   ``range_summary``, ``range_as_of``) build a JSON-ready document per
   call.  They are the oracle the byte-identity tests and the
@@ -44,6 +47,8 @@ import json
 from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..asn.numbers import ASN
 from ..runtime.cache import USE_ENV_FAULTS
@@ -121,8 +126,13 @@ def _encode(document: Any) -> bytes:
 
 _TRUE_FALSE = (b"false", b"true")
 
-#: One row of a range as-of body (keys in sorted order).
-_AS_OF_ROW = b'{"active":%s,"allocated":%s,"asn":%d}'
+#: A range as-of row (keys in sorted order) up to its ASN, for codes 1
+#: (allocated only), 2 (active only) and 3 (both); the ASN and ``}``
+#: close it.
+_AS_OF_PREFIXES = tuple(
+    b'{"active":%s,"allocated":%s,"asn":' % flags
+    for flags in ((b"false", b"true"), (b"true", b"false"), (b"true", b"true"))
+)
 
 
 def _covering(lives: Sequence[Any], day: Day) -> int:
@@ -150,6 +160,48 @@ class _RecordBytes:
         ]
         self.op = [_encode(_op_json(record, i)) for i in range(len(record.op))]
         self.taxonomy = _encode(_taxonomy_json(record))[:-1]
+
+
+def _life_columns(records: Sequence[AsnRecord], kind: str) -> np.ndarray:
+    """The ``(start, end, position)`` rows of every ``kind`` life of
+    ``records``, as three int columns ascending by position."""
+    flat = [
+        value
+        for pos, record in enumerate(records)
+        for life in getattr(record, kind)
+        for value in (life.start, life.end, pos)
+    ]
+    return np.array(flat, dtype=np.int64).reshape(-1, 3).T.copy()
+
+
+class _AsOfColumns:
+    """One shard's lives as flat int columns, for range as-of bodies.
+
+    ``admin`` and ``op`` are ``(3, n)`` arrays of each life's start,
+    end and record position, ascending by position.  ``rows[3 * pos +
+    code - 1]`` is record ``pos``'s encoded row for code 1 (allocated
+    only), 2 (active only) or 3 (both).
+    """
+
+    __slots__ = ("admin", "op", "rows")
+
+    def __init__(self, records: Sequence[AsnRecord]) -> None:
+        self.admin = _life_columns(records, "admin")
+        self.op = _life_columns(records, "op")
+        self.rows = np.array([
+            prefix + tail
+            for tail in [b"%d}" % record.asn for record in records]
+            for prefix in _AS_OF_PREFIXES
+        ], dtype=object)
+
+    def codes(self, day: Day) -> np.ndarray:
+        """Per record: 1 allocated, 2 active, 3 both, 0 neither on ``day``."""
+        codes = np.zeros(len(self.rows) // 3, dtype=np.int8)
+        starts, ends, positions = self.admin
+        codes[positions[(starts <= day) & (ends >= day)]] = 1
+        starts, ends, positions = self.op
+        codes[positions[(starts <= day) & (ends >= day)]] |= 2
+        return codes
 
 
 class _Shard:
@@ -213,6 +265,8 @@ class StoreIndex:
         self._encoded: Dict[ASN, _RecordBytes] = {}
         #: Each shard's range-summary rows, encoded on first touch.
         self._summaries: List[Optional[List[bytes]]] = [None] * len(shards)
+        #: Each shard's as-of columns, built on first range as-of.
+        self._as_of: List[Optional[_AsOfColumns]] = [None] * len(shards)
         self._snapshot_json = json.dumps(self.digest).encode()
 
     # -- construction --------------------------------------------------
@@ -296,13 +350,16 @@ class StoreIndex:
     def _spans_in_range(
         self, lo: ASN, hi: ASN
     ) -> Iterator[Tuple[int, int, int]]:
-        """``(shard, start, stop)`` slices holding ``lo <= asn <= hi``."""
+        """The non-empty ``(shard, start, stop)`` slices holding
+        ``lo <= asn <= hi``."""
         shard_pos = bisect_left(self._his, lo)
         while shard_pos < len(self._shards):
             asns = self._shards[shard_pos].asns
             if asns[0] > hi:
                 return
-            yield shard_pos, bisect_left(asns, lo), bisect_right(asns, hi)
+            start, stop = bisect_left(asns, lo), bisect_right(asns, hi)
+            if start < stop:
+                yield shard_pos, start, stop
             shard_pos += 1
 
     def _records_in_range(
@@ -328,6 +385,15 @@ class StoreIndex:
             ]
             self._summaries[shard_pos] = rows
         return rows
+
+    def _as_of_columns(self, shard_pos: int) -> _AsOfColumns:
+        """The shard's as-of columns, built on the first call."""
+        columns = self._as_of[shard_pos]
+        if columns is None:
+            columns = self._as_of[shard_pos] = _AsOfColumns(
+                self._shards[shard_pos].records()
+            )
+        return columns
 
     # -- query API (JSON-ready) ----------------------------------------
 
@@ -509,7 +575,7 @@ class StoreIndex:
         for shard_pos, start, stop in self._spans_in_range(lo, hi):
             total += stop - start
             room = limit - len(rows)
-            if room > 0 and stop > start:
+            if room > 0:
                 summary = self._summary_rows(shard_pos)
                 rows += summary[start:min(stop, start + room)]
         return (
@@ -527,18 +593,21 @@ class StoreIndex:
         limit = max(1, min(limit, DEFAULT_RANGE_LIMIT))
         rows: List[bytes] = []
         allocated = active = matched = 0
-        for record in self._records_in_range(lo, hi):
-            is_alloc = _covering(record.admin, day) >= 0
-            is_active = _covering(record.op, day) >= 0
-            if not (is_alloc or is_active):
-                continue
-            allocated += is_alloc
-            active += is_active
-            matched += 1
-            if matched <= limit:
-                rows.append(_AS_OF_ROW % (
-                    _TRUE_FALSE[is_active], _TRUE_FALSE[is_alloc], record.asn,
-                ))
+        for shard_pos, start, stop in self._spans_in_range(lo, hi):
+            columns = self._as_of_columns(shard_pos)
+            codes = columns.codes(day)[start:stop]
+            _none, alloc_only, active_only, both = np.bincount(
+                codes, minlength=4
+            ).tolist()
+            allocated += alloc_only + both
+            active += active_only + both
+            matched += alloc_only + active_only + both
+            room = limit - len(rows)
+            if room > 0:
+                picked = codes.nonzero()[0][:room]
+                rows += columns.rows[
+                    3 * (start + picked) + codes[picked] - 1
+                ].tolist()
         return (
             b'{"active":%d,"allocated":%d,"asns":[%s],"date":"%s","hi":%d,'
             b'"lo":%d,"snapshot":%s,"truncated":%s}\n'

@@ -1075,10 +1075,14 @@ class TestServedBytes:
         eager = _eager_index(store_dir)
         asns = eager.all_asns()
         top = asns[-1]
+        edges = [asn for shard in eager._shards
+                 for asn in (shard.asns[0], shard.asns[-1])]
         asn = data.draw(st.one_of(
             st.sampled_from(asns), st.integers(0, top + 10)), label="asn")
         lo = data.draw(st.one_of(
-            st.sampled_from(asns), st.integers(0, top + 10)), label="lo")
+            st.sampled_from(asns), st.integers(0, top + 10),
+            st.sampled_from(edges),  # ranges that cross a shard boundary
+        ), label="lo")
         hi = lo + data.draw(st.one_of(
             st.integers(0, 3), st.integers(0, top), st.just(10**10),
         ), label="width")
@@ -1113,12 +1117,24 @@ class TestServedBytes:
         fresh = StoreIndex.open(store_dir, faults=None)
         assert fresh._encoded == {}
         assert all(rows is None for rows in fresh._summaries)
+        assert all(columns is None for columns in fresh._as_of)
 
     def test_a_query_encodes_only_what_it_emits(self, store_dir):
         fresh = StoreIndex.open(store_dir, faults=None)
         asns = fresh.all_asns()
         day = fresh.meta.end
+        fresh.lives_body(asns[0])
+        fresh.taxonomy_body(asns[-1])
+        fresh.as_of_body(asns[0], day)
+        fresh.range_summary_body(asns[0], asns[-1])
+        assert all(columns is None for columns in fresh._as_of)
+        fresh = StoreIndex.open(store_dir, faults=None)
+        second = fresh._shards[1].asns
+        fresh.range_as_of_body(second[0], second[-1], day)
+        assert [columns is not None for columns in fresh._as_of] == (
+            [False, True] + [False] * (len(fresh._shards) - 2))
         fresh.range_as_of_body(asns[0], asns[-1], day)
+        assert all(columns is not None for columns in fresh._as_of)
         record = fresh.record(asns[0])
         before = min(life.start for life in record.admin + record.op) - 1
         fresh.as_of_body(asns[0], before)  # covers no life
@@ -1128,3 +1144,69 @@ class TestServedBytes:
         assert list(fresh._encoded) == [asns[0]]
         fresh.range_summary_body(asns[0], asns[0])
         assert sum(rows is not None for rows in fresh._summaries) == 1
+
+
+class TestRangeAsOfColumns:
+    """The range as-of body, built from per-shard life columns, against
+    ``_json_body`` of the dict answer on the cases a vectorised pass
+    could get wrong."""
+
+    @staticmethod
+    def _assert_oracle(index, lo, hi, day, limit=DEFAULT_RANGE_LIMIT):
+        from repro.serve.http import _json_body
+
+        body = index.range_as_of_body(lo, hi, day, limit=limit)
+        assert body == _json_body(index.range_as_of(lo, hi, day, limit=limit)), (
+            lo, hi, day, limit)
+        return json.loads(body)
+
+    @pytest.mark.parametrize("name", ["tiny", "wide"])
+    def test_every_life_edge_across_a_shard_boundary(self, store_dir, name):
+        index = (StoreIndex.open(store_dir, faults=None) if name == "tiny"
+                 else _wide_index())
+        lo, hi = index._shards[0].asns[-20], index._shards[1].asns[20]
+        days = set(_probe_days(index, None))  # the window's edges, and past them
+        for record in index.iter_records():
+            if lo <= record.asn <= hi:
+                days |= set(_probe_days(index, record))
+        for day in sorted(days):
+            for limit in (1, DEFAULT_RANGE_LIMIT):
+                self._assert_oracle(index, lo, hi, day, limit)
+
+    def test_records_with_lives_of_one_kind(self):
+        index = _wide_index()
+        records = list(index.iter_records())
+        admin_only = [r for r in records if r.admin and not r.op][:20]
+        op_only = [r for r in records if r.op and not r.admin][:20]
+        assert admin_only and op_only
+        for record in admin_only + op_only:
+            for day in _probe_days(index, record):
+                doc = self._assert_oracle(index, record.asn, record.asn, day)
+                assert doc["allocated"] <= bool(record.admin)
+                assert doc["active"] <= bool(record.op)
+                self._assert_oracle(index, record.asn - 10, record.asn + 10, day)
+
+    def test_limit_one_counts_past_the_limit(self, store_dir):
+        index = StoreIndex.open(store_dir, faults=None)
+        asns = index.all_asns()
+        doc = self._assert_oracle(index, asns[0], asns[-1], index.meta.end, 1)
+        assert doc["truncated"] and len(doc["asns"]) == 1
+        assert doc["allocated"] > 1
+
+    def test_an_inverted_range_is_empty(self, store_dir):
+        from repro.serve.http import _json_body
+
+        index = StoreIndex.open(store_dir, faults=None)
+        lo, hi = index._shards[0].asns[-2], index._shards[0].asns[1]
+        assert index.range_summary_body(lo, hi) == _json_body(
+            index.range_summary(lo, hi))
+        assert self._assert_oracle(index, lo, hi, index.meta.end)["asns"] == []
+
+    def test_a_range_between_two_shards_is_empty(self):
+        index = _wide_index()
+        below, above = index._shards[0].asns[-1], index._shards[1].asns[0]
+        assert above - below > 1
+        for day in _probe_days(index, index.record(below)):
+            doc = self._assert_oracle(index, below + 1, above - 1, day)
+            assert doc["asns"] == [] and doc["allocated"] == doc["active"] == 0
+        assert all(columns is None for columns in index._as_of)
