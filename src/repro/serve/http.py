@@ -29,15 +29,31 @@ errors, ``/healthz``, ``/status`` and ``/metrics`` are rendered per
 request.  A request's path is split once, and each response head is
 joined from a prefix built once per (status, content type, keep-alive).
 
+Each connection is one :class:`asyncio.Protocol` (``_Connection``), with
+no task and no stream reader behind it.  ``data_received`` appends to a
+receive buffer and answers every complete head in it, in order: the
+pure :func:`parse_head` says "need more bytes", "request" or "drop",
+and each response goes out as one ``transport.write(head + body)``.
+When the transport's write buffer passes its high-water mark the
+connection stops reading and leaves pipelined heads buffered until the
+transport resumes writing.  A complete head must arrive within
+:data:`HEAD_TIMEOUT_S` of the connection opening or of the previous
+response, and at most :data:`MAX_CONNECTIONS` connections are served
+at once; one more is answered with a closing ``503``.  A closing
+response half-closes the connection and reads (and discards) what the
+client still sends until its EOF, so late client bytes never turn the
+close into a reset that could destroy the response.
+
 Telemetry goes through :class:`~repro.serve.telemetry.ServerTelemetry`:
 per-route+status labeled counters and latency histograms (labels use
 route *templates* like ``/asn/{n}/lives`` so cardinality is bounded by
 this route table, not by client traffic), the sliding SLO window, and
 the optional structured access log.  Request heads we refuse to parse
 (oversized line, malformed head, header flood) are counted under
-``serve.http.dropped`` and — where the byte stream still permits a
-response — answered with a ``400`` + ``Connection: close`` instead of
-a silent hangup.  The API takes no request bodies: a request that
+``serve.http.dropped`` and answered with a ``400`` + ``Connection:
+close`` instead of a silent hangup; a head deadline that expires is
+counted there too (``head-timeout``) and closes the connection without
+an answer.  The API takes no request bodies: a request that
 declares one (``Content-Length`` > 0, or any ``Transfer-Encoding``) is
 answered with a closing ``413`` or ``501`` and counted under
 ``serve.http.dropped|reason=request-body``, so body bytes are never
@@ -49,7 +65,7 @@ from __future__ import annotations
 import asyncio
 import json
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple, Union
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..runtime.observability import MetricsRegistry
@@ -58,15 +74,30 @@ from .index import DEFAULT_RANGE_LIMIT, StoreIndex
 from .telemetry import ServerTelemetry
 
 __all__ = [
+    "Drop",
+    "HEAD_TIMEOUT_S",
     "LifetimesServer",
-    "MAX_REQUEST_LINE",
+    "MAX_CONNECTIONS",
     "MAX_HEADER_LINES",
+    "MAX_LINE",
+    "MAX_REQUEST_LINE",
+    "parse_head",
     "route_template",
 ]
 
 #: Request-line / header hard limits (a query API needs no more).
 MAX_REQUEST_LINE = 4096
 MAX_HEADER_LINES = 64
+#: The longest header line, its LF included (the default line limit of
+#: the asyncio stream reader the server once read heads through).
+MAX_LINE = 64 * 1024
+
+#: Seconds a connection may wait, from opening or from its previous
+#: response, before a complete request head has arrived.
+HEAD_TIMEOUT_S = 10.0
+
+#: Connections served at once; one more gets a closing 503.
+MAX_CONNECTIONS = 512
 
 _SERVER_NAME = "repro-serve"
 
@@ -78,19 +109,100 @@ class _BadRequest(Exception):
     """Raised by route parsing; rendered as a 400 JSON body."""
 
 
-class _DroppedRequest(Exception):
+class Drop(NamedTuple):
     """A request we refuse to serve.
 
     ``reason`` feeds ``serve.http.dropped``; ``respond`` says whether
-    the byte stream is still in a state where ``status`` can be written
-    (always followed by ``Connection: close`` — framing is suspect).
+    ``status`` is written (always with ``Connection: close``: framing
+    is suspect) before the connection ends.
     """
 
-    def __init__(self, reason: str, respond: bool, status: int = 400) -> None:
-        super().__init__(reason)
-        self.reason = reason
-        self.respond = respond
-        self.status = status
+    reason: str
+    respond: bool
+    status: int
+
+
+_OVERSIZED = Drop("oversized-line", True, 400)
+_MALFORMED = Drop("malformed-head", True, 400)
+_FLOOD = Drop("header-flood", True, 400)
+_CHUNKED = Drop("request-body", True, 501)
+_BODY = Drop("request-body", True, 413)
+_HEAD_TIMEOUT = Drop("head-timeout", False, 0)
+_CONNECTION_CAP = Drop("connection-cap", True, 503)
+
+_BLANK = (b"\r\n", b"\n", b"")
+
+
+def parse_head(
+    buffer: Union[bytes, bytearray], eof: bool = False
+) -> Union[None, Tuple[str, str, bool, int], Drop]:
+    """The request head at the start of ``buffer``.
+
+    Returns ``None`` when more bytes are needed, a :class:`Drop`, or,
+    when a complete head is there, ``(method, target, keep_alive,
+    consumed)``: the head is the first ``consumed`` bytes.  Lines end at
+    LF.  At ``eof`` the buffer is all there will be: a last line with
+    no LF is still a line and the end of the buffer ends the head, so
+    ``None`` then means an empty buffer.  Lines are judged in order,
+    so a drop is returned as soon as the line that causes it is
+    complete (or, for an oversized line, as soon as it is too long).
+    A request that declares a body is dropped: the body is never read,
+    and its bytes would parse as the next request.
+    """
+    size = len(buffer)
+    end = buffer.find(b"\n") + 1
+    if not end:
+        if size > MAX_REQUEST_LINE:
+            return _OVERSIZED
+        if not eof or not size:
+            return None
+        end = size
+    if end > MAX_REQUEST_LINE:
+        return _OVERSIZED
+    parts = buffer[:end].decode("latin-1").split()
+    if len(parts) != 3:
+        return _MALFORMED
+    method, target, version = parts
+    keep_alive = version.upper() != "HTTP/1.0"
+    content_length: Optional[int] = None
+    chunked = False
+    start = end
+    for _ in range(MAX_HEADER_LINES):
+        end = buffer.find(b"\n", start) + 1
+        if not end:
+            if size - start > MAX_LINE:
+                return _OVERSIZED
+            if not eof:
+                return None
+            end = size
+        elif end - start > MAX_LINE:
+            return _OVERSIZED
+        line = buffer[start:end]
+        start = end
+        if line in _BLANK:
+            break
+        name, _sep, value = line.decode("latin-1").partition(":")
+        name = name.strip().lower()
+        if name == "connection":
+            keep_alive = value.strip().lower() != "close"
+        elif name == "content-length":
+            # 1*DIGIT, once: a repeated header would let the last
+            # one hide a body the first one declared
+            value = value.strip()
+            if content_length is not None or not (
+                value.isascii() and value.isdigit()
+            ):
+                return _MALFORMED
+            content_length = int(value)
+        elif name == "transfer-encoding":
+            chunked = True
+    else:
+        return _FLOOD
+    if chunked:
+        return _CHUNKED
+    if content_length:
+        return _BODY
+    return method, target, keep_alive, start
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -183,6 +295,7 @@ _REASONS = {
     413: "Content Too Large",
     500: "Internal Server Error",
     501: "Not Implemented",
+    503: "Service Unavailable",
 }
 
 #: ``(status, content type, keep-alive)`` -> the head around its length.
@@ -212,13 +325,15 @@ class LifetimesServer:
         self.metrics = self.telemetry.metrics
         self._snapshot_body = _json_body(index.snapshot())
         self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: Set[_Connection] = set()
 
     # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> Tuple[str, int]:
         """Bind and start accepting; returns the bound (host, port)."""
-        self._server = await asyncio.start_server(
-            self._client, self.host, self.port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self, loop), self.host, self.port
         )
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
@@ -228,145 +343,32 @@ class LifetimesServer:
         if self._server is None:
             await self.start()
         assert self._server is not None
-        async with self._server:
+        try:
             await self._server.serve_forever()
+        finally:
+            await self.close()
 
     async def close(self) -> None:
+        """Stop accepting and close every open connection.
+
+        Closing a transport sends what it has queued first; a client
+        that has not taken it within :data:`HEAD_TIMEOUT_S` is cut off.
+        """
         if self._server is not None:
             self._server.close()
+            connections = list(self._connections)
+            for connection in connections:
+                connection.transport.close()
+            if connections:
+                lost = [connection.lost for connection in connections]
+                await asyncio.wait(lost, timeout=HEAD_TIMEOUT_S)
+                for connection in connections:
+                    connection.transport.abort()  # no-op once lost
+                await asyncio.gather(*lost)
             await self._server.wait_closed()
             self._server = None
         if self.telemetry.access_log is not None:
             self.telemetry.access_log.close()
-
-    # -- connection handling -------------------------------------------
-
-    async def _client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            await self._serve_client(reader, writer)
-        except asyncio.CancelledError:
-            pass  # event-loop shutdown cancelled this connection mid-close
-
-    async def _serve_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                except _DroppedRequest as drop:
-                    self.telemetry.record_dropped(drop.reason)
-                    if drop.respond:
-                        body = _json_body({"error": drop.reason})
-                        writer.write(
-                            self._head(drop.status, len(body), False, _JSON)
-                            + body
-                        )
-                        await writer.drain()
-                    break
-                if request is None:
-                    break
-                t_request = perf_counter()
-                method, target, keep_alive = request
-                parts = urlsplit(target)
-                path = parts.path
-                segments = _segments(path)
-                route = _template(path, segments)
-                t_handler = perf_counter()
-                status, body, content_type = self._dispatch(
-                    method, path, segments, parts.query, route
-                )
-                handler_us = (perf_counter() - t_handler) * 1e6
-                writer.write(
-                    self._head(status, len(body), keep_alive, content_type)
-                    + body
-                )
-                await writer.drain()
-                self.telemetry.record_request(
-                    method=method,
-                    route=route,
-                    path=path,
-                    status=status,
-                    request_us=(perf_counter() - t_request) * 1e6,
-                    handler_us=handler_us,
-                    bytes_out=len(body),
-                    asn=_asn_of(segments),
-                )
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-request; nothing to answer
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown race
-                pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, bool]]:
-        """One request head → (method, target, keep_alive), EOF → None.
-
-        Unparseable heads, and heads that declare a request body, raise
-        :class:`_DroppedRequest` so the caller can count them and, when
-        ``respond`` is set, still answer before closing.
-        """
-        try:
-            line = await reader.readline()
-        except ValueError:
-            # The stream-level line limit tripped: the line is larger
-            # than the reader buffer, framing is gone.  The writer side
-            # is still usable, so a closing 400 can go out.
-            raise _DroppedRequest("oversized-line", True) from None
-        except ConnectionError:
-            return None
-        if not line:
-            return None
-        if len(line) > MAX_REQUEST_LINE:
-            raise _DroppedRequest("oversized-line", True)
-        parts = line.decode("latin-1").strip().split()
-        if len(parts) != 3:
-            raise _DroppedRequest("malformed-head", True)
-        method, target, version = parts
-        keep_alive = version.upper() != "HTTP/1.0"
-        content_length: Optional[int] = None
-        chunked = False
-        for _ in range(MAX_HEADER_LINES):
-            try:
-                header = await reader.readline()
-            except ValueError:
-                raise _DroppedRequest("oversized-line", True) from None
-            except ConnectionError:
-                return None
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _sep, value = header.decode("latin-1").partition(":")
-            name = name.strip().lower()
-            if name == "connection":
-                keep_alive = value.strip().lower() != "close"
-            elif name == "content-length":
-                # 1*DIGIT, once: a repeated header would let the last
-                # one hide a body the first one declared
-                value = value.strip()
-                if content_length is not None or not (
-                    value.isascii() and value.isdigit()
-                ):
-                    raise _DroppedRequest("malformed-head", True)
-                content_length = int(value)
-            elif name == "transfer-encoding":
-                chunked = True
-        else:
-            raise _DroppedRequest("header-flood", True)
-        # the body is never read, so a request that carries one must
-        # end the connection: its bytes would parse as the next request
-        if chunked:
-            raise _DroppedRequest("request-body", True, 501)
-        if content_length:
-            raise _DroppedRequest("request-body", True, 413)
-        return method, target, keep_alive
 
     @staticmethod
     def _head(
@@ -455,6 +457,185 @@ class LifetimesServer:
                 "range routes: /range/<lo>-<hi>, /range/<lo>-<hi>/as-of/<date>"
             )
         return 404, _json_body({"error": f"no route for {path}"})
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: a receive buffer answered head by head.
+
+    Every complete head in the buffer is answered as it arrives, in
+    order, unless the transport has asked the connection to pause
+    writing; then reading pauses too and buffered heads wait for
+    ``resume_writing``.  One timer per connection enforces
+    :data:`HEAD_TIMEOUT_S`: it fires at the deadline set when the
+    connection opened and re-arms itself when a response has moved
+    the deadline since.
+    """
+
+    def __init__(
+        self, server: LifetimesServer, loop: asyncio.AbstractEventLoop
+    ) -> None:
+        self.server = server
+        self.loop = loop
+        self.lost = loop.create_future()
+        self.transport: Any = None
+        self.buffer = bytearray()
+        self.paused = False  # the transport's write buffer is full
+        self.eof = False  # the client sent EOF
+        self.closing = False  # a closing response went out
+        self.deadline = 0.0
+        self.timer: Optional[asyncio.TimerHandle] = None
+
+    # -- transport callbacks -------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        connections = self.server._connections
+        over_cap = len(connections) >= MAX_CONNECTIONS
+        connections.add(self)
+        self.deadline = self.loop.time() + HEAD_TIMEOUT_S
+        self.timer = self.loop.call_at(self.deadline, self._check_deadline)
+        if over_cap:
+            self._drop(_CONNECTION_CAP)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if self.timer is not None:
+            self.timer.cancel()
+        self.server._connections.discard(self)
+        self.lost.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        if self.closing:
+            return  # only the client's EOF is awaited now
+        buffer = self.buffer
+        buffer += data
+        if self.paused:
+            return
+        if b"\n" not in data:
+            # no line ended: the parse can change only if the open line
+            # just grew past a line limit
+            grown = len(buffer) - 1 - buffer.rfind(b"\n")
+            before = grown - len(data)
+            if not (
+                before <= MAX_REQUEST_LINE < grown or before <= MAX_LINE < grown
+            ):
+                return
+        self._answer()
+
+    def eof_received(self) -> bool:
+        if self.closing:
+            return False  # the transport closes itself
+        self.eof = True
+        if not self.paused:
+            self._answer()
+        return True  # the connection closes once its heads are answered
+
+    def pause_writing(self) -> None:
+        self.paused = True
+        if not self.eof:
+            self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.deadline = self.loop.time() + HEAD_TIMEOUT_S
+        if not self.eof:
+            self.transport.resume_reading()
+        if not self.closing:
+            self._answer()
+
+    # -- answering -----------------------------------------------------
+
+    def _answer(self) -> None:
+        """Answer every complete head in the buffer while writes flow."""
+        buffer = self.buffer
+        while not self.paused and (buffer or self.eof):
+            head = parse_head(buffer, self.eof)
+            if head is None:
+                if self.eof:
+                    self.transport.close()
+                return
+            if isinstance(head, Drop):
+                self._drop(head)
+                return
+            method, target, keep_alive, consumed = head
+            del buffer[:consumed]
+            if not self._respond(method, target, keep_alive):
+                return
+            if not keep_alive:
+                self._finish()
+                return
+
+    def _respond(self, method: str, target: str, keep_alive: bool) -> bool:
+        """Answer one request; False when the write found the client gone."""
+        server = self.server
+        t_request = perf_counter()
+        parts = urlsplit(target)
+        path = parts.path
+        segments = _segments(path)
+        route = _template(path, segments)
+        t_handler = perf_counter()
+        status, body, content_type = server._dispatch(
+            method, path, segments, parts.query, route
+        )
+        handler_us = (perf_counter() - t_handler) * 1e6
+        transport = self.transport
+        transport.write(server._head(status, len(body), keep_alive, content_type) + body)
+        if transport.is_closing():
+            return False  # the send failed: the client reset the connection
+        server.telemetry.record_request(
+            method=method,
+            route=route,
+            path=path,
+            status=status,
+            request_us=(perf_counter() - t_request) * 1e6,
+            handler_us=handler_us,
+            bytes_out=len(body),
+            asn=_asn_of(segments),
+        )
+        self.deadline = self.loop.time() + HEAD_TIMEOUT_S
+        return True
+
+    def _drop(self, drop: Drop) -> None:
+        self.server.telemetry.record_dropped(drop.reason)
+        if not drop.respond:
+            self.transport.close()
+            return
+        body = _json_body({"error": drop.reason})
+        self.transport.write(
+            self.server._head(drop.status, len(body), False, _JSON) + body
+        )
+        self._finish()
+
+    def _finish(self) -> None:
+        """End the connection after a closing response.
+
+        Closing a socket with unread input resets it, and a reset can
+        destroy a response the client has not read yet.  So, unless the
+        client already sent EOF, the connection half-closes (EOF after
+        the response) and discards input until the client's EOF or
+        the deadline.
+        """
+        self.closing = True
+        self.buffer.clear()
+        self.deadline = self.loop.time() + HEAD_TIMEOUT_S
+        if self.eof:
+            self.transport.close()
+        else:
+            self.transport.write_eof()
+
+    def _check_deadline(self) -> None:
+        transport = self.transport
+        if transport.is_closing():
+            return
+        now = self.loop.time()
+        if self.paused:
+            # the client owes no head while it is being answered
+            self.timer = self.loop.call_at(now + HEAD_TIMEOUT_S, self._check_deadline)
+        elif now < self.deadline:
+            self.timer = self.loop.call_at(self.deadline, self._check_deadline)
+        elif self.closing:
+            transport.close()
+        else:
+            self._drop(_HEAD_TIMEOUT)
 
 
 def _found(body: Optional[bytes]) -> Tuple[int, bytes]:

@@ -325,10 +325,11 @@ async def run_load_checked(
       counters exactly equals the number of queries sent.
     * ``quantiles_agree`` — no server-side p50/p99 (derived from the
       ``request_us`` bucket deltas) lies in a higher bucket than the
-      client's nearest-rank percentile.  Each server window (head read
-      to drain) nests inside its client window (send to last byte
-      read), so every request's server time is at most its client
-      time, and so is every order statistic; both sides name the same
+      client's nearest-rank percentile.  Each server window (head
+      parsed to response handed to the transport) nests inside its
+      client window (send to last byte read), so every request's
+      server time is at most its client time, and so is every order
+      statistic; both sides name the same
       order statistic (the ``round(q * (n - 1))`` rank) and a bucket
       estimate stays in its bucket, so the check holds at any server
       speed and any concurrency.  ``bucket_offsets`` holds the
@@ -336,8 +337,8 @@ async def run_load_checked(
       the server never sees.
 
     The final scrape is retried briefly: a worker's last response can
-    be read by the client a scheduling slot before the server coroutine
-    records it, so the counters are eventually — not instantaneously —
+    be read by the client a scheduling slot before the server records
+    it, so the counters are eventually — not instantaneously —
     consistent.
     """
     _status, before_body = await _fetch(host, port, "/metrics")

@@ -522,9 +522,9 @@ class ServerTelemetry:
     the SLO ring and access log are per-instance.
     Two latency series exist on purpose: ``serve.http.latency_us``
     (handler time only, the PR-8 series, unlabeled) and
-    ``serve.http.request_us|route=...`` (request-head-parsed through
-    response-drained — the series quantiles, ``/status`` tables, and
-    the SLO window are derived from).
+    ``serve.http.request_us|route=...`` (request head parsed through
+    response handed to the transport — the series quantiles,
+    ``/status`` tables, and the SLO window are derived from).
     """
 
     def __init__(

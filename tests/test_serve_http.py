@@ -1210,3 +1210,494 @@ class TestRangeAsOfColumns:
             doc = self._assert_oracle(index, below + 1, above - 1, day)
             assert doc["asns"] == [] and doc["allocated"] == doc["active"] == 0
         assert all(columns is None for columns in index._as_of)
+
+
+# -- connection framing: parse_head, the protocol, limits and lifecycle -------
+
+
+async def _read_response(reader):
+    """One response off the stream → (status, {header: value}, body)."""
+    status_line = await reader.readline()
+    assert status_line.startswith(b"HTTP/1.1 "), status_line
+    headers = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b""):
+            break
+        name, _sep, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = await reader.readexactly(int(headers["content-length"]))
+    return int(status_line.split()[1]), headers, body
+
+
+def _split_responses(raw):
+    """Every response in ``raw`` → [(status, body)]; asserts framing."""
+    responses = []
+    while raw:
+        head, sep, rest = raw.partition(b"\r\n\r\n")
+        assert sep, raw[:200]
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        parts = status_line.split(" ", 2)
+        assert parts[0] == "HTTP/1.1" and parts[1].isdigit(), status_line
+        headers = dict(
+            (name.strip().lower(), value.strip())
+            for name, _sep, value in (h.partition(":") for h in header_lines)
+        )
+        length = int(headers["content-length"])
+        assert len(rest) >= length, (status_line, length, len(rest))
+        responses.append((int(parts[1]), rest[:length]))
+        raw = rest[length:]
+    return responses
+
+
+def _counter(server, name):
+    return server.metrics.snapshot()["counters"].get(name, 0)
+
+
+class _FakeTransport:
+    """Just enough of a socket transport to drive ``_Connection``."""
+
+    def __init__(self):
+        self.out = bytearray()
+        self.closed = False
+        self.eof_sent = False
+
+    def write(self, data):
+        assert not (self.closed or self.eof_sent)
+        self.out += data
+
+    def write_eof(self):
+        self.eof_sent = True
+
+    def close(self):
+        self.closed = True
+
+    def is_closing(self):
+        return self.closed
+
+    def pause_reading(self):  # pragma: no cover - writes never back up here
+        raise AssertionError("a fake transport never pauses")
+
+    resume_reading = pause_reading
+
+
+def _recording_telemetry():
+    from repro.runtime.observability import MetricsRegistry
+    from repro.serve.telemetry import ServerTelemetry
+
+    class _Recording(ServerTelemetry):
+        def __init__(self):
+            super().__init__(metrics=MetricsRegistry())
+            self.events = []
+
+        def record_request(self, *, method, path, status, **fields):
+            self.events.append(("request", method, path, status))
+            super().record_request(method=method, path=path, status=status,
+                                   **fields)
+
+        def record_dropped(self, reason):
+            self.events.append(("drop", reason))
+            super().record_dropped(reason)
+
+    return _Recording()
+
+
+def _feed(index, pieces, eof=True):
+    """Feed ``pieces`` to one connection, then EOF → (events, bytes out)."""
+    from repro.serve.http import _Connection
+
+    loop = asyncio.new_event_loop()
+    try:
+        telemetry = _recording_telemetry()
+        connection = _Connection(LifetimesServer(index, telemetry=telemetry), loop)
+        transport = _FakeTransport()
+        connection.connection_made(transport)
+        for piece in pieces:
+            if transport.closed:
+                break
+            connection.data_received(piece)
+        if eof and not transport.closed and not connection.eof_received():
+            transport.close()
+        assert transport.closed or transport.eof_sent or not eof
+        return telemetry.events, bytes(transport.out)
+    finally:
+        loop.close()
+
+
+def _head_pieces(asn):
+    """The grammar of byte-stream pieces: valid heads and every way to
+    break one (junk, oversized lines, header floods, request bodies)."""
+    from repro.serve.http import MAX_HEADER_LINES, MAX_LINE
+
+    path = st.sampled_from([
+        f"/asn/{asn}/lives", f"/asn/{asn}/taxonomy", "/range/0-999999?limit=3",
+        "/snapshot", "/utterly/unknown", "/asn/xyz/lives",
+    ])
+    header = st.sampled_from([
+        "Host: bench", "Connection: close", "Connection: keep-alive",
+        "Content-Length: 0", "X-Any: thing", "no colon here",
+    ])
+    valid = st.builds(
+        lambda method, path, version, headers, eol: (
+            eol.join([f"{method} {path} {version}", *headers, "", ""])
+        ).encode("latin-1"),
+        st.sampled_from(["GET", "GET", "GET", "POST"]), path,
+        st.sampled_from(["HTTP/1.1", "HTTP/1.1", "HTTP/1.0"]),
+        st.lists(header, max_size=3), st.sampled_from(["\r\n", "\n"]),
+    )
+    broken = st.sampled_from([
+        b"NOT-AN-HTTP-HEAD\r\n\r\n",
+        b"\r\n",
+        b"GET /" + b"a" * 5000 + b" HTTP/1.1\r\n\r\n",
+        b"GET /snapshot HTTP/1.1\r\nX-Big: " + b"a" * MAX_LINE + b"\r\n\r\n",
+        b"GET /snapshot HTTP/1.1\r\n" + b"X-Flood: y\r\n" * MAX_HEADER_LINES
+        + b"\r\n",
+        b"POST /snapshot HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello",
+        b"POST /snapshot HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"0\r\n\r\n",
+        b"GET /snapshot HTTP/1.1\r\nContent-Length: +0\r\n\r\n",
+    ])
+    return st.one_of(valid, valid, broken, st.binary(max_size=12))
+
+
+def _chunks(data, stream):
+    """``stream`` cut at arbitrary points (hypothesis-drawn)."""
+    cuts = sorted(set(data.draw(
+        st.lists(st.integers(0, len(stream)), max_size=12), label="cuts")))
+    bounds = [0, *cuts, len(stream)]
+    return [stream[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+
+
+class TestParseHead:
+    def test_results(self):
+        from repro.serve.http import Drop, parse_head
+
+        head = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        assert parse_head(head + b"GET") == ("GET", "/healthz", True, len(head))
+        assert parse_head(head[:-1]) is None
+        assert parse_head(b"") is None and parse_head(b"", eof=True) is None
+        # at EOF a head needs neither its blank line nor a final LF
+        assert parse_head(b"GET / HTTP/1.0", eof=True) == ("GET", "/", False, 14)
+        assert parse_head(b"junk\r\n") == Drop("malformed-head", True, 400)
+        assert parse_head(b"GET /" + b"a" * 5000) == Drop(
+            "oversized-line", True, 400)
+        assert parse_head(
+            b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+        ) == Drop("request-body", True, 501)
+
+    def test_line_limits(self):
+        from repro.serve.http import MAX_HEADER_LINES, MAX_LINE, MAX_REQUEST_LINE
+        from repro.serve.http import parse_head
+
+        line = b"GET /" + b"a" * (MAX_REQUEST_LINE - 16) + b" HTTP/1.1\r\n"
+        assert len(line) == MAX_REQUEST_LINE
+        assert parse_head(line + b"\r\n")[3] == MAX_REQUEST_LINE + 2
+        assert parse_head(b"GET /a" + line[5:] + b"\r\n").reason == "oversized-line"
+        big = b"X: " + b"a" * (MAX_LINE - 5) + b"\r\n"
+        assert len(big) == MAX_LINE
+        assert parse_head(b"GET / HTTP/1.1\r\n" + big + b"\r\n")[0] == "GET"
+        assert parse_head(b"GET / HTTP/1.1\r\nX" + big).reason == "oversized-line"
+        # an open line is oversized as soon as it is too long
+        assert parse_head(b"GET / HTTP/1.1\r\nXX" + big[:-1]).reason == (
+            "oversized-line")
+        flood = b"GET / HTTP/1.1\r\n" + b"X: y\r\n" * (MAX_HEADER_LINES - 1)
+        assert parse_head(flood + b"\r\n")[0] == "GET"
+        assert parse_head(flood + b"X: y\r\n").reason == "header-flood"
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_any_split_serves_the_whole_stream(self, index, data):
+        """However a byte stream is cut into reads, the connection
+        answers and drops exactly what it does for the whole stream."""
+        pieces = data.draw(st.lists(
+            _head_pieces(index.all_asns()[0]), min_size=1, max_size=6),
+            label="pieces")
+        stream = b"".join(pieces)
+        whole = _feed(index, [stream])
+        assert _feed(index, _chunks(data, stream)) == whole
+        events, out = whole
+        assert len(_split_responses(out)) == len(events)
+
+    def test_one_byte_per_read(self, index):
+        stream = b"GET /snapshot HTTP/1.1\r\nHost: x\r\n\r\nGET /nope HTTP/1.0\r\n\r\n"
+        events, out = _feed(index, [stream[i:i + 1] for i in range(len(stream))])
+        assert events == [("request", "GET", "/snapshot", 200),
+                          ("request", "GET", "/nope", 404)]
+        assert (events, out) == _feed(index, [stream])
+
+    def test_an_open_line_past_a_limit_drops_before_eof(self, index):
+        from repro.serve.http import MAX_LINE
+
+        for head in (b"GET /" + b"a" * 5000,
+                     b"GET / HTTP/1.1\r\nX: " + b"a" * MAX_LINE):
+            pieces = [head[i:i + 1000] for i in range(0, len(head), 1000)]
+            events, out = _feed(index, pieces, eof=False)
+            assert events == [("drop", "oversized-line")]
+            assert _split_responses(out) == [
+                (400, b'{"error":"oversized-line"}\n')]
+
+
+class TestConnections:
+    def test_pipelined_requests_answer_in_order(self, index):
+        asns = index.all_asns()[:3]
+
+        async def interact(server, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"".join(
+                f"GET /asn/{asn}/lives HTTP/1.1\r\n\r\n".encode() for asn in asns
+            ))
+            answers = [await _read_response(reader) for _asn in asns]
+            writer.close()
+            return answers
+
+        answers, server = _serve_raw(index, interact)
+        assert [(status, body) for status, _h, body in answers] == [
+            (200, index.lives_body(asn)) for asn in asns]
+        assert _counter(server, "serve.http.requests") == 3
+
+    def test_a_head_one_byte_per_write_is_served(self, index):
+        async def interact(server, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            for byte in b"GET /snapshot HTTP/1.1\r\nHost: x\r\n\r\n":
+                writer.write(bytes([byte]))
+                await writer.drain()
+                await asyncio.sleep(0.001)
+            answer = await _read_response(reader)
+            writer.close()
+            return answer
+
+        (status, _headers, body), _server = _serve_raw(index, interact)
+        assert status == 200 and json.loads(body)["snapshot"] == index.digest
+
+    def test_a_request_line_then_eof_is_served(self, index):
+        async def interact(server, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"GET /healthz HTTP/1.1\r\n")
+            writer.write_eof()
+            raw = await reader.read()
+            writer.close()
+            return raw
+
+        raw, server = _serve_raw(index, interact)
+        ((status, body),) = _split_responses(raw)
+        assert status == 200 and json.loads(body)["status"] == "ok"
+
+    def test_an_oversized_header_line_answers_400(self, index):
+        from repro.serve.http import MAX_LINE
+
+        async def interact(server, host, port):
+            served = await _raw_exchange(
+                host, port, b"GET /snapshot HTTP/1.1\r\nX-Big: "
+                + b"a" * 10_000 + b"\r\nConnection: close\r\n\r\n")
+            dropped = await _raw_exchange(
+                host, port, b"GET /snapshot HTTP/1.1\r\nX-Big: "
+                + b"a" * MAX_LINE + b"\r\n\r\n")
+            return served, dropped
+
+        (served, dropped), server = _serve_raw(index, interact)
+        assert _split_responses(served)[0][0] == 200
+        assert _split_responses(dropped) == [
+            (400, b'{"error":"oversized-line"}\n')]
+        assert _counter(server, "serve.http.dropped|reason=oversized-line") == 1
+
+    def test_head_deadline_closes_a_silent_client(self, index, monkeypatch):
+        import repro.serve.http as http
+
+        monkeypatch.setattr(http, "HEAD_TIMEOUT_S", 0.05)
+
+        async def interact(server, host, port):
+            silent = await asyncio.open_connection(host, port)
+            partial = await asyncio.open_connection(host, port)
+            partial[1].write(b"GET /healthz HTTP/1.1\r\n")  # no blank line
+            busy_reader, busy = await asyncio.open_connection(host, port)
+            statuses = []
+            loop = asyncio.get_running_loop()
+            until = loop.time() + 0.25  # five deadlines of back-to-back requests
+            while loop.time() < until:
+                busy.write(b"GET /snapshot HTTP/1.1\r\n\r\n")
+                statuses.append((await _read_response(busy_reader))[0])
+            busy.close()
+            closed = [await asyncio.wait_for(reader.read(), 5)
+                      for reader, _writer in (silent, partial)]
+            for _reader, writer in (silent, partial):
+                writer.close()
+            return statuses, closed
+
+        (statuses, closed), server = _serve_raw(index, interact)
+        assert len(statuses) > 5 and set(statuses) == {200}
+        assert closed == [b"", b""]
+        assert _counter(server, "serve.http.dropped|reason=head-timeout") == 2
+        assert _counter(server, "serve.http.requests") == len(statuses)
+
+    def test_connections_over_the_cap_get_503(self, index, monkeypatch):
+        import repro.serve.http as http
+
+        monkeypatch.setattr(http, "MAX_CONNECTIONS", 2)
+
+        async def interact(server, host, port):
+            held = [await asyncio.open_connection(host, port) for _ in range(2)]
+            for reader, writer in held:
+                writer.write(b"GET /snapshot HTTP/1.1\r\n\r\n")
+                assert (await _read_response(reader))[0] == 200
+            over_reader, over = await asyncio.open_connection(host, port)
+            refused = await asyncio.wait_for(over_reader.read(), 5)
+            over.close()
+            # the held connections keep serving; once one goes, there is room
+            reader, writer = held[0]
+            writer.write(b"GET /snapshot HTTP/1.1\r\n\r\n")
+            assert (await _read_response(reader))[0] == 200
+            writer.close()
+            for _ in range(500):
+                if len(server._connections) < 2:
+                    break
+                await asyncio.sleep(0.01)
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"GET /snapshot HTTP/1.1\r\n\r\n")
+            admitted = (await _read_response(reader))[0]
+            writer.close()
+            held[1][1].close()
+            return refused, admitted
+
+        (refused, admitted), server = _serve_raw(index, interact)
+        assert refused.startswith(b"HTTP/1.1 503 Service Unavailable\r\n")
+        assert b"Connection: close" in refused
+        assert _split_responses(refused) == [
+            (503, b'{"error":"connection-cap"}\n')]
+        assert admitted == 200
+        assert _counter(server, "serve.http.dropped|reason=connection-cap") == 1
+        assert _counter(server, "serve.http.requests") == 4
+
+    def test_a_full_write_buffer_pauses_reading(self):
+        import socket
+
+        index = _wide_index()
+        asns = index.all_asns()
+        ranges = [(asns[i], asns[-1]) for i in range(50)]
+
+        async def interact(server, host, port):
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect((host, port))
+            reader, writer = await asyncio.open_connection(sock=sock)
+            writer.write(b"GET /snapshot HTTP/1.1\r\n\r\n")
+            await _read_response(reader)
+            (connection,) = server._connections
+            transport = connection.transport
+            transport.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            transport.set_write_buffer_limits(high=256, low=64)
+            writer.write(b"".join(
+                f"GET /range/{lo}-{hi}?limit=1000 HTTP/1.1\r\n\r\n".encode()
+                for lo, hi in ranges))
+            for _ in range(500):
+                if connection.paused:
+                    break
+                await asyncio.sleep(0.01)
+            paused = (connection.paused, transport.is_reading(),
+                      _counter(server, "serve.http.requests"))
+            answers = [await _read_response(reader) for _range in ranges]
+            writer.close()
+            return paused, answers
+
+        (paused, answers), server = _serve_raw(index, interact)
+        is_paused, reading, answered = paused
+        assert is_paused and not reading
+        assert answered < 51  # heads were left waiting in the buffer
+        assert [(status, body) for status, _h, body in answers] == [
+            (200, index.range_summary_body(lo, hi, limit=1000))
+            for lo, hi in ranges]
+        assert _counter(server, "serve.http.requests") == 51
+        assert _counter(server, "serve.http.dropped") == 0
+
+    def test_close_ends_idle_keep_alive_connections(self, index):
+        import gc
+        import warnings
+
+        from repro.runtime.observability import MetricsRegistry
+
+        async def go():
+            server = LifetimesServer(index, metrics=MetricsRegistry())
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"GET /snapshot HTTP/1.1\r\n\r\n")
+            status = (await _read_response(reader))[0]
+            await server.close()
+            tail = await asyncio.wait_for(reader.read(), 5)
+            writer.close()
+            await writer.wait_closed()
+            return status, tail, len(server._connections)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = asyncio.run(go())
+            gc.collect()
+        assert result == (200, b"", 0)
+        assert not [w for w in caught if "unclosed" in str(w.message)]
+
+
+    def test_close_cuts_off_a_client_that_reads_nothing(self, monkeypatch):
+        import socket
+
+        import repro.serve.http as http
+        from repro.runtime.observability import MetricsRegistry
+
+        monkeypatch.setattr(http, "HEAD_TIMEOUT_S", 0.05)
+        index = _wide_index()
+        asns = index.all_asns()
+
+        async def go():
+            server = LifetimesServer(index, metrics=MetricsRegistry())
+            host, port = await server.start()
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect((host, port))
+            _reader, writer = await asyncio.open_connection(sock=sock)
+            writer.write(50 * (
+                f"GET /range/{asns[0]}-{asns[-1]}?limit=1000 HTTP/1.1\r\n\r\n"
+            ).encode())
+            for _ in range(500):
+                if any(c.paused for c in server._connections):
+                    break
+                await asyncio.sleep(0.01)
+            paused = any(c.paused for c in server._connections)
+            await asyncio.wait_for(server.close(), 5)
+            writer.close()
+            return paused, len(server._connections)
+
+        assert asyncio.run(go()) == (True, 0)
+
+
+class TestLiveByteStreams:
+    """Random byte streams, sent in random chunks, to a live server."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_every_stream_gets_framed_answers_and_a_clean_eof(self, index, data):
+        pieces = data.draw(st.lists(
+            _head_pieces(index.all_asns()[0]), min_size=1, max_size=6),
+            label="pieces")
+        chunks = _chunks(data, b"".join(pieces))
+
+        async def interact(server, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            received = asyncio.ensure_future(reader.read())
+            for chunk in chunks:
+                writer.write(chunk)
+                await writer.drain()
+                await asyncio.sleep(0)
+            writer.write_eof()
+            raw = await asyncio.wait_for(received, 10)
+            writer.close()
+            return raw
+
+        raw, server = _serve_raw(index, interact)
+        responses = _split_responses(raw)
+        silent = _counter(server, "serve.http.dropped|reason=head-timeout")
+        assert (
+            _counter(server, "serve.http.requests")
+            + _counter(server, "serve.http.dropped")
+        ) == len(responses) + silent
